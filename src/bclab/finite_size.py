@@ -135,8 +135,7 @@ def log_tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:
     return float(logsumexp(law.log_weights[mask]) - law.log_z)
 
 
-def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f,
-           quad: QuadratureConfig | None = None, kinks=(),
+def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=(),
            n_max: int = DEFAULT_N_MAX) -> float:
     """E f(S_n/n^(1-gb) + W_n/n^(1/2-gb)) with W_n ~ N(0, 1/(2 beta K)).
 

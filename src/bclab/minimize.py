@@ -1,106 +1,56 @@
-"""Free-energy minimization over the physical magnetization interval.
+"""The global minimum of the free-energy functional, solved in the tilt.
 
-``magnetization`` is the single implementation behind every appearance of the
-thermodynamic magnetization m(beta, K). ``min_free_energy`` is the raw
-scan-and-polish minimizer reused by the first-order-curve solver and by the
-normalization of e^{-n G} integrals.
+``min_free_energy`` is the one equilibrium solver behind m(beta, K), the
+first-order curve and the normalization of e^{-n G} integrals.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import optimize
+import decimal
 
-from .model import ModelParams, free_energy, free_energy_deriv
-
-GRID_POINTS = 4001
-GRAD_TOL = 1e-13
-TIE_TOL = 1e-14
-# Below this scale a tied positive stationary point is indistinguishable from
-# the second-order limit m -> 0 and the tie resolves toward 0.
-TIE_X_FLOOR = 1e-3
+from .model import (ModelParams, cumulant_deriv, free_energy, inflection_tilt,
+                    secant_excess, well_depth)
 
 
-def min_free_energy(params: ModelParams, lo: float = 0.0, hi: float = 1.0,
-                    grid: int = 2001) -> tuple[float, float]:
-    """Global minimum (value, argmin) of G over [lo, hi].
+def _spinodal_excess(beta: float, kappa: float) -> float:
+    """K(beta)/K - 1 = (e^beta + 2 - 4 beta K)/(4 beta K). m(beta, K) near the
+    second-order curve is as sensitive to this difference as to K itself, so
+    its numerator is formed in 40-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        b = decimal.Decimal(beta)
+        num = b.exp() + 2 - 4 * b * decimal.Decimal(kappa)
+    return float(num) / (4.0 * beta * kappa)
 
-    Scans a combined uniform + geometric grid (the geometric part resolves
-    minima that sit at x = O(sqrt(beta - beta_c)) just past the tricritical
-    point) and polishes every sampled basin, not just the deepest grid point:
-    near the first-order curve a well bottom within grid-offset error of the
-    interval-edge value would otherwise be missed.
+
+def min_free_energy(params: ModelParams) -> tuple[float, float]:
+    """Global minimum (value, argmin) of G_{beta,K} on [0, 1].
+
+    The positive well is x = c'(t) at the largest root t of g(t) = t - 2 beta K
+    c'(t). g(2 beta K) > 0 and g is convex beyond the inflection tilt t_i of c',
+    which lies below any largest root, so Newton from 2 beta K descends onto it;
+    a step below t_i or a nonpositive slope shows there is none. The residual
+    g = t (rho_K - rho(t))/(1 + rho_K) keeps its precision near K(beta). The
+    well is the global minimum if its depth f(t) <= 0 = G(0) (ties resolve
+    toward it); otherwise the minimum is (0, 0).
     """
-    xs = np.linspace(lo, hi, grid)
-    gl = max(lo, 1e-12)
-    xs = np.unique(np.concatenate([xs, np.geomspace(gl, hi, grid)]))
-    gs = np.asarray(free_energy(params, xs))
-    d = np.diff(gs)
-    interior = np.where((d[:-1] < 0) & (d[1:] >= 0))[0] + 1
-    candidates = {0, len(xs) - 1} | set(int(j) for j in interior)
-
-    best_v, best_x = np.inf, lo
-    for j in sorted(candidates):
-        if gs[j] < best_v:
-            best_v, best_x = float(gs[j]), float(xs[j])
-        blo = xs[max(j - 1, 0)]
-        bhi = xs[min(j + 1, len(xs) - 1)]
-        if bhi > blo:
-            res = optimize.minimize_scalar(
-                lambda x: float(free_energy(params, x)),
-                bounds=(blo, bhi), method="bounded", options={"xatol": 1e-14})
-            if res.fun < best_v:
-                best_v, best_x = float(res.fun), float(res.x)
-    return best_v, best_x
-
-
-def _polish_local_min(params: ModelParams, lo: float, hi: float, x0: float) -> float:
-    """Safeguarded Newton on G' inside a bracket with G'(lo) < 0 < G'(hi)."""
-    x = x0
-    for _ in range(100):
-        d1 = free_energy_deriv(params, x, 1)
-        if abs(d1) < GRAD_TOL:
-            break
-        if d1 > 0:
-            hi = x
-        else:
-            lo = x
-        d2 = free_energy_deriv(params, x, 2)
-        xn = x - d1 / d2 if d2 > 0 else 0.5 * (lo + hi)
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if xn == x:
-            break
-        x = xn
-    return x
+    beta, two_bk = params.beta, 2.0 * params.beta * params.kappa
+    rho_k = _spinodal_excess(beta, params.kappa)
+    t_i = inflection_tilt(beta)
+    t = two_bk if rho_k < 0.0 or t_i > 0.0 else 0.0   # else no root: c'(t)/t < c''(0)
+    for _ in range(200):
+        slope = 1.0 - two_bk * cumulant_deriv(beta, t, 2)
+        if t <= t_i or slope <= 0.0:
+            return 0.0, 0.0
+        t_next = t - t * (rho_k - secant_excess(beta, t)) / ((1.0 + rho_k) * slope)
+        if t_next >= t:
+            if well_depth(beta, t) > 0.0:
+                return 0.0, 0.0
+            m = cumulant_deriv(beta, t, 1)
+            return free_energy(params, m), m
+        t = t_next
+    raise ArithmeticError(f"stationary tilt at {params} did not converge")
 
 
 def magnetization(params: ModelParams) -> float:
-    """Largest global minimizer of G_{beta,K} on [0, 1] (the value m(beta, K)).
-
-    Brackets every interior local minimum on a 4001-point grid, polishes each
-    with Newton on G' to |G'| < 1e-13, and compares the deepest one against
-    G(0) = 0 with tie tolerance 1e-14. A tie at a substantive x (> 1e-3)
-    resolves toward the positive minimizer, as on the first-order curve where
-    {0, +-m} are jointly global; otherwise toward 0.
-    """
-    xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    gs = np.asarray(free_energy(params, xs))
-    d = np.diff(gs)
-    interior = np.where((d[:-1] < 0) & (d[1:] >= 0))[0] + 1
-
-    candidates = []
-    for j in interior:
-        x = _polish_local_min(params, xs[j - 1], xs[j + 1], xs[j])
-        if x > 0:
-            candidates.append((float(free_energy(params, x)), x))
-    if not candidates:
-        return 0.0
-
-    best_v = min(v for v, _ in candidates)
-    if best_v > TIE_TOL:
-        return 0.0
-    x_star = max(x for v, x in candidates if v <= best_v + TIE_TOL)
-    if best_v < -TIE_TOL:
-        return x_star
-    return x_star if x_star > TIE_X_FLOOR else 0.0
+    """Largest global minimizer of G_{beta,K} on [0, 1] (the value m(beta, K))."""
+    return min_free_energy(params)[1]

@@ -12,9 +12,8 @@ magnetization values is
     G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x).
 
 Everything here is a pure function of its arguments. The spin/tilt argument
-may be a scalar or a numpy array. All exponentials are evaluated after
-factoring out max(t, -t, 0), so the functions do not overflow for any finite
-argument.
+may be a scalar or a numpy array (a float for ``well_depth`` and
+``secant_excess``). No function overflows for any finite argument.
 """
 
 from __future__ import annotations
@@ -27,6 +26,12 @@ import numpy as np
 SPIN_VALUES = (-1, 0, 1)
 
 _CUMULANT_ORDERS = (1, 2, 3, 4)
+_LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
+# Below |t| = 1 the series in t^2 is summed; its terms shrink at least like
+# (t/R)^2 <= 0.23, with R >= 2 pi/3 the nearest complex zero of e^c.
+_SERIES_MAX_T = 1.0
+_SERIES_TERMS = 24
+_LOG4_LO = 4.638093627692599e-17   # log 4 - float(log 4)
 
 
 @dataclass(frozen=True)
@@ -68,16 +73,15 @@ def _stable_parts(beta: float, t):
     With D(t) = 1 + e^{-beta}(e^t + e^{-t}) and E = D - 1, returns
     (m, dhat, ehat, ephat) where m = |t| and dhat = e^{-m} D, ehat = e^{-m} E,
     ephat = e^{-m} E'. All three hatted quantities lie in (0, 1 + 2e^{-beta}],
-    so ratios of them never overflow.
+    so ratios of them never overflow. ephat = sign(t) a (1 - e^{-2m}) keeps
+    its relative precision as t -> 0.
     """
     a = math.exp(-beta)
     t = np.asarray(t, dtype=float)
     m = np.abs(t)
-    ep = np.exp(t - m)
-    en = np.exp(-t - m)
-    ehat = a * (ep + en)
+    ehat = a * (np.exp(t - m) + np.exp(-t - m))
     dhat = np.exp(-m) + ehat
-    ephat = a * (ep - en)
+    ephat = -a * np.sign(t) * np.expm1(-2.0 * m)
     return m, dhat, ehat, ephat
 
 
@@ -89,15 +93,19 @@ def cumulant(beta: float, t):
     """Cumulant generating function c_beta(t) of the tilted single-spin law.
 
     Even in t, c_beta(0) = 0, and stable for |t| well beyond the overflow
-    threshold of exp.
+    threshold of exp; log1p(2 p sinh^2(t/2)) keeps its precision as t -> 0.
     """
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     _check_finite(t)
     scalar = np.isscalar(t)
-    m, dhat, _, _ = _stable_parts(beta, t)
-    # the same floating expression as dhat at t = 0, so c(0) is exactly 0
-    out = m + np.log(dhat) - math.log(1.0 + math.exp(-beta) * 2.0)
+    a = math.exp(-beta)
+    m = np.abs(np.asarray(t, dtype=float))
+    far = m > _LOG1P_MAX_T
+    s = np.sinh(0.5 * np.where(far, 0.0, m))
+    out = np.log1p(4.0 * a / (1.0 + 2.0 * a) * s * s)
+    if far.any():   # there e^{-2|t|} is negligible against 1
+        out = np.where(far, m + np.log(a + np.exp(-m)) - math.log1p(2.0 * a), out)
     return _maybe_scalar(out, scalar)
 
 
@@ -138,6 +146,69 @@ def cumulant_deriv(beta: float, t, order: int):
         return _maybe_scalar(c3, scalar)
     c4 = (ehat * dhat - 2 * ephat**2) * np.exp(-m) / dhat**3 - 2 * c2 * c2 - 2 * c1 * c3
     return _maybe_scalar(c4, scalar)
+
+
+def _gamma_polynomials() -> np.ndarray:
+    """Row j - 1 holds gamma_j of c_beta(t) = sum_j gamma_j t^(2j) as a
+    polynomial in p: with c = log(1 + u), u = sum_k p t^(2k)/(2k)!, (1 + u) c' = u'."""
+    w = [1.0 / math.factorial(2 * k) for k in range(_SERIES_TERMS + 1)]
+    rows = np.zeros((_SERIES_TERMS + 1, _SERIES_TERMS + 1))
+    for n in range(1, _SERIES_TERMS + 1):
+        rows[n, 1] = w[n]
+        rows[n, 1:] -= sum(k * w[n - k] * rows[k, :-1] for k in range(1, n)) / n
+    return rows[1:]
+
+
+_GAMMA_POLYNOMIALS = _gamma_polynomials()
+_J = np.arange(2, _SERIES_TERMS + 1)
+
+
+def _series_coefficients(beta: float) -> np.ndarray:
+    """[gamma_1, ..., gamma_24]; gamma_2 = p (1 - 3p)/24 keeps its relative
+    precision at beta_c through 1 - 3p = (1 - 4 e^{-beta})/(1 + 2 e^{-beta})."""
+    if beta <= 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    a = math.exp(-beta)
+    p = 2.0 * a / (1.0 + 2.0 * a)
+    g = _GAMMA_POLYNOMIALS @ p ** np.arange(_SERIES_TERMS + 1)
+    g[1] = -p * math.expm1(math.log(4.0) - beta + _LOG4_LO) / (24.0 * (1.0 + 2.0 * a))
+    return g
+
+
+def well_depth(beta: float, t: float) -> float:
+    """Depth f(t) = t c'(t)/2 - c(t) of G at its stationary point x = c'(t).
+
+    G_{beta,K}(c'(t)) = f(t) whenever t = 2 beta K c'(t), whatever K is.
+    Below |t| = 1, f = sum_{j>=2} (j - 1) gamma_j t^(2j).
+    """
+    t = abs(t)
+    if t < _SERIES_MAX_T:
+        g, s = _series_coefficients(beta), t * t
+        return s * s * float((_J - 1) * g[1:] @ s ** (_J - 2))
+    return 0.5 * t * cumulant_deriv(beta, t, 1) - cumulant(beta, t)
+
+
+def secant_excess(beta: float, t: float) -> float:
+    """rho(t) = c'(t)/(c''(0) t) - 1, the relative excess of the secant slope.
+
+    t is stationary for G_{beta,K} exactly when rho(t) = K(beta)/K - 1.
+    Below |t| = 1, rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2).
+    """
+    t = abs(t)
+    if t < _SERIES_MAX_T:
+        g, s = _series_coefficients(beta), t * t
+        return s * float(_J * g[1:] / g[0] @ s ** (_J - 2))
+    return cumulant_deriv(beta, t, 1) / (cumulant_deriv(beta, 0.0, 2) * t) - 1.0
+
+
+def inflection_tilt(beta: float) -> float:
+    """The t >= 0 beyond which c' is concave (0 for beta <= beta_c = log 4):
+    c''' has the sign of (1 - 4a)(1 + 2a) - 4a sinh^2(t/2), a = e^{-beta}."""
+    if beta <= 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    a = math.exp(-beta)
+    x = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) / (2.0 * a)
+    return math.log1p(x + math.sqrt(x * (x + 2.0))) if x > 0 else 0.0
 
 
 def free_energy(params: ModelParams, x):

@@ -7,8 +7,8 @@ The continuous-bifurcation curve has the closed form
 valid as the second-order curve for beta <= beta_c = log 4 and as the
 spinodal curve beyond. The discontinuous-bifurcation curve K1(beta), defined
 only implicitly, is the smallest K at which the free energy touches zero at a
-strictly positive magnetization; it is solved here by bisection in K with an
-inner global minimization of G over [1e-4, 1].
+strictly positive magnetization: K(beta)/(1 + rho(t1)) at the positive root
+t1 of the K-free well depth f (see ``model``).
 
 Note on the tricritical interaction strength: it is sometimes written
 "3/2 log4", which this module reads as 3/(2 log 4) = K(log 4); the two
@@ -22,15 +22,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from scipy import optimize
+
 from .minimize import min_free_energy
-from .model import ModelParams, cumulant_deriv
+from .model import ModelParams, inflection_tilt, secant_excess, well_depth
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
-K1_BRACKET_TOL = 1e-12
-# Lower cutoff for the inner minimization: excludes the trivial minimum at 0
-# while keeping every first-order magnetization reachable at desk scale.
-K1_X_CUTOFF = 1e-4
 MAX_CURVE_DERIV_ORDER = 12
 
 
@@ -69,43 +67,24 @@ def second_order_k_deriv(beta: float, order: int) -> float:
     return math.exp(beta) * s + (-1) ** order * math.factorial(order) / (2.0 * beta ** (order + 1))
 
 
-def _min_g_positive(beta: float, kappa: float) -> tuple[float, float]:
-    return min_free_energy(ModelParams(beta, kappa), lo=K1_X_CUTOFF, hi=1.0)
-
-
-_k1_cache: dict[float, float] = {}
-
-
 def first_order_k(beta: float) -> float:
-    """The first-order curve K1(beta) for beta > beta_c.
+    """The first-order curve K1(beta) for beta > beta_c, to 1e-12 absolute.
 
-    K1 is the smallest K at which min_{x in [1e-4, 1]} G_{beta,K}(x) = 0;
-    there the set of global minimizers is {0, +-m}. Bisection on K runs until
-    the bracket is below 1e-12 and returns its upper end, where the positive
-    wells are at least as deep as G(0) = 0. Results are memoized per beta
-    (deterministic values, so concurrent fills are benign).
+    At K1 the positive wells are as deep as G(0) = 0. The root t1 of the well
+    depth lies between the inflection tilt of c' and 2 beta K(beta); K1 is
+    K(beta)/(1 + rho(t1)), raised by the ulps min_free_energy needs to report
+    the positive well there.
     """
     if not (math.isfinite(beta) and beta > BETA_C):
         raise ValueError(f"beta must be > beta_c = {BETA_C}, got {beta}")
-    cached = _k1_cache.get(beta)
-    if cached is not None:
-        return cached
-
-    hi = second_order_k(beta)
-    if _min_g_positive(beta, hi)[0] >= 0:
-        raise ArithmeticError(
-            f"no coexistence at the spinodal K({beta}); cannot bracket K1")
-    lo = hi / 2.0
-    while _min_g_positive(beta, lo)[0] <= 0:
-        lo *= 0.8
-    while hi - lo > K1_BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        if _min_g_positive(beta, mid)[0] <= 0:
-            hi = mid
-        else:
-            lo = mid
-    _k1_cache[beta] = hi
-    return hi
+    t1 = optimize.brentq(lambda t: well_depth(beta, t), inflection_tilt(beta),
+                         2.0 * beta * second_order_k(beta), xtol=1e-300, rtol=8.9e-16)
+    k1 = second_order_k(beta) / (1.0 + secant_excess(beta, t1))
+    for _ in range(64):
+        if min_free_energy(ModelParams(beta, k1))[1] > 0.0:
+            return k1
+        k1 = math.nextafter(k1, math.inf)
+    raise ArithmeticError(f"K1({beta}) = {k1} is not confirmed by min_free_energy")
 
 
 def classify(params: ModelParams, tol: float = CURVE_TOL) -> PhaseRegion:
@@ -194,7 +173,3 @@ def verify_tricritical_conjectures(h_grid) -> TricriticalConjectureReport:
         ell_c_ref=cc.ell_c,
     )
 
-
-def _second_order_k_from_cumulant(beta: float) -> float:
-    # Cross-check form 1/(2 beta c''(0)); equal to second_order_k to 1e-12.
-    return 1.0 / (2.0 * beta * cumulant_deriv(beta, 0.0, 2))

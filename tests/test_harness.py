@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mp_reference import magnetization_mp
 from scipy.special import ndtr
 
 from bclab import (BETA_C, Estimator, MinimumSet, ModelParams, Regime,
@@ -41,6 +42,15 @@ class TestThermoMagnetization:
             ms = [thermo_magnetization(ModelParams(beta, second_order_k(beta) + eps))
                   for eps in (1e-2, 1e-3, 1e-4)]
             assert ms[0] > ms[1] > ms[2] > 0
+
+    def test_matches_mpmath(self):
+        # just above the second-order curve, and past the last cell of a
+        # 4001-point scan of [0, 1] (m > 0.99975)
+        points = [(b, second_order_k(b) + 1e-6) for b in (0.8, 1.0, 1.2)] + [(3.0, 2.1)]
+        for beta, kappa in points:
+            ref = magnetization_mp(beta, kappa)
+            assert ref > 0
+            assert abs(thermo_magnetization(ModelParams(beta, kappa)) - ref) <= 1e-12 * ref
 
     def test_discontinuous_bifurcation(self):
         beta = 1.8

@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from mp_reference import DPS, cumulant_mp
 
-from bclab import (ModelParams, SpinValue, cumulant, cumulant_deriv,
+from bclab import (BETA_C, ModelParams, SpinValue, cumulant, cumulant_deriv,
                    free_energy, free_energy_deriv, thermo_magnetization)
+from bclab.model import inflection_tilt, secant_excess, well_depth
 
 
 def cumulant_reference(beta, t):
@@ -113,6 +116,57 @@ class TestCumulantDeriv:
             cumulant_deriv(1.0, 0.0, 5)
         with pytest.raises(ValueError):
             cumulant_deriv(1.0, 0.0, 0)
+
+
+class TestSmallTilt:
+    def test_relative_precision_against_mpmath(self):
+        with mp.workdps(DPS):
+            c, _ = cumulant_mp(1.0)
+            for t in (1e-4, 1e-8, 1e-12):
+                got = (cumulant(1.0, t), cumulant_deriv(1.0, t, 1), cumulant_deriv(1.0, t, 3))
+                for order, value in zip((0, 1, 3), got):
+                    ref = mp.diff(c, mp.mpf(t), order)
+                    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+class TestTiltForms:
+    @pytest.mark.parametrize("beta", [0.05, 1.0, BETA_C - 1e-6, BETA_C + 1e-7,
+                                      BETA_C + 1e-3, 2.0, 10.0])
+    def test_against_mpmath(self, beta):
+        # the series (|t| < 1) keeps full relative precision; the closed form
+        # beyond loses the digits of t c'/2 against c, fewer than four
+        with mp.workdps(DPS):
+            c, c1 = cumulant_mp(beta)
+            p = mp.diff(c, 0, 2)
+            for t in (1e-6, 1e-3, 0.3, 0.99, 1.01, 3.0, 30.0):
+                tm = mp.mpf(t)
+                tol = 1e-14 if t < 1 else 1e-12
+                f = tm * c1(tm) / 2 - c(tm)
+                rho = c1(tm) / (p * tm) - 1
+                assert abs(well_depth(beta, t) - f) <= tol * abs(f)
+                assert abs(secant_excess(beta, -t) - rho) <= tol * abs(rho)
+
+    def test_depth_is_the_free_energy_at_the_stationary_point(self):
+        for beta, t in ((0.7, 0.4), (1.9, 2.5), (3.0, 12.0)):
+            m = cumulant_deriv(beta, t, 1)
+            params = ModelParams(beta, t / (2 * beta * m))
+            assert free_energy(params, m) == pytest.approx(well_depth(beta, t), rel=1e-12)
+            assert free_energy_deriv(params, m, 1) == pytest.approx(0.0, abs=1e-13)
+
+    def test_inflection_tilt(self):
+        assert inflection_tilt(1.0) == 0.0 == inflection_tilt(BETA_C)
+        for beta in (BETA_C + 1e-4, 1.5, 2.0, 3.0):
+            t = inflection_tilt(beta)
+            assert cumulant_deriv(beta, t * (1 - 1e-6), 3) > 0 > cumulant_deriv(beta, t * (1 + 1e-6), 3)
+
+    def test_rejects_bad_input(self):
+        for fn in (well_depth, secant_excess):
+            with pytest.raises(ValueError):
+                fn(0.0, 0.5)
+            with pytest.raises(ValueError):
+                fn(1.0, math.nan)
+        with pytest.raises(ValueError):
+            inflection_tilt(-1.0)
 
 
 class TestFreeEnergy:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mp_reference import first_order_k_mp
 
 from bclab import (BETA_C, ModelParams, PhaseRegion, classify,
                    critical_constants, cumulant_deriv, first_order_k,
@@ -106,11 +107,19 @@ class TestFirstOrderCurve:
             assert abs(gs.min()) < 1e-10
             assert xs[gs.argmin()] > 1e-3
 
-    def test_memoized(self):
+    def test_matches_mpmath(self):
+        # the documented 1e-12, down to 1e-7 above the tricritical point
+        for beta in [BETA_C + 10.0**-j for j in range(1, 8)] + [1.5, 2.0, 3.0]:
+            k1 = first_order_k(beta)
+            assert abs(k1 - first_order_k_mp(beta)) <= 1e-12
+            assert thermo_magnetization(ModelParams(beta, k1)) > 0
+            assert thermo_magnetization(ModelParams(beta, k1 * (1 - 1e-9))) == 0.0
+
+    def test_repeatable(self):
         assert first_order_k(1.7) == first_order_k(1.7)
 
     def test_concurrent_callers_agree(self):
-        # the memo table races benignly: every writer computes the same value
+        # first_order_k keeps no state, so threads cannot disturb each other
         from concurrent.futures import ThreadPoolExecutor
         betas = [1.55, 1.9, 2.3, 2.7] * 4
         with ThreadPoolExecutor(max_workers=8) as pool:
