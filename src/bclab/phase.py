@@ -25,7 +25,7 @@ from functools import lru_cache
 from scipy import optimize
 
 from .minimize import min_free_energy
-from .model import ModelParams, inflection_tilt, secant_excess, well_depth
+from .model import BETA_MAX, ModelParams, inflection_tilt, secant_excess, well_depth
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
@@ -75,8 +75,9 @@ def first_order_k(beta: float) -> float:
     K(beta)/(1 + rho(t1)), raised by the ulps min_free_energy needs to report
     the positive well there.
     """
-    if not (math.isfinite(beta) and beta > BETA_C):
-        raise ValueError(f"beta must be > beta_c = {BETA_C}, got {beta}")
+    if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
+        raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
+                         f"{BETA_MAX}], got {beta}")
     t1 = optimize.brentq(lambda t: well_depth(beta, t), inflection_tilt(beta),
                          2.0 * beta * second_order_k(beta), xtol=1e-300, rtol=8.9e-16)
     k1 = second_order_k(beta) / (1.0 + secant_excess(beta, t1))
@@ -152,8 +153,10 @@ def verify_tricritical_conjectures(h_grid) -> TricriticalConjectureReport:
     closed-form references.
     """
     h_grid = [float(h) for h in h_grid]
-    if any(h < 1e-4 for h in h_grid):
-        raise ValueError("h_grid entries must be >= 1e-4 (K1 solve accuracy)")
+    if any(h < 1e-5 for h in h_grid):
+        raise ValueError("verify_tricritical_conjectures: h_grid entries must be "
+                         ">= 1e-5; below it the second difference of K1 is "
+                         "rounding noise (~4e-16/h^2)")
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
         raise ValueError("h_grid must be strictly decreasing")
     k0 = second_order_k(BETA_C)

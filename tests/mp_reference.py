@@ -1,9 +1,11 @@
-"""50-digit mpmath references for the tilted cumulant, K1(beta) and m(beta, K).
+"""50-digit mpmath references for the tilted cumulant, K1(beta), m(beta, K)
+and the exact law of the total spin.
 
 Nothing here calls bclab. The cumulant comes from its defining closed form;
 roots are bracketed by sign changes on a geometric grid and polished by
-mpmath's Anderson-Bjorck solver. Inputs are taken as the exact binary values
-of the floats passed in.
+mpmath's Anderson-Bjorck solver. At large beta, c(t) ~ e^-beta t^2 sits
+beside 1 in the closed form, so K1 and m carry beta/2 more digits. Inputs are
+taken as the exact binary values of the floats passed in.
 """
 
 import mpmath as mp
@@ -34,20 +36,52 @@ def _roots(fn, lo, hi, rising):
 
 
 def first_order_k_mp(beta: float) -> float:
-    """K1 = t/(2 beta c'(t)) at the unique positive root t of t c'(t)/2 - c(t)."""
-    with mp.workdps(DPS):
+    """K1 = t/(2 beta c'(t)) at the unique positive root t of t c'(t)/2 - c(t),
+    which lies below 2 beta + 2 log 3."""
+    with mp.workdps(DPS + int(beta / 2)):
         c, c1 = cumulant_mp(beta)
-        (t,) = _roots(lambda t: t * c1(t) / 2 - c(t), mp.mpf("1e-6"), mp.mpf(100), False)
+        (t,) = _roots(lambda t: t * c1(t) / 2 - c(t), mp.mpf("1e-6"),
+                      max(mp.mpf(100), 4 * mp.mpf(beta)), False)
         return float(t / (2 * mp.mpf(beta) * c1(t)))
 
 
 def magnetization_mp(beta: float, kappa: float) -> float:
     """c'(t) at the largest stable root t of t = 2 beta K c'(t), if its well
-    depth t c'(t)/2 - c(t) is <= 0; else 0."""
-    with mp.workdps(DPS):
+    depth t c'(t)/2 - c(t) is <= 0; else 0. The root lies below 2 beta K, where
+    t - 2 beta K c'(t) may be too small to resolve, so the scan runs to 4 beta K."""
+    with mp.workdps(DPS + int(beta / 2)):
         c, c1 = cumulant_mp(beta)
         two_bk = 2 * mp.mpf(beta) * mp.mpf(kappa)
-        roots = _roots(lambda t: t - two_bk * c1(t), mp.mpf("1e-8"), two_bk, True)
+        roots = _roots(lambda t: t - two_bk * c1(t), mp.mpf("1e-8"), 2 * two_bk, True)
         if not roots or roots[-1] * c1(roots[-1]) / 2 - c(roots[-1]) > 0:
             return 0.0
         return float(c1(roots[-1]))
+
+
+def spin_law_mp(n: int, beta: float, kappa: float) -> tuple[list[float], float]:
+    """(log p_s for s = 0..n, E|S_n/n|) of the exact law of the total spin.
+
+    The K-free weight of s is c_s = sum over n_plus - n_minus = s of
+    multinomial(n; n_plus, n_zero, n_minus) a^(n_plus + n_minus), a = e^-beta.
+    For n <= 200 it is summed directly. Beyond, c_s = d_{n-s} with d_j the
+    coefficient of z^j in (a + z + a z^2)^n: d_0 = a^n, d_1 = n a^(n-1) and
+    a (k + 1) d_{k+1} = (n - k) d_k + a (2n - k + 1) d_{k-1}, whose terms are
+    all positive. The law is c_s e^(beta K s^2 / n), normalized.
+    """
+    with mp.workdps(DPS):
+        b = mp.mpf(beta)
+        a = mp.exp(-b)
+        if n <= 200:
+            f = [mp.factorial(k) for k in range(n + 1)]
+            c = [mp.fsum(f[n] / (f[m + s] * f[m] * f[n - 2 * m - s]) * a ** (2 * m + s)
+                         for m in range((n - s) // 2 + 1)) for s in range(n + 1)]
+        else:
+            d = [a ** n, n * a ** (n - 1)]
+            for k in range(1, n):
+                d.append(((n - k) * d[k] + a * (2 * n - k + 1) * d[k - 1]) / (a * (k + 1)))
+            c = d[::-1]
+        step = b * mp.mpf(kappa) / n
+        w = [c[s] * mp.exp(step * s * s) for s in range(n + 1)]
+        z = w[0] + 2 * mp.fsum(w[1:])
+        mean = 2 * mp.fsum(s * w[s] for s in range(1, n + 1)) / (n * z)
+        return [float(mp.log(x / z)) for x in w], float(mean)

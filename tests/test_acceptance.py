@@ -83,10 +83,13 @@ def test_criterion_03_first_order_curve():
 
 
 def test_criterion_04_tricritical_conjectures():
-    rep = verify_tricritical_conjectures([1e-2, 1e-3])
+    rep = verify_tricritical_conjectures([1e-2, 1e-3, 1e-4, 1e-5])
     prime_errs = [abs(r.k1_prime_est - rep.k_prime_ref) for r in rep.rows]
-    second_rel = abs(rep.rows[-1].k1_second_est - rep.ell_c_ref) / abs(rep.ell_c_ref)
-    ok = prime_errs[0] > prime_errs[1] and second_rel < 0.10
+    second_errs = [abs(r.k1_second_est - rep.ell_c_ref) for r in rep.rows]
+    second_rel = second_errs[-1] / abs(rep.ell_c_ref)
+    ok = (all(a > b for a, b in zip(prime_errs, prime_errs[1:]))
+          and all(a > b for a, b in zip(second_errs, second_errs[1:]))
+          and second_rel < 0.10)
     _report(4, "tricritical-curve conjectures", ok,
             f"K1'' rel err {second_rel:.3f}")
 

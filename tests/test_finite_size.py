@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from mp_reference import spin_law_mp
 
-from bclab import (EnumerationLimitError, ModelParams, SequenceSpec,
+from bclab import (BETA_C, EnumerationLimitError, ModelParams, SequenceSpec,
                    abs_moment, finite_size_law, gl_polynomial, hs_lhs, hs_rhs,
                    mc_estimate, params_at, tail_mass, xbar)
 
@@ -51,6 +52,26 @@ class TestFiniteSizeLaw:
             assert np.array_equal(law.log_weights, law.log_weights[::-1])
             assert np.all(np.isfinite(law.log_weights))  # full lattice support
             assert math.fsum(law.probabilities()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 2000, 20000])
+    def test_matches_mpmath(self, n):
+        # the tolerance finite_size_law documents; n <= 200 against the direct
+        # multinomial sum, beyond against the coefficient recurrence
+        for beta, kappa in ((0.05, 15.3), (1.0, 1.2), (BETA_C, 1.1), (20.0, 1.0)):
+            ref_log_p, ref_mean = spin_law_mp(n, beta, kappa)
+            law = finite_size_law(n, ModelParams(beta, kappa))
+            log_p = (law.log_weights - law.log_z)[n:]
+            kept = np.asarray(ref_log_p) > math.log(1e-30)
+            assert np.max(np.abs(log_p - ref_log_p)[kept]) <= 2e-11
+            assert abs(abs_moment(law) - ref_mean) <= 1e-11 * ref_mean
+
+    def test_linear_in_n(self):
+        # a million spins, out of reach of an O(n^2) enumeration
+        n = 10**6
+        law = finite_size_law(n, ModelParams(1.0, 1.5), n_max=n)
+        assert np.all(np.isfinite(law.log_weights))
+        assert np.array_equal(law.log_weights, law.log_weights[::-1])
+        assert math.fsum(law.probabilities()) == pytest.approx(1.0, abs=1e-12)
 
     def test_resource_limit(self):
         with pytest.raises(EnumerationLimitError, match="mc_estimate"):

@@ -16,6 +16,7 @@ from bclab import (BETA_C, Estimator, MinimumSet, ModelParams, Regime,
                    run_thermo_asymptotics, second_order_k,
                    second_order_k_deriv, thermo_magnetization,
                    weak_limit_distance, xbar)
+from bclab.model import BETA_MAX
 from bclab.sequences import k1_third_deriv_estimate
 
 SEQ1_BELOW = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
@@ -44,9 +45,10 @@ class TestThermoMagnetization:
             assert ms[0] > ms[1] > ms[2] > 0
 
     def test_matches_mpmath(self):
-        # just above the second-order curve, and past the last cell of a
-        # 4001-point scan of [0, 1] (m > 0.99975)
-        points = [(b, second_order_k(b) + 1e-6) for b in (0.8, 1.0, 1.2)] + [(3.0, 2.1)]
+        # just above the second-order curve, past the last cell of a
+        # 4001-point scan of [0, 1] (m > 0.99975), and at the beta ceiling
+        points = ([(b, second_order_k(b) + 1e-6) for b in (0.8, 1.0, 1.2)]
+                  + [(3.0, 2.1), (BETA_MAX, 2.0), (BETA_MAX, 1.0 + 1e-12)])
         for beta, kappa in points:
             ref = magnetization_mp(beta, kappa)
             assert ref > 0

@@ -9,7 +9,7 @@ from mp_reference import DPS, cumulant_mp
 
 from bclab import (BETA_C, ModelParams, SpinValue, cumulant, cumulant_deriv,
                    free_energy, free_energy_deriv, thermo_magnetization)
-from bclab.model import inflection_tilt, secant_excess, well_depth
+from bclab.model import BETA_MAX, inflection_tilt, secant_excess, well_depth
 
 
 def cumulant_reference(beta, t):
@@ -30,6 +30,14 @@ class TestModelParams:
             ModelParams(1.0, -2.0)
         with pytest.raises(ValueError):
             ModelParams(math.nan, 1.0)
+
+    def test_beta_ceiling(self):
+        # e^{-2 beta} leaves the normal floats at beta = 354.2; at (360, 2)
+        # magnetization returned 0 where m is 1
+        assert ModelParams(BETA_MAX, 2.0).beta == BETA_MAX
+        for beta in (math.nextafter(BETA_MAX, math.inf), 360.0, 800.0):
+            with pytest.raises(ValueError, match="ModelParams"):
+                ModelParams(beta, 2.0)
 
     def test_spin_values(self):
         assert SpinValue(-1).value == -1
@@ -120,10 +128,14 @@ class TestCumulantDeriv:
 
 class TestSmallTilt:
     def test_relative_precision_against_mpmath(self):
+        # the last two points sit where c''' nearly vanishes: beta_c rounded
+        # down, and next to the inflection tilt at beta = 10
+        points = [(1.0, 1e-4), (1.0, 1e-8), (1.0, 1e-12), (BETA_C, 1e-12), (10.0, 10.0)]
         with mp.workdps(DPS):
-            c, _ = cumulant_mp(1.0)
-            for t in (1e-4, 1e-8, 1e-12):
-                got = (cumulant(1.0, t), cumulant_deriv(1.0, t, 1), cumulant_deriv(1.0, t, 3))
+            for beta, t in points:
+                c, _ = cumulant_mp(beta)
+                got = (cumulant(beta, t), cumulant_deriv(beta, t, 1),
+                       cumulant_deriv(beta, t, 3))
                 for order, value in zip((0, 1, 3), got):
                     ref = mp.diff(c, mp.mpf(t), order)
                     assert abs(value - ref) <= 1e-14 * abs(ref)

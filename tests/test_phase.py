@@ -10,7 +10,8 @@ from mp_reference import first_order_k_mp
 from bclab import (BETA_C, ModelParams, PhaseRegion, classify,
                    critical_constants, cumulant_deriv, first_order_k,
                    free_energy, second_order_k, second_order_k_deriv,
-                   thermo_magnetization)
+                   thermo_magnetization, verify_tricritical_conjectures)
+from bclab.model import BETA_MAX
 
 
 def high_order_fd(fn, x, order, h):
@@ -108,8 +109,9 @@ class TestFirstOrderCurve:
             assert xs[gs.argmin()] > 1e-3
 
     def test_matches_mpmath(self):
-        # the documented 1e-12, down to 1e-7 above the tricritical point
-        for beta in [BETA_C + 10.0**-j for j in range(1, 8)] + [1.5, 2.0, 3.0]:
+        # the documented 1e-12, from 1e-7 above the tricritical point up to
+        # the beta ceiling of ModelParams
+        for beta in [BETA_C + 10.0**-j for j in range(1, 8)] + [1.5, 2.0, 3.0, 50.0, BETA_MAX]:
             k1 = first_order_k(beta)
             assert abs(k1 - first_order_k_mp(beta)) <= 1e-12
             assert thermo_magnetization(ModelParams(beta, k1)) > 0
@@ -132,6 +134,11 @@ class TestFirstOrderCurve:
             first_order_k(BETA_C)
         with pytest.raises(ValueError):
             first_order_k(1.0)
+
+    def test_rejects_beta_above_ceiling(self):
+        for beta in (math.nextafter(BETA_MAX, math.inf), 360.0):
+            with pytest.raises(ValueError, match="first_order_k"):
+                first_order_k(beta)
 
 
 class TestClassify:
@@ -172,3 +179,11 @@ class TestCriticalConstants:
         cc = critical_constants()
         assert cc.ell_c < 0 < second_order_k_deriv(BETA_C, 2)
         assert cc.ell_c == pytest.approx(-0.0949786, abs=1e-6)
+
+
+class TestTricriticalConjectures:
+    def test_h_cap(self):
+        # below h = 1e-5 the second difference of K1 is rounding noise
+        assert len(verify_tricritical_conjectures([1e-5]).rows) == 1
+        with pytest.raises(ValueError, match="rounding noise"):
+            verify_tricritical_conjectures([1e-4, 9e-6])
