@@ -146,17 +146,16 @@ def cumulant_deriv(beta: float, t, order: int):
         return _maybe_scalar(c2, scalar)
     # B e^{-m} = (1 - 4a)(1 + 2a) e^{-m} - a expm1(-m)^2
     #         = a expm1(beta - m) - a e^{-m} (e^{-m} + 8a).
-    # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta)
-    # and its terms are the smaller, so c''' keeps its relative precision
-    # next to its zero, the inflection tilt.
+    # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta),
+    # so c''' keeps its relative precision next to its zero, the inflection
+    # tilt.
     em = np.exp(-m)
     lead = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) * em
     sq = a * np.expm1(-m) ** 2
     mc = np.clip(m, 0.5 * beta, 2.0 * beta)
     ex = a * np.expm1(beta - mc)
     tail = a * em * (em + 8.0 * a)
-    b_hat = np.where((m == mc) & (np.abs(ex) + tail < np.abs(lead) + sq),
-                     ex - tail, lead - sq)
+    b_hat = np.where(m == mc, ex - tail, lead - sq)
     c3 = c1 * (b_hat / dhat) * (em / dhat)
     if order == 3:
         return _maybe_scalar(c3, scalar)

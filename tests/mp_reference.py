@@ -85,3 +85,39 @@ def spin_law_mp(n: int, beta: float, kappa: float) -> tuple[list[float], float]:
         z = w[0] + 2 * mp.fsum(w[1:])
         mean = 2 * mp.fsum(s * w[s] for s in range(1, n + 1)) / (n * z)
         return [float(mp.log(x / z)) for x in w], float(mean)
+
+
+def log_spin_weight_mp(n: int, s: int, beta: float, kappa: float):
+    """log of the unnormalized weight c_s e^(beta K s^2 / n) of total spin s, as
+    an mpmath number, for n far beyond the reach of spin_law_mp.
+
+    The terms t_m = multinomial(n; m + s, n - 2m - s, m) a^(2m + s) of c_s are
+    log-concave in m, so the sum starts at the largest one and walks outward
+    until the terms fall below 10^-(DPS + 5) of it.
+    """
+    s = abs(s)
+    top = (n - s) // 2
+    with mp.workdps(DPS + 10):
+        b = mp.mpf(beta)
+        a2 = mp.exp(-2 * b)
+
+        def ratio(m):  # t_{m+1} / t_m, decreasing in m and 0 at m = top
+            return (n - 2 * m - s) * (n - 2 * m - s - 1) * a2 / ((m + 1) * (m + s + 1))
+
+        lo, hi = 0, top  # the largest term sits at the first m with ratio(m) < 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if ratio(mid) >= 1 else (lo, mid)
+        tiny = mp.mpf(10) ** -(DPS + 5)
+        terms = [mp.mpf(1)]
+        t, m = mp.mpf(1), lo
+        while m < top and t > tiny:
+            t, m = t * ratio(m), m + 1
+            terms.append(t)
+        t, m = mp.mpf(1), lo
+        while m > 0 and t > tiny:
+            t, m = t / ratio(m - 1), m - 1
+            terms.append(t)
+        log_t = (mp.loggamma(n + 1) - mp.loggamma(lo + s + 1) - mp.loggamma(lo + 1)
+                 - mp.loggamma(n - 2 * lo - s + 1) - (2 * lo + s) * b)
+        return log_t + mp.log(mp.fsum(terms)) + b * mp.mpf(kappa) * s * s / n

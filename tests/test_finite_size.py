@@ -4,9 +4,10 @@ operations, the Gaussian-smoothing oracle, and the Metropolis estimator."""
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from mp_reference import spin_law_mp
+from mp_reference import log_spin_weight_mp, spin_law_mp
 
 from bclab import (BETA_C, EnumerationLimitError, ModelParams, SequenceSpec,
                    abs_moment, finite_size_law, gl_polynomial, hs_lhs, hs_rhs,
@@ -57,21 +58,40 @@ class TestFiniteSizeLaw:
     def test_matches_mpmath(self, n):
         # the tolerance finite_size_law documents; n <= 200 against the direct
         # multinomial sum, beyond against the coefficient recurrence
-        for beta, kappa in ((0.05, 15.3), (1.0, 1.2), (BETA_C, 1.1), (20.0, 1.0)):
+        for beta, kappa in ((0.05, 15.3), (1.0, 1.2), (BETA_C, 1.1), (20.0, 1.0),
+                             (20.0, 1.0000000001)):
             ref_log_p, ref_mean = spin_law_mp(n, beta, kappa)
             law = finite_size_law(n, ModelParams(beta, kappa))
             log_p = (law.log_weights - law.log_z)[n:]
             kept = np.asarray(ref_log_p) > math.log(1e-30)
-            assert np.max(np.abs(log_p - ref_log_p)[kept]) <= 2e-11
-            assert abs(abs_moment(law) - ref_mean) <= 1e-11 * ref_mean
+            assert np.max(np.abs(log_p - ref_log_p)[kept]) <= 1e-12
+            assert abs(abs_moment(law) - ref_mean) <= 1e-12 * ref_mean
 
     def test_linear_in_n(self):
-        # a million spins, out of reach of an O(n^2) enumeration
-        n = 10**6
-        law = finite_size_law(n, ModelParams(1.0, 1.5), n_max=n)
+        # a million spins, out of reach of an O(n^2) enumeration. Next to
+        # K1(20) = 1.0000000001031 the modes s = 0 and s = +-n carry comparable
+        # mass, p_s falls about e^6-fold a step away from each, and the
+        # log-weight sums cross a valley 4.3e6 e-folds deep at s = n/2.
+        n, beta, kappa = 10**6, 20.0, 1.0000000001
+        law = finite_size_law(n, ModelParams(beta, kappa), n_max=n)
         assert np.all(np.isfinite(law.log_weights))
         assert np.array_equal(law.log_weights, law.log_weights[::-1])
         assert math.fsum(law.probabilities()) == pytest.approx(1.0, abs=1e-12)
+        log_p = law.log_weights - law.log_z
+        window = list(range(30)) + list(range(n - 29, n + 1))
+        with mp.workdps(60):
+            w = {s: log_spin_weight_mp(n, s, beta, kappa) for s in window + [n // 2]}
+            top = max(w.values())
+            # the weights fall from each mode into the one valley between,
+            # so the mass left outside the windows is below n e^-100
+            assert max(w[29], w[n - 29]) < top - 100
+            log_z = mp.log(mp.exp(w[0]) + 2 * mp.fsum(mp.exp(w[s]) for s in window[1:]))
+            ref = {s: float(x - log_z) for s, x in w.items()}
+            ref_mean = float(2 * mp.fsum(s * mp.exp(w[s] - log_z) for s in window) / n)
+        kept = [s for s in window if ref[s] > math.log(1e-30)]
+        assert max(abs(log_p[n + s] - ref[s]) for s in kept) <= 1e-11
+        assert abs(log_p[n + n // 2] - ref[n // 2]) <= 1e-15 * abs(ref[n // 2])
+        assert abs(abs_moment(law) - ref_mean) <= 1e-11 * ref_mean
 
     def test_resource_limit(self):
         with pytest.raises(EnumerationLimitError, match="mc_estimate"):
