@@ -1,0 +1,54 @@
+"""Timings of the Metropolis estimator and the exact spin law, each stored
+with an accuracy figure for the same call in the benchmark's extra_info.
+
+Both run at beta = 1, K = K(1) + 0.4, the ordered-phase point of the
+mc-crosscheck workload, where |S/n| sits near 0.82.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+from mp_reference import log_spin_weight_mp
+
+from bclab import ModelParams, abs_moment, finite_size, finite_size_law, mc_estimate
+from bclab.phase import second_order_k
+
+PARAMS = ModelParams(1.0, second_order_k(1.0) + 0.4)
+MC_N = 10_000
+MC_SWEEPS = 60     # plus the default burn-in of 6: 66 sweeps of n steps
+MC_SEED = 1
+LAW_N = 20_000
+
+
+def test_mc_estimate(benchmark):
+    est = benchmark.pedantic(mc_estimate, args=(MC_N, PARAMS, MC_SWEEPS),
+                             kwargs={"seed": MC_SEED}, rounds=5, iterations=1)
+    exact = abs_moment(finite_size_law(MC_N, PARAMS))
+    z = (est.mean - exact) / est.stderr
+    steps = MC_N * (MC_SWEEPS + MC_SWEEPS // 10)
+    benchmark.extra_info.update(
+        mean=est.mean, stderr=est.stderr, exact=exact, z=z, steps=steps,
+        ns_per_step=benchmark.stats.stats.median / steps * 1e9)
+    assert abs(z) <= 6
+
+
+def test_finite_size_law(benchmark):
+    # finite_size_law memoizes by (n, beta, K); every round starts cold
+    law = benchmark.pedantic(finite_size_law, args=(LAW_N, PARAMS),
+                             setup=finite_size._law_cached.cache_clear,
+                             rounds=10, iterations=1)
+    log_p = law.log_weights - law.log_z
+    mode = int(np.argmax(log_p)) - LAW_N
+    # log p(s) - log p(mode) against 50-digit mpmath, normalization-free
+    offsets = (-200, -50, 50, 200)
+    with mp.workdps(60):
+        ref_mode = log_spin_weight_mp(LAW_N, mode, PARAMS.beta, PARAMS.kappa)
+        ref = {d: float(log_spin_weight_mp(LAW_N, mode + d, PARAMS.beta, PARAMS.kappa)
+                        - ref_mode) for d in offsets}
+    err = max(abs(log_p[LAW_N + mode + d] - log_p[LAW_N + mode] - ref[d]) for d in offsets)
+    norm = abs(math.fsum(law.probabilities()) - 1.0)
+    benchmark.extra_info.update(
+        mode=mode, max_abs_err_log_ratio=err, norm_residual=norm,
+        ns_per_state=benchmark.stats.stats.median / (2 * LAW_N + 1) * 1e9)
+    assert err <= 1e-12 and norm <= 1e-12

@@ -37,6 +37,12 @@ _LOG4_LO = 4.638093627692599e-17   # log 4 - float(log 4)
 BETA_MAX = 350.0
 
 
+def check_beta(op: str, beta: float) -> None:
+    """Raise a ValueError naming op unless 0 < beta <= BETA_MAX (nan fails)."""
+    if not 0.0 < beta <= BETA_MAX:
+        raise ValueError(f"{op}: beta must lie in (0, {BETA_MAX}], got {beta}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """A point (beta, kappa) in the positive quadrant of the phase plane.
@@ -49,9 +55,7 @@ class ModelParams:
     kappa: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and 0 < self.beta <= BETA_MAX):
-            raise ValueError(f"ModelParams: beta must lie in (0, {BETA_MAX}], "
-                             f"got {self.beta}")
+        check_beta("ModelParams", self.beta)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
@@ -219,8 +223,7 @@ def secant_excess(beta: float, t: float) -> float:
 def inflection_tilt(beta: float) -> float:
     """The t >= 0 beyond which c' is concave (0 for beta <= beta_c = log 4):
     c''' has the sign of (1 - 4a)(1 + 2a) - 4a sinh^2(t/2), a = e^{-beta}."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    check_beta("inflection_tilt", beta)
     a = math.exp(-beta)
     x = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) / (2.0 * a)
     return math.log1p(x + math.sqrt(x * (x + 2.0))) if x > 0 else 0.0

@@ -25,7 +25,8 @@ from functools import lru_cache
 from scipy import optimize
 
 from .minimize import min_free_energy
-from .model import BETA_MAX, ModelParams, inflection_tilt, secant_excess, well_depth
+from .model import (BETA_MAX, ModelParams, check_beta, inflection_tilt,
+                    secant_excess, well_depth)
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
@@ -42,8 +43,7 @@ class PhaseRegion(enum.Enum):
 
 def second_order_k(beta: float) -> float:
     """K(beta) = (e^beta + 2)/(4 beta); spinodal curve for beta > beta_c."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    check_beta("second_order_k", beta)
     return (math.exp(beta) + 2.0) / (4.0 * beta)
 
 
@@ -53,8 +53,7 @@ def second_order_k_deriv(beta: float, order: int) -> float:
     Writes K = e^beta/(4 beta) + 1/(2 beta) and applies the Leibniz rule to
     the first summand using d^r (1/beta) = (-1)^r r! / beta^(r+1).
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    check_beta("second_order_k_deriv", beta)
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
     if order > MAX_CURVE_DERIV_ORDER:

@@ -69,6 +69,13 @@ class TestMcCommand:
         assert capsys.readouterr().out == first
         assert json.loads(first)["seed"] == 9
 
+    def test_negative_burn_in_fails_named(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--beta", "1.0", "--kappa", "1.2", "--n", "50",
+                     "--sweeps", "200", "--burn-in", "-3", "-o", str(out)]) == 1
+        assert "mc_estimate: burn_in" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSequenceRun:
     def test_report_and_sidecar(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from mp_reference import log_spin_weight_mp, spin_law_mp
 
 from bclab import (BETA_C, EnumerationLimitError, ModelParams, SequenceSpec,
                    abs_moment, finite_size_law, gl_polynomial, hs_lhs, hs_rhs,
-                   mc_estimate, params_at, tail_mass, xbar)
+                   mc_estimate, params_at, second_order_k, tail_mass, xbar)
 
 
 def brute_force_law(n, params):
@@ -229,6 +229,32 @@ class TestMonteCarlo:
         exact = abs_moment(finite_size_law(100, params))
         assert abs(est.mean - exact) <= 4 * est.stderr
 
+    def test_small_systems_agree_with_exact_law(self):
+        # at small n every move type is frequent, so an acceptance read from
+        # the wrong move's table moves the mean by many standard errors
+        for n, params in ((4, ModelParams(1.0, 1.5)), (8, ModelParams(0.3, 2.0))):
+            est = mc_estimate(n, params, sweeps=40000, seed=3)
+            exact = abs_moment(finite_size_law(n, params))
+            assert abs(est.mean - exact) <= 4 * est.stderr
+
+    def test_ordered_phase_at_benchmark_point(self):
+        # the regime of the Metropolis benchmark: beta = 1, K = K(1) + 0.4,
+        # where |S/n| sits near 0.82 and most proposals are rejected
+        params = ModelParams(1.0, second_order_k(1.0) + 0.4)
+        est = mc_estimate(2000, params, sweeps=300, seed=20261018)
+        exact = abs_moment(finite_size_law(2000, params))
+        assert abs(est.mean - exact) <= 6 * est.stderr
+        assert est.stderr > 0
+
     def test_rejects_too_few_sweeps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mc_estimate: sweeps"):
             mc_estimate(10, ModelParams(1.0, 1.0), sweeps=10)
+
+    def test_rejects_bad_size_and_burn_in(self):
+        params = ModelParams(1.0, 1.0)
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="^mc_estimate: n must be >= 1"):
+                mc_estimate(n, params, sweeps=20)
+        with pytest.raises(ValueError, match="^mc_estimate: burn_in must be >= 0"):
+            mc_estimate(10, params, sweeps=20, burn_in=-3)
+        assert mc_estimate(10, params, sweeps=20, burn_in=0).sweeps == 20

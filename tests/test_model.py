@@ -180,6 +180,13 @@ class TestTiltForms:
         with pytest.raises(ValueError):
             inflection_tilt(-1.0)
 
+    def test_inflection_tilt_beta_ceiling(self):
+        # at 800, e^{-beta} underflowed to 0 and was divided by; nan returned 0
+        assert inflection_tilt(BETA_MAX) > 0
+        for beta in (math.nextafter(BETA_MAX, math.inf), math.nan, 800.0):
+            with pytest.raises(ValueError, match="^inflection_tilt: beta"):
+                inflection_tilt(beta)
+
 
 class TestFreeEnergy:
     def test_zero_at_origin_and_even(self):

@@ -48,6 +48,17 @@ class TestSecondOrderCurve:
         with pytest.raises(ValueError):
             second_order_k(-1.0)
 
+    def test_beta_ceiling(self):
+        # second_order_k(720) overflowed in e^beta
+        assert math.isfinite(second_order_k(BETA_MAX))
+        for order in (1, 2, 12):
+            assert math.isfinite(second_order_k_deriv(BETA_MAX, order))
+        for beta in (math.nextafter(BETA_MAX, math.inf), math.nan, 720.0):
+            with pytest.raises(ValueError, match="^second_order_k: beta"):
+                second_order_k(beta)
+            with pytest.raises(ValueError, match="^second_order_k_deriv: beta"):
+                second_order_k_deriv(beta, 1)
+
 
 class TestSecondOrderCurveDeriv:
     def test_first_deriv_at_one_is_exactly_minus_half(self):
