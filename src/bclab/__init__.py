@@ -13,7 +13,7 @@ from .model import ModelParams, SpinValue, SPIN_VALUES, cumulant, cumulant_deriv
 from .phase import (BETA_C, CriticalConstants, PhaseRegion, classify,
                     critical_constants, first_order_k, second_order_k,
                     second_order_k_deriv, verify_tricritical_conjectures)
-from .finite_size import (DEFAULT_N_MAX, EnumerationLimitError, McEstimate,
+from .finite_size import (N_MAX, EnumerationLimitError, McEstimate,
                           SpinLawExact, abs_moment, finite_size_law, hs_lhs,
                           hs_rhs, mc_estimate, tail_mass)
 from .quadrature import QuadratureConfig, QuadratureError, aitken_limit

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import harness, phase
-from .finite_size import DEFAULT_N_MAX, finite_size_law, mc_estimate
+from .finite_size import finite_size_law, mc_estimate
 from .model import ModelParams, free_energy
 from .phase import BETA_C, first_order_k, second_order_k
 from .sequences import SequenceSpec, spec_from_json
@@ -40,11 +40,11 @@ _REQUIRED = {
 _OPTIONAL = {
     "phase-diagram": (),
     "magnetize": ("output_path",),
-    "finite-size": ("n_max", "output_path"),
+    "finite-size": ("output_path",),
     "mc": ("burn_in", "seed", "output_path"),
-    "sequence-run": ("alpha", "estimator", "sweeps", "seed", "threads", "n_max"),
-    "mdp-check": ("alpha", "n_max"),
-    "weak-limit": ("alpha", "n_max"),
+    "sequence-run": ("alpha", "estimator", "sweeps", "seed", "threads"),
+    "mdp-check": ("alpha",),
+    "weak-limit": ("alpha",),
     "conjectures": ("h_grid", "output_path"),
 }
 
@@ -73,7 +73,6 @@ class ExperimentConfig:
     output_path: str | None = None
     seed: int | None = None
     threads: int | None = None
-    n_max: int | None = None
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -149,7 +148,7 @@ def _run_magnetize(config: ExperimentConfig) -> None:
 
 def _run_finite_size(config: ExperimentConfig) -> None:
     params = ModelParams(config.beta, config.kappa)
-    law = finite_size_law(config.n, params, n_max=config.n_max or DEFAULT_N_MAX)
+    law = finite_size_law(config.n, params)
     probs = law.probabilities()
     rows = [(int(s), float(p)) for s, p in zip(law.support(), probs)]
     _write_csv(config.output_path, ["s", "probability"], rows)
@@ -176,8 +175,7 @@ def _run_sequence(config: ExperimentConfig) -> None:
     threads = config.threads if config.threads is not None else os.cpu_count()
     report = harness.run_finite_size_asymptotics(
         spec, config.n_list, estimator=estimator, sweeps=config.sweeps or 20000,
-        seed=config.seed or 0, threads=threads,
-        n_max=config.n_max or DEFAULT_N_MAX)
+        seed=config.seed or 0, threads=threads)
     _write_csv(config.output_path,
                ["n", "beta_n", "kappa_n", "m_thermo", "e_finite", "scaled_m", "scaled_e"],
                [(r.n, r.beta_n, r.kappa_n, r.m_thermo, r.e_finite, r.scaled_m,
@@ -190,8 +188,7 @@ def _run_sequence(config: ExperimentConfig) -> None:
 
 def _run_mdp_check(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
-    report = harness.mdp_rate_estimate(spec, config.a, config.n_list,
-                                       n_max=config.n_max or DEFAULT_N_MAX)
+    report = harness.mdp_rate_estimate(spec, config.a, config.n_list)
     _write_csv(config.output_path, ["n", "rate_est", "saturated"],
                [(r.n, r.rate_est, r.saturated) for r in report.rows])
     _emit_json({"target": report.target, "a": report.a, "u": report.u},
@@ -200,9 +197,7 @@ def _run_mdp_check(config: ExperimentConfig) -> None:
 
 def _run_weak_limit(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
-    rows = [(n, harness.weak_limit_distance(spec, n,
-                                            n_max=config.n_max or DEFAULT_N_MAX))
-            for n in config.n_list]
+    rows = [(n, harness.weak_limit_distance(spec, n)) for n in config.n_list]
     _write_csv(config.output_path, ["n", "distance"], rows)
 
 
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--kappa", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("-o", "--output", dest="output_path")
     _add_common(p)
 
@@ -302,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int)
-    p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("-o", "--output", dest="output_path")
     _add_common(p)
 
@@ -311,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float)
     p.add_argument("--n", dest="n_list", type=_int_list)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("-o", "--output", dest="output_path")
     _add_common(p)
 
@@ -319,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", dest="spec")
     p.add_argument("--n", dest="n_list", type=_int_list)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("-o", "--output", dest="output_path")
     _add_common(p)
 
@@ -339,14 +330,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config: file must hold a JSON object")
 
+    names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"]
+    unknown = sorted(set(file_values) - set(names))
+    if unknown:
+        raise ConfigError(f"config: unknown keys {', '.join(unknown)}")
     merged: dict = {}
-    for field in dataclasses.fields(ExperimentConfig):
-        if field.name == "command":
-            continue
-        flag_value = getattr(args, field.name, None)
-        value = flag_value if flag_value is not None else file_values.get(field.name)
+    for name in names:
+        flag_value = getattr(args, name, None)
+        value = flag_value if flag_value is not None else file_values.get(name)
         if value is not None:
-            merged[field.name] = value
+            merged[name] = value
 
     if "spec" in merged and not isinstance(merged["spec"], SequenceSpec):
         raw = merged["spec"]

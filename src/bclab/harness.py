@@ -28,8 +28,8 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from . import minimize
-from .finite_size import (DEFAULT_N_MAX, finite_size_law, abs_moment,
-                          log_tail_mass, mc_estimate)
+from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
+                          mc_estimate)
 from .model import ModelParams
 from .quadrature import QuadratureConfig, aitken_limit, tail_cutoff
 from .sequences import (EvenPolynomial, MinimumSet, SequenceSpec, g_tilde,
@@ -144,12 +144,11 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
 
 
 def _finite_size_row(spec: SequenceSpec, n: int, exps, e_exp: float,
-                     estimator: Estimator, sweeps: int, seed: int,
-                     n_max: int) -> ReportRow:
+                     estimator: Estimator, sweeps: int, seed: int) -> ReportRow:
     params = params_at(spec, n)
     m = thermo_magnetization(params)
     if estimator is Estimator.EXACT:
-        e = abs_moment(finite_size_law(n, params, n_max=n_max))
+        e = abs_moment(finite_size_law(n, params))
     else:
         e = mc_estimate(n, params, sweeps=sweeps, seed=seed ^ n).mean
     return ReportRow(
@@ -161,27 +160,27 @@ def _finite_size_row(spec: SequenceSpec, n: int, exps, e_exp: float,
 def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
                                 estimator: Estimator = Estimator.EXACT,
                                 sweeps: int = 20000, seed: int = 0,
-                                threads: int | None = None,
-                                n_max: int = DEFAULT_N_MAX) -> AsymptoticsReport:
+                                threads: int | None = None) -> AsymptoticsReport:
     """Finite-size magnetization table with the regime-appropriate scaling.
 
     The scaled-e column uses exponent theta*alpha below the threshold and
     theta*alpha0 at and above it; the matching limit constant (xbar, zbar or
     ybar) is attached. Rows are independent and are computed in parallel when
     threads > 1; the merge is by sorted n, so the output is identical for any
-    thread count. Monte Carlo rows are seeded per row as seed ^ n.
+    thread count. Monte Carlo rows are seeded per row as seed ^ n. With the
+    exact estimator, an n_list reaching past N_MAX fails before any row runs.
     """
     g, exps = gl_polynomial(spec)
     regime = _regime_of(spec.alpha, exps.alpha0)
     consts, e_exp = _constants_for(spec, regime)
-    if estimator is Estimator.EXACT and max(n_list) > n_max:
-        raise ValueError(
-            f"exact estimator requires max(n_list) <= n_max = {n_max}; "
-            "raise n_max or use the Monte Carlo estimator")
     ns = sorted(n_list)
+    if not ns:
+        raise ValueError("run_finite_size_asymptotics: n_list is empty")
+    if estimator is Estimator.EXACT:
+        check_n("run_finite_size_asymptotics", ns[-1])
 
     def row(n: int) -> ReportRow:
-        return _finite_size_row(spec, n, exps, e_exp, estimator, sweeps, seed, n_max)
+        return _finite_size_row(spec, n, exps, e_exp, estimator, sweeps, seed)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -191,23 +190,28 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
-def estimator_comparison(spec_or_params, n_list, n_max: int = DEFAULT_N_MAX,
+def estimator_comparison(spec_or_params, n_list,
                          threads: int | None = None) -> list[tuple[int, float]]:
     """Rows (n, E|S_n/n| / m(beta_n, K_n)) along a sequence.
 
     Below the threshold the ratio tends to 1; above it the column increases
     without bound. Passing fixed ModelParams runs the degenerate constant
-    sequence, whose ratio tends to 1 at any coexistence point.
+    sequence, whose ratio tends to 1 at any coexistence point; m = 0 at
+    some n (outside coexistence) raises a ValueError.
     """
     if isinstance(spec_or_params, ModelParams):
         params = spec_or_params
         m = thermo_magnetization(params)
         if m <= 0:
             raise ValueError("fixed-point comparison requires a coexistence point")
-        return [(n, abs_moment(finite_size_law(n, params, n_max=n_max)) / m)
+        return [(n, abs_moment(finite_size_law(n, params)) / m)
                 for n in sorted(n_list)]
-    report = run_finite_size_asymptotics(spec_or_params, n_list, n_max=n_max,
-                                         threads=threads)
+    report = run_finite_size_asymptotics(spec_or_params, n_list, threads=threads)
+    for r in report.rows:
+        if r.m_thermo <= 0:
+            raise ValueError(
+                f"estimator_comparison: m(beta_n, K_n) = 0 at n = {r.n}, "
+                "outside coexistence")
     return [(r.n, r.e_finite / r.m_thermo) for r in report.rows]
 
 
@@ -226,8 +230,7 @@ class MdpReport:
     u: float
 
 
-def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list,
-                      n_max: int = DEFAULT_N_MAX) -> MdpReport:
+def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     """Empirical tail-decay rates -n^-u log P{|S_n/n^(1-theta alpha)| >= a}.
 
     Requires alpha < alpha0 (so the speed exponent u = 1 - alpha/alpha0 is
@@ -252,7 +255,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list,
     target = float(g(a) - g(xb))
     rows = []
     for n in sorted(n_list):
-        law = finite_size_law(n, params_at(spec, n), n_max=n_max)
+        law = finite_size_law(n, params_at(spec, n))
         log_p = log_tail_mass(law, gamma, a)
         if log_p < SATURATION_LOG_FLOOR:
             rows.append(MdpRow(n=n, rate_est=None, saturated=True))
@@ -270,8 +273,7 @@ def _poly_cdf_on(grid: np.ndarray, poly: EvenPolynomial) -> np.ndarray:
 
 
 def weak_limit_distance(spec: SequenceSpec, n: int,
-                        quad: QuadratureConfig | None = None,
-                        n_max: int = DEFAULT_N_MAX) -> float:
+                        quad: QuadratureConfig | None = None) -> float:
     """Kolmogorov distance between the smoothed law of S_n/n^(1-theta alpha0)
     and its limit density, proportional to exp(-g~) above the threshold and
     to exp(-g) at it.
@@ -291,7 +293,7 @@ def weak_limit_distance(spec: SequenceSpec, n: int,
 
     gamma0 = exps.theta_alpha0
     params = params_at(spec, n)
-    law = finite_size_law(n, params, n_max=n_max)
+    law = finite_size_law(n, params)
     probs = law.probabilities()
     keep = probs > 1e-19
     means = law.support()[keep] / float(n) ** (1.0 - gamma0)
@@ -317,8 +319,7 @@ class KappaFitReport:
     rows: tuple[tuple[int, float], ...]  # (n, E||S_n/n| - m_n|)
 
 
-def kappa_fluctuation_estimate(spec: SequenceSpec, n_list,
-                               n_max: int = DEFAULT_N_MAX) -> KappaFitReport:
+def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     """Exploratory log-log fit of E| |S_n/n| - m(beta_n, K_n) | against n.
 
     The conjectured decay exponent (1/2)(1 - alpha/alpha0) + theta*alpha is
@@ -333,7 +334,7 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list,
     for n in sorted(n_list):
         params = params_at(spec, n)
         m = thermo_magnetization(params)
-        law = finite_size_law(n, params, n_max=n_max)
+        law = finite_size_law(n, params)
         s = law.support()
         dev = np.abs(np.abs(s / law.n) - m)
         val = float(np.sum(law.probabilities() * dev))

@@ -161,13 +161,13 @@ def test_criterion_08_finite_size_below():
 def test_criterion_09_finite_size_above():
     spec = SequenceSpec(alpha=0.8, **SEQ1)
     ns = [250, 1000, 4000, 16000, 64000]
-    report = run_finite_size_asymptotics(spec, ns, n_max=65536)
+    report = run_finite_size_asymptotics(spec, ns)
     yb = report.constants.y_bar
     scaled = [r.scaled_e for r in report.rows]
     gaps = [abs(v - yb) for v in scaled]
     trend = all(a > b for a, b in zip(gaps, gaps[1:]))
     extrap_rel = abs(aitken_limit(scaled) / yb - 1)
-    ratios = [r for _, r in estimator_comparison(spec, ns, n_max=65536)]
+    ratios = [r for _, r in estimator_comparison(spec, ns)]
     growing = all(a < b for a, b in zip(ratios, ratios[1:]))
     ok = trend and extrap_rel < 0.05 and growing and ratios[-1] / ratios[0] > 2
     _report(9, "finite-size regime above threshold", ok,
@@ -274,7 +274,7 @@ def test_criterion_13_seq6_guardrails_and_regimes():
     guards = True
 
     ns = [500, 2000, 8000, 32000]
-    below = run_finite_size_asymptotics(seq6(0.15), ns, n_max=32768)
+    below = run_finite_size_asymptotics(seq6(0.15), ns)
     xb = below.constants.x_bar
     scaled = [r.scaled_e for r in below.rows]
     below_trend = abs(scaled[-1] - xb) < abs(scaled[0] - xb)
@@ -283,7 +283,7 @@ def test_criterion_13_seq6_guardrails_and_regimes():
     below_ratio = last.e_finite / last.m_thermo
     below_ok = below_trend and below_rel < 0.05 and 0.8 <= below_ratio <= 1.25
 
-    at = run_finite_size_asymptotics(seq6(0.2), ns, n_max=32768)
+    at = run_finite_size_asymptotics(seq6(0.2), ns)
     at_rel = abs(aitken_limit([r.scaled_e for r in at.rows]) / at.constants.z_bar - 1)
     at_ok = at_rel < 0.05
 

@@ -125,6 +125,14 @@ class TestConfigFile:
         assert doc["beta"] == 1.0
         assert doc["kappa"] == 1.5
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 1.0, "kapa": 9, "n_max": 10}),
+                       encoding="utf-8")
+        assert main(["magnetize", "--config", str(cfg), "--kappa", "1.5"]) == 2
+        err = capsys.readouterr().err
+        assert "kapa" in err and "n_max" in err
+
     def test_config_spec_inline(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -3,15 +3,20 @@ operations, the Gaussian-smoothing oracle, and the Metropolis estimator."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from mp_reference import log_spin_weight_mp, spin_law_mp
 
-from bclab import (BETA_C, EnumerationLimitError, ModelParams, SequenceSpec,
-                   abs_moment, finite_size_law, gl_polynomial, hs_lhs, hs_rhs,
-                   mc_estimate, params_at, second_order_k, tail_mass, xbar)
+import bclab
+from bclab import (BETA_C, N_MAX, EnumerationLimitError, ModelParams,
+                   SequenceSpec, abs_moment, finite_size_law, gl_polynomial,
+                   hs_lhs, hs_rhs, mc_estimate, params_at, second_order_k,
+                   tail_mass, xbar)
 
 
 def brute_force_law(n, params):
@@ -73,7 +78,7 @@ class TestFiniteSizeLaw:
         # mass, p_s falls about e^6-fold a step away from each, and the
         # log-weight sums cross a valley 4.3e6 e-folds deep at s = n/2.
         n, beta, kappa = 10**6, 20.0, 1.0000000001
-        law = finite_size_law(n, ModelParams(beta, kappa), n_max=n)
+        law = finite_size_law(n, ModelParams(beta, kappa))
         assert np.all(np.isfinite(law.log_weights))
         assert np.array_equal(law.log_weights, law.log_weights[::-1])
         assert math.fsum(law.probabilities()) == pytest.approx(1.0, abs=1e-12)
@@ -94,10 +99,28 @@ class TestFiniteSizeLaw:
         assert abs(abs_moment(law) - ref_mean) <= 1e-11 * ref_mean
 
     def test_resource_limit(self):
-        with pytest.raises(EnumerationLimitError, match="mc_estimate"):
-            finite_size_law(101, ModelParams(1.0, 1.0), n_max=100)
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationLimitError,
+                           match=f"^finite_size_law: n = {N_MAX + 1} exceeds "
+                                 f"N_MAX = {N_MAX}.*200 B per n"):
+            finite_size_law(N_MAX + 1, ModelParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="^finite_size_law: n must be >= 1"):
             finite_size_law(0, ModelParams(1.0, 1.0))
+
+    def test_memory_at_the_bound(self):
+        # peak RSS growth over the import baseline, in a fresh interpreter so
+        # no earlier test's peak hides it; measured about 209 B per n
+        script = (
+            "import resource\n"
+            "from bclab import N_MAX, ModelParams, abs_moment, finite_size_law\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "abs_moment(finite_size_law(N_MAX, ModelParams(1.0, 1.5)))\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((peak - base) * 1024)\n")  # ru_maxrss is in KiB on Linux
+        src = os.path.dirname(os.path.dirname(bclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) <= 256 * N_MAX
 
     def test_law_is_immutable_and_shareable(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -245,6 +268,15 @@ class TestMonteCarlo:
         exact = abs_moment(finite_size_law(2000, params))
         assert abs(est.mean - exact) <= 6 * est.stderr
         assert est.stderr > 0
+
+    def test_chains_start_in_the_well(self):
+        # nothing discarded and few sweeps: chains started at S = 0 were
+        # still relaxing toward the well and missed by 0.55 and 0.89 here
+        for params in (ModelParams(1.0, second_order_k(1.0) + 0.4),
+                       ModelParams(2.0, 1.3)):
+            est = mc_estimate(2000, params, sweeps=20, burn_in=0, seed=1)
+            exact = abs_moment(finite_size_law(2000, params))
+            assert abs(est.mean - exact) <= 0.05
 
     def test_rejects_too_few_sweeps(self):
         with pytest.raises(ValueError, match="^mc_estimate: sweeps"):

@@ -8,14 +8,16 @@ import pytest
 from mp_reference import magnetization_mp
 from scipy.special import ndtr
 
-from bclab import (BETA_C, Estimator, MinimumSet, ModelParams, Regime,
-                   SequenceSpec, estimator_comparison, finite_size_law,
+from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
+                   MinimumSet, ModelParams, Regime, SequenceSpec,
+                   estimator_comparison, finite_size_law,
                    first_order_k, free_energy, free_energy_deriv,
                    gl_polynomial, kappa_fluctuation_estimate,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
                    run_thermo_asymptotics, second_order_k,
                    second_order_k_deriv, thermo_magnetization,
                    weak_limit_distance, xbar)
+from bclab import harness
 from bclab.model import BETA_MAX
 from bclab.sequences import k1_third_deriv_estimate
 
@@ -124,8 +126,24 @@ class TestFiniteSizeReports:
         assert a == b
 
     def test_exact_estimator_needs_budget(self):
-        with pytest.raises(ValueError, match="n_max"):
-            run_finite_size_asymptotics(SEQ1_BELOW, [100, 30000])
+        with pytest.raises(EnumerationLimitError,
+                           match=f"^run_finite_size_asymptotics: n = {N_MAX + 1} "
+                                 f"exceeds N_MAX"):
+            run_finite_size_asymptotics(SEQ1_BELOW, [100, N_MAX + 1])
+
+    def test_bound_checked_before_any_row(self, monkeypatch):
+        def no_law(*args):
+            raise AssertionError("a row ran before the bound was checked")
+        monkeypatch.setattr(harness, "finite_size_law", no_law)
+        with pytest.raises(EnumerationLimitError):
+            run_finite_size_asymptotics(SEQ1_BELOW, [N_MAX + 1, 100])
+        with pytest.raises(ValueError, match="^run_finite_size_asymptotics: n_list"):
+            run_finite_size_asymptotics(SEQ1_BELOW, [])
+
+    def test_large_n_needs_no_argument(self):
+        # ten times the size limit the exact estimator once had by default
+        row = run_finite_size_asymptotics(SEQ1_ABOVE, [10**5]).rows[0]
+        assert 0 < row.m_thermo < row.e_finite < 1
 
     def test_seq2_below_regime_trends_to_xbar(self):
         # slow trend (corrections die like n^(-2 alpha)); the gap must shrink
@@ -157,6 +175,13 @@ class TestEstimatorComparison:
     def test_fixed_point_requires_coexistence(self):
         with pytest.raises(ValueError, match="coexistence"):
             estimator_comparison(ModelParams(1.0, 1.0), [100])
+
+    def test_sequence_outside_coexistence_named(self):
+        # seq5 at alpha = 1/4 starts outside coexistence: m(beta_1, K_1) = 0
+        spec = SequenceSpec(kind="seq5", alpha=0.25,
+                            ell=second_order_k_deriv(BETA_C, 2) + 1.0)
+        with pytest.raises(ValueError, match="^estimator_comparison: .* n = 1,"):
+            estimator_comparison(spec, [1, 2, 4])
 
     def test_below_threshold_ratio_approaches_one(self):
         rows = estimator_comparison(SEQ1_BELOW, [250, 1000, 4000])
