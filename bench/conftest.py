@@ -3,7 +3,7 @@
 Not part of the test suite (pytest collects only ``tests``). Run from the
 repository root:
 
-    python3 -m pytest bench --benchmark-json BENCH_5.json
+    python3 -m pytest bench --benchmark-json OUT.json
 
 The JSON records numpy and scipy versions and the usable CPU count besides
 pytest-benchmark's own machine description.

@@ -1,20 +1,27 @@
-"""Timings of the Metropolis estimator and the exact spin law, each stored
-with an accuracy figure for the same call in the benchmark's extra_info.
+"""Timings of the equilibrium solvers, the Metropolis estimator and the exact
+spin law, each stored with an accuracy figure for the same call in the
+benchmark's extra_info.
 
-Both run at beta = 1, K = K(1) + 0.4, the ordered-phase point of the
-mc-crosscheck workload, where |S/n| sits near 0.82.
+The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
+ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
+magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
+the stationary tilt is small; first_order_k runs at three beta of the
+phase-curve grid's first-order range.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
-from mp_reference import log_spin_weight_mp
+import pytest
+from mp_reference import first_order_k_mp, log_spin_weight_mp, magnetization_mp
 
 from bclab import ModelParams, abs_moment, finite_size, finite_size_law, mc_estimate
-from bclab.phase import second_order_k
+from bclab.minimize import magnetization
+from bclab.phase import first_order_k, second_order_k
 
 PARAMS = ModelParams(1.0, second_order_k(1.0) + 0.4)
+NEAR_CURVE = ModelParams(1.0, second_order_k(1.0) + 1e-6)
 MC_N = 10_000
 MC_SWEEPS = 60     # plus the default burn-in of 6: 66 sweeps of n steps
 MC_SEED = 1
@@ -52,3 +59,21 @@ def test_finite_size_law(benchmark):
         mode=mode, max_abs_err_log_ratio=err, norm_residual=norm,
         ns_per_state=benchmark.stats.stats.median / (2 * LAW_N + 1) * 1e9)
     assert err <= 1e-12 and norm <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+def test_first_order_k(benchmark, beta):
+    k1 = benchmark(first_order_k, beta)
+    ref = first_order_k_mp(beta)
+    benchmark.extra_info.update(k1=k1, reference=ref, abs_err=abs(k1 - ref))
+    assert abs(k1 - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("params", [PARAMS, NEAR_CURVE], ids=["ordered", "near-K"])
+def test_magnetization(benchmark, params):
+    m = benchmark(magnetization, params)
+    ref = magnetization_mp(params.beta, params.kappa)
+    rel_err = abs(m - ref) / ref
+    benchmark.extra_info.update(beta=params.beta, kappa=params.kappa, m=m,
+                                reference=ref, rel_err=rel_err)
+    assert rel_err <= 1e-12

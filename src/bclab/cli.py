@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import harness, phase
 from .finite_size import finite_size_law, mc_estimate
-from .model import ModelParams, free_energy
+from .model import BETA_MAX, ModelParams, free_energy
 from .phase import BETA_C, first_order_k, second_order_k
 from .sequences import SequenceSpec, spec_from_json
 
@@ -128,8 +128,9 @@ def _resolved_spec(config: ExperimentConfig) -> SequenceSpec:
 def _run_phase_diagram(config: ExperimentConfig) -> None:
     if config.points < 2:
         raise ConfigError("points: must be >= 2")
-    if not (0 < config.beta_min < config.beta_max):
-        raise ConfigError("beta_min/beta_max: need 0 < beta_min < beta_max")
+    if not (0 < config.beta_min < config.beta_max <= BETA_MAX):
+        raise ConfigError("beta_min/beta_max: need 0 < beta_min < beta_max <= "
+                          f"BETA_MAX = {BETA_MAX}, got {config.beta_min}, {config.beta_max}")
     rows = []
     for i in range(config.points):
         beta = config.beta_min + (config.beta_max - config.beta_min) * i / (config.points - 1)

@@ -46,6 +46,16 @@ class TestPhaseDiagram:
             else:
                 assert float(k1) < float(k2)
 
+    @pytest.mark.parametrize("beta_max", ["400", "inf"])
+    def test_beta_range_checked_before_any_row(self, tmp_path, capsys, beta_max):
+        # 400 wrote nothing after computing rows up to 350 and exited 1; inf
+        # exited 1 with "second_order_k: ... got nan"
+        out = tmp_path / "curves.csv"
+        assert main(["phase-diagram", "--beta-min", "1.0", "--beta-max", beta_max,
+                     "--points", "7", "-o", str(out)]) == 2
+        assert "BETA_MAX = 350.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFiniteSizeCommand:
     def test_law_csv_normalized(self, tmp_path):

@@ -75,10 +75,24 @@ class TestCumulant:
             assert val == pytest.approx(t - 1.0 - math.log(1 + 2 / math.e), rel=1e-12)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            cumulant(1.0, math.inf)
+        for t in (math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="^cumulant: t must be finite"):
+                cumulant(1.0, t)
         with pytest.raises(ValueError):
             cumulant(-1.0, 0.5)
+
+    @pytest.mark.parametrize("name, call", [
+        ("cumulant", lambda beta: cumulant(beta, 1.0)),
+        ("cumulant", lambda beta: cumulant(beta, np.array([1.0]))),
+        ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2)),
+        ("well_depth", lambda beta: well_depth(beta, 0.5)),
+        ("secant_excess", lambda beta: secant_excess(beta, 2.0))])
+    def test_beta_ceiling(self, name, call):
+        # only beta <= 0 was rejected: nan returned nan and 1000 returned 0.0
+        assert np.all(np.isfinite(call(BETA_MAX)))
+        for beta in (math.nextafter(BETA_MAX, math.inf), math.nan, 800.0):
+            with pytest.raises(ValueError, match=f"^{name}: beta"):
+                call(beta)
 
     def test_vectorized(self):
         ts = np.linspace(-5, 5, 11)
@@ -139,6 +153,61 @@ class TestSmallTilt:
                 for order, value in zip((0, 1, 3), got):
                     ref = mp.diff(c, mp.mpf(t), order)
                     assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+class TestLargeTilt:
+    def test_even_orders_against_mpmath(self):
+        # a^2 e^{-|t|} underflowed once 2 beta + |t| passed 708: c'' read 0,
+        # c'''' twice its value at (100, 600) and nan from beta = 250 on
+        points = [(100.0, 600.0), (250.0, 250.0), (BETA_MAX, -701.0)]
+        for beta, t in points:
+            with mp.workdps(DPS + int(beta + abs(t)) // 2):
+                _, c1 = cumulant_mp(beta)
+                refs = {order: mp.diff(c1, mp.mpf(t), order - 1) for order in (2, 4)}
+            for order, ref in refs.items():
+                for value in (cumulant_deriv(beta, t, order),
+                              cumulant_deriv(beta, np.array([t]), order)[0]):
+                    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+class TestScalarBranch:
+    """A Python int or float takes the math branch; it must agree with the
+    numpy branch on a one-element array."""
+
+    @staticmethod
+    def assert_agree(scalar, array, scale=None):
+        # within 2 ulp of the value, or of the larger term where the value is
+        # a difference of terms (G = beta K x^2 - c and its derivatives); numpy's
+        # vectorized exp, expm1, sinh and log1p differ from libm's in the last
+        # bit for a few percent of arguments
+        assert type(scalar) is float
+        if array == 0.0:
+            assert scalar == 0.0
+        else:
+            assert abs(scalar - array) <= 2 * math.ulp(abs(array) if scale is None else scale)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, BETA_C, 5.0, BETA_MAX])
+    def test_matches_array_branch(self, beta):
+        t_i = inflection_tilt(beta)
+        ts = [0.0, 1e-300, -1e-300, 1e-8, -1e-8, t_i, -t_i, 1.0, -1.0, 50.0, -50.0,
+              700.0, -700.0, 701.0, -701.0, 1e4, 0, -1, 701, np.float64(-50.0)]
+        params = ModelParams(beta, 1.5)
+        bk = beta * params.kappa
+        for t in ts:
+            arr = np.array([t])
+            self.assert_agree(cumulant(beta, t), cumulant(beta, arr)[0])
+            for order in (1, 2, 3, 4):
+                self.assert_agree(cumulant_deriv(beta, t, order),
+                                  cumulant_deriv(beta, arr, order)[0])
+            x, xs = t / (2 * bk), arr / (2 * bk)
+            self.assert_agree(free_energy(params, x), free_energy(params, xs)[0],
+                              bk * x * x + abs(cumulant(beta, t)))
+            self.assert_agree(free_energy_deriv(params, x, 1),
+                              free_energy_deriv(params, xs, 1)[0],
+                              2 * bk * (abs(x) + abs(cumulant_deriv(beta, t, 1))))
+            self.assert_agree(free_energy_deriv(params, x, 2),
+                              free_energy_deriv(params, xs, 2)[0],
+                              2 * bk + (2 * bk) ** 2 * cumulant_deriv(beta, t, 2))
 
 
 class TestTiltForms:
