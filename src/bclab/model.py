@@ -16,16 +16,13 @@ may be a scalar or a numpy array (a float for ``well_depth`` and
 ``secant_excess``). No function overflows for any finite argument.
 
 A Python int or float (np.float64 included) is evaluated with ``math`` and
-returns a float; anything else goes through numpy. Both branches use the same
-forms in the same order and match mpmath equally well. They can still differ
-in the last bits, more where a form cancels (c''' and c'''' near their zeros,
-G), because numpy's vectorized exp, expm1, sinh and log1p round differently
-from libm's for a few percent of arguments. Both stay because their callers
-differ: the equilibrium solvers call ``cumulant_deriv`` and ``free_energy``
-tens of thousands of times per phase diagram on single tilts, where the
-scalar branch takes about 2 us a call and numpy on 0-d arrays took 18 us,
-while the quadrature grids and the scaled free-energy tables evaluate whole
-arrays at once.
+returns a float. Any other argument is evaluated element by element by the
+same scalar kernels, so an array holds exactly the values of its elements
+taken one at a time and every precision device lives in one place. The hot
+callers pass single floats: the equilibrium solvers call ``cumulant_deriv``
+and ``free_energy`` tens of thousands of times per phase diagram, at about
+2 us a call. Arrays come only from the scaled free-energy tables of
+``sequences`` and from tests, a few thousand points at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import numpy as np
 
 SPIN_VALUES = (-1, 0, 1)
 
-_SCALARS = (int, float)   # evaluated with math; everything else with numpy
+_SCALARS = (int, float)   # evaluated directly; anything else element by element
 _CUMULANT_ORDERS = (1, 2, 3, 4)
 _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
 # Below |t| = 1 the series in t^2 is summed; its terms shrink at least like
@@ -90,26 +87,16 @@ def _check_finite(op: str, t, name: str = "t") -> None:
         raise ValueError(f"{op}: {name} must be finite")
 
 
-def _stable_parts(beta: float, t):
-    """Shifted numerator/denominator pieces of the tilted moment ratios.
-
-    With D(t) = 1 + e^{-beta}(e^t + e^{-t}) and E = D - 1, returns
-    (m, dhat, ehat, ephat) where m = |t| and dhat = e^{-m} D, ehat = e^{-m} E,
-    ephat = e^{-m} E'. All three hatted quantities lie in (0, 1 + 2e^{-beta}],
-    so ratios of them never overflow. ephat = sign(t) a (1 - e^{-2m}) keeps
-    its relative precision as t -> 0.
-    """
-    a = math.exp(-beta)
-    t = np.asarray(t, dtype=float)
-    m = np.abs(t)
-    ehat = a * (np.exp(t - m) + np.exp(-t - m))
-    dhat = np.exp(-m) + ehat
-    ephat = -a * np.sign(t) * np.expm1(-2.0 * m)
-    return m, dhat, ehat, ephat
-
-
 def _maybe_scalar(x, scalar: bool):
     return float(x) if scalar else x
+
+
+def _elementwise(kernel, beta: float, t, *rest):
+    """kernel(beta, v, *rest) for every element v of t, in the shape of t; a
+    numpy scalar gives a float."""
+    arr = np.asarray(t, dtype=float)
+    out = np.array([kernel(beta, v, *rest) for v in arr.ravel().tolist()], dtype=float)
+    return _maybe_scalar(out.reshape(arr.shape), np.isscalar(t))
 
 
 def cumulant(beta: float, t):
@@ -120,21 +107,18 @@ def cumulant(beta: float, t):
     """
     check_beta("cumulant", beta)
     _check_finite("cumulant", t)
-    a = math.exp(-beta)
     if isinstance(t, _SCALARS):
-        m = abs(float(t))
-        if m > _LOG1P_MAX_T:
-            return m + math.log(a + math.exp(-m)) - math.log1p(2.0 * a)
-        s = math.sinh(0.5 * m)
-        return math.log1p(4.0 * a / (1.0 + 2.0 * a) * s * s)
-    scalar = np.isscalar(t)
-    m = np.abs(np.asarray(t, dtype=float))
-    far = m > _LOG1P_MAX_T
-    s = np.sinh(0.5 * np.where(far, 0.0, m))
-    out = np.log1p(4.0 * a / (1.0 + 2.0 * a) * s * s)
-    if far.any():   # there e^{-2|t|} is negligible against 1
-        out = np.where(far, m + np.log(a + np.exp(-m)) - math.log1p(2.0 * a), out)
-    return _maybe_scalar(out, scalar)
+        return _cumulant_scalar(beta, float(t))
+    return _elementwise(_cumulant_scalar, beta, t)
+
+
+def _cumulant_scalar(beta: float, t: float) -> float:
+    a = math.exp(-beta)
+    m = abs(t)
+    if m > _LOG1P_MAX_T:   # there e^{-2|t|} is negligible against 1
+        return m + math.log(a + math.exp(-m)) - math.log1p(2.0 * a)
+    s = math.sinh(0.5 * m)
+    return math.log1p(4.0 * a / (1.0 + 2.0 * a) * s * s)
 
 
 def cumulant_deriv(beta: float, t, order: int):
@@ -157,42 +141,14 @@ def cumulant_deriv(beta: float, t, order: int):
     _check_finite("cumulant_deriv", t)
     if isinstance(t, _SCALARS):
         return _cumulant_deriv_scalar(beta, float(t), order)
-    scalar = np.isscalar(t)
-    a = math.exp(-beta)
-    m, dhat, ehat, ephat = _stable_parts(beta, t)
-    c1 = ephat / dhat
-    if order == 1:
-        return _maybe_scalar(c1, scalar)
-    # E D - E'^2 = E + 4 e^{-2 beta} exactly, which keeps c'' positive for
-    # large |t| where E/D - c'^2 would cancel to zero. Numerators are divided
-    # by dhat before they meet the factor e^{-m}: a e^{-m} and a^2 e^{-m}
-    # underflow once beta + |t| or 2 beta + |t| passes 708.
-    c2 = (ehat + 4.0 * a * a * np.exp(-m)) / dhat * (np.exp(-m) / dhat)
-    if order == 2:
-        return _maybe_scalar(c2, scalar)
-    # B e^{-m} = (1 - 4a)(1 + 2a) e^{-m} - a expm1(-m)^2
-    #         = a expm1(beta - m) - a e^{-m} (e^{-m} + 8a).
-    # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta),
-    # so c''' keeps its relative precision next to its zero, the inflection
-    # tilt.
-    em = np.exp(-m)
-    lead = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) * em
-    sq = a * np.expm1(-m) ** 2
-    mc = np.clip(m, 0.5 * beta, 2.0 * beta)
-    ex = a * np.expm1(beta - mc)
-    tail = a * em * (em + 8.0 * a)
-    b_hat = np.where(m == mc, ex - tail, lead - sq)
-    c3 = c1 * (b_hat / dhat) * (em / dhat)
-    if order == 3:
-        return _maybe_scalar(c3, scalar)
-    c4 = ((ehat * dhat - 2 * ephat**2) / dhat * (em / dhat) / dhat
-          - 2 * c2 * c2 - 2 * c1 * c3)
-    return _maybe_scalar(c4, scalar)
+    return _elementwise(_cumulant_deriv_scalar, beta, t, order)
 
 
 def _cumulant_deriv_scalar(beta: float, t: float, order: int) -> float:
-    """cumulant_deriv at one float t: the parts of _stable_parts and the forms
-    of the array branch, operation for operation, in math."""
+    """The forms of cumulant_deriv at one float t, written with the shifted
+    parts dhat = e^{-m} D, ehat = e^{-m} E and ephat = e^{-m} E', m = |t|.
+    All three lie in (0, 1 + 2 e^{-beta}], so their ratios never overflow;
+    ephat = sign(t) a (1 - e^{-2m}) keeps its relative precision as t -> 0."""
     a = math.exp(-beta)
     m = abs(t)
     em = math.exp(-m)
@@ -202,10 +158,19 @@ def _cumulant_deriv_scalar(beta: float, t: float, order: int) -> float:
     c1 = ephat / dhat
     if order == 1:
         return c1
+    # E D - E'^2 = E + 4 e^{-2 beta} exactly, which keeps c'' positive for
+    # large |t| where E/D - c'^2 would cancel to zero. Numerators are divided
+    # by dhat before they meet the factor e^{-m}: a e^{-m} and a^2 e^{-m}
+    # underflow once beta + |t| or 2 beta + |t| passes 708.
     c2 = (ehat + 4.0 * a * a * em) / dhat * (em / dhat)
     if order == 2:
         return c2
-    if 0.5 * beta <= m <= 2.0 * beta:   # beta - m is exact
+    # B e^{-m} = (1 - 4a)(1 + 2a) e^{-m} - a expm1(-m)^2
+    #         = a expm1(beta - m) - a e^{-m} (e^{-m} + 8a).
+    # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta),
+    # so c''' keeps its relative precision next to its zero, the inflection
+    # tilt.
+    if 0.5 * beta <= m <= 2.0 * beta:
         b_hat = a * math.expm1(beta - m) - a * em * (em + 8.0 * a)
     else:
         e1 = math.expm1(-m)
@@ -233,14 +198,6 @@ _GAMMA_POLYNOMIALS = _gamma_polynomials()
 _J = np.arange(2, _SERIES_TERMS + 1)
 
 
-def _horner(coeffs: list[float], s: float) -> float:
-    """sum_k coeffs[k] s^k."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
 def _series_coefficients(beta: float) -> np.ndarray:
     """[gamma_1, ..., gamma_24]; gamma_2 = p (1 - 3p)/24 keeps its relative
     precision at beta_c through 1 - 3p = (1 - 4 e^{-beta})/(1 + 2 e^{-beta})."""
@@ -262,7 +219,7 @@ def well_depth(beta: float, t: float) -> float:
     t = abs(t)
     if t < _SERIES_MAX_T:
         g, s = _series_coefficients(beta), t * t
-        return s * s * _horner(((_J - 1) * g[1:]).tolist(), s)
+        return s * s * float((_J - 1) * g[1:] @ s ** (_J - 2))
     return 0.5 * t * cumulant_deriv(beta, t, 1) - cumulant(beta, t)
 
 
@@ -277,7 +234,7 @@ def secant_excess(beta: float, t: float) -> float:
     t = abs(t)
     if t < _SERIES_MAX_T:
         g, s = _series_coefficients(beta), t * t
-        return s * _horner((_J * g[1:] / g[0]).tolist(), s)
+        return s * float(_J * g[1:] / g[0] @ s ** (_J - 2))
     return cumulant_deriv(beta, t, 1) / (cumulant_deriv(beta, 0.0, 2) * t) - 1.0
 
 

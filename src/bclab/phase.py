@@ -93,7 +93,7 @@ def classify(params: ModelParams, tol: float = CURVE_TOL) -> PhaseRegion:
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
     Every point with beta > beta_c solves K1(beta) afresh, with no memo: a
-    median 0.17 ms a point for beta in (beta_c, 10], about 1 ms within 1e-3
+    median 0.18 ms a point for beta in (beta_c, 10], about 1 ms within 1e-3
     of beta_c, on a 2-core x86-64 box.
     """
     beta, kappa = params.beta, params.kappa

@@ -170,44 +170,30 @@ class TestLargeTilt:
                     assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
-class TestScalarBranch:
-    """A Python int or float takes the math branch; it must agree with the
-    numpy branch on a one-element array."""
-
-    @staticmethod
-    def assert_agree(scalar, array, scale=None):
-        # within 2 ulp of the value, or of the larger term where the value is
-        # a difference of terms (G = beta K x^2 - c and its derivatives); numpy's
-        # vectorized exp, expm1, sinh and log1p differ from libm's in the last
-        # bit for a few percent of arguments
-        assert type(scalar) is float
-        if array == 0.0:
-            assert scalar == 0.0
-        else:
-            assert abs(scalar - array) <= 2 * math.ulp(abs(array) if scale is None else scale)
+class TestArrayInput:
+    """An array is evaluated element by element by the scalar kernels, so each
+    element must equal the value at that element exactly."""
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, BETA_C, 5.0, BETA_MAX])
-    def test_matches_array_branch(self, beta):
+    def test_matches_scalar_calls(self, beta):
         t_i = inflection_tilt(beta)
         ts = [0.0, 1e-300, -1e-300, 1e-8, -1e-8, t_i, -t_i, 1.0, -1.0, 50.0, -50.0,
               700.0, -700.0, 701.0, -701.0, 1e4, 0, -1, 701, np.float64(-50.0)]
         params = ModelParams(beta, 1.5)
-        bk = beta * params.kappa
-        for t in ts:
-            arr = np.array([t])
-            self.assert_agree(cumulant(beta, t), cumulant(beta, arr)[0])
-            for order in (1, 2, 3, 4):
-                self.assert_agree(cumulant_deriv(beta, t, order),
-                                  cumulant_deriv(beta, arr, order)[0])
-            x, xs = t / (2 * bk), arr / (2 * bk)
-            self.assert_agree(free_energy(params, x), free_energy(params, xs)[0],
-                              bk * x * x + abs(cumulant(beta, t)))
-            self.assert_agree(free_energy_deriv(params, x, 1),
-                              free_energy_deriv(params, xs, 1)[0],
-                              2 * bk * (abs(x) + abs(cumulant_deriv(beta, t, 1))))
-            self.assert_agree(free_energy_deriv(params, x, 2),
-                              free_energy_deriv(params, xs, 2)[0],
-                              2 * bk + (2 * bk) ** 2 * cumulant_deriv(beta, t, 2))
+        xs = [t / (3.0 * beta) for t in ts]   # 2 beta K x = t
+        grid = np.array(ts, dtype=float).reshape(4, 5)
+        xgrid = grid / (3.0 * beta)
+        calls = [(lambda v: cumulant(beta, v), ts, grid)]
+        calls += [(lambda v, k=k: cumulant_deriv(beta, v, k), ts, grid) for k in (1, 2, 3, 4)]
+        calls += [(lambda v: free_energy(params, v), xs, xgrid)]
+        calls += [(lambda v, k=k: free_energy_deriv(params, v, k), xs, xgrid) for k in (1, 2)]
+        for fn, points, array in calls:
+            values = [fn(v) for v in points]
+            assert all(type(v) is float for v in values)
+            out = fn(array)
+            assert out.shape == array.shape
+            assert out.ravel().tolist() == values
+            assert fn(np.float32(points[7])) == fn(float(np.float32(points[7])))
 
 
 class TestTiltForms:
