@@ -175,8 +175,8 @@ def _run_sequence(config: ExperimentConfig) -> None:
     # the artifact bytes
     threads = config.threads if config.threads is not None else os.cpu_count()
     report = harness.run_finite_size_asymptotics(
-        spec, config.n_list, estimator=estimator, sweeps=config.sweeps or 20000,
-        seed=config.seed or 0, threads=threads)
+        spec, config.n_list, estimator=estimator, seed=config.seed or 0, threads=threads,
+        sweeps=20000 if config.sweeps is None else config.sweeps)
     _write_csv(config.output_path,
                ["n", "beta_n", "kappa_n", "m_thermo", "e_finite", "scaled_m", "scaled_e"],
                [(r.n, r.beta_n, r.kappa_n, r.m_thermo, r.e_finite, r.scaled_m,

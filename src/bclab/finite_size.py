@@ -54,6 +54,17 @@ def check_n(op: str, n: int) -> None:
             "bound (about 200 B per n)")
 
 
+def _check_unit_interval(op: str, name: str, value: float) -> None:
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{op}: {name} must lie in [0, 1), got {value}")
+
+
+def _check_tail(op: str, gamma: float, a: float) -> None:
+    _check_unit_interval(op, "gamma", gamma)
+    if not a >= 0:
+        raise ValueError(f"{op}: threshold a must be >= 0, got {a}")
+
+
 @dataclass(frozen=True)
 class SpinLawExact:
     """Exact law of S_n in log space: unnormalized log weights over -n..n."""
@@ -127,10 +138,9 @@ def abs_moment(law: SpinLawExact, power: float = 1.0, gamma: float = 0.0) -> flo
     descending magnitude because that keeps its list of partials short, about
     5x faster than lattice order at n = 8000.
     """
-    if power <= 0:
-        raise ValueError(f"power must be > 0, got {power}")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    if not power > 0:
+        raise ValueError(f"abs_moment: power must be > 0, got {power}")
+    _check_unit_interval("abs_moment", "gamma", gamma)
     scale = float(law.n) ** (1.0 - gamma)
     s = law.support()
     log_terms = law.log_weights - law.log_z
@@ -146,13 +156,13 @@ def tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:
     a = 0 returns 1 (full mass); a beyond the lattice ceiling n^gamma
     returns 0.
     """
-    if a < 0:
-        raise ValueError(f"threshold a must be >= 0, got {a}")
+    _check_tail("tail_mass", gamma, a)
     return math.exp(log_tail_mass(law, gamma, a))
 
 
 def log_tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:
     """log P{ |S_n / n^(1-gamma)| >= a }; -inf for an empty tail."""
+    _check_tail("log_tail_mass", gamma, a)
     threshold = a * float(law.n) ** (1.0 - gamma)
     mask = np.abs(law.support()) >= threshold
     if not mask.any():
@@ -168,8 +178,7 @@ def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     hs_rhs by the Gaussian-smoothing identity, which the test suite uses as
     the primary correctness oracle of this module.
     """
-    if not 0.0 <= gamma_bar < 1.0:
-        raise ValueError(f"gamma_bar must lie in [0, 1), got {gamma_bar}")
+    _check_unit_interval("hs_lhs", "gamma_bar", gamma_bar)
     law = finite_size_law(n, params)
     probs = law.probabilities()
     keep = probs > 1e-22
@@ -187,8 +196,7 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f,
     G(y) >= beta K y^2 - 2 beta K |y| - log 3 pushes the exponent tail_cut
     e-folds above the minimum.
     """
-    if not 0.0 <= gamma_bar < 1.0:
-        raise ValueError(f"gamma_bar must lie in [0, 1), got {gamma_bar}")
+    _check_unit_interval("hs_rhs", "gamma_bar", gamma_bar)
     quad = quad or QuadratureConfig()
     scale = float(n) ** gamma_bar
     g_min, arg_min = min_free_energy(params)

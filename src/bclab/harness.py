@@ -203,7 +203,7 @@ def estimator_comparison(spec_or_params, n_list,
         params = spec_or_params
         m = thermo_magnetization(params)
         if m <= 0:
-            raise ValueError("fixed-point comparison requires a coexistence point")
+            raise ValueError("estimator_comparison: fixed point outside coexistence (m = 0)")
         return [(n, abs_moment(finite_size_law(n, params)) / m)
                 for n in sorted(n_list)]
     report = run_finite_size_asymptotics(spec_or_params, n_list, threads=threads)

@@ -224,7 +224,8 @@ def well_depth(beta: float, t: float) -> float:
 
 
 def secant_excess(beta: float, t: float) -> float:
-    """rho(t) = c'(t)/(c''(0) t) - 1, the relative excess of the secant slope.
+    """rho(t) = c'(t)/(c''(0) t) - 1, the relative excess of the secant slope,
+    with c''(0) = 2a/(1 + 2a), a = e^{-beta}.
 
     t is stationary for G_{beta,K} exactly when rho(t) = K(beta)/K - 1.
     Below |t| = 1, rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2).
@@ -235,7 +236,8 @@ def secant_excess(beta: float, t: float) -> float:
     if t < _SERIES_MAX_T:
         g, s = _series_coefficients(beta), t * t
         return s * float(_J * g[1:] / g[0] @ s ** (_J - 2))
-    return cumulant_deriv(beta, t, 1) / (cumulant_deriv(beta, 0.0, 2) * t) - 1.0
+    a = math.exp(-beta)
+    return cumulant_deriv(beta, t, 1) / (2.0 * a / (1.0 + 2.0 * a) * t) - 1.0
 
 
 def inflection_tilt(beta: float) -> float:

@@ -8,26 +8,34 @@ n^-alpha. Along a valid sequence the scaled free energy converges,
     n^(alpha/alpha0) * G_{beta_n,K_n}(x / n^(theta alpha))  ->  g(x),
 
 to an even coercive polynomial g of degree 4 or 6 whose positive minimizer
-xbar controls the magnetization asymptotics. The threshold alpha0 and the
-exponent theta are fixed per kind:
+xbar controls the magnetization asymptotics.
 
-    kind   alpha0      theta        g
-    seq1   1/2         1/2          beta (K'(beta) b - k) x^2 + c4(beta) x^4
-    seq2   1/(2p)      p/2          (beta0/p!) (K^(p)(beta0) - ell) b^p x^2 + c4(beta0) x^4
-    seq3   2/3         1/4          beta_c (K'(beta_c) b - k) x^2 + (9/40) x^6
-    seq4   1/3         1/2          (beta_c/2) (K''(beta_c) - ell) x^2 - (3/4) x^4 + (9/40) x^6
-    seq5   1/3         1/2          (beta_c/2) (K''(beta_c) - ell) x^2 + (3/4) x^4 + (9/40) x^6
-    seq6   1/(2p-1)    (p-1)/2      (beta_c/p!) (K^(p)(beta_c) - ell) (-1)^p x^2 + (3/4) x^4
+All six follow one recipe. beta_n approaches the anchor beta0 along direction
+h, and K_n is the Taylor polynomial of the second-order curve K along that
+approach, perturbed at order p; the quadratic coefficient of g is that
+perturbation:
 
-with c4(beta) = (e^beta + 2)^2 (4 - e^beta) / 192. For kinds 1-5 the
-high-speed limit polynomial g~ is the leading monomial of g; kind 6 has none
-(n G(x/n^(theta alpha0)) -> 0 pointwise), so every g~-based operation rejects
-it.
+    beta_n = beta0 + h / n^alpha
+    K_n    = sum_{j<p} K^(j)(beta0) h^j / (j! n^(j alpha)) + ell s / (p! n^(p alpha))
+    g(x)   = beta0 (K^(p)(beta0) h^p - ell s) / p! x^2 + c4 x^4 + c6 x^6
 
-Note on the seq4 interaction-strength formula: the quadratic term is
-implemented as ell/(2 n^(2 alpha)), the exponent forced by the defining curve
-K(beta_c) + K'(beta_c)(beta-beta_c) + ell (beta-beta_c)^2/2 + ... with
-beta_n - beta_c = n^-alpha.
+and seq4 adds ell_tilde / (6 n^(3 alpha)) to K_n. Per kind:
+
+    kind   beta0    h    p   ell   s        c4         c6     alpha0     theta
+    seq1   beta     b    1   k     1        c4(beta)   0      1/2        1/2
+    seq2   beta     b    p   ell   b^p      c4(beta)   0      1/(2p)     p/2
+    seq3   beta_c   b    1   k     1        0          9/40   2/3        1/4
+    seq4   beta_c   1    2   ell   1        -3/4       9/40   1/3        1/2
+    seq5   beta_c   -1   2   ell   1        3/4        9/40   1/3        1/2
+    seq6   beta_c   -1   p   ell   (-1)^p   3/4        0      1/(2p-1)   (p-1)/2
+
+with c4(beta) = (e^beta + 2)^2 (4 - e^beta) / 192. The exponents balance the
+quadratic term against the first higher term that survives: c4(beta0) x^4 at
+a second-order anchor, (9/40) x^6 at the tricritical point when p = 1, and
+otherwise c4'(beta_c) h x^4 = -(3/4) h x^4, joined by (9/40) x^6 when p = 2.
+For kinds 1-5 the high-speed limit polynomial g~ is the leading monomial of
+g; kind 6 has none (n G(x/n^(theta alpha0)) -> 0 pointwise), so every
+g~-based operation rejects it.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 from fractions import Fraction
 
 import numpy as np
@@ -211,16 +220,45 @@ class SequenceSpec:
             raise ValueError(f"seq4 case must be one of a, b, c, d, got {self.case!r}")
 
 
-def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
+class _Approach(NamedTuple):
+    """One row of the module docstring's per-kind table."""
+
+    beta0: float
+    h: int
+    p: int
+    ell: float
+    s: int
+    c4: float
+    c6: float
+    exponents: ScalingExponents
+
+
+def _approach(spec: SequenceSpec) -> _Approach:
+    """The anchor, direction, order and perturbation of the sequence, with
+    the higher coefficients of g and the exponents they fix."""
     if spec.kind == "seq1":
-        return ScalingExponents(0.5, 0.5)
-    if spec.kind == "seq2":
-        return ScalingExponents(1.0 / (2 * spec.p), spec.p / 2.0)
-    if spec.kind == "seq3":
-        return ScalingExponents(2.0 / 3.0, 0.25)
-    if spec.kind in ("seq4", "seq5"):
-        return ScalingExponents(1.0 / 3.0, 0.5)
-    return ScalingExponents(1.0 / (2 * spec.p - 1), (spec.p - 1) / 2.0)
+        beta0, h, p, ell, s = spec.beta, spec.b, 1, spec.k, 1
+    elif spec.kind == "seq2":
+        beta0, h, p, ell, s = spec.beta, spec.b, spec.p, spec.ell, spec.b**spec.p
+    elif spec.kind == "seq3":
+        beta0, h, p, ell, s = BETA_C, spec.b, 1, spec.k, 1
+    elif spec.kind == "seq6":
+        beta0, h, p, ell, s = BETA_C, -1, spec.p, spec.ell, (-1) ** spec.p
+    else:
+        beta0, h, p, ell, s = BETA_C, 1 if spec.kind == "seq4" else -1, 2, spec.ell, 1
+    if beta0 != BETA_C:
+        return _Approach(beta0, h, p, ell, s, c4_coefficient(beta0), 0.0,
+                         ScalingExponents(1.0 / (2 * p), p / 2.0))
+    if p == 1:
+        return _Approach(beta0, h, p, ell, s, 0.0, TRICRITICAL_C6,
+                         ScalingExponents(2.0 / 3.0, 0.25))
+    return _Approach(beta0, h, p, ell, s, -4.0 * TRICRITICAL_C4 * h,
+                     TRICRITICAL_C6 if p == 2 else 0.0,
+                     ScalingExponents(1.0 / (2 * p - 1), (p - 1) / 2.0))
+
+
+def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
+    return _approach(spec).exponents
 
 
 @lru_cache(maxsize=4)
@@ -311,40 +349,16 @@ def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     """The point (beta_n, K_n) of the sequence at index n."""
     require_valid(spec)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"params_at: n must be >= 1, got {n}")
+    a = _approach(spec)
     na = float(n) ** spec.alpha
-    if spec.kind == "seq1":
-        beta_n = spec.beta + spec.b / na
-        kappa_n = second_order_k(spec.beta) + spec.k / na
-    elif spec.kind == "seq2":
-        beta_n = spec.beta + spec.b / na
-        kappa_n = second_order_k(spec.beta)
-        for j in range(1, spec.p):
-            kappa_n += second_order_k_deriv(spec.beta, j) * spec.b**j / (
-                math.factorial(j) * na**j)
-        kappa_n += spec.ell * spec.b**spec.p / (math.factorial(spec.p) * na**spec.p)
-    elif spec.kind == "seq3":
-        beta_n = BETA_C + spec.b / na
-        kappa_n = second_order_k(BETA_C) + spec.k / na
-    elif spec.kind == "seq4":
-        beta_n = BETA_C + 1.0 / na
-        kappa_n = (second_order_k(BETA_C)
-                   + second_order_k_deriv(BETA_C, 1) / na
-                   + spec.ell / (2.0 * na**2)
-                   + spec.ell_tilde / (6.0 * na**3))
-    elif spec.kind == "seq5":
-        beta_n = BETA_C - 1.0 / na
-        kappa_n = (second_order_k(BETA_C)
-                   - second_order_k_deriv(BETA_C, 1) / na
-                   + spec.ell / (2.0 * na**2))
-    else:  # seq6
-        beta_n = BETA_C - 1.0 / na
-        kappa_n = second_order_k(BETA_C)
-        for j in range(1, spec.p):
-            kappa_n += second_order_k_deriv(BETA_C, j) * (-1.0) ** j / (
-                math.factorial(j) * na**j)
-        kappa_n += spec.ell * (-1.0) ** spec.p / (math.factorial(spec.p) * na**spec.p)
-    return ModelParams(beta_n, kappa_n)
+    kappa_n = second_order_k(a.beta0)
+    for j in range(1, a.p):
+        kappa_n += second_order_k_deriv(a.beta0, j) * a.h**j / (math.factorial(j) * na**j)
+    kappa_n += a.ell * a.s / (math.factorial(a.p) * na**a.p)
+    if spec.kind == "seq4":
+        kappa_n += spec.ell_tilde / (6.0 * na**3)
+    return ModelParams(a.beta0 + a.h / na, kappa_n)
 
 
 def coexistence_onset(spec: SequenceSpec, n_cap: int = 2**20) -> int:
@@ -372,36 +386,14 @@ def coexistence_onset(spec: SequenceSpec, n_cap: int = 2**20) -> int:
 def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
     """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
     require_valid(spec)
-    exps = scaling_exponents(spec)
-    if spec.kind == "seq1":
-        g = EvenPolynomial(
-            c2=spec.beta * (second_order_k_deriv(spec.beta, 1) * spec.b - spec.k),
-            c4=c4_coefficient(spec.beta))
-    elif spec.kind == "seq2":
-        g = EvenPolynomial(
-            c2=spec.beta * (second_order_k_deriv(spec.beta, spec.p) - spec.ell)
-               * spec.b**spec.p / math.factorial(spec.p),
-            c4=c4_coefficient(spec.beta))
-    elif spec.kind == "seq3":
-        g = EvenPolynomial(
-            c2=BETA_C * (second_order_k_deriv(BETA_C, 1) * spec.b - spec.k),
-            c6=TRICRITICAL_C6)
-    elif spec.kind == "seq4":
-        g = EvenPolynomial(
-            c2=0.5 * BETA_C * (second_order_k_deriv(BETA_C, 2) - spec.ell),
-            c4=-4.0 * TRICRITICAL_C4, c6=TRICRITICAL_C6)
-    elif spec.kind == "seq5":
-        g = EvenPolynomial(
-            c2=0.5 * BETA_C * (second_order_k_deriv(BETA_C, 2) - spec.ell),
-            c4=4.0 * TRICRITICAL_C4, c6=TRICRITICAL_C6)
-    else:
-        g = EvenPolynomial(
-            c2=BETA_C * (second_order_k_deriv(BETA_C, spec.p) - spec.ell)
-               * (-1.0) ** spec.p / math.factorial(spec.p),
-            c4=4.0 * TRICRITICAL_C4)
+    a = _approach(spec)
+    g = EvenPolynomial(
+        c2=a.beta0 * (second_order_k_deriv(a.beta0, a.p) * a.h**a.p - a.ell * a.s)
+           / math.factorial(a.p),
+        c4=a.c4, c6=a.c6)
     if g.degree not in (4, 6):
         raise AssertionError(f"scaling polynomial degenerated to degree {g.degree}")
-    return g, exps
+    return g, a.exponents
 
 
 def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
@@ -492,14 +484,9 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
     if spec.alpha <= exps.alpha0:
         raise ValueError(
             f"alpha must exceed alpha0 = {exps.alpha0:.6g}, got {spec.alpha}")
-    xs = np.asarray(x_grid, dtype=float)
-    gx = gt(xs)
-    rows = []
-    for n in n_list:
-        scaled = _scaled_free_energy(spec, n, xs, float(n),
-                                     float(n) ** exps.theta_alpha0)
-        rows.append((n, np.abs(scaled - gx)))
-    return rows
+    gx = gt(np.asarray(x_grid, dtype=float))
+    return [(n, np.abs(scaled - gx))
+            for n, scaled in scaled_free_energy_table(spec, x_grid, n_list)]
 
 
 def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:

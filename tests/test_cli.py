@@ -125,6 +125,14 @@ class TestSequenceRun:
                      "--n", "50,100", "-o", str(tmp_path / "x.csv")]) == 2
         assert "extra" in capsys.readouterr().err
 
+    def test_zero_sweeps_fails_named(self, tmp_path, capsys):
+        # 0 is a value, not a request for the 20000-sweep default
+        out = tmp_path / "x.csv"
+        assert main(["sequence-run", "--spec", write_spec(tmp_path), "--n", "50",
+                     "--estimator", "mc", "--sweeps", "0", "-o", str(out)]) == 1
+        assert "mc_estimate: sweeps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path, capsys):

@@ -17,7 +17,8 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
                    run_thermo_asymptotics, second_order_k,
                    second_order_k_deriv, thermo_magnetization,
                    weak_limit_distance, xbar)
-from bclab import harness
+from bclab import abs_moment, harness, hs_lhs, hs_rhs, tail_mass
+from bclab.finite_size import log_tail_mass
 from bclab.model import BETA_MAX
 from bclab.sequences import k1_third_deriv_estimate
 
@@ -163,6 +164,32 @@ class TestFiniteSizeReports:
         assert report.constants.banner is not None
         assert report.constants.x_bar is None
         assert xbar(gl_polynomial(spec)[0]).minimum_set is MinimumSet.THREE_POINT
+
+
+@pytest.mark.parametrize("op, call", [
+    ("abs_moment", lambda law, p: abs_moment(law, 0.0)),
+    ("abs_moment", lambda law, p: abs_moment(law, 1.0, 1.0)),
+    # gamma = 2 used to give a tail mass near 1 and gamma = -1 a mass of 0
+    ("tail_mass", lambda law, p: tail_mass(law, 2.0, 0.5)),
+    ("tail_mass", lambda law, p: tail_mass(law, -1.0, 0.5)),
+    ("tail_mass", lambda law, p: tail_mass(law, 0.2, -1.0)),
+    ("log_tail_mass", lambda law, p: log_tail_mass(law, 1.0, 0.5)),
+    ("log_tail_mass", lambda law, p: log_tail_mass(law, math.nan, 0.5)),
+    ("log_tail_mass", lambda law, p: log_tail_mass(law, 0.2, -0.1)),
+    ("log_tail_mass", lambda law, p: log_tail_mass(law, 0.2, math.nan)),
+    ("hs_lhs", lambda law, p: hs_lhs(20, p, 1.0, abs)),
+    ("hs_rhs", lambda law, p: hs_rhs(20, p, -0.1, abs)),
+    ("params_at", lambda law, p: params_at(SEQ1_BELOW, 0)),
+    ("estimator_comparison",
+     lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
+], ids=["abs_moment-power", "abs_moment-gamma", "tail_mass-gamma=2",
+        "tail_mass-gamma=-1", "tail_mass-a", "log_tail_mass-gamma=1",
+        "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
+        "hs_lhs", "hs_rhs", "params_at", "estimator_comparison"])
+def test_input_errors_name_the_operation(op, call):
+    params = ModelParams(1.0, 1.5)
+    with pytest.raises(ValueError, match=f"^{op}: "):
+        call(finite_size_law(20, params), params)
 
 
 class TestEstimatorComparison:

@@ -27,6 +27,38 @@ def seq4_case_d():
                         ell_tilde=ell_tilde, case="d")
 
 
+def written_out(kind, n):
+    """(spec, beta_n, K_n, (c2, c4, c6), (alpha0, theta)) at index n, each
+    value written out by hand from the module docstring; alpha = 0.2."""
+    x = n ** -0.2
+    K0, Kc = second_order_k, second_order_k_deriv
+    bc = BETA_C
+    if kind == "seq2":  # p = 3, b = -1 around beta = 1.2
+        ell = Kc(1.2, 3) - 2.0
+        return (SequenceSpec(kind="seq2", alpha=0.2, beta=1.2, b=-1, p=3, ell=ell),
+                1.2 - x,
+                K0(1.2) - Kc(1.2, 1) * x + Kc(1.2, 2) * x**2 / 2 - ell * x**3 / 6,
+                (-1.2 * (Kc(1.2, 3) - ell) / 6, c4_coefficient(1.2), 0.0),
+                (1 / 6, 1.5))
+    if kind == "seq3":  # b = -1, k = 1
+        return (SequenceSpec(kind="seq3", alpha=0.2, b=-1, k=1.0),
+                bc - x, K0(bc) + x,
+                (bc * (-Kc(bc, 1) - 1.0), 0.0, 9 / 40), (2 / 3, 0.25))
+    if kind == "seq4":  # case a, with a nonzero cubic term ell_tilde
+        ell = Kc(bc, 2) + 1.0
+        return (SequenceSpec(kind="seq4", alpha=0.2, ell=ell, ell_tilde=2.5, case="a"),
+                bc + x,
+                K0(bc) + Kc(bc, 1) * x + ell * x**2 / 2 + 2.5 * x**3 / 6,
+                (bc / 2 * (Kc(bc, 2) - ell), -3 / 4, 9 / 40), (1 / 3, 0.5))
+    # seq6, p = 4
+    ell = Kc(bc, 4) + 5.0
+    return (SequenceSpec(kind="seq6", alpha=0.2, p=4, ell=ell),
+            bc - x,
+            (K0(bc) - Kc(bc, 1) * x + Kc(bc, 2) * x**2 / 2 - Kc(bc, 3) * x**3 / 6
+             + ell * x**4 / 24),
+            (bc / 24 * (Kc(bc, 4) - ell), 3 / 4, 0.0), (1 / 7, 1.5))
+
+
 class TestEvenPolynomial:
     def test_requires_coercivity(self):
         with pytest.raises(ValueError):
@@ -157,6 +189,14 @@ class TestParamsAt:
                     + ell / (2 * n**0.4))
         assert params.kappa == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 10**6])
+    @pytest.mark.parametrize("kind", ["seq2", "seq3", "seq4", "seq6"])
+    def test_substitution_per_kind(self, kind, n):
+        spec, beta_n, kappa_n, _, _ = written_out(kind, n)
+        params = params_at(spec, n)
+        assert params.beta == pytest.approx(beta_n, abs=1e-15)
+        assert params.kappa == pytest.approx(kappa_n, abs=1e-15)
+
     def test_coexistence_onset(self):
         assert coexistence_onset(SEQ1) == 1
         # seq5's quadratic ell-term only beats the curve remainder from n = 2
@@ -179,6 +219,13 @@ class TestGlPolynomial:
         assert g.c4 == 0.0
         assert g.c6 == 9 / 40
         assert (exps.alpha0, exps.theta) == (2 / 3, 0.25)
+
+    @pytest.mark.parametrize("kind", ["seq2", "seq3", "seq4", "seq6"])
+    def test_coefficients_per_kind(self, kind):
+        spec, _, _, coeffs, exponents = written_out(kind, 1)
+        g, exps = gl_polynomial(spec)
+        assert (g.c2, g.c4, g.c6) == pytest.approx(coeffs, abs=1e-15)
+        assert (exps.alpha0, exps.theta) == pytest.approx(exponents, abs=1e-15)
 
     def test_c4_vanishes_at_tricritical(self):
         assert abs(c4_coefficient(BETA_C)) < 1e-12
