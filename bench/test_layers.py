@@ -1,14 +1,16 @@
-"""Timings of the equilibrium solvers, the Metropolis estimator and the exact
-spin law, each stored with an accuracy figure for the same call in the
-benchmark's extra_info.
+"""Timings of the equilibrium solvers, the Metropolis estimator, the exact
+spin law and one CLI command, each stored with an accuracy figure for the
+same call in the benchmark's extra_info.
 
 The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
 ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
-phase-curve grid's first-order range.
+phase-curve grid's first-order range. The CLI figure is the README's seq1
+sequence-run call, on one thread.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 from mp_reference import first_order_k_mp, log_spin_weight_mp, magnetization_mp
 
-from bclab import ModelParams, abs_moment, finite_size, finite_size_law, mc_estimate
+from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law,
+                   gl_polynomial, mc_estimate, spec_from_json, xbar)
 from bclab.minimize import magnetization
 from bclab.phase import first_order_k, second_order_k
 
@@ -26,6 +29,8 @@ MC_N = 10_000
 MC_SWEEPS = 60     # plus the default burn-in of 6: 66 sweeps of n steps
 MC_SEED = 1
 LAW_N = 20_000
+README_SEQ1 = {"kind": "seq1", "alpha": 0.3, "beta": 1.0, "b": 0, "k": 1.0}
+README_N = "250,500,1000,2000,4000"
 
 
 def test_mc_estimate(benchmark):
@@ -77,3 +82,19 @@ def test_magnetization(benchmark, params):
     benchmark.extra_info.update(beta=params.beta, kappa=params.kappa, m=m,
                                 reference=ref, rel_err=rel_err)
     assert rel_err <= 1e-12
+
+
+def test_cli_sequence_run(benchmark, tmp_path):
+    spec = tmp_path / "seq1.json"
+    spec.write_text(json.dumps(README_SEQ1), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    argv = ["sequence-run", "--spec", str(spec), "--n", README_N, "--threads", "1",
+            "-o", str(out)]
+    # finite_size_law memoizes by (n, beta, K); every round starts cold
+    code = benchmark.pedantic(cli.main, args=(argv,),
+                              setup=finite_size._law_cached.cache_clear,
+                              rounds=5, iterations=1)
+    x_bar = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["x_bar"]
+    ref = xbar(gl_polynomial(spec_from_json(README_SEQ1))[0]).value
+    benchmark.extra_info.update(x_bar=x_bar, reference=ref, abs_err=abs(x_bar - ref))
+    assert code == 0 and x_bar == ref

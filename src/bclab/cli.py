@@ -3,9 +3,11 @@ harness, and write CSV/JSON artifacts deterministically.
 
 Identical config and seed produce byte-identical files: floats are printed
 with 17 significant digits, rows are emitted in a fixed order, and all files
-are UTF-8 with LF line endings. Flags mirror config-file keys one-to-one
-(dashes become underscores); a config-file value is used only when the
-corresponding flag is absent. BCLAB_THREADS is the fallback for --threads.
+are UTF-8 with LF line endings. Two tables drive the parser, the config checks
+and dispatch: ``_FIELDS`` gives each config key its flags, converter and help,
+``_COMMANDS`` each command its runner and fields. A config-file value is used
+only when the flag is absent; both pass the same converter. BCLAB_THREADS is
+the fallback for --threads.
 """
 
 from __future__ import annotations
@@ -16,37 +18,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import harness, phase
 from .finite_size import finite_size_law, mc_estimate
 from .model import BETA_MAX, ModelParams, free_energy
 from .phase import BETA_C, first_order_k, second_order_k
 from .sequences import SequenceSpec, spec_from_json
-
-COMMANDS = ("phase-diagram", "magnetize", "finite-size", "mc", "sequence-run",
-            "mdp-check", "weak-limit", "conjectures")
-
-_REQUIRED = {
-    "phase-diagram": ("beta_min", "beta_max", "points", "output_path"),
-    "magnetize": ("beta", "kappa"),
-    "finite-size": ("beta", "kappa", "n", "output_path"),
-    "mc": ("beta", "kappa", "n", "sweeps"),
-    "sequence-run": ("spec", "n_list", "output_path"),
-    "mdp-check": ("spec", "a", "n_list", "output_path"),
-    "weak-limit": ("spec", "n_list", "output_path"),
-    "conjectures": (),
-}
-_OPTIONAL = {
-    "phase-diagram": (),
-    "magnetize": ("output_path",),
-    "finite-size": ("output_path",),
-    "mc": ("burn_in", "seed", "output_path"),
-    "sequence-run": ("alpha", "estimator", "sweeps", "seed", "threads"),
-    "mdp-check": ("alpha",),
-    "weak-limit": ("alpha",),
-    "conjectures": ("h_grid", "output_path"),
-}
 
 
 class ConfigError(ValueError):
@@ -75,20 +55,17 @@ class ExperimentConfig:
     threads: int | None = None
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise ConfigError(f"command: must be one of {COMMANDS}")
-        allowed = set(_REQUIRED[self.command]) | set(_OPTIONAL[self.command])
-        for field in dataclasses.fields(self):
-            if field.name == "command":
-                continue
-            value = getattr(self, field.name)
-            if field.name in _REQUIRED[self.command] and value is None:
-                raise ConfigError(f"{field.name}: required by {self.command}")
-            if value is not None and field.name not in allowed:
-                raise ConfigError(f"{field.name}: not a field of {self.command}")
-        if self.n_list is not None:
-            if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-                raise ConfigError("n_list: must be strictly increasing")
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"command: must be one of {tuple(_COMMANDS)}")
+        command = _COMMANDS[self.command]
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if name in command.required and value is None:
+                raise ConfigError(f"{name}: required by {self.command}")
+            if value is not None and name not in command.required + command.optional:
+                raise ConfigError(f"{name}: not a field of {self.command}")
+        if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ConfigError("n_list: must be strictly increasing")
         if self.estimator is not None and self.estimator not in ("exact", "mc"):
             raise ConfigError("estimator: must be 'exact' or 'mc'")
 
@@ -211,15 +188,102 @@ def _run_conjectures(config: ExperimentConfig) -> None:
                 "ell_c_ref": report.ell_c_ref}, config.output_path)
 
 
-_RUNNERS = {
-    "phase-diagram": _run_phase_diagram,
-    "magnetize": _run_magnetize,
-    "finite-size": _run_finite_size,
-    "mc": _run_mc,
-    "sequence-run": _run_sequence,
-    "mdp-check": _run_mdp_check,
-    "weak-limit": _run_weak_limit,
-    "conjectures": _run_conjectures,
+def _number(kind: type, parse=None):
+    """Converter for a number field: parses a flag string (with kind unless
+    parse is given); takes a JSON number but no bool, and for an int field
+    only an integral one."""
+    def convert(value):
+        if isinstance(value, str):
+            return (parse or kind)(value)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and not float(value).is_integer()):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+    return convert
+
+
+_INT, _FLOAT = _number(int), _number(float)
+_ALPHA = _number(float, lambda text: float(Fraction(text)))
+
+
+def _list(item):
+    """Converter for a list field: a comma-separated string or a JSON list."""
+    def convert(value) -> tuple:
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok]
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(item(v) for v in value)
+    return convert
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _spec(value) -> SequenceSpec:
+    """A SequenceSpec from a JSON file path or an inline JSON object."""
+    return spec_from_json(Path(value).read_text(encoding="utf-8") if isinstance(value, str)
+                          else value)
+
+
+class _Field(NamedTuple):
+    flags: tuple[str, ...]
+    convert: Callable
+    help: str
+
+
+# One entry per ExperimentConfig field (and config-file key), in its order.
+_FIELDS = {
+    "spec": _Field(("--spec",), _spec, "SequenceSpec JSON file"),
+    "beta": _Field(("--beta",), _FLOAT, "inverse temperature"),
+    "kappa": _Field(("--kappa",), _FLOAT, "interaction strength K"),
+    "n": _Field(("--n",), _INT, "number of spins"),
+    "n_list": _Field(("--n",), _list(_INT), "comma-separated n values"),
+    "alpha": _Field(("--alpha",), _ALPHA,
+                    "override the spec's alpha; a rational such as 1/3 is exact"),
+    "a": _Field(("--a",), _FLOAT, "tail threshold, above xbar"),
+    "beta_min": _Field(("--beta-min",), _FLOAT, "first beta of the grid"),
+    "beta_max": _Field(("--beta-max",), _FLOAT, "last beta of the grid"),
+    "points": _Field(("--points",), _INT, "number of grid points, >= 2"),
+    "sweeps": _Field(("--sweeps",), _INT, "Metropolis sweeps"),
+    "burn_in": _Field(("--burn-in",), _INT, "Metropolis sweeps discarded first"),
+    "h_grid": _Field(("--h",), _list(_FLOAT),
+                     "comma-separated decreasing finite-difference steps"),
+    "estimator": _Field(("--estimator",), _text, "exact or mc"),
+    "output_path": _Field(("-o", "--output"), _text, "output file"),
+    "seed": _Field(("--seed",), _INT, "Metropolis seed"),
+    "threads": _Field(("--threads",), _INT, "row workers; BCLAB_THREADS is the fallback"),
+}
+
+
+class _Command(NamedTuple):
+    run: Callable[[ExperimentConfig], None]
+    help: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+_COMMANDS = {
+    "phase-diagram": _Command(_run_phase_diagram, "sample both transition curves to CSV",
+                              ("beta_min", "beta_max", "points", "output_path")),
+    "magnetize": _Command(_run_magnetize, "thermodynamic magnetization at one point",
+                          ("beta", "kappa"), ("output_path",)),
+    "finite-size": _Command(_run_finite_size, "exact law of the total spin to CSV",
+                            ("beta", "kappa", "n", "output_path")),
+    "mc": _Command(_run_mc, "Metropolis estimate of E|S_n/n| as JSON",
+                   ("beta", "kappa", "n", "sweeps"), ("burn_in", "seed", "output_path")),
+    "sequence-run": _Command(_run_sequence, "finite-size asymptotics report (CSV + JSON sidecar)",
+                             ("spec", "n_list", "output_path"),
+                             ("alpha", "estimator", "sweeps", "seed", "threads")),
+    "mdp-check": _Command(_run_mdp_check, "tail-decay rate estimates along a sequence",
+                          ("spec", "a", "n_list", "output_path"), ("alpha",)),
+    "weak-limit": _Command(_run_weak_limit, "Kolmogorov distances to the limit density",
+                           ("spec", "n_list", "output_path"), ("alpha",)),
+    "conjectures": _Command(_run_conjectures, "tricritical-curve derivative estimates as JSON",
+                            (), ("h_grid", "output_path")),
 }
 
 
@@ -227,11 +291,7 @@ def run(config: ExperimentConfig) -> int:
     """Validate and execute one experiment; returns a process exit status."""
     try:
         config.validate()
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _RUNNERS[config.command](config)
+        _COMMANDS[config.command].run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -241,117 +301,42 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags take precedence")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bclab",
         description="Mean-field Blume-Capel numerical laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phase-diagram", help="sample both transition curves to CSV")
-    p.add_argument("--beta-min", type=float, dest="beta_min")
-    p.add_argument("--beta-max", type=float, dest="beta_max")
-    p.add_argument("--points", type=int)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("magnetize", help="thermodynamic magnetization at one point")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("finite-size", help="exact law of the total spin to CSV")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("mc", help="Metropolis estimate of E|S_n/n| as JSON")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--burn-in", type=int, dest="burn_in")
-    p.add_argument("--seed", type=int)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("sequence-run", help="finite-size asymptotics report (CSV + JSON sidecar)")
-    p.add_argument("--spec", dest="spec", help="SequenceSpec JSON file")
-    p.add_argument("--n", dest="n_list", type=_int_list, help="comma-separated n values")
-    p.add_argument("--alpha", type=float, help="override the spec's alpha")
-    p.add_argument("--estimator", choices=("exact", "mc"))
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("mdp-check", help="tail-decay rate estimates along a sequence")
-    p.add_argument("--spec", dest="spec")
-    p.add_argument("--a", type=float)
-    p.add_argument("--n", dest="n_list", type=_int_list)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("weak-limit", help="Kolmogorov distances to the limit density")
-    p.add_argument("--spec", dest="spec")
-    p.add_argument("--n", dest="n_list", type=_int_list)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
-    p = sub.add_parser("conjectures", help="tricritical-curve derivative estimates as JSON")
-    p.add_argument("--h", dest="h_grid", type=_float_list,
-                   help="comma-separated decreasing finite-difference steps")
-    p.add_argument("-o", "--output", dest="output_path")
-    _add_common(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.required + command.optional:
+            field = _FIELDS[key]
+            p.add_argument(*field.flags, dest=key, help=field.help)
+        p.add_argument("--config", help="JSON config file; flags take precedence")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge flag and config-file values (flags win) and convert each through
+    its field's converter; a bad value raises ConfigError naming the field."""
     file_values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_values, dict):
             raise ConfigError("config: file must hold a JSON object")
-
-    names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"]
-    unknown = sorted(set(file_values) - set(names))
+    unknown = sorted(set(file_values) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"config: unknown keys {', '.join(unknown)}")
+    if "threads" in _COMMANDS[args.command].optional and file_values.get("threads") is None:
+        file_values["threads"] = os.environ.get("BCLAB_THREADS") or None
     merged: dict = {}
-    for name in names:
-        flag_value = getattr(args, name, None)
-        value = flag_value if flag_value is not None else file_values.get(name)
-        if value is not None:
-            merged[name] = value
-
-    if "spec" in merged and not isinstance(merged["spec"], SequenceSpec):
-        raw = merged["spec"]
-        if isinstance(raw, str):
-            raw = json.loads(Path(raw).read_text(encoding="utf-8"))
-        merged["spec"] = spec_from_json(raw)
-    for key in ("n_list", "h_grid"):
-        if key in merged and not isinstance(merged[key], tuple):
-            merged[key] = tuple(merged[key])
-    if merged.get("threads") is None and os.environ.get("BCLAB_THREADS"):
-        merged["threads"] = int(os.environ["BCLAB_THREADS"])
+    for name, field in _FIELDS.items():
+        value = getattr(args, name, None)
+        value = file_values.get(name) if value is None else value
+        try:
+            if value is not None:
+                merged[name] = field.convert(value)
+        except (TypeError, ValueError, ArithmeticError, OSError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
     return ExperimentConfig(command=args.command, **merged)
 
 

@@ -243,13 +243,13 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     """
     g, exps = gl_polynomial(spec)
     if spec.alpha >= exps.alpha0 - ALPHA_MATCH_TOL:
-        raise ValueError(
-            f"alpha must be below alpha0 = {exps.alpha0:.6g}, got {spec.alpha}")
+        raise ValueError(f"mdp_rate_estimate: alpha must be below alpha0 = "
+                         f"{exps.alpha0:.6g}, got {spec.alpha}")
     xb = xbar(g).value
     if a <= xb:
         raise ValueError(
-            f"threshold a must exceed xbar = {xb:.6g} (the rate vanishes on "
-            f"[0, xbar]), got {a}")
+            f"mdp_rate_estimate: threshold a must exceed xbar = {xb:.6g} (the rate "
+            f"vanishes on [0, xbar]), got {a}")
     u = 1.0 - spec.alpha / exps.alpha0
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))
@@ -288,7 +288,7 @@ def weak_limit_distance(spec: SequenceSpec, n: int,
     regime = _regime_of(spec.alpha, exps.alpha0)
     if regime is Regime.BELOW:
         raise ValueError(
-            f"weak_limit_distance requires alpha >= alpha0 = {exps.alpha0:.6g}")
+            f"weak_limit_distance: requires alpha >= alpha0 = {exps.alpha0:.6g}")
     poly = g if regime is Regime.AT else g_tilde(spec)
 
     gamma0 = exps.theta_alpha0
@@ -328,10 +328,14 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     """
     g, exps = gl_polynomial(spec)
     if spec.alpha >= exps.alpha0 - ALPHA_MATCH_TOL:
-        raise ValueError(
-            f"alpha must be below alpha0 = {exps.alpha0:.6g}, got {spec.alpha}")
+        raise ValueError(f"kappa_fluctuation_estimate: alpha must be below alpha0 = "
+                         f"{exps.alpha0:.6g}, got {spec.alpha}")
+    ns = sorted(n_list)
+    if len(set(ns)) < 2:
+        raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "
+                         f"distinct n, got {ns}")
     rows = []
-    for n in sorted(n_list):
+    for n in ns:
         params = params_at(spec, n)
         m = thermo_magnetization(params)
         law = finite_size_law(n, params)
@@ -339,9 +343,8 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
         dev = np.abs(np.abs(s / law.n) - m)
         val = float(np.sum(law.probabilities() * dev))
         rows.append((n, val))
-    ns = np.array([r[0] for r in rows], dtype=float)
     vals = np.array([r[1] for r in rows])
-    slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
+    slope = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(vals), 1)[0]
     return KappaFitReport(fitted_exponent=float(-slope),
                           conjectured_kappa=exps.kappa(spec.alpha),
                           rows=tuple(rows))

@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import phase
-from .model import ModelParams, free_energy
+from .model import ModelParams, check_beta, free_energy
 from .phase import BETA_C, classify, first_order_k, second_order_k, second_order_k_deriv
 from .quadrature import QuadratureConfig, tail_cutoff, weighted_ratio
 
@@ -338,16 +338,18 @@ def validate(spec: SequenceSpec) -> list[CheckResult]:
     return checks
 
 
-def require_valid(spec: SequenceSpec) -> None:
+def require_valid(op: str, spec: SequenceSpec) -> None:
+    """Raise a SpecValidationError naming op and every failed coexistence check."""
     failed = [c for c in validate(spec) if not c.passed]
     if failed:
-        raise SpecValidationError(
-            "; ".join(f"violated: {c.name} (margin {c.margin:.6g})" for c in failed))
+        raise SpecValidationError(f"{op}: " + "; ".join(
+            f"violated: {c.name} (margin {c.margin:.6g})" for c in failed))
 
 
 def params_at(spec: SequenceSpec, n: int) -> ModelParams:
-    """The point (beta_n, K_n) of the sequence at index n."""
-    require_valid(spec)
+    """The point (beta_n, K_n) of the sequence at index n; raises naming n
+    when beta_n leaves (0, BETA_MAX], as it can at small n."""
+    require_valid("params_at", spec)
     if n < 1:
         raise ValueError(f"params_at: n must be >= 1, got {n}")
     a = _approach(spec)
@@ -358,34 +360,41 @@ def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     kappa_n += a.ell * a.s / (math.factorial(a.p) * na**a.p)
     if spec.kind == "seq4":
         kappa_n += spec.ell_tilde / (6.0 * na**3)
-    return ModelParams(a.beta0 + a.h / na, kappa_n)
+    beta_n = a.beta0 + a.h / na
+    check_beta(f"params_at: beta_n at n = {n}", beta_n)
+    return ModelParams(beta_n, kappa_n)
 
 
 def coexistence_onset(spec: SequenceSpec, n_cap: int = 2**20) -> int:
     """Smallest probed n from which the sequence sits in phase coexistence.
 
     Probes powers of two up to n_cap and returns the first probe after the
-    last excursion outside {coexistence, first-order curve}.
+    last excursion outside {coexistence, first-order curve}. A probe whose
+    beta_n or K_n is no model point counts as outside.
     """
+    require_valid("coexistence_onset", spec)
     ok_regions = (phase.PhaseRegion.COEXISTENCE, phase.PhaseRegion.FIRST_ORDER_CURVE)
     onset = None
     n = 1
     while n <= n_cap:
-        if classify(params_at(spec, n)) in ok_regions:
-            if onset is None:
-                onset = n
-        else:
+        try:
+            inside = classify(params_at(spec, n)) in ok_regions
+        except ValueError:  # after require_valid: beta_n or K_n out of range
+            inside = False
+        if not inside:
             onset = None
+        elif onset is None:
+            onset = n
         n *= 2
     if onset is None:
-        raise SpecValidationError(
-            f"sequence never entered the coexistence region up to n = {n_cap}")
+        raise SpecValidationError("coexistence_onset: sequence never entered the "
+                                  f"coexistence region up to n = {n_cap}")
     return onset
 
 
 def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
     """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
-    require_valid(spec)
+    require_valid("gl_polynomial", spec)
     a = _approach(spec)
     g = EvenPolynomial(
         c2=a.beta0 * (second_order_k_deriv(a.beta0, a.p) * a.h**a.p - a.ell * a.s)
@@ -400,8 +409,8 @@ def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
     """Leading monomial of g, the weight of the high-speed limit density."""
     if spec.kind == "seq6":
         raise UnsupportedSequenceError(
-            "seq6 has no coercive high-order limit polynomial: the scaled free "
-            "energy n G(x/n^(theta alpha0)) converges to 0 pointwise, so no "
+            "g_tilde: seq6 has no coercive high-order limit polynomial: the scaled "
+            "free energy n G(x/n^(theta alpha0)) converges to 0 pointwise, so no "
             "above-threshold asymptotics exist for it")
     g, _ = gl_polynomial(spec)
     return g.leading_term()
@@ -462,7 +471,7 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     decrease, which is the numerical content of the compact-uniform limit.
     """
     if radius <= 0:
-        raise ValueError("radius must be > 0")
+        raise ValueError(f"check_hypothesis_iiia: radius must be > 0, got {radius}")
     g, exps = gl_polynomial(spec)
     xs = np.linspace(-radius, radius, 2001)
     gx = g(xs)
@@ -482,8 +491,8 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
     gt = g_tilde(spec)
     exps = scaling_exponents(spec)
     if spec.alpha <= exps.alpha0:
-        raise ValueError(
-            f"alpha must exceed alpha0 = {exps.alpha0:.6g}, got {spec.alpha}")
+        raise ValueError(f"check_hypothesis_v: alpha must exceed alpha0 = "
+                         f"{exps.alpha0:.6g}, got {spec.alpha}")
     gx = gt(np.asarray(x_grid, dtype=float))
     return [(n, np.abs(scaled - gx))
             for n, scaled in scaled_free_energy_table(spec, x_grid, n_list)]
@@ -495,7 +504,7 @@ def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[i
     Diagnostic companion to check_hypothesis_v: for seq6 it exhibits the
     degenerate pointwise limit 0 instead of a coercive polynomial.
     """
-    require_valid(spec)
+    require_valid("scaled_free_energy_table", spec)
     exps = scaling_exponents(spec)
     xs = np.asarray(x_grid, dtype=float)
     return [(n, _scaled_free_energy(spec, n, xs, float(n),

@@ -1,12 +1,13 @@
 """CLI dispatch, config handling, artifact formats, and determinism."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from bclab import thermo_magnetization
-from bclab.cli import ExperimentConfig, ConfigError, main
+from bclab.cli import _FIELDS, ExperimentConfig, ConfigError, main
 from bclab.model import ModelParams
 
 SEQ1_DOC = {"kind": "seq1", "alpha": 0.3, "beta": 1.0, "b": 0, "k": 1.0}
@@ -114,6 +115,14 @@ class TestSequenceRun:
         sidecar = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert sidecar["regime"] == "above"
 
+    def test_rational_alpha_flag(self, tmp_path):
+        # the flag parser used to refuse what spec files accept
+        out = tmp_path / "r.csv"
+        assert main(["sequence-run", "--spec", write_spec(tmp_path),
+                     "--alpha", "1/3", "--n", "50,100", "-o", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert sidecar["regime"] == "below"
+
     def test_decreasing_n_list_rejected(self, tmp_path, capsys):
         assert main(["sequence-run", "--spec", write_spec(tmp_path),
                      "--n", "200,100", "-o", str(tmp_path / "x.csv")]) == 2
@@ -150,6 +159,30 @@ class TestConfigFile:
         assert main(["magnetize", "--config", str(cfg), "--kappa", "1.5"]) == 2
         err = capsys.readouterr().err
         assert "kapa" in err and "n_max" in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["magnetize", "--kappa", "1.5"], {"beta": "x"}),
+        (["magnetize", "--kappa", "1.5"], {"beta": True}),   # used to run at beta = 1
+        (["phase-diagram", "--beta-min", "1", "--beta-max", "2", "-o", "c.csv"],
+         {"points": 3.5}),
+        (["finite-size", "--beta", "1", "--kappa", "1.5", "-o", "l.csv"], {"n": 40.7}),
+    ], ids=["beta-text", "beta-bool", "points-fraction", "n-fraction"])
+    def test_bad_values_name_the_field(self, tmp_path, capsys, monkeypatch, argv, doc):
+        # these crashed with TypeError (exit 1) or ran on a coerced value
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(argv + ["--config", "cfg.json"]) == 2
+        assert f"config error: {next(iter(doc))}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_threads_env_only_where_threads_is_a_field(self, tmp_path, monkeypatch, capsys):
+        # BCLAB_THREADS used to make every other command exit 2
+        monkeypatch.setenv("BCLAB_THREADS", "2")
+        assert main(["magnetize", "--beta", "1.0", "--kappa", "1.5"]) == 0
+        monkeypatch.setenv("BCLAB_THREADS", "two")
+        assert main(["sequence-run", "--spec", write_spec(tmp_path), "--n", "50",
+                     "-o", str(tmp_path / "r.csv")]) == 2
+        assert "config error: threads: " in capsys.readouterr().err
 
     def test_config_spec_inline(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -206,6 +239,9 @@ class TestExperimentConfigValidation:
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="command"):
             ExperimentConfig(command="explode").validate()
+
+    def test_fields_table_matches_config(self):
+        assert list(_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)][1:]
 
     def test_extraneous_field(self):
         cfg = ExperimentConfig(command="magnetize", beta=1.0, kappa=1.0, a=2.0)

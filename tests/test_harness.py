@@ -10,12 +10,13 @@ from scipy.special import ndtr
 
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
                    MinimumSet, ModelParams, Regime, SequenceSpec,
-                   estimator_comparison, finite_size_law,
-                   first_order_k, free_energy, free_energy_deriv,
+                   check_hypothesis_iiia, check_hypothesis_v,
+                   coexistence_onset, estimator_comparison, finite_size_law,
+                   first_order_k, free_energy, free_energy_deriv, g_tilde,
                    gl_polynomial, kappa_fluctuation_estimate,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
-                   run_thermo_asymptotics, second_order_k,
-                   second_order_k_deriv, thermo_magnetization,
+                   run_thermo_asymptotics, scaled_free_energy_table,
+                   second_order_k, second_order_k_deriv, thermo_magnetization,
                    weak_limit_distance, xbar)
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, tail_mass
 from bclab.finite_size import log_tail_mass
@@ -25,6 +26,7 @@ from bclab.sequences import k1_third_deriv_estimate
 SEQ1_BELOW = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
 SEQ1_ABOVE = SequenceSpec(kind="seq1", alpha=0.8, beta=1.0, b=0, k=1.0)
 SEQ1_AT = SequenceSpec(kind="seq1", alpha=0.5, beta=1.0, b=0, k=1.0)
+SEQ1_ZERO_K = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=1, k=0.0)  # fails "k nonzero"
 
 
 class TestThermoMagnetization:
@@ -180,12 +182,34 @@ class TestFiniteSizeReports:
     ("hs_lhs", lambda law, p: hs_lhs(20, p, 1.0, abs)),
     ("hs_rhs", lambda law, p: hs_rhs(20, p, -0.1, abs)),
     ("params_at", lambda law, p: params_at(SEQ1_BELOW, 0)),
+    ("params_at", lambda law, p: params_at(SEQ1_ZERO_K, 10)),
+    ("gl_polynomial", lambda law, p: gl_polynomial(SEQ1_ZERO_K)),
+    ("coexistence_onset", lambda law, p: coexistence_onset(SEQ1_ZERO_K)),
+    ("scaled_free_energy_table",
+     lambda law, p: scaled_free_energy_table(SEQ1_ZERO_K, [1.0], [100])),
+    ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, 0.0, [100])),
+    ("check_hypothesis_v", lambda law, p: check_hypothesis_v(SEQ1_BELOW, [1.0], [100])),
+    ("g_tilde", lambda law, p: g_tilde(SequenceSpec(
+        kind="seq6", alpha=0.3, p=3, ell=second_order_k_deriv(BETA_C, 3) - 6.0))),
+    ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_ABOVE, 3.0, [100])),
+    ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_BELOW, 0.5, [100])),
+    ("kappa_fluctuation_estimate",
+     lambda law, p: kappa_fluctuation_estimate(SEQ1_ABOVE, [100, 200])),
+    # one n used to give a fitted slope and only a RankWarning
+    ("kappa_fluctuation_estimate", lambda law, p: kappa_fluctuation_estimate(SEQ1_BELOW, [100])),
+    ("weak_limit_distance", lambda law, p: weak_limit_distance(SEQ1_BELOW, 100)),
     ("estimator_comparison",
      lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
 ], ids=["abs_moment-power", "abs_moment-gamma", "tail_mass-gamma=2",
         "tail_mass-gamma=-1", "tail_mass-a", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
-        "hs_lhs", "hs_rhs", "params_at", "estimator_comparison"])
+        "hs_lhs", "hs_rhs", "params_at", "params_at-invalid-spec",
+        "gl_polynomial-invalid-spec", "coexistence_onset-invalid-spec",
+        "scaled_free_energy_table-invalid-spec", "check_hypothesis_iiia-radius",
+        "check_hypothesis_v-slow-speed", "g_tilde-seq6", "mdp_rate_estimate-fast-speed",
+        "mdp_rate_estimate-a-below-xbar", "kappa_fluctuation_estimate-fast-speed",
+        "kappa_fluctuation_estimate-one-n", "weak_limit_distance-below",
+        "estimator_comparison"])
 def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
     with pytest.raises(ValueError, match=f"^{op}: "):

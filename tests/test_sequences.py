@@ -203,6 +203,13 @@ class TestParamsAt:
         spec = SequenceSpec(kind="seq5", alpha=0.25,
                             ell=second_order_k_deriv(BETA_C, 2) + 1.0)
         assert coexistence_onset(spec) == 2
+        # beta_n = 1/2 - n^-0.3 <= 0 up to n = 8: those probes count as
+        # outside, and the single-phase stretch from 16 to 131072 as well
+        low = SequenceSpec(kind="seq1", alpha=0.3, beta=0.5, b=-1, k=3.0)
+        assert all(c.passed for c in validate(low))
+        assert coexistence_onset(low) == 262144
+        with pytest.raises(ValueError, match=r"^params_at: beta_n at n = 8: .* got -0\.03"):
+            params_at(low, 8)
 
 
 class TestGlPolynomial:
