@@ -1,13 +1,16 @@
 """Timings of the equilibrium solvers, the Metropolis estimator, the exact
-spin law and one CLI command, each stored with an accuracy figure for the
-same call in the benchmark's extra_info.
+spin law, the quadrature layer and one CLI command, each stored with an
+accuracy figure for the same call in the benchmark's extra_info.
 
 The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
 ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
-phase-curve grid's first-order range. The CLI figure is the README's seq1
-sequence-run call, on one thread.
+phase-curve grid's first-order range. limit_constant runs on ybar of the
+README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
+alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
+beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs. The CLI figure
+is the README's seq1 sequence-run call, on one thread.
 """
 
 import json
@@ -16,10 +19,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from mp_reference import first_order_k_mp, log_spin_weight_mp, magnetization_mp
+from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_weight_mp,
+                          magnetization_mp)
 
-from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law,
-                   gl_polynomial, mc_estimate, spec_from_json, xbar)
+from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
+                   gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
+                   spec_from_json, xbar)
 from bclab.minimize import magnetization
 from bclab.phase import first_order_k, second_order_k
 
@@ -82,6 +87,32 @@ def test_magnetization(benchmark, params):
     benchmark.extra_info.update(beta=params.beta, kappa=params.kappa, m=m,
                                 reference=ref, rel_err=rel_err)
     assert rel_err <= 1e-12
+
+
+@pytest.mark.parametrize("constant", ["ybar", "zbar"])
+def test_limit_constant(benchmark, constant):
+    spec = spec_from_json(dict(README_SEQ1, alpha=0.8 if constant == "ybar" else "1/2"))
+    poly = g_tilde(spec) if constant == "ybar" else gl_polynomial(spec)[0]
+    value = benchmark(limit_constant, poly)
+    ref = exp_poly_abs_moment_mp(poly.c2, poly.c4, poly.c6)
+    rel_err = abs(value - ref) / ref
+    benchmark.extra_info.update(c2=poly.c2, c4=poly.c4, c6=poly.c6, value=value,
+                                reference=ref, rel_err=rel_err)
+    assert rel_err <= 1e-9
+
+
+def test_hs_rhs(benchmark):
+    params, n, gamma_bar = ModelParams(1.0, 1.5), 200, 0.2
+    kinks = (-1.0, 0.0, 1.0)
+
+    def f(x):
+        return np.minimum(np.abs(x), 1.0)
+
+    rhs = benchmark(hs_rhs, n, params, gamma_bar, f, kinks=kinks)
+    lhs = hs_lhs(n, params, gamma_bar, f, kinks=kinks)
+    rel_diff = abs(lhs - rhs) / abs(rhs)
+    benchmark.extra_info.update(rhs=rhs, lhs=lhs, rel_diff=rel_diff)
+    assert rel_diff <= 1e-8
 
 
 def test_cli_sequence_run(benchmark, tmp_path):

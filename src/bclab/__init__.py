@@ -16,7 +16,7 @@ from .phase import (BETA_C, CriticalConstants, PhaseRegion, classify,
 from .finite_size import (N_MAX, EnumerationLimitError, McEstimate,
                           SpinLawExact, abs_moment, finite_size_law, hs_lhs,
                           hs_rhs, mc_estimate, tail_mass)
-from .quadrature import QuadratureConfig, QuadratureError, aitken_limit
+from .quadrature import QuadratureError, aitken_limit
 from .sequences import (EvenPolynomial, MinimumSet, ScalingExponents,
                         SequenceSpec, SpecValidationError,
                         UnsupportedSequenceError, XbarResult, c4_coefficient,

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,7 +25,7 @@ from . import harness, phase
 from .finite_size import finite_size_law, mc_estimate
 from .model import BETA_MAX, ModelParams, free_energy
 from .phase import BETA_C, first_order_k, second_order_k
-from .sequences import SequenceSpec, spec_from_json
+from .sequences import SequenceSpec, _parse_alpha, spec_from_json
 
 
 class ConfigError(ValueError):
@@ -203,7 +202,7 @@ def _number(kind: type, parse=None):
 
 
 _INT, _FLOAT = _number(int), _number(float)
-_ALPHA = _number(float, lambda text: float(Fraction(text)))
+_ALPHA = _number(float, _parse_alpha)
 
 
 def _list(item):
@@ -264,6 +263,7 @@ class _Command(NamedTuple):
     help: str
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
+    sidecar: bool = False   # also writes output_path with suffix .json
 
 
 _COMMANDS = {
@@ -277,9 +277,9 @@ _COMMANDS = {
                    ("beta", "kappa", "n", "sweeps"), ("burn_in", "seed", "output_path")),
     "sequence-run": _Command(_run_sequence, "finite-size asymptotics report (CSV + JSON sidecar)",
                              ("spec", "n_list", "output_path"),
-                             ("alpha", "estimator", "sweeps", "seed", "threads")),
+                             ("alpha", "estimator", "sweeps", "seed", "threads"), sidecar=True),
     "mdp-check": _Command(_run_mdp_check, "tail-decay rate estimates along a sequence",
-                          ("spec", "a", "n_list", "output_path"), ("alpha",)),
+                          ("spec", "a", "n_list", "output_path"), ("alpha",), sidecar=True),
     "weak-limit": _Command(_run_weak_limit, "Kolmogorov distances to the limit density",
                            ("spec", "n_list", "output_path"), ("alpha",)),
     "conjectures": _Command(_run_conjectures, "tricritical-curve derivative estimates as JSON",
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Merge flag and config-file values (flags win) and convert each through
-    its field's converter; a bad value raises ConfigError naming the field."""
+    its field's converter; a bad value raises ConfigError naming the field, as
+    does an output_path that would overwrite the spec file."""
     file_values: dict = {}
     if args.config:
         file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -337,6 +338,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 merged[name] = field.convert(value)
         except (TypeError, ValueError, ArithmeticError, OSError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
+    spec_file = getattr(args, "spec", None) or file_values.get("spec")
+    out = merged.get("output_path")
+    if isinstance(spec_file, str) and out:
+        written = [out, _sidecar_path(out)] if _COMMANDS[args.command].sidecar else [out]
+        if Path(spec_file).resolve() in [Path(path).resolve() for path in written]:
+            raise ConfigError(f"output_path: {out} or its sidecar is the spec file {spec_file}")
     return ExperimentConfig(command=args.command, **merged)
 
 

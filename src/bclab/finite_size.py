@@ -34,7 +34,7 @@ from scipy.special import logsumexp
 
 from .minimize import magnetization, min_free_energy
 from .model import ModelParams, free_energy
-from .quadrature import QuadratureConfig, gaussian_mixture_expectation, weighted_ratio
+from .quadrature import TAIL_CUT, gaussian_mixture_expectation, weighted_ratio
 
 N_MAX = 10**6  # the law takes about 200 B per n, so about 200 MB here
 MIN_BATCHES = 20
@@ -187,17 +187,15 @@ def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     return gaussian_mixture_expectation(f, means, probs[keep], sigma, kinks=kinks)
 
 
-def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f,
-           quad: QuadratureConfig | None = None, kinks=()) -> float:
+def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     """Integral of f against the density proportional to e^{-n G(x/n^gb)}.
 
     The weight is normalized by its minimum before exponentiating, and the
     integration interval is truncated where the quadratic lower bound
-    G(y) >= beta K y^2 - 2 beta K |y| - log 3 pushes the exponent tail_cut
+    G(y) >= beta K y^2 - 2 beta K |y| - log 3 pushes the exponent TAIL_CUT
     e-folds above the minimum.
     """
     _check_unit_interval("hs_rhs", "gamma_bar", gamma_bar)
-    quad = quad or QuadratureConfig()
     scale = float(n) ** gamma_bar
     g_min, arg_min = min_free_energy(params)
 
@@ -205,7 +203,7 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f,
         return -n * (free_energy(params, x / scale) - g_min)
 
     bk = params.beta * params.kappa
-    c = math.log(3.0) + g_min + quad.tail_cut / n
+    c = math.log(3.0) + g_min + TAIL_CUT / n
     y_star = 1.0 + math.sqrt(1.0 + max(c, 0.0) / bk)
     cutoff = scale * max(y_star, 2.0)
     peaks = (-arg_min * scale, 0.0, arg_min * scale)
@@ -213,8 +211,7 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f,
     def fs(x: float) -> float:
         return float(f(np.asarray([x]))[0])
 
-    return weighted_ratio(fs, log_weight, cutoff, quad,
-                          points=tuple(kinks) + peaks)
+    return weighted_ratio(fs, log_weight, cutoff, points=tuple(kinks) + peaks)
 
 
 def _acceptance_tables(n: int, beta: float, kappa: float) -> list[array]:

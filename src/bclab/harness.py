@@ -31,7 +31,7 @@ from . import minimize
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .model import ModelParams
-from .quadrature import QuadratureConfig, aitken_limit, tail_cutoff
+from .quadrature import aitken_limit
 from .sequences import (EvenPolynomial, MinimumSet, SequenceSpec, g_tilde,
                         gl_polynomial, limit_constant, params_at, xbar)
 
@@ -190,8 +190,7 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
-def estimator_comparison(spec_or_params, n_list,
-                         threads: int | None = None) -> list[tuple[int, float]]:
+def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     """Rows (n, E|S_n/n| / m(beta_n, K_n)) along a sequence.
 
     Below the threshold the ratio tends to 1; above it the column increases
@@ -206,7 +205,7 @@ def estimator_comparison(spec_or_params, n_list,
             raise ValueError("estimator_comparison: fixed point outside coexistence (m = 0)")
         return [(n, abs_moment(finite_size_law(n, params)) / m)
                 for n in sorted(n_list)]
-    report = run_finite_size_asymptotics(spec_or_params, n_list, threads=threads)
+    report = run_finite_size_asymptotics(spec_or_params, n_list)
     for r in report.rows:
         if r.m_thermo <= 0:
             raise ValueError(
@@ -264,16 +263,15 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     return MdpReport(rows=tuple(rows), target=target, a=a, u=u)
 
 
-def _poly_cdf_on(grid: np.ndarray, poly: EvenPolynomial) -> np.ndarray:
+def _poly_cdf_on(grid: np.ndarray, poly: EvenPolynomial, floor: float) -> np.ndarray:
     dense = np.linspace(grid[0], grid[-1], 40001)
-    dens = np.exp(-poly(dense))
+    dens = np.exp(floor - poly(dense))
     cdf = integrate.cumulative_trapezoid(dens, dense, initial=0.0)
     cdf /= cdf[-1]
     return np.interp(grid, dense, cdf)
 
 
-def weak_limit_distance(spec: SequenceSpec, n: int,
-                        quad: QuadratureConfig | None = None) -> float:
+def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     """Kolmogorov distance between the smoothed law of S_n/n^(1-theta alpha0)
     and its limit density, proportional to exp(-g~) above the threshold and
     to exp(-g) at it.
@@ -283,7 +281,6 @@ def weak_limit_distance(spec: SequenceSpec, n: int,
     continuous density while leaving the weak limit untouched; its CDF is a
     probit mixture, the target CDF comes from dense-grid quadrature.
     """
-    quad = quad or QuadratureConfig()
     g, exps = gl_polynomial(spec)
     regime = _regime_of(spec.alpha, exps.alpha0)
     if regime is Regime.BELOW:
@@ -300,10 +297,10 @@ def weak_limit_distance(spec: SequenceSpec, n: int,
     probs = probs[keep]
     sigma = (2.0 * params.beta * params.kappa) ** -0.5 / float(n) ** (0.5 - gamma0)
 
-    half_width = max(tail_cutoff(poly, quad.tail_cut),
-                     float(np.max(np.abs(means))) + 8.0 * sigma)
+    floor, cutoff, _ = poly.weight_window()
+    half_width = max(cutoff, float(np.max(np.abs(means))) + 8.0 * sigma)
     grid = np.linspace(-half_width, half_width, 4001)
-    cdf_target = _poly_cdf_on(grid, poly)
+    cdf_target = _poly_cdf_on(grid, poly, floor)
     cdf_n = np.zeros_like(grid)
     for start in range(0, len(means), 512):
         mu = means[start:start + 512]

@@ -67,7 +67,7 @@ class ModelParams:
     def __post_init__(self):
         check_beta("ModelParams", self.beta)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+            raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa}")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def first_order_k(beta: float) -> float:
     raise ArithmeticError(f"K1({beta}) = {k1} is not confirmed by min_free_energy")
 
 
-def classify(params: ModelParams, tol: float = CURVE_TOL) -> PhaseRegion:
+def classify(params: ModelParams) -> PhaseRegion:
     """Phase region of a (beta, kappa) point, with curve tolerance 1e-12.
 
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
@@ -97,17 +97,17 @@ def classify(params: ModelParams, tol: float = CURVE_TOL) -> PhaseRegion:
     of beta_c, on a 2-core x86-64 box.
     """
     beta, kappa = params.beta, params.kappa
-    if beta <= BETA_C + tol:
+    if beta <= BETA_C + CURVE_TOL:
         k_curve = second_order_k(beta)
-        if abs(kappa - k_curve) <= tol:
-            if abs(beta - BETA_C) <= tol:
+        if abs(kappa - k_curve) <= CURVE_TOL:
+            if abs(beta - BETA_C) <= CURVE_TOL:
                 return PhaseRegion.TRICRITICAL_POINT
             return PhaseRegion.SECOND_ORDER_CURVE
         if kappa < k_curve:
             return PhaseRegion.SINGLE_PHASE
         return PhaseRegion.COEXISTENCE
     k1 = first_order_k(beta)
-    if abs(kappa - k1) <= tol:
+    if abs(kappa - k1) <= CURVE_TOL:
         return PhaseRegion.FIRST_ORDER_CURVE
     if kappa < k1:
         return PhaseRegion.SINGLE_PHASE

@@ -4,78 +4,54 @@ Gaussian-smoothed lattice laws."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+
+# Relative tolerance of every improper integral, and the exponent margin at
+# which a weight e^(floor - fn) is cut off: beyond the cutoff the integrand
+# is below e^-60 of its peak.
+REL_TOL = 1e-10
+TAIL_CUT = 60.0
 
 
 class QuadratureError(RuntimeError):
     """Raised when an integral cannot be resolved to the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for improper integrals of exp(-poly)-type weights.
+def tail_cutoff(fn, floor: float, last_turn: float) -> float:
+    """Smallest power of two X >= max(1, last_turn) with fn(X) >= floor + TAIL_CUT.
 
-    tail_cut is the exponent margin: integration is truncated at the X where
-    the weight exponent exceeds its minimum by tail_cut (default 60, i.e. the
-    discarded integrand is below e^-60 of the peak).
+    fn must be even and coercive with minimum floor and no stationary point
+    beyond last_turn, so it increases past X and the weight e^(floor - fn)
+    stays below e^-TAIL_CUT there. The doubling ends for any fn: at worst X
+    overflows to inf, where fn(X) is inf or nan and the test fails.
     """
-
-    rel_tol: float = 1e-10
-    tail_cut: float = 60.0
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.tail_cut <= 0:
-            raise ValueError("tail_cut must be > 0")
-
-
-def tail_cutoff(fn, margin: float, start: float = 1.0) -> float:
-    """Smallest power-of-two multiple of start with fn(X) >= min fn + margin.
-
-    fn must be even, coercive, and attain its minimum inside [0, start * 2^k]
-    for some k; the minimum is located by a coarse scan that is refined as the
-    doubling proceeds.
-    """
-    x = max(start, 1.0)
-    for _ in range(200):
-        grid = np.linspace(0.0, x, 4001)
-        m0 = float(np.min(fn(grid)))
-        if float(fn(np.asarray([x]))[0]) >= m0 + margin:
-            return x
+    x = 1.0
+    while x < last_turn or fn(x) < floor + TAIL_CUT:
         x *= 2.0
-    raise QuadratureError("tail cutoff search did not terminate")
+    return x
 
 
-def _quad(f, lo: float, hi: float, cfg: QuadratureConfig, points=None):
-    pts = None
-    if points:
-        pts = sorted(p for p in points if lo < p < hi)
-        pts = pts or None
-    val, err = integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=cfg.rel_tol,
+def _quad(f, lo: float, hi: float, points):
+    pts = sorted(p for p in points if lo < p < hi) or None
+    val, err = integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=REL_TOL,
                               limit=400, points=pts)
-    if err > max(1e-12, 10 * cfg.rel_tol * abs(val)):
+    if err > max(1e-12, 10 * REL_TOL * abs(val)):
         raise QuadratureError(
             f"integral did not converge: value {val:.6g}, achieved abs error {err:.3g}")
     return val
 
 
-def weighted_ratio(f, log_weight, cutoff: float, cfg: QuadratureConfig,
-                   points=()) -> float:
+def weighted_ratio(f, log_weight, cutoff: float, points=()) -> float:
     """(integral of f * e^log_weight) / (integral of e^log_weight) on [-X, X].
 
     log_weight must be even with maximum 0 (pre-normalized); points flags
     integrable kinks of f or interior peaks of the weight.
     """
-    def wf(x):
-        return f(x) * math.exp(log_weight(x))
-
-    num = _quad(wf, -cutoff, cutoff, cfg, points)
-    den = _quad(lambda x: math.exp(log_weight(x)), -cutoff, cutoff, cfg, points)
+    num = _quad(lambda x: f(x) * math.exp(log_weight(x)), -cutoff, cutoff, points)
+    den = _quad(lambda x: math.exp(log_weight(x)), -cutoff, cutoff, points)
     return num / den
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from . import phase
 from .model import ModelParams, check_beta, free_energy
 from .phase import BETA_C, classify, first_order_k, second_order_k, second_order_k_deriv
-from .quadrature import QuadratureConfig, tail_cutoff, weighted_ratio
+from .quadrature import tail_cutoff, weighted_ratio
 
 TRICRITICAL_C4 = 3.0 / 16.0
 TRICRITICAL_C6 = 9.0 / 40.0
@@ -105,9 +105,9 @@ class EvenPolynomial:
 
     def __post_init__(self):
         lead = self.c6 if self.c6 != 0 else (self.c4 if self.c4 != 0 else self.c2)
-        if lead <= 0:
-            raise ValueError(
-                "leading coefficient must be positive (polynomial must be coercive)")
+        if not (all(map(math.isfinite, (self.c2, self.c4, self.c6))) and lead > 0):
+            raise ValueError("EvenPolynomial: coefficients must be finite with a positive "
+                             f"leading one (coercive), got {self.c2}, {self.c4}, {self.c6}")
 
     @property
     def degree(self) -> int:
@@ -126,6 +126,28 @@ class EvenPolynomial:
         if self.degree == 4:
             return EvenPolynomial(c4=self.c4)
         return EvenPolynomial(c2=self.c2)
+
+    def outer_well(self) -> float:
+        """Largest positive root of g' (0 if none), past which g increases.
+
+        Degree 6 takes the larger root y = x^2 of g'(x)/x = 2 c2 + 4 c4 y +
+        6 c6 y^2; that quadratic rises through it, so it is a local minimum.
+        """
+        if self.degree == 4:
+            return math.sqrt(-self.c2 / (2.0 * self.c4)) if self.c2 < 0 else 0.0
+        disc = self.c4 * self.c4 - 3.0 * self.c6 * self.c2
+        if self.degree == 2 or disc < 0:
+            return 0.0
+        y = (-self.c4 + math.sqrt(disc)) / (3.0 * self.c6)
+        return math.sqrt(y) if y > 0 else 0.0
+
+    def weight_window(self) -> tuple[float, float, float]:
+        """(floor, cutoff, outer) of every weight e^(floor - g): floor = min(0,
+        g(outer)) is the minimum of g, so the weight peaks at 1 however deep
+        the wells; past cutoff (tail_cutoff beyond outer) it is below e^-TAIL_CUT."""
+        outer = self.outer_well()
+        floor = min(0.0, float(self(outer)))
+        return floor, tail_cutoff(self, floor, outer), outer
 
 
 @dataclass(frozen=True)
@@ -164,9 +186,12 @@ class CheckResult:
 
 
 def _parse_alpha(value) -> float:
-    # accepts 0.25, "1/4", "0.25"
+    """alpha from a number or a decimal or rational string: 0.25, "0.25", "1/4"."""
     if isinstance(value, str):
-        return float(Fraction(value))
+        try:
+            return float(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     return float(value)
 
 
@@ -191,33 +216,36 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "alpha", _parse_alpha(self.alpha))
+            raise ValueError(f"SequenceSpec: kind must be one of {KINDS}, got {self.kind!r}")
+        try:
+            object.__setattr__(self, "alpha", _parse_alpha(self.alpha))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"SequenceSpec: alpha: {exc}") from None
         if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+            raise ValueError(f"SequenceSpec: alpha must be finite and > 0, got {self.alpha}")
         required = _REQUIRED_FIELDS[self.kind]
         for f in fields(self):
             if f.name in ("kind", "alpha"):
                 continue
             val = getattr(self, f.name)
             if f.name in required and val is None:
-                raise ValueError(f"{self.kind} requires field {f.name!r}")
+                raise ValueError(f"SequenceSpec: {self.kind} requires field {f.name!r}")
             if f.name not in required and val is not None:
-                raise ValueError(f"{self.kind} does not take field {f.name!r}")
+                raise ValueError(f"SequenceSpec: {self.kind} does not take field {f.name!r}")
         if self.kind in ("seq1", "seq2"):
             if not (0.0 < self.beta < BETA_C):
-                raise ValueError(
-                    f"anchor beta must lie strictly inside (0, beta_c), got {self.beta}")
+                raise ValueError("SequenceSpec: anchor beta must lie strictly inside "
+                                 f"(0, beta_c), got {self.beta}")
         if self.kind in ("seq1", "seq3") and self.b not in (-1, 0, 1):
-            raise ValueError(f"b must be in {{-1, 0, 1}}, got {self.b}")
+            raise ValueError(f"SequenceSpec: b must be in {{-1, 0, 1}}, got {self.b}")
         if self.kind == "seq2" and self.b not in (-1, 1):
-            raise ValueError(f"seq2 requires b in {{-1, 1}}, got {self.b}")
+            raise ValueError(f"SequenceSpec: seq2 requires b in {{-1, 1}}, got {self.b}")
         if self.kind == "seq2" and (not isinstance(self.p, int) or self.p < 2):
-            raise ValueError(f"seq2 requires integer p >= 2, got {self.p}")
+            raise ValueError(f"SequenceSpec: seq2 requires integer p >= 2, got {self.p}")
         if self.kind == "seq6" and (not isinstance(self.p, int) or self.p < 3):
-            raise ValueError(f"seq6 requires integer p >= 3, got {self.p}")
+            raise ValueError(f"SequenceSpec: seq6 requires integer p >= 3, got {self.p}")
         if self.kind == "seq4" and self.case not in ("a", "b", "c", "d"):
-            raise ValueError(f"seq4 case must be one of a, b, c, d, got {self.case!r}")
+            raise ValueError(f"SequenceSpec: seq4 case must be one of a-d, got {self.case!r}")
 
 
 class _Approach(NamedTuple):
@@ -261,9 +289,11 @@ def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
     return _approach(spec).exponents
 
 
-@lru_cache(maxsize=4)
-def k1_third_deriv_estimate(h: float = 1e-3) -> float:
-    """Forward-difference estimate of K1'''(beta_c) (no closed form exists)."""
+@lru_cache(maxsize=1)
+def k1_third_deriv_estimate() -> float:
+    """Forward-difference estimate of K1'''(beta_c), step 1e-3 (no closed
+    form exists); validate calls it for every seq4 case-d spec."""
+    h = 1e-3
     k0 = second_order_k(BETA_C)
     k1 = first_order_k(BETA_C + h)
     k2 = first_order_k(BETA_C + 2 * h)
@@ -365,10 +395,10 @@ def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     return ModelParams(beta_n, kappa_n)
 
 
-def coexistence_onset(spec: SequenceSpec, n_cap: int = 2**20) -> int:
+def coexistence_onset(spec: SequenceSpec) -> int:
     """Smallest probed n from which the sequence sits in phase coexistence.
 
-    Probes powers of two up to n_cap and returns the first probe after the
+    Probes powers of two up to 2^20 and returns the first probe after the
     last excursion outside {coexistence, first-order curve}. A probe whose
     beta_n or K_n is no model point counts as outside.
     """
@@ -376,7 +406,7 @@ def coexistence_onset(spec: SequenceSpec, n_cap: int = 2**20) -> int:
     ok_regions = (phase.PhaseRegion.COEXISTENCE, phase.PhaseRegion.FIRST_ORDER_CURVE)
     onset = None
     n = 1
-    while n <= n_cap:
+    while n <= 2**20:
         try:
             inside = classify(params_at(spec, n)) in ok_regions
         except ValueError:  # after require_valid: beta_n or K_n out of range
@@ -388,7 +418,7 @@ def coexistence_onset(spec: SequenceSpec, n_cap: int = 2**20) -> int:
         n *= 2
     if onset is None:
         raise SpecValidationError("coexistence_onset: sequence never entered the "
-                                  f"coexistence region up to n = {n_cap}")
+                                  "coexistence region up to n = 2^20")
     return onset
 
 
@@ -419,25 +449,14 @@ def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
 def xbar(g: EvenPolynomial) -> XbarResult:
     """Positive global minimizer of g, with the shape of its minimum set.
 
-    Degree 4 uses the closed form sqrt(-c2/(2 c4)); degree 6 solves the
-    quadratic in y = x^2 from g'(x)/x = 0 and compares values. A positive
-    minimizer whose depth ties g(0) = 0 within 1e-12 flags the three-point
-    minimum set {0, +-xbar}; value 0 means the origin is the only minimizer.
+    The candidate is g.outer_well(), the largest positive stationary point. A
+    positive minimizer whose depth ties g(0) = 0 within 1e-12 flags the
+    three-point minimum set {0, +-xbar}; value 0 means the origin is the only
+    minimizer.
     """
-    candidates: list[float] = []
-    if g.degree == 4:
-        if g.c2 < 0:
-            candidates.append(math.sqrt(-g.c2 / (2.0 * g.c4)))
-    elif g.degree == 6:
-        disc = g.c4 * g.c4 - 3.0 * g.c6 * g.c2
-        if disc >= 0:
-            root = math.sqrt(disc)
-            for y in ((-g.c4 + root) / (3.0 * g.c6), (-g.c4 - root) / (3.0 * g.c6)):
-                if y > 0:
-                    candidates.append(math.sqrt(y))
-    if not candidates:
+    best = g.outer_well()
+    if not best:
         return XbarResult(0.0, MinimumSet.PLUS_MINUS)
-    best = min(candidates, key=lambda x: float(g(x)))
     depth = float(g(best))
     if depth > XBAR_TIE_TOL:
         return XbarResult(0.0, MinimumSet.PLUS_MINUS)
@@ -446,17 +465,16 @@ def xbar(g: EvenPolynomial) -> XbarResult:
     return XbarResult(best, MinimumSet.PLUS_MINUS)
 
 
-def limit_constant(poly: EvenPolynomial, quad: QuadratureConfig | None = None) -> float:
+def limit_constant(poly: EvenPolynomial) -> float:
     """First absolute moment of the density proportional to exp(-poly).
 
     Yields the constant named ybar when given the leading monomial g~ and
-    zbar when given the full scaling polynomial g.
+    zbar when given the full scaling polynomial g. The weight and its cutoff
+    come from poly.weight_window(); the integrals split at the outer wells.
     """
-    quad = quad or QuadratureConfig()
-    cutoff = tail_cutoff(poly, quad.tail_cut)
-    peak = xbar(poly).value
-    return weighted_ratio(abs, lambda x: -float(poly(x)), cutoff, quad,
-                          points=(-peak, peak) if peak else ())
+    floor, cutoff, outer = poly.weight_window()
+    return weighted_ratio(abs, lambda x: floor - float(poly(x)), cutoff,
+                          points=(-outer, outer) if outer else ())
 
 
 def _scaled_free_energy(spec: SequenceSpec, n: int, x, speed: float, shrink: float):
@@ -528,21 +546,24 @@ def spec_from_json(source) -> SequenceSpec:
     name. alpha may be given as a rational string ("2/3") for exact threshold
     comparisons.
     """
-    doc = json.loads(source) if isinstance(source, str) else dict(source)
+    try:
+        doc = dict(json.loads(source) if isinstance(source, str) else source)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"spec_from_json: expected a JSON object: {exc}") from None
     if "kind" not in doc:
-        raise ValueError("sequence document must carry a 'kind' field")
+        raise ValueError("spec_from_json: sequence document must carry a 'kind' field")
     kind = doc.pop("kind")
     if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        raise ValueError(f"spec_from_json: kind must be one of {KINDS}, got {kind!r}")
     renames = _JSON_FIELD_NAMES.get(kind, {})
     allowed = {renames.get(f, f) for f in _REQUIRED_FIELDS[kind]} | {"alpha"}
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(
-            f"unknown field(s) for {kind}: {', '.join(sorted(unknown))}")
+            f"spec_from_json: unknown field(s) for {kind}: {', '.join(sorted(unknown))}")
     missing = allowed - set(doc)
     if missing:
         raise ValueError(
-            f"missing field(s) for {kind}: {', '.join(sorted(missing))}")
+            f"spec_from_json: missing field(s) for {kind}: {', '.join(sorted(missing))}")
     back = {wire: attr for attr, wire in renames.items()}
     return SequenceSpec(kind=kind, **{back.get(k, k): v for k, v in doc.items()})

@@ -1,5 +1,5 @@
-"""50-digit mpmath references for the tilted cumulant, K1(beta), m(beta, K)
-and the exact law of the total spin.
+"""50-digit mpmath references for the tilted cumulant, K1(beta), m(beta, K),
+the exact law of the total spin and the first absolute moment of exp(-poly).
 
 Nothing here calls bclab. The cumulant comes from its defining closed form;
 roots are bracketed by sign changes on a geometric grid and polished by
@@ -121,3 +121,30 @@ def log_spin_weight_mp(n: int, s: int, beta: float, kappa: float):
         log_t = (mp.loggamma(n + 1) - mp.loggamma(lo + s + 1) - mp.loggamma(lo + 1)
                  - mp.loggamma(n - 2 * lo - s + 1) - (2 * lo + s) * b)
         return log_t + mp.log(mp.fsum(terms)) + b * mp.mpf(kappa) * s * s / n
+
+
+def exp_poly_abs_moment_mp(c2: float, c4: float = 0.0, c6: float = 0.0) -> float:
+    """E|X| for the density proportional to exp(-g), g = c2 x^2 + c4 x^4 + c6 x^6.
+
+    The weight is exp(g_min - g), with g_min the least of 0 and g at the
+    positive roots y = x^2 of g'(x)/x = 2 c2 + 4 c4 y + 6 c6 y^2. Both
+    integrals run over [0, inf), split at those roots.
+    """
+    with mp.workdps(DPS):
+        c2, c4, c6 = mp.mpf(c2), mp.mpf(c4), mp.mpf(c6)
+
+        def g(x):
+            y = x * x
+            return (c2 + (c4 + c6 * y) * y) * y
+
+        if c6:
+            root = mp.sqrt(c4 * c4 - 3 * c6 * c2)
+            ys = [(-c4 - root) / (3 * c6), (-c4 + root) / (3 * c6)]
+        else:
+            ys = [-c2 / (2 * c4)] if c4 else []
+        turns = sorted(mp.sqrt(y) for y in ys if mp.im(y) == 0 and y > 0)
+        g_min = min([mp.mpf(0)] + [g(x) for x in turns])
+        pts = [mp.mpf(0)] + turns + [mp.inf]
+        num = mp.quad(lambda x: x * mp.exp(g_min - g(x)), pts)
+        den = mp.quad(lambda x: mp.exp(g_min - g(x)), pts)
+        return float(num / den)

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from bclab import thermo_magnetization
+from bclab import gl_polynomial, spec_from_json, thermo_magnetization, xbar
 from bclab.cli import _FIELDS, ExperimentConfig, ConfigError, main
 from bclab.model import ModelParams
+from mp_reference import exp_poly_abs_moment_mp
 
 SEQ1_DOC = {"kind": "seq1", "alpha": 0.3, "beta": 1.0, "b": 0, "k": 1.0}
 
@@ -115,6 +117,17 @@ class TestSequenceRun:
         sidecar = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert sidecar["regime"] == "above"
 
+    def test_zero_denominator_alpha(self, tmp_path, capsys):
+        # both used to say "Fraction(1, 0)"
+        out = str(tmp_path / "r.csv")
+        assert main(["sequence-run", "--spec", write_spec(tmp_path),
+                     "--alpha", "1/0", "--n", "50", "-o", out]) == 2
+        assert capsys.readouterr().err == "config error: alpha: zero denominator in '1/0'\n"
+        spec = write_spec(tmp_path, dict(SEQ1_DOC, alpha="1/0"))
+        assert main(["sequence-run", "--spec", spec, "--n", "50", "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            "config error: spec: SequenceSpec: alpha: zero denominator in '1/0'\n")
+
     def test_rational_alpha_flag(self, tmp_path):
         # the flag parser used to refuse what spec files accept
         out = tmp_path / "r.csv"
@@ -133,6 +146,39 @@ class TestSequenceRun:
         assert main(["sequence-run", "--spec", write_spec(tmp_path, bad),
                      "--n", "50,100", "-o", str(tmp_path / "x.csv")]) == 2
         assert "extra" in capsys.readouterr().err
+
+    def test_deep_well_at_alpha0(self, tmp_path):
+        # g(xbar) = -1051 at k = 25: exp(-g) overflowed (exit 1), and the
+        # weak-limit target density was nan
+        spec = write_spec(tmp_path, dict(SEQ1_DOC, alpha="1/2", k=25.0))
+        g, _ = gl_polynomial(spec_from_json(dict(SEQ1_DOC, alpha="1/2", k=25.0)))
+        assert float(g(xbar(g).value)) < -1000
+        out = tmp_path / "r.csv"
+        assert main(["sequence-run", "--spec", spec, "--n", "250,1000", "-o", str(out)]) == 0
+        z_bar = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["z_bar"]
+        reference = exp_poly_abs_moment_mp(g.c2, g.c4, g.c6)
+        assert reference == pytest.approx(9.169548405233663, rel=1e-14)
+        assert z_bar == pytest.approx(reference, rel=1e-9)
+        wl = tmp_path / "wl.csv"
+        assert main(["weak-limit", "--spec", spec, "--n", "250,1000", "-o", str(wl)]) == 0
+        rows = wl.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 2
+        assert all(0 <= float(row.split(",")[1]) <= 1 for row in rows)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sequence-run", []), ("mdp-check", ["--alpha", "0.25", "--a", "2.4"])])
+    @pytest.mark.parametrize("output", ["spec.csv", "spec.json", "./sub/../spec.json"])
+    def test_output_over_the_spec_rejected(self, tmp_path, capsys, monkeypatch,
+                                           command, extra, output):
+        # -o spec.csv wrote its sidecar spec.json over the spec and exited 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        before = Path(write_spec(tmp_path)).read_bytes()
+        assert main([command, "--spec", "spec.json", *extra, "--n", "50,100",
+                     "-o", output]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_path: ")
+        assert (tmp_path / "spec.json").read_bytes() == before
+        assert not (tmp_path / "spec.csv").exists()
 
     def test_zero_sweeps_fails_named(self, tmp_path, capsys):
         # 0 is a value, not a request for the 20000-sweep default
@@ -202,6 +248,16 @@ class TestWeakLimitCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "n,distance"
         assert all(0 <= float(line.split(",")[1]) <= 1 for line in lines[1:])
+
+    def test_output_over_the_spec_rejected(self, tmp_path, capsys):
+        # weak-limit writes no sidecar, so only -o itself can hit the spec
+        spec = write_spec(tmp_path, dict(SEQ1_DOC, alpha=0.8))
+        before = Path(spec).read_bytes()
+        assert main(["weak-limit", "--spec", spec, "--n", "100", "-o", spec]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_path: ")
+        assert Path(spec).read_bytes() == before
+        assert main(["weak-limit", "--spec", spec, "--n", "100",
+                     "-o", str(tmp_path / "spec.csv")]) == 0
 
 
 class TestMdpCommand:

@@ -31,6 +31,11 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(math.nan, 1.0)
 
+    @pytest.mark.parametrize("kappa", [-2.0, 0.0, math.nan, math.inf])
+    def test_kappa_errors_name_the_constructor(self, kappa):
+        with pytest.raises(ValueError, match="^ModelParams: kappa must be finite and > 0"):
+            ModelParams(1.0, kappa)
+
     def test_beta_ceiling(self):
         # e^{-2 beta} leaves the normal floats at beta = 354.2; at (360, 2)
         # magnetization returned 0 where m is 1

@@ -6,8 +6,8 @@ import math
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from bclab import (BETA_C, EvenPolynomial, MinimumSet, QuadratureConfig,
-                   SequenceSpec, SpecValidationError, UnsupportedSequenceError,
+from bclab import (BETA_C, EvenPolynomial, MinimumSet, SequenceSpec,
+                   SpecValidationError, UnsupportedSequenceError,
                    c4_coefficient, check_hypothesis_iiia, check_hypothesis_v,
                    coexistence_onset, critical_constants, g_tilde,
                    gl_polynomial, limit_constant, params_at,
@@ -15,6 +15,7 @@ from bclab import (BETA_C, EvenPolynomial, MinimumSet, QuadratureConfig,
                    second_order_k_deriv, spec_from_json, spec_to_json,
                    validate, xbar)
 from bclab.sequences import k1_third_deriv_estimate, scaling_exponents
+from mp_reference import exp_poly_abs_moment_mp
 
 SEQ1 = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
 SEQ3 = SequenceSpec(kind="seq3", alpha=0.5, b=0, k=1.0)
@@ -61,12 +62,20 @@ def written_out(kind, n):
 
 class TestEvenPolynomial:
     def test_requires_coercivity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^EvenPolynomial: .* positive leading one"):
             EvenPolynomial(c2=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^EvenPolynomial: .* positive leading one"):
             EvenPolynomial(c2=1.0, c4=2.0, c6=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^EvenPolynomial: .* positive leading one"):
             EvenPolynomial()
+
+    @pytest.mark.parametrize("coeffs", [
+        dict(c4=math.nan), dict(c4=math.inf), dict(c2=-math.inf, c4=1.0),
+        dict(c2=math.nan, c6=1.0),
+    ])
+    def test_rejects_nonfinite_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="^EvenPolynomial: coefficients must be finite "):
+            EvenPolynomial(**coeffs)
 
     def test_degree_and_evaluation(self):
         g = EvenPolynomial(c2=-1.0, c4=0.5)
@@ -102,6 +111,23 @@ class TestSequenceSpecConstruction:
         spec = SequenceSpec(kind="seq3", alpha="2/3", b=0, k=1.0)
         assert spec.alpha == 2 / 3
 
+    @pytest.mark.parametrize("fields", [
+        dict(kind="seq7", alpha=0.3),
+        dict(kind="seq3", alpha="1/0", b=0, k=1.0),
+        dict(kind="seq3", alpha=-0.5, b=0, k=1.0),
+        dict(kind="seq1", alpha=0.3, beta=1.0, b=0),
+        dict(kind="seq1", alpha=0.3, beta=2.0, b=0, k=1.0),
+        dict(kind="seq3", alpha=0.3, b=2, k=1.0),
+        dict(kind="seq4", alpha=0.3, ell=1.0, ell_tilde=0.0, case="e"),
+    ])
+    def test_errors_name_the_constructor(self, fields):
+        with pytest.raises(ValueError, match="^SequenceSpec: "):
+            SequenceSpec(**fields)
+
+    def test_zero_denominator_alpha(self):
+        with pytest.raises(ValueError, match="^SequenceSpec: alpha: zero denominator in '1/0'$"):
+            SequenceSpec(kind="seq3", alpha="1/0", b=0, k=1.0)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -121,6 +147,18 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             spec_from_json('{"kind":"seq7","alpha":0.3}')
+
+    @pytest.mark.parametrize("doc", [
+        '{"alpha":0.3}',
+        '{"kind":"seq7","alpha":0.3}',
+        '{"kind":"seq1","alpha":0.3,"beta":1.0,"b":0,"k":1.0,"q":2}',
+        '{"kind":"seq1","alpha":0.3,"beta":1.0,"b":0}',
+        '[1, 2]',
+        '{"kind":',
+    ])
+    def test_errors_name_the_operation(self, doc):
+        with pytest.raises(ValueError, match="^spec_from_json: "):
+            spec_from_json(doc)
 
     def test_seq2_anchor_spelled_beta0_on_the_wire(self):
         doc = '{"kind":"seq2","alpha":0.1,"beta0":1.0,"b":1,"p":2,"ell":9.0}'
@@ -366,17 +404,31 @@ class TestLimitConstant:
         assert limit_constant(EvenPolynomial(c6=64.0)) == pytest.approx(
             0.5 * limit_constant(EvenPolynomial(c6=1.0)), rel=1e-9)
 
-    def test_tolerance_config(self):
-        val = limit_constant(EvenPolynomial(c4=1.0),
-                             QuadratureConfig(rel_tol=1e-12, tail_cut=80.0))
-        expected = gamma_fn(0.5) / gamma_fn(0.25)
-        assert val == pytest.approx(expected, rel=1e-11)
+    @pytest.mark.parametrize("coeffs, expected", [
+        # wells at +-10.84 behind g(2) > 60: a cutoff that stops at the first
+        # X with g(X) >= 60 returned 0.0928
+        ((37.125062416254664, -2.4255399211959974, 0.012862043656893307),
+         10.84117991083633),
+        # global minimum at 0, a barrier of 108 at x = 1.73 and a metastable
+        # well of depth 1 at x = 3.0, once missed for 0.0629
+        ((81.1, -18.0, 1.0), 0.9121960338889933),
+        # g(xbar) = -900: exp(-g) overflowed
+        ((-60.0, 1.0, 0.0), 5.476083334718344),
+    ])
+    def test_deep_and_hidden_wells_match_mpmath(self, coeffs, expected):
+        reference = exp_poly_abs_moment_mp(*coeffs)
+        assert reference == pytest.approx(expected, rel=1e-14)
+        assert limit_constant(EvenPolynomial(*coeffs)) == pytest.approx(reference, rel=1e-9)
 
-    def test_config_rejects_nonpositive_tolerances(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(tail_cut=-1.0)
+    def test_weight_window(self):
+        g = EvenPolynomial(c2=81.1, c4=-18.0, c6=1.0)
+        outer = g.outer_well()
+        assert 0 < float(g(outer)) < 2 and float(g(outer / 1.7)) > 100
+        assert g.weight_window() == (0.0, 4.0, outer)
+        floor, cutoff, outer = EvenPolynomial(c2=-60.0, c4=1.0).weight_window()
+        assert outer == math.sqrt(30.0) and floor == pytest.approx(-900.0, rel=1e-15)
+        assert cutoff == 8.0
+        assert EvenPolynomial(c4=1.0).weight_window() == (0.0, 4.0, 0.0)
 
 
 class TestHypothesisChecks:
