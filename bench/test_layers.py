@@ -9,7 +9,9 @@ the stationary tilt is small; first_order_k runs at three beta of the
 phase-curve grid's first-order range. limit_constant runs on ybar of the
 README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
-beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs. The CLI figure
+beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs;
+weak_limit_distance runs on the README seq1 spec at alpha = 0.8 and n = 4000,
+against the lattice-law mixture of tests/mixture_oracle.py. The CLI figure
 is the README's seq1 sequence-run call, on one thread.
 """
 
@@ -19,12 +21,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mixture_oracle import mixture_distance
 from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_weight_mp,
                           magnetization_mp)
 
 from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
-                   spec_from_json, xbar)
+                   spec_from_json, weak_limit_distance, xbar)
 from bclab.minimize import magnetization
 from bclab.phase import first_order_k, second_order_k
 
@@ -113,6 +116,15 @@ def test_hs_rhs(benchmark):
     rel_diff = abs(lhs - rhs) / abs(rhs)
     benchmark.extra_info.update(rhs=rhs, lhs=lhs, rel_diff=rel_diff)
     assert rel_diff <= 1e-8
+
+
+def test_weak_limit_distance(benchmark):
+    spec, n = spec_from_json(dict(README_SEQ1, alpha=0.8)), 4000
+    distance = benchmark(weak_limit_distance, spec, n)
+    oracle = mixture_distance(spec, n)
+    benchmark.extra_info.update(n=n, distance=distance, oracle=oracle,
+                                abs_diff=abs(distance - oracle))
+    assert abs(distance - oracle) <= 3e-7
 
 
 def test_cli_sequence_run(benchmark, tmp_path):

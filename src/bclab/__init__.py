@@ -8,8 +8,8 @@ faithfully estimates the finite-size magnetization from the regime where it
 does not.
 """
 
-from .model import ModelParams, SpinValue, SPIN_VALUES, cumulant, cumulant_deriv, \
-    free_energy, free_energy_deriv
+from .model import (ModelParams, cumulant, cumulant_deriv, free_energy,
+                    free_energy_deriv)
 from .phase import (BETA_C, CriticalConstants, PhaseRegion, classify,
                     critical_constants, first_order_k, second_order_k,
                     second_order_k_deriv, verify_tricritical_conjectures)

@@ -34,7 +34,7 @@ from scipy.special import logsumexp
 
 from .minimize import magnetization, min_free_energy
 from .model import ModelParams, free_energy
-from .quadrature import TAIL_CUT, gaussian_mixture_expectation, weighted_ratio
+from .quadrature import gaussian_mixture_expectation, tail_cutoff, weighted_ratio
 
 N_MAX = 10**6  # the law takes about 200 B per n, so about 200 MB here
 MIN_BATCHES = 20
@@ -187,13 +187,19 @@ def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     return gaussian_mixture_expectation(f, means, probs[keep], sigma, kinks=kinks)
 
 
+def smoothed_cutoff(n: int, params: ModelParams, scale: float) -> float:
+    """tail_cutoff of y -> n G(y/scale), the exponent of the smoothed density
+    e^{-n G(y/scale)}: every stationary point of G solves x = c'(2 beta K x),
+    so |x| < 1 and none lies beyond y = scale."""
+    g_min = min_free_energy(params)[0]
+    return tail_cutoff(lambda y: n * free_energy(params, y / scale), n * g_min, scale)
+
+
 def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     """Integral of f against the density proportional to e^{-n G(x/n^gb)}.
 
-    The weight is normalized by its minimum before exponentiating, and the
-    integration interval is truncated where the quadratic lower bound
-    G(y) >= beta K y^2 - 2 beta K |y| - log 3 pushes the exponent TAIL_CUT
-    e-folds above the minimum.
+    The weight is normalized by its minimum before exponentiating and cut at
+    smoothed_cutoff; the integrals split at the wells.
     """
     _check_unit_interval("hs_rhs", "gamma_bar", gamma_bar)
     scale = float(n) ** gamma_bar
@@ -202,16 +208,13 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     def log_weight(x: float) -> float:
         return -n * (free_energy(params, x / scale) - g_min)
 
-    bk = params.beta * params.kappa
-    c = math.log(3.0) + g_min + TAIL_CUT / n
-    y_star = 1.0 + math.sqrt(1.0 + max(c, 0.0) / bk)
-    cutoff = scale * max(y_star, 2.0)
     peaks = (-arg_min * scale, 0.0, arg_min * scale)
 
     def fs(x: float) -> float:
         return float(f(np.asarray([x]))[0])
 
-    return weighted_ratio(fs, log_weight, cutoff, points=tuple(kinks) + peaks)
+    return weighted_ratio(fs, log_weight, smoothed_cutoff(n, params, scale),
+                          points=tuple(kinks) + peaks)
 
 
 def _acceptance_tables(n: int, beta: float, kappa: float) -> list[array]:

@@ -25,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtr
 
 from . import minimize
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
-                          mc_estimate)
-from .model import ModelParams
-from .quadrature import aitken_limit
-from .sequences import (EvenPolynomial, MinimumSet, SequenceSpec, g_tilde,
-                        gl_polynomial, limit_constant, params_at, xbar)
+                          mc_estimate, smoothed_cutoff)
+from .model import ModelParams, free_energy
+from .sequences import (MinimumSet, SequenceSpec, g_tilde, gl_polynomial,
+                        limit_constant, params_at, xbar)
 
 ALPHA_MATCH_TOL = 1e-12
 SATURATION_LOG_FLOOR = -700.0
@@ -85,10 +83,6 @@ class ReportConstants:
 class AsymptoticsReport:
     rows: tuple[ReportRow, ...]
     constants: ReportConstants
-
-    def extrapolated_scaled_e(self) -> float:
-        vals = [r.scaled_e for r in self.rows if r.scaled_e is not None]
-        return aitken_limit(vals)
 
 
 def _regime_of(alpha: float, alpha0: float) -> Regime:
@@ -263,12 +257,12 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     return MdpReport(rows=tuple(rows), target=target, a=a, u=u)
 
 
-def _poly_cdf_on(grid: np.ndarray, poly: EvenPolynomial, floor: float) -> np.ndarray:
-    dense = np.linspace(grid[0], grid[-1], 40001)
-    dens = np.exp(floor - poly(dense))
-    cdf = integrate.cumulative_trapezoid(dens, dense, initial=0.0)
-    cdf /= cdf[-1]
-    return np.interp(grid, dense, cdf)
+def _cdf(log_weight: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """CDF on grid of the density proportional to e^log_weight, by the
+    cumulative trapezoid rule, normalized to end at 1."""
+    cdf = integrate.cumulative_trapezoid(np.exp(log_weight - np.max(log_weight)),
+                                         grid, initial=0.0)
+    return cdf / cdf[-1]
 
 
 def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
@@ -276,10 +270,12 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     and its limit density, proportional to exp(-g~) above the threshold and
     to exp(-g) at it.
 
-    The lattice law is convolved with the Gaussian of the smoothing identity
-    (the same auxiliary variable as hs_lhs), which makes the finite-n law a
-    continuous density while leaving the weak limit untouched; its CDF is a
-    probit mixture, the target CDF comes from dense-grid quadrature.
+    The smoothing adds the Gaussian W/n^(1/2-theta alpha0) of the smoothing
+    identity (the auxiliary variable of hs_lhs), which leaves the weak limit
+    untouched. By that identity the smoothed law has the density proportional
+    to exp(-n G_n(y/n^(theta alpha0))), so both CDFs come from one trapezoid
+    rule on one 40001-point grid, cut where both weights are below e^-60 of
+    their peaks. Cost does not depend on n.
     """
     g, exps = gl_polynomial(spec)
     regime = _regime_of(spec.alpha, exps.alpha0)
@@ -287,26 +283,12 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
         raise ValueError(
             f"weak_limit_distance: requires alpha >= alpha0 = {exps.alpha0:.6g}")
     poly = g if regime is Regime.AT else g_tilde(spec)
-
-    gamma0 = exps.theta_alpha0
     params = params_at(spec, n)
-    law = finite_size_law(n, params)
-    probs = law.probabilities()
-    keep = probs > 1e-19
-    means = law.support()[keep] / float(n) ** (1.0 - gamma0)
-    probs = probs[keep]
-    sigma = (2.0 * params.beta * params.kappa) ** -0.5 / float(n) ** (0.5 - gamma0)
-
-    floor, cutoff, _ = poly.weight_window()
-    half_width = max(cutoff, float(np.max(np.abs(means))) + 8.0 * sigma)
-    grid = np.linspace(-half_width, half_width, 4001)
-    cdf_target = _poly_cdf_on(grid, poly, floor)
-    cdf_n = np.zeros_like(grid)
-    for start in range(0, len(means), 512):
-        mu = means[start:start + 512]
-        pr = probs[start:start + 512]
-        cdf_n += (pr[None, :] * ndtr((grid[:, None] - mu[None, :]) / sigma)).sum(axis=1)
-    return float(np.max(np.abs(cdf_n - cdf_target)))
+    scale = float(n) ** exps.theta_alpha0
+    half_width = max(poly.weight_window()[1], smoothed_cutoff(n, params, scale))
+    grid = np.linspace(-half_width, half_width, 40001)
+    cdf_n = _cdf(-n * free_energy(params, grid / scale), grid)
+    return float(np.max(np.abs(cdf_n - _cdf(-poly(grid), grid))))
 
 
 @dataclass(frozen=True)

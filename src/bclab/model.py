@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPIN_VALUES = (-1, 0, 1)
-
 _SCALARS = (int, float)   # evaluated directly; anything else element by element
 _CUMULANT_ORDERS = (1, 2, 3, 4)
 _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
@@ -68,17 +66,6 @@ class ModelParams:
         check_beta("ModelParams", self.beta)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa}")
-
-
-@dataclass(frozen=True)
-class SpinValue:
-    """A single admissible spin value."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value not in SPIN_VALUES:
-            raise ValueError(f"spin must be one of {SPIN_VALUES}, got {self.value}")
 
 
 def _check_finite(op: str, t, name: str = "t") -> None:

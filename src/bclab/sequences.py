@@ -44,7 +44,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import NamedTuple
 from fractions import Fraction
 
@@ -52,7 +51,7 @@ import numpy as np
 
 from . import phase
 from .model import ModelParams, check_beta, free_energy
-from .phase import BETA_C, classify, first_order_k, second_order_k, second_order_k_deriv
+from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
 from .quadrature import tail_cutoff, weighted_ratio
 
 TRICRITICAL_C4 = 3.0 / 16.0
@@ -61,6 +60,13 @@ XBAR_TIE_TOL = 1e-12
 # Absolute tolerance for recognizing the boundary cases ell = K''(beta_c) and
 # ell = ell_c of sequence 4.
 CASE_MATCH_TOL = 1e-9
+# K1'''(beta_c), the third derivative of the first-order curve at the
+# tricritical point; no closed form is known. K1 is analytic there, since in
+# s = t^2 the well-depth root is a simple root of f(t)/t^4. The value is the
+# third derivative at h = 0 of the exact interpolation polynomial through
+# 80-digit K1(beta_c + j/400), j = 1..14, and K(beta_c) at h = 0, which gives
+# 0.910783757858502427 (tests/mp_reference.k1_taylor_mp).
+K1_THIRD_DERIV_AT_BETA_C = 0.9107837578585024
 
 KINDS = ("seq1", "seq2", "seq3", "seq4", "seq5", "seq6")
 
@@ -185,6 +191,12 @@ class CheckResult:
     note: str = ""
 
 
+def _is_real(value) -> bool:
+    """A finite int or float, and no bool."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+
+
 def _parse_alpha(value) -> float:
     """alpha from a number or a decimal or rational string: 0.25, "0.25", "1/4"."""
     if isinstance(value, str):
@@ -192,6 +204,8 @@ def _parse_alpha(value) -> float:
             return float(Fraction(value))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+    if not _is_real(value):
+        raise ValueError(f"must be a finite int or float or a rational string, got {value!r}")
     return float(value)
 
 
@@ -219,10 +233,10 @@ class SequenceSpec:
             raise ValueError(f"SequenceSpec: kind must be one of {KINDS}, got {self.kind!r}")
         try:
             object.__setattr__(self, "alpha", _parse_alpha(self.alpha))
-        except (TypeError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"SequenceSpec: alpha: {exc}") from None
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"SequenceSpec: alpha must be finite and > 0, got {self.alpha}")
+        if not self.alpha > 0:
+            raise ValueError(f"SequenceSpec: alpha must be > 0, got {self.alpha}")
         required = _REQUIRED_FIELDS[self.kind]
         for f in fields(self):
             if f.name in ("kind", "alpha"):
@@ -232,6 +246,14 @@ class SequenceSpec:
                 raise ValueError(f"SequenceSpec: {self.kind} requires field {f.name!r}")
             if f.name not in required and val is not None:
                 raise ValueError(f"SequenceSpec: {self.kind} does not take field {f.name!r}")
+            if val is None or f.name == "case":
+                continue
+            if f.name in ("b", "p"):
+                if isinstance(val, bool) or not isinstance(val, int):
+                    raise ValueError(f"SequenceSpec: {f.name}: must be an int, got {val!r}")
+            elif not _is_real(val):
+                raise ValueError(
+                    f"SequenceSpec: {f.name}: must be a finite int or float, got {val!r}")
         if self.kind in ("seq1", "seq2"):
             if not (0.0 < self.beta < BETA_C):
                 raise ValueError("SequenceSpec: anchor beta must lie strictly inside "
@@ -240,9 +262,9 @@ class SequenceSpec:
             raise ValueError(f"SequenceSpec: b must be in {{-1, 0, 1}}, got {self.b}")
         if self.kind == "seq2" and self.b not in (-1, 1):
             raise ValueError(f"SequenceSpec: seq2 requires b in {{-1, 1}}, got {self.b}")
-        if self.kind == "seq2" and (not isinstance(self.p, int) or self.p < 2):
+        if self.kind == "seq2" and self.p < 2:
             raise ValueError(f"SequenceSpec: seq2 requires integer p >= 2, got {self.p}")
-        if self.kind == "seq6" and (not isinstance(self.p, int) or self.p < 3):
+        if self.kind == "seq6" and self.p < 3:
             raise ValueError(f"SequenceSpec: seq6 requires integer p >= 3, got {self.p}")
         if self.kind == "seq4" and self.case not in ("a", "b", "c", "d"):
             raise ValueError(f"SequenceSpec: seq4 case must be one of a-d, got {self.case!r}")
@@ -287,18 +309,6 @@ def _approach(spec: SequenceSpec) -> _Approach:
 
 def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
     return _approach(spec).exponents
-
-
-@lru_cache(maxsize=1)
-def k1_third_deriv_estimate() -> float:
-    """Forward-difference estimate of K1'''(beta_c), step 1e-3 (no closed
-    form exists); validate calls it for every seq4 case-d spec."""
-    h = 1e-3
-    k0 = second_order_k(BETA_C)
-    k1 = first_order_k(BETA_C + h)
-    k2 = first_order_k(BETA_C + 2 * h)
-    k3 = first_order_k(BETA_C + 3 * h)
-    return (k3 - 3 * k2 + 3 * k1 - k0) / h**3
 
 
 def validate(spec: SequenceSpec) -> list[CheckResult]:
@@ -349,12 +359,11 @@ def validate(spec: SequenceSpec) -> list[CheckResult]:
             checks.append(CheckResult("case d: ell = ell_c",
                                       abs(spec.ell - ell_c) <= CASE_MATCH_TOL,
                                       -abs(spec.ell - ell_c), conj_note))
-            k1ppp = k1_third_deriv_estimate()
-            margin = spec.ell_tilde - k1ppp
+            margin = spec.ell_tilde - K1_THIRD_DERIV_AT_BETA_C
             checks.append(CheckResult(
                 "case d: ell_tilde > K1'''(beta_c)", margin > 0, margin,
-                "conjecture-dependent: K1''' has no closed form and is "
-                "estimated by finite differences of the first-order curve"))
+                "conjecture-dependent: K1'''(beta_c) has no closed form and is "
+                "taken from the power series of the first-order curve at beta_c"))
     elif spec.kind == "seq5":
         margin = spec.ell - second_order_k_deriv(BETA_C, 2)
         checks.append(CheckResult("ell > K''(beta_c)", margin > 0, margin))

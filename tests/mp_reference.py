@@ -1,5 +1,6 @@
 """50-digit mpmath references for the tilted cumulant, K1(beta), m(beta, K),
-the exact law of the total spin and the first absolute moment of exp(-poly).
+the exact law of the total spin and the first absolute moment of exp(-poly),
+and an 80-digit Taylor expansion of K1 at the tricritical point.
 
 Nothing here calls bclab. The cumulant comes from its defining closed form;
 roots are bracketed by sign changes on a geometric grid and polished by
@@ -35,14 +36,38 @@ def _roots(fn, lo, hi, rising):
             if (fa < 0 < fb if rising else fa > 0 > fb)]
 
 
+def _first_order_k_mp(beta):
+    """K1 = t/(2 beta c'(t)) at the unique positive root t of the well depth
+    f(t) = t c'(t)/2 - c(t), which lies below 2 beta + 2 log 3, at the working
+    precision. The root is taken of f(t)/t^4, which stays simple as t -> 0 at
+    beta_c, where f vanishes to fourth order."""
+    c, c1 = cumulant_mp(beta)
+    (t,) = _roots(lambda t: (t * c1(t) / 2 - c(t)) / t**4, mp.mpf("1e-6"),
+                  max(mp.mpf(100), 4 * mp.mpf(beta)), False)
+    return t / (2 * beta * c1(t))
+
+
 def first_order_k_mp(beta: float) -> float:
-    """K1 = t/(2 beta c'(t)) at the unique positive root t of t c'(t)/2 - c(t),
-    which lies below 2 beta + 2 log 3."""
+    """K1(beta) from 50 + beta/2 digits."""
     with mp.workdps(DPS + int(beta / 2)):
-        c, c1 = cumulant_mp(beta)
-        (t,) = _roots(lambda t: t * c1(t) / 2 - c(t), mp.mpf("1e-6"),
-                      max(mp.mpf(100), 4 * mp.mpf(beta)), False)
-        return float(t / (2 * mp.mpf(beta) * c1(t)))
+        return float(_first_order_k_mp(mp.mpf(beta)))
+
+
+def k1_taylor_mp():
+    """[K1(beta_c), K1'(beta_c), K1''(beta_c), K1'''(beta_c)], 80-digit mpmath.
+
+    K1 is analytic at beta_c = log 4 (the root s = t^2 of f/t^4 is simple
+    there), so the derivatives are read off the exact interpolation polynomial
+    through K1(beta_c + j/400), j = 1..14, and K1(beta_c) = K(beta_c) =
+    3/(2 log 4); K1' and K1'' match K'(beta_c) and ell_c to about 1e-22.
+    """
+    with mp.workdps(80):
+        bc = mp.log(4)
+        hs = [mp.mpf(j) / 400 for j in range(15)]
+        ks = [3 / (2 * bc)] + [_first_order_k_mp(bc + h) for h in hs[1:]]
+        coeffs = mp.lu_solve(mp.matrix([[h**i for i in range(15)] for h in hs]),
+                             mp.matrix(ks))
+        return [mp.factorial(i) * coeffs[i] for i in range(4)]
 
 
 def magnetization_mp(beta: float, kappa: float) -> float:

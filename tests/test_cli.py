@@ -147,6 +147,14 @@ class TestSequenceRun:
                      "--n", "50,100", "-o", str(tmp_path / "x.csv")]) == 2
         assert "extra" in capsys.readouterr().err
 
+    def test_ill_typed_spec_field_rejected(self, tmp_path, capsys):
+        # a string k used to reach the first coexistence check as a TypeError
+        bad = dict(SEQ1_DOC, k="1")
+        assert main(["sequence-run", "--spec", write_spec(tmp_path, bad),
+                     "--n", "50,100", "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == ("config error: spec: SequenceSpec: k: must be "
+                                           "a finite int or float, got '1'\n")
+
     def test_deep_well_at_alpha0(self, tmp_path):
         # g(xbar) = -1051 at k = 25: exp(-g) overflowed (exit 1), and the
         # weak-limit target density was nan
@@ -248,6 +256,15 @@ class TestWeakLimitCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "n,distance"
         assert all(0 <= float(line.split(",")[1]) <= 1 for line in lines[1:])
+
+    def test_past_the_exact_law(self, tmp_path):
+        # the distance is computed from the smoothed density, so n has no bound
+        out = tmp_path / "wl.csv"
+        assert main(["weak-limit", "--spec", write_spec(tmp_path, dict(SEQ1_DOC, alpha=0.8)),
+                     "--n", "100000000,10000000000", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [int(n) for n, _ in rows] == [10**8, 10**10]
+        assert 0 < float(rows[1][1]) < float(rows[0][1]) < 1e-3
 
     def test_output_over_the_spec_rejected(self, tmp_path, capsys):
         # weak-limit writes no sidecar, so only -o itself can hit the spec

@@ -14,9 +14,9 @@ from mp_reference import log_spin_weight_mp, spin_law_mp
 
 import bclab
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, ModelParams,
-                   SequenceSpec, abs_moment, finite_size_law, gl_polynomial,
-                   hs_lhs, hs_rhs, mc_estimate, params_at, second_order_k,
-                   tail_mass, xbar)
+                   SequenceSpec, abs_moment, finite_size_law, g_tilde,
+                   gl_polynomial, hs_lhs, hs_rhs, mc_estimate, params_at,
+                   second_order_k, tail_mass, xbar)
 
 
 def brute_force_law(n, params):
@@ -199,6 +199,19 @@ class TestSmoothingIdentity:
         lhs = hs_lhs(50, params, 0.25, f, kinks=kinks)
         rhs = hs_rhs(50, params, 0.25, f, kinks=kinks)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+    def test_scaled_second_moment_past_the_exact_law(self):
+        # seq1 at alpha = 0.8, gamma = 1/4: the smoothed second moment tends to
+        # that of exp(-c4 y^4), Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.87674. The
+        # window from G's quadratic lower bound let quad miss the peak at
+        # 10^12, where it read 2.8e-4.
+        spec = SequenceSpec(kind="seq1", alpha=0.8, beta=1.0, b=0, k=1.0)
+        limit = math.gamma(0.75) / math.gamma(0.25) / math.sqrt(g_tilde(spec).c4)
+        gaps = [hs_rhs(n, params_at(spec, n), 0.25, np.square) - limit
+                for n in (10**8, 10**10, 10**12)]
+        assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 5e-4
 
 
 class TestWeakLimitConcentration:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mixture_oracle import mixture_distance
 from mp_reference import magnetization_mp
 from scipy.special import ndtr
 
@@ -21,7 +22,7 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, tail_mass
 from bclab.finite_size import log_tail_mass
 from bclab.model import BETA_MAX
-from bclab.sequences import k1_third_deriv_estimate
+from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C
 
 SEQ1_BELOW = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
 SEQ1_ABOVE = SequenceSpec(kind="seq1", alpha=0.8, beta=1.0, b=0, k=1.0)
@@ -161,7 +162,7 @@ class TestFiniteSizeReports:
     def test_seq4_case_d_carries_banner(self):
         ell_c = second_order_k_deriv(BETA_C, 2) - 5 / (4 * BETA_C)
         spec = SequenceSpec(kind="seq4", alpha=0.2, ell=ell_c,
-                            ell_tilde=k1_third_deriv_estimate() + 1.0, case="d")
+                            ell_tilde=K1_THIRD_DERIV_AT_BETA_C + 1.0, case="d")
         report = run_finite_size_asymptotics(spec, [50, 100])
         assert report.constants.banner is not None
         assert report.constants.x_bar is None
@@ -278,7 +279,32 @@ class TestMdpRateEstimate:
         assert report.rows[0].saturated and report.rows[0].rate_est is None
 
 
+# the four specs on which the smoothed-density distance is checked
+WEAK_LIMIT_SPECS = {
+    "seq1-above": SEQ1_ABOVE,
+    "seq1-at": SequenceSpec(kind="seq1", alpha="1/2", beta=1.0, b=0, k=1.0),
+    "seq3-above": SequenceSpec(kind="seq3", alpha=0.8, b=0, k=1.0),
+    "seq5-at": SequenceSpec(kind="seq5", alpha="1/3",
+                            ell=second_order_k_deriv(BETA_C, 2) + 1.0),
+}
+
+
 class TestWeakLimitDistance:
+    @pytest.mark.parametrize("name", WEAK_LIMIT_SPECS)
+    def test_matches_the_lattice_mixture(self, name):
+        spec = WEAK_LIMIT_SPECS[name]
+        for n in (250, 1000, 4000):
+            assert abs(weak_limit_distance(spec, n) - mixture_distance(spec, n)) <= 3e-7
+
+    @pytest.mark.parametrize("name", WEAK_LIMIT_SPECS)
+    def test_falls_past_the_exact_law(self, name):
+        dists = [weak_limit_distance(WEAK_LIMIT_SPECS[name], 10**e) for e in (4, 6, 8, 10, 12)]
+        assert all(a > b for a, b in zip(dists, dists[1:]))
+
+    def test_at_threshold_falls_like_root_n(self):
+        # at alpha0 the distance falls like 0.81 n^(-1/2), to 8.1e-7 at 10^12
+        assert weak_limit_distance(WEAK_LIMIT_SPECS["seq1-at"], 10**12) < 1e-5
+
     def test_distance_is_a_probability_metric_value(self):
         d = weak_limit_distance(SEQ1_ABOVE, 200)
         assert 0 <= d <= 1

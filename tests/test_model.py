@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mp_reference import DPS, cumulant_mp
 
-from bclab import (BETA_C, ModelParams, SpinValue, cumulant, cumulant_deriv,
+from bclab import (BETA_C, ModelParams, cumulant, cumulant_deriv,
                    free_energy, free_energy_deriv, thermo_magnetization)
 from bclab.model import BETA_MAX, inflection_tilt, secant_excess, well_depth
 
@@ -43,11 +43,6 @@ class TestModelParams:
         for beta in (math.nextafter(BETA_MAX, math.inf), 360.0, 800.0):
             with pytest.raises(ValueError, match="ModelParams"):
                 ModelParams(beta, 2.0)
-
-    def test_spin_values(self):
-        assert SpinValue(-1).value == -1
-        with pytest.raises(ValueError):
-            SpinValue(2)
 
 
 class TestCumulant:

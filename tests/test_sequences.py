@@ -1,8 +1,10 @@
 """Sequence specs, their validity inequalities, scaling polynomials,
 exponents, limit constants, and the free-energy convergence checks."""
 
+import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 from scipy.special import gamma as gamma_fn
 
@@ -14,8 +16,8 @@ from bclab import (BETA_C, EvenPolynomial, MinimumSet, SequenceSpec,
                    scaled_free_energy_table, second_order_k,
                    second_order_k_deriv, spec_from_json, spec_to_json,
                    validate, xbar)
-from bclab.sequences import k1_third_deriv_estimate, scaling_exponents
-from mp_reference import exp_poly_abs_moment_mp
+from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C, scaling_exponents
+from mp_reference import exp_poly_abs_moment_mp, k1_taylor_mp
 
 SEQ1 = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
 SEQ3 = SequenceSpec(kind="seq3", alpha=0.5, b=0, k=1.0)
@@ -23,7 +25,7 @@ SEQ3 = SequenceSpec(kind="seq3", alpha=0.5, b=0, k=1.0)
 
 def seq4_case_d():
     cc = critical_constants()
-    ell_tilde = k1_third_deriv_estimate() + 1.0
+    ell_tilde = K1_THIRD_DERIV_AT_BETA_C + 1.0
     return SequenceSpec(kind="seq4", alpha=0.2, ell=cc.ell_c,
                         ell_tilde=ell_tilde, case="d")
 
@@ -128,6 +130,36 @@ class TestSequenceSpecConstruction:
         with pytest.raises(ValueError, match="^SequenceSpec: alpha: zero denominator in '1/0'$"):
             SequenceSpec(kind="seq3", alpha="1/0", b=0, k=1.0)
 
+    # alpha=True used to be taken as 1.0, b=True as 1 and k=nan or inf as
+    # given; beta="x" raised a bare TypeError from the anchor-range check
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", True, "alpha: must be a finite int or float or a rational string, got True"),
+        ("alpha", None, "alpha: must be a finite int or float or a rational string, got None"),
+        ("beta", "x", "beta: must be a finite int or float, got 'x'"),
+        ("k", math.nan, "k: must be a finite int or float, got nan"),
+        ("k", math.inf, "k: must be a finite int or float, got inf"),
+        ("k", False, "k: must be a finite int or float, got False"),
+        ("b", True, "b: must be an int, got True"),
+        ("b", 1.0, "b: must be an int, got 1.0"),
+    ])
+    def test_rejects_ill_typed_fields(self, field, value, message):
+        fields = dict(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^SequenceSpec: {message}$"):
+            SequenceSpec(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="seq2", alpha=0.1, beta=1.0, b=1, p=2.0, ell=0.0),
+         "p: must be an int, got 2.0"),
+        (dict(kind="seq6", alpha=0.1, p=True, ell=0.0), "p: must be an int, got True"),
+        (dict(kind="seq5", alpha=0.2, ell=-math.inf), "ell: must be a finite int or float, got -inf"),
+        (dict(kind="seq4", alpha=0.2, ell=1.0, ell_tilde="0.5", case="a"),
+         "ell_tilde: must be a finite int or float, got '0.5'"),
+    ])
+    def test_rejects_ill_typed_fields_of_other_kinds(self, fields, message):
+        with pytest.raises(ValueError, match=f"^SequenceSpec: {message}$"):
+            SequenceSpec(**fields)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -198,6 +230,24 @@ class TestValidate:
         checks = validate(seq4_case_d())
         assert all(c.passed for c in checks)
         assert any("conjecture" in c.note for c in checks)
+
+    def test_seq4_case_d_needs_ell_tilde_above_k1_third_derivative(self):
+        # the step-1e-3 forward difference used before gave K1''' = 0.90256,
+        # which accepted ell_tilde in (0.90256, 0.91078)
+        spec = dataclasses.replace(seq4_case_d(), ell_tilde=0.905)
+        results = {c.name: c for c in validate(spec)}
+        assert not results["case d: ell_tilde > K1'''(beta_c)"].passed
+        assert results["case d: ell = ell_c"].passed
+
+    def test_k1_third_derivative_matches_the_series(self):
+        # the reference's K1' and K1'' reproduce K'(beta_c) and ell_c, the
+        # two conjectures of cases c and d, to 20 digits
+        k1p, k1pp, k1ppp = k1_taylor_mp()[1:]
+        with mp.workdps(30):
+            bc = mp.log(4)
+            assert abs(k1p - (1 / bc - 3 / (2 * bc**2))) <= 1e-20
+            assert abs(k1pp - (1 / bc - 2 / bc**2 + 3 / bc**3 - 5 / (4 * bc))) <= 1e-20
+        assert abs(K1_THIRD_DERIV_AT_BETA_C - float(k1ppp)) <= 1e-14
 
     def test_seq4_case_mismatch(self):
         cc = critical_constants()
