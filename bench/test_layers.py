@@ -12,11 +12,16 @@ alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
 beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs;
 weak_limit_distance runs on the README seq1 spec at alpha = 0.8 and n = 4000,
 against the lattice-law mixture of tests/mixture_oracle.py. The CLI figure
-is the README's seq1 sequence-run call, on one thread.
+is the README's seq1 sequence-run call, on one thread. The import figure is
+a fresh interpreter importing bclab, the start-up every CLI call pays.
 """
 
 import json
 import math
+import os
+import statistics
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +30,7 @@ from mixture_oracle import mixture_distance
 from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_weight_mp,
                           magnetization_mp)
 
+import bclab
 from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
                    spec_from_json, weak_limit_distance, xbar)
@@ -141,3 +147,26 @@ def test_cli_sequence_run(benchmark, tmp_path):
     ref = xbar(gl_polynomial(spec_from_json(README_SEQ1))[0]).value
     benchmark.extra_info.update(x_bar=x_bar, reference=ref, abs_err=abs(x_bar - ref))
     assert code == 0 and x_bar == ref
+
+
+IMPORT_SCRIPT = ("import sys, time\n"
+                 "start = time.perf_counter()\n"
+                 "import bclab\n"
+                 "print(time.perf_counter() - start,\n"
+                 "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+
+
+def test_import_bclab(benchmark):
+    # each round is a fresh interpreter, so nothing is cached; the timed call
+    # includes interpreter start-up, import_s is the import statement alone
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bclab.__file__)))
+    runs = []
+
+    def fresh_import():
+        out = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        runs.append((float(out[0]), out[1] == "True"))
+
+    benchmark.pedantic(fresh_import, rounds=10, iterations=1)
+    benchmark.extra_info.update(import_s=statistics.median(s for s, _ in runs),
+                                scipy_loaded=any(loaded for _, loaded in runs))

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .minimize import magnetization, min_free_energy
 from .model import ModelParams, free_energy
@@ -63,6 +62,21 @@ def _check_tail(op: str, gamma: float, a: float) -> None:
     _check_unit_interval(op, "gamma", gamma)
     if not a >= 0:
         raise ValueError(f"{op}: threshold a must be >= 0, got {a}")
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum e^a, shifted by max a so no exponential overflows.
+
+    The m terms equal to the maximum are held out and the rest enter through
+    log1p, which keeps digits when the maxima dominate: the arithmetic of
+    SciPy's special.logsumexp, so log_z is unchanged to the bit.
+    """
+    top = np.max(a)
+    peak = a == top
+    rest = np.exp(a - top)
+    rest[peak] = 0.0
+    m = float(np.count_nonzero(peak))
+    return float(np.log1p(np.sum(rest) / m) + np.log(m) + top)
 
 
 @dataclass(frozen=True)
@@ -115,7 +129,7 @@ def _law_cached(n: int, beta: float, kappa: float) -> SpinLawExact:
     log_weights = (head - head[top]) + (tail - tail[top])
     log_weights.flags.writeable = False
     return SpinLawExact(n=n, log_weights=log_weights,
-                        log_z=float(logsumexp(log_weights)))
+                        log_z=_logsumexp(log_weights))
 
 
 def finite_size_law(n: int, params: ModelParams) -> SpinLawExact:
@@ -167,7 +181,7 @@ def log_tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:
     mask = np.abs(law.support()) >= threshold
     if not mask.any():
         return -np.inf
-    return float(logsumexp(law.log_weights[mask]) - law.log_z)
+    return _logsumexp(law.log_weights[mask]) - law.log_z
 
 
 def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import minimize
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
@@ -260,8 +259,8 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
 def _cdf(log_weight: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """CDF on grid of the density proportional to e^log_weight, by the
     cumulative trapezoid rule, normalized to end at 1."""
-    cdf = integrate.cumulative_trapezoid(np.exp(log_weight - np.max(log_weight)),
-                                         grid, initial=0.0)
+    y = np.exp(log_weight - np.max(log_weight))
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (y[1:] + y[:-1]) / 2.0)))
     return cdf / cdf[-1]
 
 

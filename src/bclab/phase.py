@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import optimize
-
 from .minimize import min_free_energy
 from .model import (BETA_MAX, ModelParams, check_beta, inflection_tilt,
                     secant_excess, well_depth)
@@ -66,6 +64,60 @@ def second_order_k_deriv(beta: float, order: int) -> float:
     return math.exp(beta) * s + (-1) ** order * math.factorial(order) / (2.0 * beta ** (order + 1))
 
 
+def _brentq(f, arg, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of x -> f(arg, x) bracketed by [xa, xb], by Brent's method.
+
+    A line-for-line port of SciPy's brentq.c (optimize.brentq, at its default
+    100 iterations), so it returns the same float for the same f, bracket
+    and tolerances.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(arg, xpre), f(arg, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"brentq: f({xa}) = {fpre} and f({xb}) = {fcur} "
+                         "must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(arg, xcur)
+    raise RuntimeError(f"brentq: no convergence after 100 iterations, at {xcur}")
+
+
 def first_order_k(beta: float) -> float:
     """The first-order curve K1(beta) for beta > beta_c, to 1e-12 absolute.
 
@@ -77,8 +129,8 @@ def first_order_k(beta: float) -> float:
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
                          f"{BETA_MAX}], got {beta}")
-    t1 = optimize.brentq(lambda t: well_depth(beta, t), inflection_tilt(beta),
-                         2.0 * beta * second_order_k(beta), xtol=1e-300, rtol=8.9e-16)
+    t1 = _brentq(well_depth, beta, inflection_tilt(beta),
+                 2.0 * beta * second_order_k(beta), 1e-300, 8.9e-16)
     k1 = second_order_k(beta) / (1.0 + secant_excess(beta, t1))
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:

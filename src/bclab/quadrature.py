@@ -1,13 +1,27 @@
 """Quadrature helpers for expectations against exp(-polynomial) weights and
-Gaussian-smoothed lattice laws."""
+Gaussian-smoothed lattice laws.
+
+Improper integrals run a globally adaptive 21-point Gauss-Kronrod rule, the
+qk21 rule of QUADPACK (Piessens et al., 1983). Each panel's error estimate is
+QUADPACK's heuristic resasc * min(1, (200 |K21 - G10| / resasc)^1.5), where
+G10 is the embedded 10-point Gauss rule and resasc the K21 integral of
+|f - mean f| over the panel. The panels start split at the flagged points,
+and the worst one is bisected until the summed estimate is at most
+max(1e-14, REL_TOL |value|) or 400 panels exist. As in QUADPACK, a starting
+panel whose estimate is all of its resasc is charged the summed estimate of
+all starting panels, and the bisection stops when the worst panel is about
+100 ulps wide. A summed estimate left above max(1e-12, 10 REL_TOL |value|)
+raises QuadratureError.
+"""
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 # Relative tolerance of every improper integral, and the exponent margin at
 # which a weight e^(floor - fn) is cut off: beyond the cutoff the integrand
@@ -34,10 +48,71 @@ def tail_cutoff(fn, floor: float, last_turn: float) -> float:
     return x
 
 
+# QUADPACK's qk21 on [0, 1]: the Kronrod nodes, largest first, and their
+# weights; the 10-point Gauss rule uses every other node from the second.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# the same rules on [-1, 1], mirrored through the centre node
+_GK21_NODES = np.concatenate((_XGK, -_XGK[-2::-1]))
+_K21_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1::2] = np.concatenate((_WG, _WG[::-1]))
+_MAX_PANELS = 400
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+
+
+def _gk21(f, lo: float, hi: float) -> tuple[float, float, bool]:
+    """K21 integral of f on [lo, hi], its QUADPACK error estimate, and whether
+    that estimate is all of resasc, i.e. the rule saw no convergence."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # f gets Python floats: model's closed forms take their math path on them
+    fx = np.array([f(x) for x in (centre + half * _GK21_NODES).tolist()])
+    kronrod = float(_K21_WEIGHTS @ fx)
+    err = abs((kronrod - float(_G10_WEIGHTS @ fx)) * half)
+    resasc = float(_K21_WEIGHTS @ np.abs(fx - 0.5 * kronrod)) * abs(half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return kronrod * half, err, err == resasc != 0.0
+
+
 def _quad(f, lo: float, hi: float, points):
-    pts = sorted(p for p in points if lo < p < hi) or None
-    val, err = integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=REL_TOL,
-                              limit=400, points=pts)
+    cuts = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+    first = [(a, b, *_gk21(f, a, b)) for a, b in zip(cuts, cuts[1:])]
+    # As in QUADPACK's qagpe, a starting panel whose rule saw no convergence
+    # (say a peak at a flagged point that no node reaches) is charged the
+    # summed estimate, so it is bisected before the tolerance is tested.
+    summed = math.fsum(e for _, _, _, e, _ in first)
+    panels = [(-(summed if blind else e), a, b, v) for a, b, v, e, blind in first]
+    heapq.heapify(panels)
+    while True:
+        val = math.fsum(p[3] for p in panels)
+        err = -math.fsum(p[0] for p in panels)
+        if len(panels) >= _MAX_PANELS or err <= max(1e-14, REL_TOL * abs(val)):
+            break
+        _, a, b, _ = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        # QUADPACK's stop for bad integrand behaviour: the worst panel has
+        # shrunk to about 100 ulps, say around a singularity
+        if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
+            break
+        for x, y in ((a, mid), (mid, b)):
+            v, e, _ = _gk21(f, x, y)
+            heapq.heappush(panels, (-e, x, y, v))
     if err > max(1e-12, 10 * REL_TOL * abs(val)):
         raise QuadratureError(
             f"integral did not converge: value {val:.6g}, achieved abs error {err:.3g}")
@@ -48,10 +123,15 @@ def weighted_ratio(f, log_weight, cutoff: float, points=()) -> float:
     """(integral of f * e^log_weight) / (integral of e^log_weight) on [-X, X].
 
     log_weight must be even with maximum 0 (pre-normalized); points flags
-    integrable kinks of f or interior peaks of the weight.
+    integrable kinks of f or interior peaks of the weight. Raises
+    QuadratureError when the weight integrates to 0 or to no finite number.
     """
-    num = _quad(lambda x: f(x) * math.exp(log_weight(x)), -cutoff, cutoff, points)
     den = _quad(lambda x: math.exp(log_weight(x)), -cutoff, cutoff, points)
+    if den == 0.0 or not math.isfinite(den):
+        raise QuadratureError(
+            f"weighted_ratio: the weight integral on [-{cutoff:.6g}, {cutoff:.6g}] "
+            f"is {den}, not a positive finite number")
+    num = _quad(lambda x: f(x) * math.exp(log_weight(x)), -cutoff, cutoff, points)
     return num / den
 
 

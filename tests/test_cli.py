@@ -3,10 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bclab
 from bclab import gl_polynomial, spec_from_json, thermo_magnetization, xbar
 from bclab.cli import _FIELDS, ExperimentConfig, ConfigError, main
 from bclab.model import ModelParams
@@ -19,6 +23,33 @@ def write_spec(tmp_path, doc=None):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc or SEQ1_DOC), encoding="utf-8")
     return str(path)
+
+
+class TestRuntimeDependencies:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter runs the
+        # commands that reach the Brent solve, the quadrature, the log-sum of
+        # the law and the trapezoid CDF without importing scipy
+        spec = write_spec(tmp_path)
+        script = (
+            "import sys\n"
+            "import bclab, bclab.cli\n"
+            "spec, out = sys.argv[1], sys.argv[2]\n"
+            "for argv in (\n"
+            "        ['phase-diagram', '--beta-min', '1.0', '--beta-max', '1.6',\n"
+            "         '--points', '5', '-o', out + '/pd.csv'],\n"
+            "        ['sequence-run', '--spec', spec, '--n', '50,100', '-o', out + '/sr.csv'],\n"
+            "        ['mdp-check', '--spec', spec, '--alpha', '0.25', '--a', '2.4',\n"
+            "         '--n', '100,200', '-o', out + '/mdp.csv'],\n"
+            "        ['weak-limit', '--spec', spec, '--alpha', '0.8', '--n', '100',\n"
+            "         '-o', out + '/wl.csv']):\n"
+            "    assert bclab.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(bclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, spec, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestMagnetize:

@@ -133,6 +133,23 @@ class TestFiniteSizeLaw:
             laws[0].log_weights[0] = 0.0
 
 
+class TestLogSumExp:
+    def test_matches_scipy_bit_for_bit(self):
+        # log_z of ordered (two mirrored maxima) and disordered laws, and
+        # arrays with repeated maxima
+        from scipy.special import logsumexp
+        arrays = [finite_size_law(n, params).log_weights
+                  for n in (10, 1000, 5000)
+                  for params in (ModelParams(1.0, 1.5), ModelParams(1.0, 1.0),
+                                 ModelParams(2.0, 1.2))]
+        rng = np.random.default_rng(7)
+        for size in range(1, 200, 7):
+            a = np.round(rng.normal(scale=20.0, size=size))
+            arrays += [a, np.concatenate((a, a[::-1]))]
+        for a in arrays:
+            assert bclab.finite_size._logsumexp(a) == float(logsumexp(a))
+
+
 class TestAbsMoment:
     def test_bounded_by_one(self):
         law = finite_size_law(50, ModelParams(1.0, 1.8))

@@ -290,6 +290,14 @@ WEAK_LIMIT_SPECS = {
 
 
 class TestWeakLimitDistance:
+    def test_cdf_matches_scipy_bit_for_bit(self):
+        from scipy.integrate import cumulative_trapezoid
+        grid = np.linspace(-7.5, 7.5, 4001)
+        for log_weight in (-grid**2, -0.3 * grid**4 + grid**2, -np.abs(grid)):
+            y = np.exp(log_weight - np.max(log_weight))
+            ref = cumulative_trapezoid(y, grid, initial=0.0)
+            assert np.array_equal(harness._cdf(log_weight, grid), ref / ref[-1])
+
     @pytest.mark.parametrize("name", WEAK_LIMIT_SPECS)
     def test_matches_the_lattice_mixture(self, name):
         spec = WEAK_LIMIT_SPECS[name]
