@@ -11,7 +11,11 @@ README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
 beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs;
 weak_limit_distance runs on the README seq1 spec at alpha = 0.8 and n = 4000,
-against the lattice-law mixture of tests/mixture_oracle.py. The CLI figure
+against the lattice-law mixture of tests/mixture_oracle.py. Past the exact
+law, on the same spec, hs_rhs runs at n = 10^13, gamma_bar = 1/4 against the
+limit second moment Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.8767448, and
+weak_limit_distance at n = 10^16 against the n^-(alpha - 1/2) trend from
+n = 10^14, where the exact law is out of reach. The CLI figure
 is the README's seq1 sequence-run call, on one thread. The import figure is
 a fresh interpreter importing bclab, the start-up every CLI call pays.
 """
@@ -33,7 +37,7 @@ from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_wei
 import bclab
 from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
-                   spec_from_json, weak_limit_distance, xbar)
+                   params_at, spec_from_json, weak_limit_distance, xbar)
 from bclab.minimize import magnetization
 from bclab.phase import first_order_k, second_order_k
 
@@ -122,6 +126,23 @@ def test_hs_rhs(benchmark):
     rel_diff = abs(lhs - rhs) / abs(rhs)
     benchmark.extra_info.update(rhs=rhs, lhs=lhs, rel_diff=rel_diff)
     assert rel_diff <= 1e-8
+
+
+def test_hs_rhs_past_the_exact_law(benchmark):
+    spec, n = spec_from_json(dict(README_SEQ1, alpha=0.8)), 10**13
+    value = benchmark(hs_rhs, n, params_at(spec, n), 0.25, np.square)
+    limit = math.gamma(0.75) / math.gamma(0.25) / math.sqrt(g_tilde(spec).c4)
+    benchmark.extra_info.update(n=n, value=value, limit=limit, abs_err=abs(value - limit))
+    assert abs(value - limit) <= 2.5e-4
+
+
+def test_weak_limit_distance_past_the_exact_law(benchmark):
+    spec, n = spec_from_json(dict(README_SEQ1, alpha=0.8)), 10**16
+    distance = benchmark(weak_limit_distance, spec, n)
+    trend = weak_limit_distance(spec, n // 100) * 10 ** (-2 * (spec.alpha - 0.5))
+    benchmark.extra_info.update(n=n, distance=distance, trend=trend,
+                                rel_diff=abs(distance / trend - 1))
+    assert abs(distance / trend - 1) <= 1e-2
 
 
 def test_weak_limit_distance(benchmark):

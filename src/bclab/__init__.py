@@ -10,6 +10,7 @@ does not.
 
 from .model import (ModelParams, cumulant, cumulant_deriv, free_energy,
                     free_energy_deriv)
+from .minimize import ScaledFreeEnergy, magnetization
 from .phase import (BETA_C, CriticalConstants, PhaseRegion, classify,
                     critical_constants, first_order_k, second_order_k,
                     second_order_k_deriv, verify_tricritical_conjectures)
@@ -17,7 +18,7 @@ from .finite_size import (N_MAX, EnumerationLimitError, McEstimate,
                           SpinLawExact, abs_moment, finite_size_law, hs_lhs,
                           hs_rhs, mc_estimate, tail_mass)
 from .quadrature import QuadratureError, aitken_limit
-from .sequences import (EvenPolynomial, MinimumSet, ScalingExponents,
+from .sequences import (EvenPolynomial, MinimumSet, Regime, ScalingExponents,
                         SequenceSpec, SpecValidationError,
                         UnsupportedSequenceError, XbarResult, c4_coefficient,
                         check_hypothesis_iiia, check_hypothesis_v,
@@ -25,10 +26,10 @@ from .sequences import (EvenPolynomial, MinimumSet, ScalingExponents,
                         limit_constant, params_at, scaled_free_energy_table,
                         spec_from_json, spec_to_json, validate, xbar)
 from .harness import (AsymptoticsReport, Estimator, KappaFitReport, MdpReport,
-                      Regime, ReportConstants, ReportRow, estimator_comparison,
+                      ReportConstants, ReportRow, estimator_comparison,
                       kappa_fluctuation_estimate, mdp_rate_estimate,
                       run_finite_size_asymptotics, run_thermo_asymptotics,
-                      thermo_magnetization, weak_limit_distance)
+                      weak_limit_distance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import harness, phase
 from .finite_size import finite_size_law, mc_estimate
+from .minimize import magnetization
 from .model import BETA_MAX, ModelParams, free_energy
 from .phase import BETA_C, first_order_k, second_order_k
 from .sequences import SequenceSpec, _parse_alpha, spec_from_json
@@ -117,7 +118,7 @@ def _run_phase_diagram(config: ExperimentConfig) -> None:
 
 def _run_magnetize(config: ExperimentConfig) -> None:
     params = ModelParams(config.beta, config.kappa)
-    m = harness.thermo_magnetization(params)
+    m = magnetization(params)
     _emit_json({"beta": config.beta, "kappa": config.kappa, "m": m,
                 "free_energy_at_m": free_energy(params, m)},
                config.output_path)

@@ -1,6 +1,6 @@
 """Exact finite-n law of the total spin, its moments and tails, the
-Gaussian-smoothing identity that turns spin expectations into one-dimensional
-integrals, and a Metropolis cross-estimator.
+Gaussian-smoothing identity that turns spin expectations into integrals
+against e^{-n G(y/n^gamma)}, and a Metropolis cross-estimator.
 
 The energy depends only on the occupation counts, so the weight of total spin
 s is d_{s+n} e^{beta K s^2 / n}, where d_j is the coefficient of z^j in
@@ -31,9 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .minimize import magnetization, min_free_energy
-from .model import ModelParams, free_energy
-from .quadrature import gaussian_mixture_expectation, tail_cutoff, weighted_ratio
+from .minimize import ScaledFreeEnergy, magnetization
+from .model import ModelParams
+from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
 N_MAX = 10**6  # the law takes about 200 B per n, so about 200 MB here
 MIN_BATCHES = 20
@@ -201,34 +201,18 @@ def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     return gaussian_mixture_expectation(f, means, probs[keep], sigma, kinks=kinks)
 
 
-def smoothed_cutoff(n: int, params: ModelParams, scale: float) -> float:
-    """tail_cutoff of y -> n G(y/scale), the exponent of the smoothed density
-    e^{-n G(y/scale)}: every stationary point of G solves x = c'(2 beta K x),
-    so |x| < 1 and none lies beyond y = scale."""
-    g_min = min_free_energy(params)[0]
-    return tail_cutoff(lambda y: n * free_energy(params, y / scale), n * g_min, scale)
-
-
 def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     """Integral of f against the density proportional to e^{-n G(x/n^gb)}.
 
-    The weight is normalized by its minimum before exponentiating and cut at
-    smoothed_cutoff; the integrals split at the wells.
+    The exponent is ScaledFreeEnergy(params, n, n^gb), which windows the weight
+    at its wells (weighted_ratio); declare the kinks of f.
     """
     _check_unit_interval("hs_rhs", "gamma_bar", gamma_bar)
-    scale = float(n) ** gamma_bar
-    g_min, arg_min = min_free_energy(params)
-
-    def log_weight(x: float) -> float:
-        return -n * (free_energy(params, x / scale) - g_min)
-
-    peaks = (-arg_min * scale, 0.0, arg_min * scale)
 
     def fs(x: float) -> float:
         return float(f(np.asarray([x]))[0])
 
-    return weighted_ratio(fs, log_weight, smoothed_cutoff(n, params, scale),
-                          points=tuple(kinks) + peaks)
+    return weighted_ratio(fs, ScaledFreeEnergy(params, n, float(n) ** gamma_bar), kinks)
 
 
 def _acceptance_tables(n: int, beta: float, kappa: float) -> list[array]:

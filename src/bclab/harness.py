@@ -4,8 +4,8 @@ tail-decay rate estimates, weak-limit distances, and the exploratory
 fluctuation-exponent fit.
 
 The regime of a run is decided by comparing the sequence speed alpha with the
-kind's threshold alpha0 (tolerance 1e-12; supply alpha as a rational string
-such as "1/3" in configs for exact threshold hits):
+kind's threshold alpha0 (ScalingExponents.regime, tolerance 1e-12; supply
+alpha as a rational string such as "1/3" in configs for exact threshold hits):
 
     below  (alpha < alpha0): E|S_n/n| ~ xbar / n^(theta alpha), asymptotic to
                              the thermodynamic magnetization;
@@ -25,30 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import minimize
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
-                          mc_estimate, smoothed_cutoff)
-from .model import ModelParams, free_energy
-from .sequences import (MinimumSet, SequenceSpec, g_tilde, gl_polynomial,
+                          mc_estimate)
+from .minimize import ScaledFreeEnergy, magnetization
+from .model import ModelParams
+from .sequences import (MinimumSet, Regime, SequenceSpec, g_tilde, gl_polynomial,
                         limit_constant, params_at, xbar)
 
-ALPHA_MATCH_TOL = 1e-12
 SATURATION_LOG_FLOOR = -700.0
-
-
-def thermo_magnetization(params: ModelParams) -> float:
-    """Thermodynamic magnetization m(beta, K), the largest global minimizer
-    of the free-energy functional on [0, 1] (0 in the single-phase region).
-
-    This is the single implementation used everywhere m(beta, K) appears.
-    """
-    return minimize.magnetization(params)
-
-
-class Regime(enum.Enum):
-    BELOW = "below"
-    AT = "at"
-    ABOVE = "above"
 
 
 class Estimator(enum.Enum):
@@ -84,17 +68,10 @@ class AsymptoticsReport:
     constants: ReportConstants
 
 
-def _regime_of(alpha: float, alpha0: float) -> Regime:
-    if alpha < alpha0 - ALPHA_MATCH_TOL:
-        return Regime.BELOW
-    if alpha <= alpha0 + ALPHA_MATCH_TOL:
-        return Regime.AT
-    return Regime.ABOVE
-
-
-def _constants_for(spec: SequenceSpec, regime: Regime) -> tuple[ReportConstants, float]:
+def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, float]:
     """Report constants and the exponent used for the scaled-e column."""
     g, exps = gl_polynomial(spec)
+    regime = exps.regime(spec.alpha)
     xb = xbar(g)
     banner = None
     x_bar: float | None = xb.value
@@ -124,11 +101,11 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     scaled column converges to xbar.
     """
     g, exps = gl_polynomial(spec)
-    consts, _ = _constants_for(spec, _regime_of(spec.alpha, exps.alpha0))
+    consts, _ = _constants_for(spec)
     rows = []
     for n in sorted(n_list):
         params = params_at(spec, n)
-        m = thermo_magnetization(params)
+        m = magnetization(params)
         rows.append(ReportRow(
             n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m,
             e_finite=None, scaled_m=float(n) ** (exps.theta * spec.alpha) * m,
@@ -139,7 +116,7 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
 def _finite_size_row(spec: SequenceSpec, n: int, exps, e_exp: float,
                      estimator: Estimator, sweeps: int, seed: int) -> ReportRow:
     params = params_at(spec, n)
-    m = thermo_magnetization(params)
+    m = magnetization(params)
     if estimator is Estimator.EXACT:
         e = abs_moment(finite_size_law(n, params))
     else:
@@ -164,8 +141,7 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     exact estimator, an n_list reaching past N_MAX fails before any row runs.
     """
     g, exps = gl_polynomial(spec)
-    regime = _regime_of(spec.alpha, exps.alpha0)
-    consts, e_exp = _constants_for(spec, regime)
+    consts, e_exp = _constants_for(spec)
     ns = sorted(n_list)
     if not ns:
         raise ValueError("run_finite_size_asymptotics: n_list is empty")
@@ -193,7 +169,7 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     """
     if isinstance(spec_or_params, ModelParams):
         params = spec_or_params
-        m = thermo_magnetization(params)
+        m = magnetization(params)
         if m <= 0:
             raise ValueError("estimator_comparison: fixed point outside coexistence (m = 0)")
         return [(n, abs_moment(finite_size_law(n, params)) / m)
@@ -234,7 +210,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     term of order log n / n^u.
     """
     g, exps = gl_polynomial(spec)
-    if spec.alpha >= exps.alpha0 - ALPHA_MATCH_TOL:
+    if exps.regime(spec.alpha) is not Regime.BELOW:
         raise ValueError(f"mdp_rate_estimate: alpha must be below alpha0 = "
                          f"{exps.alpha0:.6g}, got {spec.alpha}")
     xb = xbar(g).value
@@ -274,19 +250,18 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     untouched. By that identity the smoothed law has the density proportional
     to exp(-n G_n(y/n^(theta alpha0))), so both CDFs come from one trapezoid
     rule on one 40001-point grid, cut where both weights are below e^-60 of
-    their peaks. Cost does not depend on n.
+    their peaks (both weight_window cutoffs). Cost does not depend on n.
     """
     g, exps = gl_polynomial(spec)
-    regime = _regime_of(spec.alpha, exps.alpha0)
+    regime = exps.regime(spec.alpha)
     if regime is Regime.BELOW:
         raise ValueError(
             f"weak_limit_distance: requires alpha >= alpha0 = {exps.alpha0:.6g}")
     poly = g if regime is Regime.AT else g_tilde(spec)
-    params = params_at(spec, n)
-    scale = float(n) ** exps.theta_alpha0
-    half_width = max(poly.weight_window()[1], smoothed_cutoff(n, params, scale))
+    phi = ScaledFreeEnergy(params_at(spec, n), n, float(n) ** exps.theta_alpha0)
+    half_width = max(poly.weight_window()[1], phi.weight_window()[1])
     grid = np.linspace(-half_width, half_width, 40001)
-    cdf_n = _cdf(-n * free_energy(params, grid / scale), grid)
+    cdf_n = _cdf(-phi(grid), grid)
     return float(np.max(np.abs(cdf_n - _cdf(-poly(grid), grid))))
 
 
@@ -305,7 +280,7 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     here is asserted by the acceptance suite.
     """
     g, exps = gl_polynomial(spec)
-    if spec.alpha >= exps.alpha0 - ALPHA_MATCH_TOL:
+    if exps.regime(spec.alpha) is not Regime.BELOW:
         raise ValueError(f"kappa_fluctuation_estimate: alpha must be below alpha0 = "
                          f"{exps.alpha0:.6g}, got {spec.alpha}")
     ns = sorted(n_list)
@@ -315,7 +290,7 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     rows = []
     for n in ns:
         params = params_at(spec, n)
-        m = thermo_magnetization(params)
+        m = magnetization(params)
         law = finite_size_law(n, params)
         s = law.support()
         dev = np.abs(np.abs(s / law.n) - m)

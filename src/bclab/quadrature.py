@@ -1,17 +1,18 @@
-"""Quadrature helpers for expectations against exp(-polynomial) weights and
+"""Quadrature helpers for expectations against exp(-phi) weights and
 Gaussian-smoothed lattice laws.
+
+An exponent phi (EvenPolynomial, ScaledFreeEnergy) states its weight window,
+which weighted_ratio reads: its minimum, cutoff and break points at its wells.
 
 Improper integrals run a globally adaptive 21-point Gauss-Kronrod rule, the
 qk21 rule of QUADPACK (Piessens et al., 1983). Each panel's error estimate is
 QUADPACK's heuristic resasc * min(1, (200 |K21 - G10| / resasc)^1.5), where
 G10 is the embedded 10-point Gauss rule and resasc the K21 integral of
-|f - mean f| over the panel. The panels start split at the flagged points,
+|f - mean f| over the panel. The panels start split at the break points,
 and the worst one is bisected until the summed estimate is at most
-max(1e-14, REL_TOL |value|) or 400 panels exist. As in QUADPACK, a starting
-panel whose estimate is all of its resasc is charged the summed estimate of
-all starting panels, and the bisection stops when the worst panel is about
-100 ulps wide. A summed estimate left above max(1e-12, 10 REL_TOL |value|)
-raises QuadratureError.
+max(1e-14, REL_TOL |value|) or 400 panels exist. As in QUADPACK, the
+bisection stops when the worst panel is about 100 ulps wide. A summed
+estimate left above max(1e-12, 10 REL_TOL |value|) raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ _MAX_PANELS = 400
 _EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 
-def _gk21(f, lo: float, hi: float) -> tuple[float, float, bool]:
-    """K21 integral of f on [lo, hi], its QUADPACK error estimate, and whether
-    that estimate is all of resasc, i.e. the rule saw no convergence."""
+def _gk21(f, lo: float, hi: float) -> tuple[float, float, float, float]:
+    """The panel (-err, lo, hi, value) for the heap of _quad: the K21 integral
+    of f on [lo, hi] and its QUADPACK error estimate err."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # f gets Python floats: model's closed forms take their math path on them
     fx = np.array([f(x) for x in (centre + half * _GK21_NODES).tolist()])
@@ -87,17 +88,12 @@ def _gk21(f, lo: float, hi: float) -> tuple[float, float, bool]:
     resasc = float(_K21_WEIGHTS @ np.abs(fx - 0.5 * kronrod)) * abs(half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return kronrod * half, err, err == resasc != 0.0
+    return -err, lo, hi, kronrod * half
 
 
 def _quad(f, lo: float, hi: float, points):
     cuts = [lo, *sorted({p for p in points if lo < p < hi}), hi]
-    first = [(a, b, *_gk21(f, a, b)) for a, b in zip(cuts, cuts[1:])]
-    # As in QUADPACK's qagpe, a starting panel whose rule saw no convergence
-    # (say a peak at a flagged point that no node reaches) is charged the
-    # summed estimate, so it is bisected before the tolerance is tested.
-    summed = math.fsum(e for _, _, _, e, _ in first)
-    panels = [(-(summed if blind else e), a, b, v) for a, b, v, e, blind in first]
+    panels = [_gk21(f, a, b) for a, b in zip(cuts, cuts[1:])]
     heapq.heapify(panels)
     while True:
         val = math.fsum(p[3] for p in panels)
@@ -110,28 +106,29 @@ def _quad(f, lo: float, hi: float, points):
         # shrunk to about 100 ulps, say around a singularity
         if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             break
-        for x, y in ((a, mid), (mid, b)):
-            v, e, _ = _gk21(f, x, y)
-            heapq.heappush(panels, (-e, x, y, v))
+        heapq.heappush(panels, _gk21(f, a, mid))
+        heapq.heappush(panels, _gk21(f, mid, b))
     if err > max(1e-12, 10 * REL_TOL * abs(val)):
         raise QuadratureError(
             f"integral did not converge: value {val:.6g}, achieved abs error {err:.3g}")
     return val
 
 
-def weighted_ratio(f, log_weight, cutoff: float, points=()) -> float:
-    """(integral of f * e^log_weight) / (integral of e^log_weight) on [-X, X].
+def weighted_ratio(f, phi, points=()) -> float:
+    """(integral of f e^-phi) / (integral of e^-phi) for an even exponent phi.
 
-    log_weight must be even with maximum 0 (pre-normalized); points flags
-    integrable kinks of f or interior peaks of the weight. Raises
-    QuadratureError when the weight integrates to 0 or to no finite number.
-    """
-    den = _quad(lambda x: math.exp(log_weight(x)), -cutoff, cutoff, points)
+    phi.weight_window() gives (floor, cutoff, break_points): the integrals of
+    the weight e^(floor - phi) run over [-cutoff, cutoff], split at the break
+    points and at points, the integrable kinks of f. Raises QuadratureError
+    when the weight integrates to 0 or to no finite number."""
+    floor, cutoff, breaks = phi.weight_window()
+    points = (*points, *breaks)
+    den = _quad(lambda x: math.exp(floor - phi(x)), -cutoff, cutoff, points)
     if den == 0.0 or not math.isfinite(den):
         raise QuadratureError(
             f"weighted_ratio: the weight integral on [-{cutoff:.6g}, {cutoff:.6g}] "
             f"is {den}, not a positive finite number")
-    num = _quad(lambda x: f(x) * math.exp(log_weight(x)), -cutoff, cutoff, points)
+    num = _quad(lambda x: f(x) * math.exp(floor - phi(x)), -cutoff, cutoff, points)
     return num / den
 
 

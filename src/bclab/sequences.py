@@ -50,13 +50,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import phase
-from .model import ModelParams, check_beta, free_energy
+from .minimize import ScaledFreeEnergy
+from .model import ModelParams, check_beta
 from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
 from .quadrature import tail_cutoff, weighted_ratio
 
 TRICRITICAL_C4 = 3.0 / 16.0
 TRICRITICAL_C6 = 9.0 / 40.0
 XBAR_TIE_TOL = 1e-12
+ALPHA_MATCH_TOL = 1e-12   # alpha within this of alpha0 is at the threshold
 # Absolute tolerance for recognizing the boundary cases ell = K''(beta_c) and
 # ell = ell_c of sequence 4.
 CASE_MATCH_TOL = 1e-9
@@ -147,13 +149,19 @@ class EvenPolynomial:
         y = (-self.c4 + math.sqrt(disc)) / (3.0 * self.c6)
         return math.sqrt(y) if y > 0 else 0.0
 
-    def weight_window(self) -> tuple[float, float, float]:
-        """(floor, cutoff, outer) of every weight e^(floor - g): floor = min(0,
-        g(outer)) is the minimum of g, so the weight peaks at 1 however deep
-        the wells; past cutoff (tail_cutoff beyond outer) it is below e^-TAIL_CUT."""
+    def weight_window(self) -> tuple[float, float, tuple[float, ...]]:
+        """(floor, cutoff, +-outer if outer) of every weight e^(floor - g): floor
+        = min(0, g(outer)) is the minimum of g, so the weight peaks at 1 however
+        deep the wells; past cutoff (tail_cutoff beyond outer) it is below e^-TAIL_CUT."""
         outer = self.outer_well()
         floor = min(0.0, float(self(outer)))
-        return floor, tail_cutoff(self, floor, outer), outer
+        return floor, tail_cutoff(self, floor, outer), (-outer, outer) if outer else ()
+
+
+class Regime(enum.Enum):
+    BELOW = "below"
+    AT = "at"
+    ABOVE = "above"
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,14 @@ class ScalingExponents:
     def kappa(self, alpha: float) -> float:
         """Conjectured fluctuation exponent (1/2)(1 - alpha/alpha0) + theta*alpha."""
         return 0.5 * (1.0 - alpha / self.alpha0) + self.theta * alpha
+
+    def regime(self, alpha: float) -> Regime:
+        """The regime of speed alpha: AT within ALPHA_MATCH_TOL of alpha0."""
+        if alpha < self.alpha0 - ALPHA_MATCH_TOL:
+            return Regime.BELOW
+        if alpha <= self.alpha0 + ALPHA_MATCH_TOL:
+            return Regime.AT
+        return Regime.ABOVE
 
 
 class MinimumSet(enum.Enum):
@@ -478,17 +494,9 @@ def limit_constant(poly: EvenPolynomial) -> float:
     """First absolute moment of the density proportional to exp(-poly).
 
     Yields the constant named ybar when given the leading monomial g~ and
-    zbar when given the full scaling polynomial g. The weight and its cutoff
-    come from poly.weight_window(); the integrals split at the outer wells.
+    zbar when given the full scaling polynomial g; see poly.weight_window().
     """
-    floor, cutoff, outer = poly.weight_window()
-    return weighted_ratio(abs, lambda x: floor - float(poly(x)), cutoff,
-                          points=(-outer, outer) if outer else ())
-
-
-def _scaled_free_energy(spec: SequenceSpec, n: int, x, speed: float, shrink: float):
-    params = params_at(spec, n)
-    return speed * np.asarray(free_energy(params, np.asarray(x, dtype=float) / shrink))
+    return weighted_ratio(abs, poly)
 
 
 def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tuple[int, float]]:
@@ -504,8 +512,8 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     gx = g(xs)
     rows = []
     for n in n_list:
-        scaled = _scaled_free_energy(spec, n, xs, float(n) ** (spec.alpha / exps.alpha0),
-                                     float(n) ** (exps.theta * spec.alpha))
+        scaled = ScaledFreeEnergy(params_at(spec, n), float(n) ** (spec.alpha / exps.alpha0),
+                                  float(n) ** (exps.theta * spec.alpha))(xs)
         rows.append((n, float(np.max(np.abs(scaled - gx)))))
     return rows
 
@@ -513,13 +521,13 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
 def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:
     """Pointwise error of n G(x/n^(theta alpha0)) against the leading monomial.
 
-    Requires alpha > alpha0; rejects seq6 for the same reason g_tilde does.
+    Requires Regime.ABOVE; rejects seq6 for the same reason g_tilde does.
     """
     gt = g_tilde(spec)
     exps = scaling_exponents(spec)
-    if spec.alpha <= exps.alpha0:
-        raise ValueError(f"check_hypothesis_v: alpha must exceed alpha0 = "
-                         f"{exps.alpha0:.6g}, got {spec.alpha}")
+    if exps.regime(spec.alpha) is not Regime.ABOVE:
+        raise ValueError(f"check_hypothesis_v: alpha must exceed alpha0 = {exps.alpha0:.6g} "
+                         f"by more than {ALPHA_MATCH_TOL:g}, got {spec.alpha!r}")
     gx = gt(np.asarray(x_grid, dtype=float))
     return [(n, np.abs(scaled - gx))
             for n, scaled in scaled_free_energy_table(spec, x_grid, n_list)]
@@ -534,8 +542,8 @@ def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[i
     require_valid("scaled_free_energy_table", spec)
     exps = scaling_exponents(spec)
     xs = np.asarray(x_grid, dtype=float)
-    return [(n, _scaled_free_energy(spec, n, xs, float(n),
-                                    float(n) ** exps.theta_alpha0))
+    return [(n, ScaledFreeEnergy(params_at(spec, n), float(n),
+                                 float(n) ** exps.theta_alpha0)(xs))
             for n in n_list]
 
 

@@ -27,9 +27,9 @@ from bclab import (BETA_C, ModelParams, SequenceSpec,
                    UnsupportedSequenceError, aitken_limit,
                    c4_coefficient, estimator_comparison, finite_size_law,
                    first_order_k, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
-                   mdp_rate_estimate, params_at,
+                   magnetization, mdp_rate_estimate, params_at,
                    run_finite_size_asymptotics, run_thermo_asymptotics,
-                   second_order_k, second_order_k_deriv, thermo_magnetization,
+                   second_order_k, second_order_k_deriv,
                    verify_tricritical_conjectures, weak_limit_distance, xbar)
 from bclab.cli import main
 from bclab.model import cumulant, cumulant_deriv
@@ -61,14 +61,14 @@ def test_criterion_01_constants():
 def test_criterion_02_bifurcation_structure():
     continuous = True
     for beta in (0.8, 1.0, 1.2):
-        ms = [thermo_magnetization(ModelParams(beta, second_order_k(beta) + eps))
+        ms = [magnetization(ModelParams(beta, second_order_k(beta) + eps))
               for eps in (1e-2, 1e-3, 1e-4)]
         continuous &= ms[0] > ms[1] > ms[2] > 0
     discontinuous = True
     for beta in (1.5, 2.0):
         k1 = first_order_k(beta)
-        discontinuous &= thermo_magnetization(ModelParams(beta, k1)) > 0.05
-        discontinuous &= thermo_magnetization(ModelParams(beta, k1 - 1e-3)) == 0.0
+        discontinuous &= magnetization(ModelParams(beta, k1)) > 0.05
+        discontinuous &= magnetization(ModelParams(beta, k1 - 1e-3)) == 0.0
     _report(2, "bifurcation structure", continuous and discontinuous)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bclab
-from bclab import gl_polynomial, spec_from_json, thermo_magnetization, xbar
+from bclab import gl_polynomial, magnetization, spec_from_json, xbar
 from bclab.cli import _FIELDS, ExperimentConfig, ConfigError, main
 from bclab.model import ModelParams
 from mp_reference import exp_poly_abs_moment_mp
@@ -57,7 +57,7 @@ class TestMagnetize:
         assert main(["magnetize", "--beta", "1.0", "--kappa", "1.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["m"] == pytest.approx(
-            thermo_magnetization(ModelParams(1.0, 1.5)), abs=1e-15)
+            magnetization(ModelParams(1.0, 1.5)), abs=1e-15)
         assert doc["free_energy_at_m"] < 0
 
     def test_missing_field_names_it(self, capsys):

@@ -14,9 +14,11 @@ from mp_reference import log_spin_weight_mp, spin_law_mp
 
 import bclab
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, ModelParams,
-                   SequenceSpec, abs_moment, finite_size_law, g_tilde,
-                   gl_polynomial, hs_lhs, hs_rhs, mc_estimate, params_at,
-                   second_order_k, tail_mass, xbar)
+                   ScaledFreeEnergy, SequenceSpec, abs_moment, finite_size_law,
+                   free_energy_deriv, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
+                   magnetization, mc_estimate, params_at, second_order_k,
+                   tail_mass, xbar)
+from bclab.minimize import min_free_energy
 
 
 def brute_force_law(n, params):
@@ -217,17 +219,57 @@ class TestSmoothingIdentity:
         rhs = hs_rhs(50, params, 0.25, f, kinks=kinks)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
+    def test_weight_window_at_the_scaled_wells(self):
+        # the contract of EvenPolynomial.weight_window at the outer well n^gb m,
+        # with each well flanked 8 standard deviations out
+        params, n, scale = ModelParams(1.0, 1.3), 10**8, 100.0
+        phi = ScaledFreeEnergy(params, n, scale)
+        floor, cutoff, points = phi.weight_window()
+        outer = scale * magnetization(params)
+        assert floor < 0 and floor == pytest.approx(n * min_free_energy(params)[0], rel=1e-12)
+        # the first power of two past the outer well at 56.08, where the
+        # weight is already below e^-60
+        assert cutoff == 64.0 and cutoff / 2 < outer and phi(cutoff) >= floor + 60
+        sigma = (n / scale**2 * free_energy_deriv(params, outer / scale, 2)) ** -0.5
+        wells = sorted({-outer, outer, -outer - 8 * sigma, -outer + 8 * sigma,
+                        outer - 8 * sigma, outer + 8 * sigma})
+        assert sorted(set(points)) == pytest.approx(wells, rel=1e-12)
+
+    @pytest.mark.parametrize("beta, kappa", [(1.0, 1.3), (1.0, 1.0), (2.0, 0.9),
+                                             (1.2, 1.05), (0.5, 2.0), (3.0, 0.8)])
+    def test_second_moment_scales_with_gamma_bar(self, beta, kappa):
+        # y = n^gb x maps e^{-n G(x)} onto e^{-n G(y/n^gb)}, so the second
+        # moment at gb is n^(2 gb) times the one at gb = 0, whatever the width
+        # of the wells against the window (about 1e-4 n^gb at n = 10^8)
+        params = ModelParams(beta, kappa)
+        for n in (10**2, 10**4, 10**6, 10**8):
+            base = hs_rhs(n, params, 0.0, np.square)
+            for gamma_bar in (0.1, 0.2, 0.25, 0.4):
+                scaled = hs_rhs(n, params, gamma_bar, np.square)
+                assert scaled == pytest.approx(n ** (2 * gamma_bar) * base, rel=1e-9)
+
+    @pytest.mark.parametrize("beta, kappa", [(1.0, 1.0), (3.0, 0.8)])
+    def test_single_phase_second_moment_is_gaussian_to_order_one_over_n(self, beta, kappa):
+        # one well at 0: n G''(0) E[y^2] = 1 + c/n, so the excess falls by 10^-2
+        # over two decades of n; the well is about 1e-4 wide at n = 10^8
+        params = ModelParams(beta, kappa)
+        g2 = free_energy_deriv(params, 0.0, 2)
+        excess = [n * g2 * hs_rhs(n, params, 0.0, np.square) - 1.0 for n in (10**6, 10**8)]
+        assert excess[1] / excess[0] == pytest.approx(1e-2, rel=1e-2)
 
     def test_scaled_second_moment_past_the_exact_law(self):
         # seq1 at alpha = 0.8, gamma = 1/4: the smoothed second moment tends to
-        # that of exp(-c4 y^4), Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.87674. The
-        # window from G's quadratic lower bound let quad miss the peak at
-        # 10^12, where it read 2.8e-4.
+        # that of exp(-c4 y^4), Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.87674, with
+        # a gap from the quadratic term n^(1/2 - alpha) y^2, so each decade of n
+        # divides the gap by 10^(alpha - 1/2). A window cut at n^gamma let the
+        # quadrature miss the O(1) peak from 10^13 on, where it read 1.4e-4.
         spec = SequenceSpec(kind="seq1", alpha=0.8, beta=1.0, b=0, k=1.0)
         limit = math.gamma(0.75) / math.gamma(0.25) / math.sqrt(g_tilde(spec).c4)
-        gaps = [hs_rhs(n, params_at(spec, n), 0.25, np.square) - limit
-                for n in (10**8, 10**10, 10**12)]
+        gaps = [hs_rhs(10**e, params_at(spec, 10**e), 0.25, np.square) - limit
+                for e in range(8, 16)]
         assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))
+        for a, b in zip(gaps, gaps[1:]):
+            assert b / a == pytest.approx(10 ** -(spec.alpha - 0.5), rel=2e-2)
         assert gaps[-1] < 5e-4
 
 

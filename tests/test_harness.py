@@ -14,10 +14,10 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
                    check_hypothesis_iiia, check_hypothesis_v,
                    coexistence_onset, estimator_comparison, finite_size_law,
                    first_order_k, free_energy, free_energy_deriv, g_tilde,
-                   gl_polynomial, kappa_fluctuation_estimate,
+                   gl_polynomial, kappa_fluctuation_estimate, magnetization,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
                    run_thermo_asymptotics, scaled_free_energy_table,
-                   second_order_k, second_order_k_deriv, thermo_magnetization,
+                   second_order_k, second_order_k_deriv,
                    weak_limit_distance, xbar)
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, tail_mass
 from bclab.finite_size import log_tail_mass
@@ -32,11 +32,11 @@ SEQ1_ZERO_K = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=1, k=0.0)  # fail
 
 class TestThermoMagnetization:
     def test_single_phase_is_zero(self):
-        assert thermo_magnetization(ModelParams(1.0, 1.0)) == 0.0
+        assert magnetization(ModelParams(1.0, 1.0)) == 0.0
 
     def test_coexistence_minimizer(self):
         params = ModelParams(1.0, 1.5)
-        m = thermo_magnetization(params)
+        m = magnetization(params)
         assert m > 0
         assert abs(free_energy_deriv(params, m, 1)) < 1e-10
         assert free_energy(params, m) < 0
@@ -46,7 +46,7 @@ class TestThermoMagnetization:
 
     def test_continuous_bifurcation_onset(self):
         for beta in (0.8, 1.0, 1.2):
-            ms = [thermo_magnetization(ModelParams(beta, second_order_k(beta) + eps))
+            ms = [magnetization(ModelParams(beta, second_order_k(beta) + eps))
                   for eps in (1e-2, 1e-3, 1e-4)]
             assert ms[0] > ms[1] > ms[2] > 0
 
@@ -58,13 +58,13 @@ class TestThermoMagnetization:
         for beta, kappa in points:
             ref = magnetization_mp(beta, kappa)
             assert ref > 0
-            assert abs(thermo_magnetization(ModelParams(beta, kappa)) - ref) <= 1e-12 * ref
+            assert abs(magnetization(ModelParams(beta, kappa)) - ref) <= 1e-12 * ref
 
     def test_discontinuous_bifurcation(self):
         beta = 1.8
         k1 = first_order_k(beta)
-        assert thermo_magnetization(ModelParams(beta, k1)) > 0.05
-        assert thermo_magnetization(ModelParams(beta, k1 - 1e-3)) == 0.0
+        assert magnetization(ModelParams(beta, k1)) > 0.05
+        assert magnetization(ModelParams(beta, k1 - 1e-3)) == 0.0
 
 
 class TestThermoAsymptotics:
@@ -308,6 +308,13 @@ class TestWeakLimitDistance:
     def test_falls_past_the_exact_law(self, name):
         dists = [weak_limit_distance(WEAK_LIMIT_SPECS[name], 10**e) for e in (4, 6, 8, 10, 12)]
         assert all(a > b for a, b in zip(dists, dists[1:]))
+
+    def test_above_threshold_falls_like_the_speed_excess(self):
+        # at alpha = 0.8 the distance falls like n^-(alpha - 1/2); a window cut
+        # at n^(1/4) made the grid step O(1) past 10^14 and bent the trend
+        dists = [weak_limit_distance(SEQ1_ABOVE, 10**e) for e in (8, 10, 12, 14, 16)]
+        for a, b in zip(dists, dists[1:]):
+            assert b / a == pytest.approx(10 ** (-2 * (SEQ1_ABOVE.alpha - 0.5)), rel=1e-2)
 
     def test_at_threshold_falls_like_root_n(self):
         # at alpha0 the distance falls like 0.81 n^(-1/2), to 8.1e-7 at 10^12

@@ -8,7 +8,7 @@ import pytest
 from mp_reference import DPS, cumulant_mp
 
 from bclab import (BETA_C, ModelParams, cumulant, cumulant_deriv,
-                   free_energy, free_energy_deriv, thermo_magnetization)
+                   free_energy, free_energy_deriv, magnetization)
 from bclab.model import BETA_MAX, inflection_tilt, secant_excess, well_depth
 
 
@@ -288,7 +288,7 @@ class TestFreeEnergyDeriv:
 
     def test_stationary_at_magnetization(self):
         params = ModelParams(1.0, 2.0)
-        m = thermo_magnetization(params)
+        m = magnetization(params)
         assert m > 0
         assert abs(free_energy_deriv(params, m, 1)) < 1e-10
 

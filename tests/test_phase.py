@@ -9,8 +9,8 @@ from mp_reference import first_order_k_mp
 
 from bclab import (BETA_C, ModelParams, PhaseRegion, classify,
                    critical_constants, cumulant_deriv, first_order_k,
-                   free_energy, second_order_k, second_order_k_deriv,
-                   thermo_magnetization, verify_tricritical_conjectures)
+                   free_energy, magnetization, second_order_k,
+                   second_order_k_deriv, verify_tricritical_conjectures)
 from bclab.model import BETA_MAX, inflection_tilt, well_depth
 from bclab.phase import _brentq
 
@@ -126,8 +126,8 @@ class TestFirstOrderCurve:
         for beta in [BETA_C + 10.0**-j for j in range(1, 8)] + [1.5, 2.0, 3.0, 50.0, BETA_MAX]:
             k1 = first_order_k(beta)
             assert abs(k1 - first_order_k_mp(beta)) <= 1e-12
-            assert thermo_magnetization(ModelParams(beta, k1)) > 0
-            assert thermo_magnetization(ModelParams(beta, k1 * (1 - 1e-9))) == 0.0
+            assert magnetization(ModelParams(beta, k1)) > 0
+            assert magnetization(ModelParams(beta, k1 * (1 - 1e-9))) == 0.0
 
     def test_repeatable(self):
         assert first_order_k(1.7) == first_order_k(1.7)
@@ -203,7 +203,7 @@ class TestClassify:
             beta = rng.uniform(0.5, 2.8)
             kappa = rng.uniform(0.5, 2.0)
             region = classify(ModelParams(beta, kappa))
-            m = thermo_magnetization(ModelParams(beta, kappa))
+            m = magnetization(ModelParams(beta, kappa))
             if region is PhaseRegion.COEXISTENCE:
                 assert m > 1e-8
             elif region is PhaseRegion.SINGLE_PHASE:

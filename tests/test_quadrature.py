@@ -5,7 +5,7 @@ integral it cannot resolve raises QuadratureError, and limit_constant meets
 import pytest
 from mp_reference import exp_poly_abs_moment_mp
 
-from bclab import (ModelParams, QuadratureError, g_tilde, gl_polynomial, hs_rhs,
+from bclab import (EvenPolynomial, QuadratureError, g_tilde, gl_polynomial,
                    limit_constant, spec_from_json)
 from bclab.quadrature import weighted_ratio
 
@@ -13,17 +13,18 @@ README_SEQ1 = {"kind": "seq1", "alpha": 0.3, "beta": 1.0, "b": 0, "k": 1.0}
 
 
 def test_non_integrable_singularity_raises():
-    # 1/3 is no node: the nodes are irrational multiples of dyadic panels
+    # 1/3 is no node: the nodes are irrational multiples of dyadic panels; the
+    # weight e^(-x^2) is cut at 8
     with pytest.raises(QuadratureError, match="did not converge"):
-        weighted_ratio(lambda x: 1.0 / abs(x - 1.0 / 3.0), lambda x: -x * x, 8.0)
+        weighted_ratio(lambda x: 1.0 / abs(x - 1.0 / 3.0), EvenPolynomial(c2=1.0))
 
 
 def test_vanishing_weight_integral_raises():
-    # at n = 10^10 the wells of e^(-n (G - min G)) are about 1e-5 wide and lie
-    # on panel edges, where no node sees them: the weight integrates to 0
+    # wells at +-1 about 5e-5 wide, at the break points +-1 where no node sees
+    # them, since a polynomial's window gives its wells no panels of their own
     with pytest.raises(QuadratureError,
                        match=r"^weighted_ratio: the weight integral .* is 0\.0"):
-        hs_rhs(10**10, ModelParams(1.0, 1.3), 0.0, lambda x: x**2)
+        weighted_ratio(abs, EvenPolynomial(c2=-1e8, c4=5e7))
 
 
 @pytest.mark.parametrize("constant", ["ybar", "zbar"])

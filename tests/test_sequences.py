@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from bclab import (BETA_C, EvenPolynomial, MinimumSet, SequenceSpec,
+from bclab import (BETA_C, EvenPolynomial, MinimumSet, Regime, SequenceSpec,
                    SpecValidationError, UnsupportedSequenceError,
                    c4_coefficient, check_hypothesis_iiia, check_hypothesis_v,
                    coexistence_onset, critical_constants, g_tilde,
@@ -474,11 +474,11 @@ class TestLimitConstant:
         g = EvenPolynomial(c2=81.1, c4=-18.0, c6=1.0)
         outer = g.outer_well()
         assert 0 < float(g(outer)) < 2 and float(g(outer / 1.7)) > 100
-        assert g.weight_window() == (0.0, 4.0, outer)
-        floor, cutoff, outer = EvenPolynomial(c2=-60.0, c4=1.0).weight_window()
-        assert outer == math.sqrt(30.0) and floor == pytest.approx(-900.0, rel=1e-15)
-        assert cutoff == 8.0
-        assert EvenPolynomial(c4=1.0).weight_window() == (0.0, 4.0, 0.0)
+        assert g.weight_window() == (0.0, 4.0, (-outer, outer))
+        floor, cutoff, points = EvenPolynomial(c2=-60.0, c4=1.0).weight_window()
+        assert points == (-math.sqrt(30.0), math.sqrt(30.0))
+        assert floor == pytest.approx(-900.0, rel=1e-15) and cutoff == 8.0
+        assert EvenPolynomial(c4=1.0).weight_window() == (0.0, 4.0, ())
 
 
 class TestHypothesisChecks:
@@ -535,6 +535,14 @@ class TestHypothesisChecks:
     def test_v_requires_fast_speed(self):
         with pytest.raises(ValueError, match="alpha0"):
             check_hypothesis_v(SEQ1, [1.0], [100])
+
+    def test_v_takes_the_harness_regime(self):
+        # alpha within ALPHA_MATCH_TOL = 1e-12 of alpha0 is at the threshold,
+        # as for sequence-run and weak-limit, so it is not above it
+        spec = dataclasses.replace(SEQ1, alpha=0.5 + 5e-13)
+        assert scaling_exponents(spec).regime(spec.alpha) is Regime.AT
+        with pytest.raises(ValueError, match="alpha0"):
+            check_hypothesis_v(spec, [1.0], [100])
 
     def test_seq6_degenerate_limit(self):
         spec = SequenceSpec(kind="seq6", alpha=0.3, p=3,
