@@ -6,7 +6,8 @@ The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
 ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
-phase-curve grid's first-order range. limit_constant runs on ybar of the
+phase-curve grid's first-order range and at beta_c + 1e-6, where its Newton
+descent takes 41 steps. limit_constant runs on ybar of the
 README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
 beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs;
@@ -39,7 +40,7 @@ from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
                    params_at, spec_from_json, weak_limit_distance, xbar)
 from bclab.minimize import magnetization
-from bclab.phase import first_order_k, second_order_k
+from bclab.phase import BETA_C, first_order_k, second_order_k
 
 PARAMS = ModelParams(1.0, second_order_k(1.0) + 0.4)
 NEAR_CURVE = ModelParams(1.0, second_order_k(1.0) + 1e-6)
@@ -84,7 +85,7 @@ def test_finite_size_law(benchmark):
     assert err <= 1e-12 and norm <= 1e-12
 
 
-@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, BETA_C + 1e-6])
 def test_first_order_k(benchmark, beta):
     k1 = benchmark(first_order_k, beta)
     ref = first_order_k_mp(beta)

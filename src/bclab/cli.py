@@ -6,8 +6,7 @@ with 17 significant digits, rows are emitted in a fixed order, and all files
 are UTF-8 with LF line endings. Two tables drive the parser, the config checks
 and dispatch: ``_FIELDS`` gives each config key its flags, converter and help,
 ``_COMMANDS`` each command its runner and fields. A config-file value is used
-only when the flag is absent; both pass the same converter. BCLAB_THREADS is
-the fallback for --threads.
+only when the flag is absent; both pass the same converter.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,11 +146,10 @@ def _run_sequence(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
     estimator = (harness.Estimator.MONTE_CARLO if config.estimator == "mc"
                  else harness.Estimator.EXACT)
-    # parallel rows merge in sorted order, so the thread count never changes
-    # the artifact bytes
-    threads = config.threads if config.threads is not None else os.cpu_count()
+    # rows run serially unless --threads asks for a pool; parallel rows merge
+    # in sorted order, so the thread count never changes the artifact bytes
     report = harness.run_finite_size_asymptotics(
-        spec, config.n_list, estimator=estimator, seed=config.seed or 0, threads=threads,
+        spec, config.n_list, estimator=estimator, seed=config.seed or 0, threads=config.threads,
         sweeps=20000 if config.sweeps is None else config.sweeps)
     _write_csv(config.output_path,
                ["n", "beta_n", "kappa_n", "m_thermo", "e_finite", "scaled_m", "scaled_e"],
@@ -255,7 +252,7 @@ _FIELDS = {
     "estimator": _Field(("--estimator",), _text, "exact or mc"),
     "output_path": _Field(("-o", "--output"), _text, "output file"),
     "seed": _Field(("--seed",), _INT, "Metropolis seed"),
-    "threads": _Field(("--threads",), _INT, "row workers; BCLAB_THREADS is the fallback"),
+    "threads": _Field(("--threads",), _INT, "row workers (default: rows run serially)"),
 }
 
 
@@ -328,8 +325,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     unknown = sorted(set(file_values) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"config: unknown keys {', '.join(unknown)}")
-    if "threads" in _COMMANDS[args.command].optional and file_values.get("threads") is None:
-        file_values["threads"] = os.environ.get("BCLAB_THREADS") or None
     merged: dict = {}
     for name, field in _FIELDS.items():
         value = getattr(args, name, None)

@@ -35,12 +35,14 @@ from .minimize import ScaledFreeEnergy, magnetization
 from .model import ModelParams
 from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
-N_MAX = 10**6  # the law takes about 200 B per n, so about 200 MB here
+# the law takes about 200 B per n, and building the Metropolis acceptance
+# tables about 160 B per n, so about 200 MB here
+N_MAX = 10**6
 MIN_BATCHES = 20
 
 
 class EnumerationLimitError(RuntimeError):
-    """n exceeds N_MAX, the size limit of the exact law."""
+    """n exceeds N_MAX, the size limit of the exact law and the Metropolis chain."""
 
 
 def check_n(op: str, n: int) -> None:
@@ -49,8 +51,8 @@ def check_n(op: str, n: int) -> None:
         raise ValueError(f"{op}: n must be >= 1, got {n}")
     if n > N_MAX:
         raise EnumerationLimitError(
-            f"{op}: n = {n} exceeds N_MAX = {N_MAX}, the exact law's memory "
-            "bound (about 200 B per n)")
+            f"{op}: n = {n} exceeds N_MAX = {N_MAX}, the memory bound of the "
+            "exact law and the Metropolis tables (about 200 B per n)")
 
 
 def _check_unit_interval(op: str, name: str, value: float) -> None:
@@ -243,10 +245,10 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     law tilted by t = 2 beta K m(beta, K); burn_in (default sweeps // 10)
     sweeps of n steps are discarded, then |S_n/n| is recorded once per sweep
     and the standard error comes from 20 batch means. Identical (n, params,
-    sweeps, burn_in, seed) reproduce the estimate exactly.
+    sweeps, burn_in, seed) reproduce the estimate exactly. The six tables hold
+    96 B per n (about 160 B per n while built), so n is bounded by N_MAX.
     """
-    if n < 1:
-        raise ValueError(f"mc_estimate: n must be >= 1, got {n}")
+    check_n("mc_estimate", n)
     if sweeps < MIN_BATCHES:
         raise ValueError(f"mc_estimate: sweeps must be >= {MIN_BATCHES} "
                          f"(batch-means stderr), got {sweeps}")

@@ -12,8 +12,9 @@ magnetization values is
     G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x).
 
 Everything here is a pure function of its arguments. The spin/tilt argument
-may be a scalar or a numpy array (a float for ``well_depth`` and
-``secant_excess``). No function overflows for any finite argument.
+may be a scalar or a numpy array (a float for ``well_depth``,
+``well_depth_deriv`` and ``secant_excess``, the tilt functions of the
+equilibrium solvers). No function overflows for any finite argument.
 
 A Python int or float (np.float64 included) is evaluated with ``math`` and
 returns a float. Any other argument is evaluated element by element by the
@@ -208,6 +209,24 @@ def well_depth(beta: float, t: float) -> float:
         g, s = _series_coefficients(beta), t * t
         return s * s * float((_J - 1) * g[1:] @ s ** (_J - 2))
     return 0.5 * t * cumulant_deriv(beta, t, 1) - cumulant(beta, t)
+
+
+def well_depth_deriv(beta: float, t: float) -> float:
+    """f'(t) = (t c''(t) - c'(t))/2 of the well depth, odd in t.
+
+    Below |t| = 1, f' = sum_{j>=2} 2 j (j - 1) gamma_j t^(2j-1): there the
+    closed form cancels to noise near beta_c, where t c'' and c' agree to
+    beyond the last digit.
+    """
+    check_beta("well_depth_deriv", beta)
+    _check_finite("well_depth_deriv", t)
+    m = abs(t)
+    if m < _SERIES_MAX_T:
+        g, s = _series_coefficients(beta), m * m
+        d = m * s * float(2 * _J * (_J - 1) * g[1:] @ s ** (_J - 2))
+    else:
+        d = 0.5 * (m * cumulant_deriv(beta, m, 2) - cumulant_deriv(beta, m, 1))
+    return d if t >= 0.0 else -d
 
 
 def secant_excess(beta: float, t: float) -> float:

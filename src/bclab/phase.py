@@ -8,7 +8,8 @@ valid as the second-order curve for beta <= beta_c = log 4 and as the
 spinodal curve beyond. The discontinuous-bifurcation curve K1(beta), defined
 only implicitly, is the smallest K at which the free energy touches zero at a
 strictly positive magnetization: K(beta)/(1 + rho(t1)) at the positive root
-t1 of the K-free well depth f (see ``model``).
+t1 of the K-free well depth f (see ``model``). t1 comes from the monotone
+Newton descent in the tilt that ``minimize`` uses for m(beta, K).
 
 Note on the tricritical interaction strength: it is sometimes written
 "3/2 log4", which this module reads as 3/(2 log 4) = K(log 4); the two
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .minimize import min_free_energy
-from .model import (BETA_MAX, ModelParams, check_beta, inflection_tilt,
-                    secant_excess, well_depth)
+from .model import (BETA_MAX, ModelParams, check_beta, secant_excess, well_depth,
+                    well_depth_deriv)
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
@@ -64,74 +65,36 @@ def second_order_k_deriv(beta: float, order: int) -> float:
     return math.exp(beta) * s + (-1) ** order * math.factorial(order) / (2.0 * beta ** (order + 1))
 
 
-def _brentq(f, arg, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of x -> f(arg, x) bracketed by [xa, xb], by Brent's method.
-
-    A line-for-line port of SciPy's brentq.c (optimize.brentq, at its default
-    100 iterations), so it returns the same float for the same f, bracket
-    and tolerances.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(arg, xpre), f(arg, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"brentq: f({xa}) = {fpre} and f({xb}) = {fcur} "
-                         "must have different signs")
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(arg, xcur)
-    raise RuntimeError(f"brentq: no convergence after 100 iterations, at {xcur}")
-
-
 def first_order_k(beta: float) -> float:
     """The first-order curve K1(beta) for beta > beta_c, to 1e-12 absolute.
 
     At K1 the positive wells are as deep as G(0) = 0. The root t1 of the well
-    depth lies between the inflection tilt of c' and 2 beta K(beta); K1 is
-    K(beta)/(1 + rho(t1)), raised by the ulps min_free_energy needs to report
-    the positive well there.
+    depth f lies between the inflection tilt of c', beyond which f is concave
+    (f'' = t c'''/2 < 0), and t0 = min(2 beta K(beta), 2 beta + 2 log 3),
+    where f < 0. So Newton from t0 descends onto t1, as in
+    minimize._outer_tilt, and stops when the iterate stops falling. The cap
+    2 beta + 2 log 3 keeps f resolved at large beta, where 2 beta K(beta) is
+    5e21 by beta = 50. K1 is K(beta)/(1 + rho(t1)), raised by the ulps
+    min_free_energy needs to report the positive well there.
+
+    Newton takes 1 to 11 steps from beta_c + 0.1 up, and 16, 41 and 68 steps
+    at beta_c + 1e-2, 1e-6 and 1e-10, where f ~ gamma_3 t^6 above t1 makes it
+    linear. A solve takes about 0.15 ms at beta in (beta_c, 10] and about
+    1.4 ms within 1e-3 of beta_c, on a 2-core x86-64 box.
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
                          f"{BETA_MAX}], got {beta}")
-    t1 = _brentq(well_depth, beta, inflection_tilt(beta),
-                 2.0 * beta * second_order_k(beta), 1e-300, 8.9e-16)
-    k1 = second_order_k(beta) / (1.0 + secant_excess(beta, t1))
+    t = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
+    for _ in range(200):
+        t_next = t - well_depth(beta, t) / well_depth_deriv(beta, t)
+        if t_next >= t:
+            break
+        t = t_next
+    else:
+        raise ArithmeticError(f"first_order_k: Newton for the well-depth root at "
+                              f"beta = {beta} did not converge in 200 steps")
+    k1 = second_order_k(beta) / (1.0 + secant_excess(beta, t))
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:
             return k1
@@ -145,7 +108,7 @@ def classify(params: ModelParams) -> PhaseRegion:
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
     Every point with beta > beta_c solves K1(beta) afresh, with no memo: a
-    median 0.18 ms a point for beta in (beta_c, 10], about 1 ms within 1e-3
+    median 0.15 ms a point for beta in (beta_c, 10], about 1.4 ms within 1e-3
     of beta_c, on a 2-core x86-64 box.
     """
     beta, kappa = params.beta, params.kappa

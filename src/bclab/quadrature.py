@@ -117,18 +117,21 @@ def _quad(f, lo: float, hi: float, points):
 def weighted_ratio(f, phi, points=()) -> float:
     """(integral of f e^-phi) / (integral of e^-phi) for an even exponent phi.
 
-    phi.weight_window() gives (floor, cutoff, break_points): the integrals of
-    the weight e^(floor - phi) run over [-cutoff, cutoff], split at the break
-    points and at points, the integrable kinks of f. Raises QuadratureError
-    when the weight integrates to 0 or to no finite number."""
+    phi.weight_window() gives (floor, cutoff, break_points): the weight
+    e^(floor - phi) is even, so both integrals run over [0, cutoff] against
+    the even part (f(x) + f(-x))/2 of f, split at |p| for the break points
+    and for points, the integrable kinks of f. An odd f gives exactly 0.
+    Raises QuadratureError when the weight integrates to 0 or to no finite
+    number."""
     floor, cutoff, breaks = phi.weight_window()
-    points = (*points, *breaks)
-    den = _quad(lambda x: math.exp(floor - phi(x)), -cutoff, cutoff, points)
+    points = [abs(p) for p in (*points, *breaks)]
+    den = _quad(lambda x: math.exp(floor - phi(x)), 0.0, cutoff, points)
     if den == 0.0 or not math.isfinite(den):
         raise QuadratureError(
-            f"weighted_ratio: the weight integral on [-{cutoff:.6g}, {cutoff:.6g}] "
+            f"weighted_ratio: the weight integral on [0, {cutoff:.6g}] "
             f"is {den}, not a positive finite number")
-    num = _quad(lambda x: f(x) * math.exp(floor - phi(x)), -cutoff, cutoff, points)
+    num = _quad(lambda x: 0.5 * (f(x) + f(-x)) * math.exp(floor - phi(x)),
+                0.0, cutoff, points)
     return num / den
 
 

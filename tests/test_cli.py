@@ -260,15 +260,6 @@ class TestConfigFile:
         assert f"config error: {next(iter(doc))}: " in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_threads_env_only_where_threads_is_a_field(self, tmp_path, monkeypatch, capsys):
-        # BCLAB_THREADS used to make every other command exit 2
-        monkeypatch.setenv("BCLAB_THREADS", "2")
-        assert main(["magnetize", "--beta", "1.0", "--kappa", "1.5"]) == 0
-        monkeypatch.setenv("BCLAB_THREADS", "two")
-        assert main(["sequence-run", "--spec", write_spec(tmp_path), "--n", "50",
-                     "-o", str(tmp_path / "r.csv")]) == 2
-        assert "config error: threads: " in capsys.readouterr().err
-
     def test_config_spec_inline(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -196,6 +197,13 @@ class TestSmoothingIdentity:
         params = ModelParams(1.0, 1.5)
         assert abs(hs_lhs(20, params, 0.2, np.tanh)) < 1e-10
         assert abs(hs_rhs(20, params, 0.2, np.tanh)) < 1e-10
+        # past the exact law: the even weight is integrated on [0, cutoff]
+        # against the even part of f; over [-cutoff, cutoff], rounding in
+        # n G(y/n^gamma) left a numerator error of 1.3e-12 at 10^11 that
+        # raised QuadratureError
+        spec = SequenceSpec(kind="seq1", alpha=0.8, beta=1.0, b=0, k=1.0)
+        for e in range(8, 13):
+            assert hs_rhs(10**e, params_at(spec, 10**e), 0.25, np.tanh) == 0.0
 
     @pytest.mark.parametrize("n", [10, 50, 200])
     @pytest.mark.parametrize("gamma_bar", [0.0, 0.2, 0.4])
@@ -362,3 +370,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="^mc_estimate: burn_in must be >= 0"):
             mc_estimate(10, params, sweeps=20, burn_in=-3)
         assert mc_estimate(10, params, sweeps=20, burn_in=0).sweeps == 20
+
+    def test_resource_limit(self):
+        # bclab mc --n 10**8 used to build tables of about 16 GB before failing
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError,
+                               match=f"^mc_estimate: n = {N_MAX + 1} exceeds "
+                                     f"N_MAX = {N_MAX}.*200 B per n"):
+                mc_estimate(N_MAX + 1, ModelParams(1.0, 1.0), sweeps=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

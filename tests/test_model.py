@@ -9,7 +9,8 @@ from mp_reference import DPS, cumulant_mp
 
 from bclab import (BETA_C, ModelParams, cumulant, cumulant_deriv,
                    free_energy, free_energy_deriv, magnetization)
-from bclab.model import BETA_MAX, inflection_tilt, secant_excess, well_depth
+from bclab.model import (BETA_MAX, inflection_tilt, secant_excess, well_depth,
+                         well_depth_deriv)
 
 
 def cumulant_reference(beta, t):
@@ -86,7 +87,8 @@ class TestCumulant:
         ("cumulant", lambda beta: cumulant(beta, np.array([1.0]))),
         ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2)),
         ("well_depth", lambda beta: well_depth(beta, 0.5)),
-        ("secant_excess", lambda beta: secant_excess(beta, 2.0))])
+        ("secant_excess", lambda beta: secant_excess(beta, 2.0)),
+        ("well_depth_deriv", lambda beta: well_depth_deriv(beta, 0.5))])
     def test_beta_ceiling(self, name, call):
         # only beta <= 0 was rejected: nan returned nan and 1000 returned 0.0
         assert np.all(np.isfinite(call(BETA_MAX)))
@@ -213,6 +215,22 @@ class TestTiltForms:
                 assert abs(well_depth(beta, t) - f) <= tol * abs(f)
                 assert abs(secant_excess(beta, -t) - rho) <= tol * abs(rho)
 
+    @pytest.mark.parametrize("beta", [BETA_C + 1e-6, 2.0, 20.0])
+    def test_depth_deriv(self, beta):
+        # f' = (t c'' - c')/2 against mpmath; the series below |t| = 1 keeps
+        # full relative precision where the closed form cancels near beta_c
+        with mp.workdps(DPS):
+            c, c1 = cumulant_mp(beta)
+            for t in (1e-4, 0.5, 0.999, 1.0, 1.001, 3.0, 50.0):
+                tm = mp.mpf(t)
+                ref = (tm * mp.diff(c1, tm) - c1(tm)) / 2
+                got = well_depth_deriv(beta, t)
+                tol = 1e-14 if t < 1 else 1e-13
+                assert abs(got - ref) <= tol * abs(ref)
+                fd = central_diff(lambda u: well_depth(beta, u), t, 1e-3 * t)
+                assert fd == pytest.approx(got, rel=1e-5)
+                assert well_depth_deriv(beta, -t) == -got
+
     def test_depth_is_the_free_energy_at_the_stationary_point(self):
         for beta, t in ((0.7, 0.4), (1.9, 2.5), (3.0, 12.0)):
             m = cumulant_deriv(beta, t, 1)
@@ -227,10 +245,10 @@ class TestTiltForms:
             assert cumulant_deriv(beta, t * (1 - 1e-6), 3) > 0 > cumulant_deriv(beta, t * (1 + 1e-6), 3)
 
     def test_rejects_bad_input(self):
-        for fn in (well_depth, secant_excess):
-            with pytest.raises(ValueError):
+        for fn in (well_depth, secant_excess, well_depth_deriv):
+            with pytest.raises(ValueError, match=f"^{fn.__name__}: beta"):
                 fn(0.0, 0.5)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{fn.__name__}: t must be finite"):
                 fn(1.0, math.nan)
         with pytest.raises(ValueError):
             inflection_tilt(-1.0)

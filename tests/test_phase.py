@@ -11,8 +11,7 @@ from bclab import (BETA_C, ModelParams, PhaseRegion, classify,
                    critical_constants, cumulant_deriv, first_order_k,
                    free_energy, magnetization, second_order_k,
                    second_order_k_deriv, verify_tricritical_conjectures)
-from bclab.model import BETA_MAX, inflection_tilt, well_depth
-from bclab.phase import _brentq
+from bclab.model import BETA_MAX
 
 
 def high_order_fd(fn, x, order, h):
@@ -121,13 +120,19 @@ class TestFirstOrderCurve:
             assert xs[gs.argmin()] > 1e-3
 
     def test_matches_mpmath(self):
-        # the documented 1e-12, from 1e-7 above the tricritical point up to
-        # the beta ceiling of ModelParams
-        for beta in [BETA_C + 10.0**-j for j in range(1, 8)] + [1.5, 2.0, 3.0, 50.0, BETA_MAX]:
+        # the documented 1e-12, from 1e-10 above the tricritical point, where
+        # f ~ gamma_3 t^6 makes the Newton descent linear, up to the beta
+        # ceiling of ModelParams, where the start is capped at 2 beta + 2 log 3
+        for beta in [BETA_C + 10.0**-j for j in range(1, 11)] + [1.5, 2.0, 3.0, 50.0, BETA_MAX]:
             k1 = first_order_k(beta)
             assert abs(k1 - first_order_k_mp(beta)) <= 1e-12
             assert magnetization(ModelParams(beta, k1)) > 0
             assert magnetization(ModelParams(beta, k1 * (1 - 1e-9))) == 0.0
+
+    def test_next_float_above_tricritical(self):
+        # t1 is about 5e-8 here, about a hundred Newton steps below t0 = 3
+        k1 = first_order_k(math.nextafter(BETA_C, math.inf))
+        assert abs(k1 - second_order_k(BETA_C)) <= 1e-15
 
     def test_repeatable(self):
         assert first_order_k(1.7) == first_order_k(1.7)
@@ -151,35 +156,6 @@ class TestFirstOrderCurve:
         for beta in (math.nextafter(BETA_MAX, math.inf), 360.0):
             with pytest.raises(ValueError, match="first_order_k"):
                 first_order_k(beta)
-
-
-class TestBrent:
-    """_brentq against scipy.optimize.brentq, whose brentq.c it ports."""
-
-    def test_matches_scipy_on_the_k1_solve(self):
-        # first_order_k's own solve: the root of the well depth between the
-        # inflection tilt and 2 beta K(beta), down to 1e-7 above beta_c
-        from scipy.optimize import brentq
-        betas = [BETA_C + u * 10.0**-j for j in range(2, 8)
-                 for u in (1.0, 1.3, 2.0, 3.7, 5.0, 8.9)]
-        betas += np.linspace(BETA_C + 0.01, 40.0, 270).tolist()
-        for beta in betas:
-            lo, hi = inflection_tilt(beta), 2.0 * beta * second_order_k(beta)
-            ours = _brentq(well_depth, beta, lo, hi, 1e-300, 8.9e-16)
-            theirs = brentq(lambda t: well_depth(beta, t), lo, hi,
-                            xtol=1e-300, rtol=8.9e-16)
-            assert ours == theirs, beta
-
-    def test_matches_scipy_on_cubics(self):
-        # brackets far from the root, at scipy's default tolerances
-        from scipy.optimize import brentq
-        for a in np.linspace(-7.0, 11.0, 36).tolist():
-            assert _brentq(lambda c, x: x**3 - c, a, -3.0, 5.0, 2e-12, 4 * np.finfo(float).eps) \
-                == brentq(lambda x: x**3 - a, -3.0, 5.0)
-
-    def test_bracket_without_sign_change(self):
-        with pytest.raises(ValueError, match="^brentq: .* must have different signs"):
-            _brentq(lambda a, x: x * x + a, 1.0, -1.0, 1.0, 1e-300, 8.9e-16)
 
 
 class TestClassify:
