@@ -1,7 +1,8 @@
 """Micro-benchmarks of single bclab layers, each next to an accuracy figure.
 
-Not part of the test suite (pytest collects only ``tests``). Run from the
-repository root:
+Not part of the test suite (pytest collects only ``tests``). Needs the
+``bench`` extra (pytest-benchmark, mpmath, scipy: ``pip install -e ".[bench]"``).
+Run from the repository root:
 
     python3 -m pytest bench --benchmark-json OUT.json
 

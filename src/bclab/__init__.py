@@ -24,7 +24,8 @@ from .sequences import (EvenPolynomial, MinimumSet, Regime, ScalingExponents,
                         check_hypothesis_iiia, check_hypothesis_v,
                         coexistence_onset, g_tilde, gl_polynomial,
                         limit_constant, params_at, scaled_free_energy_table,
-                        spec_from_json, spec_to_json, validate, xbar)
+                        spec_from_json, spec_to_json, validate,
+                        weak_limit_polynomial, xbar)
 from .harness import (AsymptoticsReport, Estimator, KappaFitReport, MdpReport,
                       ReportConstants, ReportRow, estimator_comparison,
                       kappa_fluctuation_estimate, mdp_rate_estimate,

@@ -4,9 +4,10 @@ harness, and write CSV/JSON artifacts deterministically.
 Identical config and seed produce byte-identical files: floats are printed
 with 17 significant digits, rows are emitted in a fixed order, and all files
 are UTF-8 with LF line endings. Two tables drive the parser, the config checks
-and dispatch: ``_FIELDS`` gives each config key its flags, converter and help,
-``_COMMANDS`` each command its runner and fields. A config-file value is used
-only when the flag is absent; both pass the same converter.
+and dispatch: each ``ExperimentConfig`` field declares its config key's flags,
+converter and help (collected in ``_FIELDS``), and ``_COMMANDS`` gives each
+command its runner and fields. A config-file value is used only when the flag
+is absent; both pass the same converter.
 """
 
 from __future__ import annotations
@@ -31,26 +32,87 @@ class ConfigError(ValueError):
     """An experiment config is structurally invalid; the message names the field."""
 
 
+def _number(kind: type, parse=None):
+    """Converter for a number field: parses a flag string (with kind unless
+    parse is given); takes a JSON number but no bool, and for an int field
+    only an integral one."""
+    def convert(value):
+        if isinstance(value, str):
+            return (parse or kind)(value)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and not float(value).is_integer()):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+    return convert
+
+
+_INT, _FLOAT = _number(int), _number(float)
+_ALPHA = _number(float, _parse_alpha)
+
+
+def _list(item):
+    """Converter for a list field: a comma-separated string or a JSON list."""
+    def convert(value) -> tuple:
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok]
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(item(v) for v in value)
+    return convert
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _estimator(value) -> str:
+    if value not in ("exact", "mc"):
+        raise ValueError("must be 'exact' or 'mc'")
+    return value
+
+
+def _spec(value) -> SequenceSpec:
+    """A SequenceSpec from a JSON file path or an inline JSON object."""
+    return spec_from_json(Path(value).read_text(encoding="utf-8") if isinstance(value, str)
+                          else value)
+
+
+class _Field(NamedTuple):
+    flags: tuple[str, ...]
+    convert: Callable
+    help: str
+
+
+def _field(flags: tuple[str, ...], convert: Callable, help: str):
+    """An ExperimentConfig field (and config-file key) and its _Field."""
+    return dataclasses.field(default=None, metadata={"cli": _Field(flags, convert, help)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    spec: SequenceSpec | None = None
-    beta: float | None = None
-    kappa: float | None = None
-    n: int | None = None
-    n_list: tuple[int, ...] | None = None
-    alpha: float | None = None
-    a: float | None = None
-    beta_min: float | None = None
-    beta_max: float | None = None
-    points: int | None = None
-    sweeps: int | None = None
-    burn_in: int | None = None
-    h_grid: tuple[float, ...] | None = None
-    estimator: str | None = None
-    output_path: str | None = None
-    seed: int | None = None
-    threads: int | None = None
+    spec: SequenceSpec | None = _field(("--spec",), _spec, "SequenceSpec JSON file")
+    beta: float | None = _field(("--beta",), _FLOAT, "inverse temperature")
+    kappa: float | None = _field(("--kappa",), _FLOAT, "interaction strength K")
+    n: int | None = _field(("--n",), _INT, "number of spins")
+    n_list: tuple[int, ...] | None = _field(("--n",), _list(_INT), "comma-separated n values")
+    alpha: float | None = _field(("--alpha",), _ALPHA,
+                                 "override the spec's alpha; a rational such as 1/3 is exact")
+    a: float | None = _field(("--a",), _FLOAT, "tail threshold, above xbar")
+    beta_min: float | None = _field(("--beta-min",), _FLOAT, "first beta of the grid")
+    beta_max: float | None = _field(("--beta-max",), _FLOAT, "last beta of the grid")
+    points: int | None = _field(("--points",), _INT, "number of grid points, >= 2")
+    sweeps: int | None = _field(("--sweeps",), _INT, "Metropolis sweeps")
+    burn_in: int | None = _field(("--burn-in",), _INT, "Metropolis sweeps discarded first")
+    h_grid: tuple[float, ...] | None = _field(
+        ("--h",), _list(_FLOAT), "comma-separated decreasing finite-difference steps")
+    estimator: str | None = _field(("--estimator",), _estimator, "exact or mc")
+    output_path: str | None = _field(("-o", "--output"), _text, "output file")
+    seed: int | None = _field(("--seed",), _INT, "Metropolis seed")
+    threads: int | None = _field(("--threads",), _INT,
+                                 "row workers (default: rows run serially)")
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
@@ -62,10 +124,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: required by {self.command}")
             if value is not None and name not in command.required + command.optional:
                 raise ConfigError(f"{name}: not a field of {self.command}")
+        if self.n_list is not None and not self.n_list:
+            raise ConfigError("n_list: must hold at least one n")
         if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list: must be strictly increasing")
-        if self.estimator is not None and self.estimator not in ("exact", "mc"):
-            raise ConfigError("estimator: must be 'exact' or 'mc'")
+
+
+# Each config key's _Field, in ExperimentConfig's order.
+_FIELDS = {f.name: f.metadata["cli"] for f in dataclasses.fields(ExperimentConfig)
+           if "cli" in f.metadata}
 
 
 def _fmt(x) -> str:
@@ -183,77 +250,6 @@ def _run_conjectures(config: ExperimentConfig) -> None:
                           "k1_second_est": r.k1_second_est} for r in report.rows],
                 "k_prime_ref": report.k_prime_ref,
                 "ell_c_ref": report.ell_c_ref}, config.output_path)
-
-
-def _number(kind: type, parse=None):
-    """Converter for a number field: parses a flag string (with kind unless
-    parse is given); takes a JSON number but no bool, and for an int field
-    only an integral one."""
-    def convert(value):
-        if isinstance(value, str):
-            return (parse or kind)(value)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or kind is int and not float(value).is_integer()):
-            raise ValueError(f"expected {kind.__name__}, got {value!r}")
-        return kind(value)
-    return convert
-
-
-_INT, _FLOAT = _number(int), _number(float)
-_ALPHA = _number(float, _parse_alpha)
-
-
-def _list(item):
-    """Converter for a list field: a comma-separated string or a JSON list."""
-    def convert(value) -> tuple:
-        if isinstance(value, str):
-            value = [tok for tok in value.split(",") if tok]
-        if not isinstance(value, list):
-            raise ValueError(f"expected a list, got {value!r}")
-        return tuple(item(v) for v in value)
-    return convert
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _spec(value) -> SequenceSpec:
-    """A SequenceSpec from a JSON file path or an inline JSON object."""
-    return spec_from_json(Path(value).read_text(encoding="utf-8") if isinstance(value, str)
-                          else value)
-
-
-class _Field(NamedTuple):
-    flags: tuple[str, ...]
-    convert: Callable
-    help: str
-
-
-# One entry per ExperimentConfig field (and config-file key), in its order.
-_FIELDS = {
-    "spec": _Field(("--spec",), _spec, "SequenceSpec JSON file"),
-    "beta": _Field(("--beta",), _FLOAT, "inverse temperature"),
-    "kappa": _Field(("--kappa",), _FLOAT, "interaction strength K"),
-    "n": _Field(("--n",), _INT, "number of spins"),
-    "n_list": _Field(("--n",), _list(_INT), "comma-separated n values"),
-    "alpha": _Field(("--alpha",), _ALPHA,
-                    "override the spec's alpha; a rational such as 1/3 is exact"),
-    "a": _Field(("--a",), _FLOAT, "tail threshold, above xbar"),
-    "beta_min": _Field(("--beta-min",), _FLOAT, "first beta of the grid"),
-    "beta_max": _Field(("--beta-max",), _FLOAT, "last beta of the grid"),
-    "points": _Field(("--points",), _INT, "number of grid points, >= 2"),
-    "sweeps": _Field(("--sweeps",), _INT, "Metropolis sweeps"),
-    "burn_in": _Field(("--burn-in",), _INT, "Metropolis sweeps discarded first"),
-    "h_grid": _Field(("--h",), _list(_FLOAT),
-                     "comma-separated decreasing finite-difference steps"),
-    "estimator": _Field(("--estimator",), _text, "exact or mc"),
-    "output_path": _Field(("-o", "--output"), _text, "output file"),
-    "seed": _Field(("--seed",), _INT, "Metropolis seed"),
-    "threads": _Field(("--threads",), _INT, "row workers (default: rows run serially)"),
-}
 
 
 class _Command(NamedTuple):

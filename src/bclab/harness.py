@@ -29,8 +29,9 @@ from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import ScaledFreeEnergy, magnetization
 from .model import ModelParams
-from .sequences import (MinimumSet, Regime, SequenceSpec, g_tilde, gl_polynomial,
-                        limit_constant, params_at, xbar)
+from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, gl_polynomial,
+                        limit_constant, params_at, scaling_exponents,
+                        weak_limit_polynomial, xbar)
 
 SATURATION_LOG_FLOOR = -700.0
 
@@ -68,8 +69,8 @@ class AsymptoticsReport:
     constants: ReportConstants
 
 
-def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, float]:
-    """Report constants and the exponent used for the scaled-e column."""
+def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponents]:
+    """Report constants, and the exponents that scale the report's columns."""
     g, exps = gl_polynomial(spec)
     regime = exps.regime(spec.alpha)
     xb = xbar(g)
@@ -81,17 +82,12 @@ def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, float]:
                   "is conjectural and no xbar comparison is attached")
         x_bar = None
     y_bar = z_bar = None
-    if regime is Regime.ABOVE:
-        y_bar = limit_constant(g_tilde(spec))  # rejects seq6
-        e_exp = exps.theta_alpha0
-    elif regime is Regime.AT:
-        z_bar = limit_constant(g)
-        e_exp = exps.theta_alpha0
-    else:
-        e_exp = exps.theta * spec.alpha
+    if regime is not Regime.BELOW:
+        limit = limit_constant(weak_limit_polynomial(spec))  # rejects seq6 above alpha0
+        y_bar, z_bar = (limit, None) if regime is Regime.ABOVE else (None, limit)
     consts = ReportConstants(alpha0=exps.alpha0, theta=exps.theta, regime=regime,
                              x_bar=x_bar, y_bar=y_bar, z_bar=z_bar, banner=banner)
-    return consts, e_exp
+    return consts, exps
 
 
 def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
@@ -100,8 +96,7 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     Cost is independent of n, so the list may run to 10^9 and beyond; the
     scaled column converges to xbar.
     """
-    g, exps = gl_polynomial(spec)
-    consts, _ = _constants_for(spec)
+    consts, exps = _constants_for(spec)
     rows = []
     for n in sorted(n_list):
         params = params_at(spec, n)
@@ -113,7 +108,7 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
-def _finite_size_row(spec: SequenceSpec, n: int, exps, e_exp: float,
+def _finite_size_row(spec: SequenceSpec, n: int, exps: ScalingExponents,
                      estimator: Estimator, sweeps: int, seed: int) -> ReportRow:
     params = params_at(spec, n)
     m = magnetization(params)
@@ -124,7 +119,7 @@ def _finite_size_row(spec: SequenceSpec, n: int, exps, e_exp: float,
     return ReportRow(
         n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m, e_finite=e,
         scaled_m=float(n) ** (exps.theta * spec.alpha) * m,
-        scaled_e=float(n) ** e_exp * e)
+        scaled_e=float(n) ** exps.e_exponent(spec.alpha) * e)
 
 
 def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
@@ -140,15 +135,14 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     thread count. Monte Carlo rows are seeded per row as seed ^ n. An n_list
     reaching past N_MAX fails before any row runs.
     """
-    g, exps = gl_polynomial(spec)
-    consts, e_exp = _constants_for(spec)
+    consts, exps = _constants_for(spec)
     ns = sorted(n_list)
     if not ns:
         raise ValueError("run_finite_size_asymptotics: n_list is empty")
     check_n("run_finite_size_asymptotics", ns[-1])
 
     def row(n: int) -> ReportRow:
-        return _finite_size_row(spec, n, exps, e_exp, estimator, sweeps, seed)
+        return _finite_size_row(spec, n, exps, estimator, sweeps, seed)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -163,8 +157,9 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
 
     Below the threshold the ratio tends to 1; above it the column increases
     without bound. Passing fixed ModelParams runs the degenerate constant
-    sequence, whose ratio tends to 1 at any coexistence point; m = 0 at
-    some n (outside coexistence) raises a ValueError.
+    sequence, whose ratio tends to 1 at any coexistence point. A ValueError
+    is raised for a fixed point outside coexistence (m = 0), and for a
+    sequence whose m(beta_n, K_n) is 0 at some n of the list.
     """
     if isinstance(spec_or_params, ModelParams):
         params = spec_or_params
@@ -209,9 +204,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     term of order log n / n^u.
     """
     g, exps = gl_polynomial(spec)
-    if exps.regime(spec.alpha) is not Regime.BELOW:
-        raise ValueError(f"mdp_rate_estimate: alpha must be below alpha0 = "
-                         f"{exps.alpha0:.6g}, got {spec.alpha}")
+    exps.require("mdp_rate_estimate", spec.alpha, Regime.BELOW)
     xb = xbar(g).value
     if a <= xb:
         raise ValueError(
@@ -251,13 +244,9 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     rule on one 40001-point grid, cut where both weights are below e^-60 of
     their peaks (both weight_window cutoffs). Cost does not depend on n.
     """
-    g, exps = gl_polynomial(spec)
-    regime = exps.regime(spec.alpha)
-    if regime is Regime.BELOW:
-        raise ValueError(
-            f"weak_limit_distance: requires alpha >= alpha0 = {exps.alpha0:.6g}")
-    poly = g if regime is Regime.AT else g_tilde(spec)
-    phi = ScaledFreeEnergy(params_at(spec, n), n, float(n) ** exps.theta_alpha0)
+    poly = weak_limit_polynomial(spec, "weak_limit_distance")
+    phi = ScaledFreeEnergy(params_at(spec, n), n,
+                           float(n) ** scaling_exponents(spec).theta_alpha0)
     half_width = max(poly.weight_window()[1], phi.weight_window()[1])
     grid = np.linspace(-half_width, half_width, 40001)
     cdf_n = _cdf(-phi(grid), grid)
@@ -278,10 +267,8 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     reported alongside the fitted slope for informal comparison only; nothing
     here is asserted by the acceptance suite.
     """
-    g, exps = gl_polynomial(spec)
-    if exps.regime(spec.alpha) is not Regime.BELOW:
-        raise ValueError(f"kappa_fluctuation_estimate: alpha must be below alpha0 = "
-                         f"{exps.alpha0:.6g}, got {spec.alpha}")
+    _, exps = gl_polynomial(spec)
+    exps.require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
     ns = sorted(n_list)
     if len(set(ns)) < 2:
         raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "

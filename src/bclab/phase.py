@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .minimize import min_free_energy
 from .model import (BETA_MAX, ModelParams, check_beta, secant_excess, well_depth,
@@ -138,7 +137,6 @@ class CriticalConstants:
     ell_c: float
 
 
-@lru_cache(maxsize=1)
 def critical_constants() -> CriticalConstants:
     return CriticalConstants(
         beta_c=BETA_C,

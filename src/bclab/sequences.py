@@ -17,25 +17,28 @@ perturbation:
 
     beta_n = beta0 + h / n^alpha
     K_n    = sum_{j<p} K^(j)(beta0) h^j / (j! n^(j alpha)) + ell s / (p! n^(p alpha))
-    g(x)   = beta0 (K^(p)(beta0) h^p - ell s) / p! x^2 + c4 x^4 + c6 x^6
+    d      = K^(p)(beta0) h^p - ell s
+    g(x)   = beta0 d / p! x^2 + c4 x^4 + c6 x^6
 
 and seq4 adds ell_tilde / (6 n^(3 alpha)) to K_n. Per kind:
 
-    kind   beta0    h    p   ell   s        c4         c6     alpha0     theta
-    seq1   beta     b    1   k     1        c4(beta)   0      1/2        1/2
-    seq2   beta     b    p   ell   b^p      c4(beta)   0      1/(2p)     p/2
-    seq3   beta_c   b    1   k     1        0          9/40   2/3        1/4
-    seq4   beta_c   1    2   ell   1        -3/4       9/40   1/3        1/2
-    seq5   beta_c   -1   2   ell   1        3/4        9/40   1/3        1/2
-    seq6   beta_c   -1   p   ell   (-1)^p   3/4        0      1/(2p-1)   (p-1)/2
+    kind   beta0    h    p   ell   s        c4         c6     alpha0     theta     valid when
+    seq1   beta     b    1   k     1        c4(beta)   0      1/2        1/2       d < 0, k != 0
+    seq2   beta     b    p   ell   b^p      c4(beta)   0      1/(2p)     p/2       d < 0
+    seq3   beta_c   b    1   k     1        0          9/40   2/3        1/4       d < 0, k != 0
+    seq4   beta_c   1    2   ell   1        -3/4       9/40   1/3        1/2       case rule
+    seq5   beta_c   -1   2   ell   1        3/4        9/40   1/3        1/2       d < 0
+    seq6   beta_c   -1   p   ell   (-1)^p   3/4        0      1/(2p-1)   (p-1)/2   d < 0
 
-with c4(beta) = (e^beta + 2)^2 (4 - e^beta) / 192. The exponents balance the
-quadratic term against the first higher term that survives: c4(beta0) x^4 at
-a second-order anchor, (9/40) x^6 at the tricritical point when p = 1, and
-otherwise c4'(beta_c) h x^4 = -(3/4) h x^4, joined by (9/40) x^6 when p = 2.
-For kinds 1-5 the high-speed limit polynomial g~ is the leading monomial of
-g; kind 6 has none (n G(x/n^(theta alpha0)) -> 0 pointwise), so every
-g~-based operation rejects it.
+with c4(beta) = (e^beta + 2)^2 (4 - e^beta) / 192. d < 0 puts K_n above the
+curve K at order p, in phase coexistence. seq4's case a is d < 0; cases b-d
+sit on or below the curve at order 2 and follow their own rules (validate).
+The exponents balance the quadratic term against the first higher term that
+survives: c4(beta0) x^4 at a second-order anchor, (9/40) x^6 at the
+tricritical point when p = 1, and otherwise c4'(beta_c) h x^4 = -(3/4) h x^4,
+joined by (9/40) x^6 when p = 2. For kinds 1-5 the high-speed limit
+polynomial g~ is the leading monomial of g; kind 6 has none (n G(x/n^(theta
+alpha0)) -> 0 pointwise), so every g~-based operation rejects it.
 """
 
 from __future__ import annotations
@@ -187,6 +190,19 @@ class ScalingExponents:
             return Regime.AT
         return Regime.ABOVE
 
+    def e_exponent(self, alpha: float) -> float:
+        """Decay exponent of E|S_n/n|: theta alpha below alpha0, theta alpha0 at and above."""
+        return self.theta * alpha if self.regime(alpha) is Regime.BELOW else self.theta_alpha0
+
+    def require(self, op: str, alpha: float, *allowed: Regime) -> Regime:
+        """The regime of alpha; a ValueError naming op if it is not in allowed."""
+        regime = self.regime(alpha)
+        if regime not in allowed:
+            raise ValueError(f"{op}: requires alpha {' or '.join(r.value for r in allowed)} "
+                             f"alpha0 = {self.alpha0:.6g} (tolerance {ALPHA_MATCH_TOL:g}), "
+                             f"got {alpha!r}")
+        return regime
+
 
 class MinimumSet(enum.Enum):
     PLUS_MINUS = "plus-minus"
@@ -298,6 +314,12 @@ class _Approach(NamedTuple):
     c6: float
     exponents: ScalingExponents
 
+    @property
+    def d(self) -> float:
+        """K^(p)(beta0) h^p - ell s: g's quadratic coefficient over beta0 / p!,
+        negative in phase coexistence."""
+        return second_order_k_deriv(self.beta0, self.p) * self.h**self.p - self.ell * self.s
+
 
 def _approach(spec: SequenceSpec) -> _Approach:
     """The anchor, direction, order and perturbation of the sequence, with
@@ -330,66 +352,46 @@ def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
 def validate(spec: SequenceSpec) -> list[CheckResult]:
     """Evaluate the coexistence inequalities of the sequence, with margins.
 
-    Margins are signed so that positive means satisfied. Sequence-4 cases (c)
-    and (d) additionally carry a note that phase-coexistence membership rests
-    on the two tricritical-curve conjectures (K1' = K' and K1'' = ell_c).
+    Margins are signed so that positive means satisfied. Each kind checks
+    d = K^(p)(beta0) h^p - ell s < 0 with margin -d, and the p = 1 kinds also
+    k != 0, which d < 0 does not imply; seq4 cases b-d check their case rules
+    instead. Cases (c) and (d) carry a note that phase-coexistence membership
+    rests on the two tricritical-curve conjectures (K1' = K' and K1'' = ell_c).
     """
+    a = _approach(spec)
     checks: list[CheckResult] = []
+    if a.p == 1:
+        checks.append(CheckResult("k nonzero", spec.k != 0, abs(spec.k)))
+    if spec.kind != "seq4" or spec.case == "a":
+        margin = -a.d
+        checks.append(CheckResult("K^(p)(beta0) h^p - ell s < 0", margin > 0, margin))
+        return checks
+    kpp = second_order_k_deriv(BETA_C, 2)
+    ell_c = phase.critical_constants().ell_c
     conj_note = ("coexistence membership for this case rests on the "
                  "tricritical-curve conjectures K1'(beta_c) = K'(beta_c) and "
                  "K1''(beta_c) = ell_c")
-    if spec.kind == "seq1":
-        checks.append(CheckResult("k nonzero", spec.k != 0, abs(spec.k)))
-        margin = -(second_order_k_deriv(spec.beta, 1) * spec.b - spec.k)
-        checks.append(CheckResult("K'(beta) b - k < 0", margin > 0, margin))
-    elif spec.kind == "seq2":
-        kp = second_order_k_deriv(spec.beta, spec.p)
-        checks.append(CheckResult("ell differs from K^(p)(beta)",
-                                  spec.ell != kp, abs(spec.ell - kp)))
-        margin = -((kp - spec.ell) * spec.b**spec.p)
-        checks.append(CheckResult("(K^(p)(beta) - ell) b^p < 0", margin > 0, margin))
-    elif spec.kind == "seq3":
-        checks.append(CheckResult("k nonzero", spec.k != 0, abs(spec.k)))
-        margin = -(second_order_k_deriv(BETA_C, 1) * spec.b - spec.k)
-        checks.append(CheckResult("K'(beta_c) b - k < 0", margin > 0, margin))
-    elif spec.kind == "seq4":
-        kpp = second_order_k_deriv(BETA_C, 2)
-        kppp = second_order_k_deriv(BETA_C, 3)
-        ell_c = phase.critical_constants().ell_c
-        if spec.case == "a":
-            margin = spec.ell - kpp
-            checks.append(CheckResult("case a: ell > K''(beta_c)", margin > 0, margin))
-        elif spec.case == "b":
-            checks.append(CheckResult("case b: ell = K''(beta_c)",
-                                      abs(spec.ell - kpp) <= CASE_MATCH_TOL,
-                                      -abs(spec.ell - kpp)))
-            margin = spec.ell_tilde - kppp
-            checks.append(CheckResult("case b: ell_tilde > K'''(beta_c)",
-                                      margin > 0, margin))
-        elif spec.case == "c":
-            lo = spec.ell - ell_c
-            hi = kpp - spec.ell
-            checks.append(CheckResult("case c: ell_c < ell < K''(beta_c)",
-                                      lo > 0 and hi > 0, min(lo, hi), conj_note))
-        else:
-            checks.append(CheckResult("case d: ell = ell_c",
-                                      abs(spec.ell - ell_c) <= CASE_MATCH_TOL,
-                                      -abs(spec.ell - ell_c), conj_note))
-            margin = spec.ell_tilde - K1_THIRD_DERIV_AT_BETA_C
-            checks.append(CheckResult(
-                "case d: ell_tilde > K1'''(beta_c)", margin > 0, margin,
-                "conjecture-dependent: K1'''(beta_c) has no closed form and is "
-                "taken from the power series of the first-order curve at beta_c"))
-    elif spec.kind == "seq5":
-        margin = spec.ell - second_order_k_deriv(BETA_C, 2)
-        checks.append(CheckResult("ell > K''(beta_c)", margin > 0, margin))
-    else:  # seq6
-        kp = second_order_k_deriv(BETA_C, spec.p)
-        checks.append(CheckResult("ell differs from K^(p)(beta_c)",
-                                  spec.ell != kp, abs(spec.ell - kp)))
-        margin = -((kp - spec.ell) * (-1.0) ** spec.p)
-        checks.append(CheckResult("(K^(p)(beta_c) - ell) (-1)^p < 0",
+    if spec.case == "b":
+        checks.append(CheckResult("case b: ell = K''(beta_c)",
+                                  abs(spec.ell - kpp) <= CASE_MATCH_TOL,
+                                  -abs(spec.ell - kpp)))
+        margin = spec.ell_tilde - second_order_k_deriv(BETA_C, 3)
+        checks.append(CheckResult("case b: ell_tilde > K'''(beta_c)",
                                   margin > 0, margin))
+    elif spec.case == "c":
+        lo = spec.ell - ell_c
+        hi = kpp - spec.ell
+        checks.append(CheckResult("case c: ell_c < ell < K''(beta_c)",
+                                  lo > 0 and hi > 0, min(lo, hi), conj_note))
+    else:
+        checks.append(CheckResult("case d: ell = ell_c",
+                                  abs(spec.ell - ell_c) <= CASE_MATCH_TOL,
+                                  -abs(spec.ell - ell_c), conj_note))
+        margin = spec.ell_tilde - K1_THIRD_DERIV_AT_BETA_C
+        checks.append(CheckResult(
+            "case d: ell_tilde > K1'''(beta_c)", margin > 0, margin,
+            "conjecture-dependent: K1'''(beta_c) has no closed form and is "
+            "taken from the power series of the first-order curve at beta_c"))
     return checks
 
 
@@ -451,10 +453,7 @@ def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]
     """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
     require_valid("gl_polynomial", spec)
     a = _approach(spec)
-    g = EvenPolynomial(
-        c2=a.beta0 * (second_order_k_deriv(a.beta0, a.p) * a.h**a.p - a.ell * a.s)
-           / math.factorial(a.p),
-        c4=a.c4, c6=a.c6)
+    g = EvenPolynomial(c2=a.beta0 * a.d / math.factorial(a.p), c4=a.c4, c6=a.c6)
     if g.degree not in (4, 6):
         raise AssertionError(f"scaling polynomial degenerated to degree {g.degree}")
     return g, a.exponents
@@ -469,6 +468,15 @@ def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
             "above-threshold asymptotics exist for it")
     g, _ = gl_polynomial(spec)
     return g.leading_term()
+
+
+def weak_limit_polynomial(spec: SequenceSpec, op: str = "weak_limit_polynomial") -> EvenPolynomial:
+    """Polynomial whose exp(-poly) is the weak limit of S_n/n^(1-theta alpha0):
+    g at alpha0 and g~ above it. Below alpha0 it raises a ValueError naming op."""
+    g, exps = gl_polynomial(spec)
+    if exps.require(op, spec.alpha, Regime.AT, Regime.ABOVE) is Regime.AT:
+        return g
+    return g_tilde(spec)
 
 
 def xbar(g: EvenPolynomial) -> XbarResult:
@@ -524,10 +532,7 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
     Requires Regime.ABOVE; rejects seq6 for the same reason g_tilde does.
     """
     gt = g_tilde(spec)
-    exps = scaling_exponents(spec)
-    if exps.regime(spec.alpha) is not Regime.ABOVE:
-        raise ValueError(f"check_hypothesis_v: alpha must exceed alpha0 = {exps.alpha0:.6g} "
-                         f"by more than {ALPHA_MATCH_TOL:g}, got {spec.alpha!r}")
+    scaling_exponents(spec).require("check_hypothesis_v", spec.alpha, Regime.ABOVE)
     gx = gt(np.asarray(x_grid, dtype=float))
     return [(n, np.abs(scaled - gx))
             for n, scaled in scaled_free_energy_table(spec, x_grid, n_list)]

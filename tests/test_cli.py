@@ -1,6 +1,5 @@
 """CLI dispatch, config handling, artifact formats, and determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -12,7 +11,7 @@ import pytest
 
 import bclab
 from bclab import gl_polynomial, magnetization, spec_from_json, xbar
-from bclab.cli import _FIELDS, ExperimentConfig, ConfigError, main
+from bclab.cli import ExperimentConfig, ConfigError, main
 from bclab.model import ModelParams
 from mp_reference import exp_poly_abs_moment_mp
 
@@ -335,8 +334,24 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError, match="command"):
             ExperimentConfig(command="explode").validate()
 
-    def test_fields_table_matches_config(self):
-        assert list(_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)][1:]
+    @pytest.mark.parametrize("command, extra", [
+        ("sequence-run", []), ("mdp-check", ["--alpha", "0.25", "--a", "2.4"]),
+        ("weak-limit", ["--alpha", "0.8"])])
+    def test_empty_n_list_rejected(self, tmp_path, capsys, command, extra):
+        # mdp-check and weak-limit wrote a header-only CSV and exited 0;
+        # sequence-run failed in the harness (exit 1)
+        out = tmp_path / "x.csv"
+        assert main([command, "--spec", write_spec(tmp_path), *extra, "--n", ",",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: n_list: must hold at least one n\n"
+        assert not out.exists()
+
+    def test_unknown_estimator_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sequence-run", "--spec", write_spec(tmp_path), "--n", "50",
+                     "--estimator", "fast", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: estimator: must be 'exact' or 'mc'\n"
+        assert not out.exists()
 
     def test_extraneous_field(self):
         cfg = ExperimentConfig(command="magnetize", beta=1.0, kappa=1.0, a=2.0)

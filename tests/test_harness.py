@@ -18,7 +18,7 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
                    run_thermo_asymptotics, scaled_free_energy_table,
                    second_order_k, second_order_k_deriv,
-                   weak_limit_distance, xbar)
+                   weak_limit_distance, weak_limit_polynomial, xbar)
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, tail_mass
 from bclab.finite_size import log_tail_mass
 from bclab.model import BETA_MAX
@@ -215,6 +215,27 @@ def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
     with pytest.raises(ValueError, match=f"^{op}: "):
         call(finite_size_law(20, params), params)
+
+
+REGIME_RESTRICTED = {  # operation: (call on a spec, the regimes it accepts)
+    "mdp_rate_estimate": (lambda spec: mdp_rate_estimate(spec, 3.0, [100]), ("below",)),
+    "kappa_fluctuation_estimate":
+        (lambda spec: kappa_fluctuation_estimate(spec, [100, 200]), ("below",)),
+    "check_hypothesis_v": (lambda spec: check_hypothesis_v(spec, [1.0], [100]), ("above",)),
+    "weak_limit_distance": (lambda spec: weak_limit_distance(spec, 100), ("at", "above")),
+    "weak_limit_polynomial": (weak_limit_polynomial, ("at", "above")),
+}
+
+
+@pytest.mark.parametrize("op, regime", [
+    (op, regime) for op, (_, accepted) in REGIME_RESTRICTED.items()
+    for regime in ("below", "at", "above") if regime not in accepted])
+def test_regime_errors_name_the_operation(op, regime):
+    call, accepted = REGIME_RESTRICTED[op]
+    spec = {"below": SEQ1_BELOW, "at": SEQ1_AT, "above": SEQ1_ABOVE}[regime]
+    with pytest.raises(ValueError, match=(f"^{op}: requires alpha {' or '.join(accepted)} "
+                                          r"alpha0 = 0\.5 \(tolerance 1e-12\), got ")):
+        call(spec)
 
 
 class TestEstimatorComparison:

@@ -3,6 +3,7 @@ exponents, limit constants, and the free-energy convergence checks."""
 
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -16,7 +17,7 @@ from bclab import (BETA_C, EvenPolynomial, MinimumSet, Regime, SequenceSpec,
                    scaled_free_energy_table, second_order_k,
                    second_order_k_deriv, spec_from_json, spec_to_json,
                    validate, xbar)
-from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C, scaling_exponents
+from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C, KINDS, scaling_exponents
 from mp_reference import exp_poly_abs_moment_mp, k1_taylor_mp
 
 SEQ1 = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
@@ -28,6 +29,58 @@ def seq4_case_d():
     ell_tilde = K1_THIRD_DERIV_AT_BETA_C + 1.0
     return SequenceSpec(kind="seq4", alpha=0.2, ell=cc.ell_c,
                         ell_tilde=ell_tilde, case="d")
+
+
+def per_kind_inequalities(spec):
+    """(verdict, margin of the sign rule or None) from each kind's
+    coexistence inequalities written out on their own."""
+    Kc, bc = second_order_k_deriv, BETA_C
+    ell_c = critical_constants().ell_c
+    if spec.kind in ("seq1", "seq3"):
+        beta = spec.beta if spec.kind == "seq1" else bc
+        margin = -(Kc(beta, 1) * spec.b - spec.k)
+        return spec.k != 0 and margin > 0, margin
+    if spec.kind in ("seq2", "seq6"):
+        beta, b = (spec.beta, spec.b) if spec.kind == "seq2" else (bc, -1.0)
+        kp = Kc(beta, spec.p)
+        margin = -((kp - spec.ell) * b**spec.p)
+        return spec.ell != kp and margin > 0, margin
+    if spec.kind == "seq5" or spec.case == "a":
+        margin = spec.ell - Kc(bc, 2)
+        return margin > 0, margin
+    if spec.case == "b":
+        return (abs(spec.ell - Kc(bc, 2)) <= 1e-9
+                and spec.ell_tilde - Kc(bc, 3) > 0), None
+    if spec.case == "c":
+        return ell_c < spec.ell < Kc(bc, 2), None
+    return (abs(spec.ell - ell_c) <= 1e-9
+            and spec.ell_tilde > K1_THIRD_DERIV_AT_BETA_C), None
+
+
+def random_spec(rng, kind, case):
+    """A seeded spec of kind (seq4 of case), on either side of its rule and
+    sometimes exactly on it."""
+    Kc, bc = second_order_k_deriv, BETA_C
+    alpha = rng.choice([0.1, 1 / 3, 0.5, 0.8])
+    step = rng.choice([0.0, rng.uniform(-1e-9, 1e-9), rng.uniform(-3.0, 3.0)])
+    if kind in ("seq1", "seq3"):
+        beta = {"beta": rng.uniform(0.1, 1.35)} if kind == "seq1" else {}
+        k = rng.choice([0.0, rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 3.0)])
+        return SequenceSpec(kind=kind, alpha=alpha, b=rng.choice([-1, 0, 1]), k=k, **beta)
+    if kind == "seq2":
+        beta, p = rng.uniform(0.1, 1.35), rng.randint(2, 6)
+        return SequenceSpec(kind=kind, alpha=alpha, beta=beta, b=rng.choice([-1, 1]), p=p,
+                            ell=Kc(beta, p) + step)
+    if kind == "seq6":
+        p = rng.randint(3, 8)
+        return SequenceSpec(kind=kind, alpha=alpha, p=p, ell=Kc(bc, p) + step)
+    if kind == "seq5":
+        return SequenceSpec(kind=kind, alpha=alpha, ell=Kc(bc, 2) + step)
+    ell_c = critical_constants().ell_c
+    ell = {"a": Kc(bc, 2), "b": Kc(bc, 2), "c": (Kc(bc, 2) + ell_c) / 2, "d": ell_c}[case]
+    tilde = Kc(bc, 3) if case == "b" else K1_THIRD_DERIV_AT_BETA_C
+    return SequenceSpec(kind=kind, alpha=alpha, ell=ell + step, case=case,
+                        ell_tilde=tilde + rng.choice([-0.5, 0.0, 0.5]))
 
 
 def written_out(kind, n):
@@ -209,7 +262,7 @@ class TestValidate:
         spec = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=1, k=0.0)
         results = {c.name: c for c in validate(spec)}
         assert not results["k nonzero"].passed
-        assert results["K'(beta) b - k < 0"].passed
+        assert results["K^(p)(beta0) h^p - ell s < 0"].passed
         with pytest.raises(SpecValidationError, match="k nonzero"):
             params_at(spec, 10)
 
@@ -254,6 +307,25 @@ class TestValidate:
         bad = SequenceSpec(kind="seq4", alpha=0.2, ell=cc.ell_c - 0.5,
                            ell_tilde=0.0, case="c")
         assert not all(c.passed for c in validate(bad))
+
+    def test_matches_the_per_kind_inequalities(self):
+        # validate states one sign rule for all kinds; the oracle keeps the
+        # inequalities written out per kind
+        rng = random.Random(15)
+        checked = {}
+        for i in range(720):
+            spec = random_spec(rng, KINDS[i % 6], "abcd"[i // 6 % 4])
+            verdict, margin = per_kind_inequalities(spec)
+            checks = validate(spec)
+            assert all(c.passed for c in checks) is verdict, spec
+            coexistence = [c.margin for c in checks if c.name == "K^(p)(beta0) h^p - ell s < 0"]
+            assert coexistence == ([] if margin is None else [margin]), spec
+            if margin:  # an exact 0 may differ in sign; the check fails either way
+                assert coexistence[0].hex() == margin.hex(), spec
+            key = (spec.kind, spec.case, verdict)
+            checked[key] = checked.get(key, 0) + 1
+        # every kind and seq4 case is seen both valid and invalid
+        assert len(checked) == 2 * 9
 
 
 class TestParamsAt:
