@@ -153,7 +153,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _emit_json(doc: dict, output_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     if output_path:
         Path(output_path).write_text(text + "\n", encoding="utf-8")
     else:

@@ -154,8 +154,8 @@ def abs_moment(law: SpinLawExact, power: float = 1.0, gamma: float = 0.0) -> flo
     descending magnitude because that keeps its list of partials short, about
     5x faster than lattice order at n = 8000.
     """
-    if not power > 0:
-        raise ValueError(f"abs_moment: power must be > 0, got {power}")
+    if not (math.isfinite(power) and power > 0):
+        raise ValueError(f"abs_moment: power must be finite and > 0, got {power}")
     _check_unit_interval("abs_moment", "gamma", gamma)
     scale = float(law.n) ** (1.0 - gamma)
     s = law.support()
@@ -209,6 +209,8 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     The exponent is ScaledFreeEnergy(params, n, n^gb), which windows the weight
     at its wells (weighted_ratio); declare the kinks of f.
     """
+    if not n >= 1:
+        raise ValueError(f"hs_rhs: n must be >= 1, got {n}")
     _check_unit_interval("hs_rhs", "gamma_bar", gamma_bar)
 
     def fs(x: float) -> float:

@@ -20,6 +20,7 @@ alpha as a rational string such as "1/3" in configs for exact threshold hits):
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -206,10 +207,10 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     g, exps = gl_polynomial(spec)
     exps.require("mdp_rate_estimate", spec.alpha, Regime.BELOW)
     xb = xbar(g).value
-    if a <= xb:
+    if not (math.isfinite(a) and a > xb):
         raise ValueError(
-            f"mdp_rate_estimate: threshold a must exceed xbar = {xb:.6g} (the rate "
-            f"vanishes on [0, xbar]), got {a}")
+            f"mdp_rate_estimate: threshold a must be finite and exceed xbar = {xb:.6g} "
+            f"(the rate vanishes on [0, xbar]), got {a}")
     u = 1.0 - spec.alpha / exps.alpha0
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))

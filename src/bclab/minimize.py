@@ -11,8 +11,7 @@ import decimal
 import math
 from dataclasses import dataclass
 
-from .model import (ModelParams, cumulant_deriv, free_energy, free_energy_deriv,
-                    inflection_tilt, secant_excess, well_depth)
+from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
 from .quadrature import tail_cutoff
 
 
@@ -26,7 +25,7 @@ def _spinodal_excess(beta: float, kappa: float) -> float:
     return float(num) / (4.0 * beta * kappa)
 
 
-def _outer_tilt(params: ModelParams) -> float:
+def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
     """Largest root t of g(t) = t - 2 beta K c'(t), or 0.0 when there is none.
 
     g(2 beta K) > 0 and g is convex beyond the inflection tilt t_i of c',
@@ -36,13 +35,13 @@ def _outer_tilt(params: ModelParams) -> float:
     """
     beta, two_bk = params.beta, 2.0 * params.beta * params.kappa
     rho_k = _spinodal_excess(beta, params.kappa)
-    t_i = inflection_tilt(beta)
+    t_i = tilt.inflection
     t = two_bk if rho_k < 0.0 or t_i > 0.0 else 0.0   # else no root: c'(t)/t < c''(0)
     for _ in range(200):
         slope = 1.0 - two_bk * cumulant_deriv(beta, t, 2)
         if t <= t_i or slope <= 0.0:
             return 0.0
-        t_next = t - t * (rho_k - secant_excess(beta, t)) / ((1.0 + rho_k) * slope)
+        t_next = t - t * (rho_k - tilt.secant_excess(t)) / ((1.0 + rho_k) * slope)
         if t_next >= t:
             return t
         t = t_next
@@ -52,8 +51,9 @@ def _outer_tilt(params: ModelParams) -> float:
 def min_free_energy(params: ModelParams) -> tuple[float, float]:
     """Global minimum (value, argmin) of G_{beta,K} on [0, 1]: the well c'(t) at
     the outer tilt t if its depth f(t) <= 0 = G(0) (ties resolve toward it), else (0, 0)."""
-    t = _outer_tilt(params)
-    if t == 0.0 or well_depth(params.beta, t) > 0.0:
+    tilt = Tilt(params.beta)
+    t = _outer_tilt(params, tilt)
+    if t == 0.0 or tilt.depth(t)[0] > 0.0:
         return 0.0, 0.0
     m = cumulant_deriv(params.beta, t, 1)
     return free_energy(params, m), m
@@ -80,7 +80,8 @@ class ScaledFreeEnergy:
         """(floor, cutoff, break_points) as EvenPolynomial.weight_window, at the
         outer well scale c'(t) of the outer tilt t; each well y in {0, +-outer}
         with phi''(y) > 0 is flanked at y +- 8 phi''(y)^-1/2, on panels of its own."""
-        outer = self.scale * cumulant_deriv(self.params.beta, _outer_tilt(self.params), 1)
+        t = _outer_tilt(self.params, Tilt(self.params.beta))
+        outer = self.scale * cumulant_deriv(self.params.beta, t, 1)
         floor = min(0.0, self(outer))
         points = [-outer, outer]
         for y in (0.0, outer, -outer):

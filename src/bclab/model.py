@@ -11,10 +11,10 @@ magnetization values is
 
     G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x).
 
-Everything here is a pure function of its arguments. The spin/tilt argument
-may be a scalar or a numpy array (a float for ``well_depth``,
-``well_depth_deriv`` and ``secant_excess``, the tilt functions of the
-equilibrium solvers). No function overflows for any finite argument.
+Everything here is a pure function of its arguments; ``Tilt`` holds the tilt
+functions of the equilibrium solvers at one beta, which take a float.
+Elsewhere the spin/tilt argument may be a scalar or a numpy array. No
+function overflows for any finite argument.
 
 A Python int or float (np.float64 included) is evaluated with ``math`` and
 returns a float. Any other argument is evaluated element by element by the
@@ -196,63 +196,59 @@ def _series_coefficients(beta: float) -> np.ndarray:
     return g
 
 
-def well_depth(beta: float, t: float) -> float:
-    """Depth f(t) = t c'(t)/2 - c(t) of G at its stationary point x = c'(t).
+class Tilt:
+    """The K-free tilt functions at one beta, for the Newton descents in t of
+    ``minimize`` and ``phase``: beta is checked once, and the series weights
+    below |t| = 1 are built at the first such t, so at most once per solve and
+    not at all at an ordered point (t > 1 throughout). ``inflection`` is the
+    t >= 0 beyond which c' is concave (0 for beta <= beta_c = log 4): c''' has
+    the sign of (1 - 4a)(1 + 2a) - 4a sinh^2(t/2)."""
 
-    G_{beta,K}(c'(t)) = f(t) whenever t = 2 beta K c'(t), whatever K is.
-    Below |t| = 1, f = sum_{j>=2} (j - 1) gamma_j t^(2j).
-    """
-    check_beta("well_depth", beta)
-    _check_finite("well_depth", t)
-    t = abs(t)
-    if t < _SERIES_MAX_T:
-        g, s = _series_coefficients(beta), t * t
-        return s * s * float((_J - 1) * g[1:] @ s ** (_J - 2))
-    return 0.5 * t * cumulant_deriv(beta, t, 1) - cumulant(beta, t)
+    def __init__(self, beta: float):
+        check_beta("Tilt", beta)
+        self.beta, a = beta, math.exp(-beta)
+        self._c2_origin = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
+        x = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) / (2.0 * a)
+        self.inflection = math.log1p(x + math.sqrt(x * (x + 2.0))) if x > 0 else 0.0
+        self._weights = None
 
+    def _series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights of t^(2j-4), j = 2..24, in f/t^4, f'/t^3 and rho/t^2."""
+        if self._weights is None:
+            g = _series_coefficients(self.beta)
+            self._weights = ((_J - 1) * g[1:], 2 * _J * (_J - 1) * g[1:], _J * g[1:] / g[0])
+        return self._weights
 
-def well_depth_deriv(beta: float, t: float) -> float:
-    """f'(t) = (t c''(t) - c'(t))/2 of the well depth, odd in t.
+    def depth(self, t: float) -> tuple[float, float]:
+        """(f(t), f'(t)): the depth f = t c'/2 - c of G at its stationary point
+        x = c'(t), even in t, and f' = (t c'' - c')/2, odd; G_{beta,K}(c'(t)) =
+        f(t) whenever t = 2 beta K c'(t), whatever K is. Below |t| = 1 both sum
+        the series f = sum_{j>=2} (j - 1) gamma_j t^(2j): there the closed form
+        of f' cancels to noise near beta_c, where t c'' and c' agree to beyond
+        the last digit."""
+        _check_finite("Tilt.depth", t)
+        m = abs(float(t))
+        if m < _SERIES_MAX_T:
+            w_f, w_d, _ = self._series()
+            s = m * m
+            powers = s ** (_J - 2)
+            f, d = s * s * float(w_f @ powers), m * s * float(w_d @ powers)
+        else:
+            c1 = _cumulant_deriv_scalar(self.beta, m, 1)
+            f = 0.5 * m * c1 - _cumulant_scalar(self.beta, m)
+            d = 0.5 * (m * _cumulant_deriv_scalar(self.beta, m, 2) - c1)
+        return f, (d if t >= 0.0 else -d)
 
-    Below |t| = 1, f' = sum_{j>=2} 2 j (j - 1) gamma_j t^(2j-1): there the
-    closed form cancels to noise near beta_c, where t c'' and c' agree to
-    beyond the last digit.
-    """
-    check_beta("well_depth_deriv", beta)
-    _check_finite("well_depth_deriv", t)
-    m = abs(t)
-    if m < _SERIES_MAX_T:
-        g, s = _series_coefficients(beta), m * m
-        d = m * s * float(2 * _J * (_J - 1) * g[1:] @ s ** (_J - 2))
-    else:
-        d = 0.5 * (m * cumulant_deriv(beta, m, 2) - cumulant_deriv(beta, m, 1))
-    return d if t >= 0.0 else -d
-
-
-def secant_excess(beta: float, t: float) -> float:
-    """rho(t) = c'(t)/(c''(0) t) - 1, the relative excess of the secant slope,
-    with c''(0) = 2a/(1 + 2a), a = e^{-beta}.
-
-    t is stationary for G_{beta,K} exactly when rho(t) = K(beta)/K - 1.
-    Below |t| = 1, rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2).
-    """
-    check_beta("secant_excess", beta)
-    _check_finite("secant_excess", t)
-    t = abs(t)
-    if t < _SERIES_MAX_T:
-        g, s = _series_coefficients(beta), t * t
-        return s * float(_J * g[1:] / g[0] @ s ** (_J - 2))
-    a = math.exp(-beta)
-    return cumulant_deriv(beta, t, 1) / (2.0 * a / (1.0 + 2.0 * a) * t) - 1.0
-
-
-def inflection_tilt(beta: float) -> float:
-    """The t >= 0 beyond which c' is concave (0 for beta <= beta_c = log 4):
-    c''' has the sign of (1 - 4a)(1 + 2a) - 4a sinh^2(t/2), a = e^{-beta}."""
-    check_beta("inflection_tilt", beta)
-    a = math.exp(-beta)
-    x = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) / (2.0 * a)
-    return math.log1p(x + math.sqrt(x * (x + 2.0))) if x > 0 else 0.0
+    def secant_excess(self, t: float) -> float:
+        """rho(t) = c'(t)/(c''(0) t) - 1, even in t: t is stationary for
+        G_{beta,K} exactly when rho(t) = K(beta)/K - 1. Below |t| = 1,
+        rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2)."""
+        _check_finite("Tilt.secant_excess", t)
+        m = abs(float(t))
+        if m < _SERIES_MAX_T:
+            s = m * m
+            return s * float(self._series()[2] @ s ** (_J - 2))
+        return _cumulant_deriv_scalar(self.beta, m, 1) / (self._c2_origin * m) - 1.0
 
 
 def free_energy(params: ModelParams, x):

@@ -8,7 +8,7 @@ valid as the second-order curve for beta <= beta_c = log 4 and as the
 spinodal curve beyond. The discontinuous-bifurcation curve K1(beta), defined
 only implicitly, is the smallest K at which the free energy touches zero at a
 strictly positive magnetization: K(beta)/(1 + rho(t1)) at the positive root
-t1 of the K-free well depth f (see ``model``). t1 comes from the monotone
+t1 of the K-free well depth f (``model.Tilt``). t1 comes from the monotone
 Newton descent in the tilt that ``minimize`` uses for m(beta, K).
 
 Note on the tricritical interaction strength: it is sometimes written
@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .minimize import min_free_energy
-from .model import (BETA_MAX, ModelParams, check_beta, secant_excess, well_depth,
-                    well_depth_deriv)
+from .model import BETA_MAX, ModelParams, Tilt, check_beta
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
@@ -76,24 +75,26 @@ def first_order_k(beta: float) -> float:
     5e21 by beta = 50. K1 is K(beta)/(1 + rho(t1)), raised by the ulps
     min_free_energy needs to report the positive well there.
 
-    Newton takes 1 to 11 steps from beta_c + 0.1 up, and 16, 41 and 68 steps
-    at beta_c + 1e-2, 1e-6 and 1e-10, where f ~ gamma_3 t^6 above t1 makes it
-    linear. A solve takes about 0.15 ms at beta in (beta_c, 10] and about
-    1.4 ms within 1e-3 of beta_c, on a 2-core x86-64 box.
+    One Tilt(beta) gives (f, f') at 5-15 iterates on [beta_c + 0.1, 10], 3-6
+    beyond, and 18, 43 and 70 at beta_c + 1e-2, 1e-6, 1e-10, where f ~ gamma_3
+    t^6 above t1 makes Newton linear. A solve takes a median 0.14 ms on
+    [beta_c + 0.1, 10] and 0.83 ms within 1e-3 of beta_c (2-core x86-64 box).
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
                          f"{BETA_MAX}], got {beta}")
+    tilt = Tilt(beta)
     t = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
     for _ in range(200):
-        t_next = t - well_depth(beta, t) / well_depth_deriv(beta, t)
+        f, f_prime = tilt.depth(t)
+        t_next = t - f / f_prime
         if t_next >= t:
             break
         t = t_next
     else:
         raise ArithmeticError(f"first_order_k: Newton for the well-depth root at "
                               f"beta = {beta} did not converge in 200 steps")
-    k1 = second_order_k(beta) / (1.0 + secant_excess(beta, t))
+    k1 = second_order_k(beta) / (1.0 + tilt.secant_excess(t))
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:
             return k1
@@ -107,8 +108,8 @@ def classify(params: ModelParams) -> PhaseRegion:
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
     Every point with beta > beta_c solves K1(beta) afresh, with no memo: a
-    median 0.15 ms a point for beta in (beta_c, 10], about 1.4 ms within 1e-3
-    of beta_c, on a 2-core x86-64 box.
+    median 0.14 ms a point on [beta_c + 0.1, 10] and 0.82 ms within 1e-3 of
+    beta_c, on a 2-core x86-64 box.
     """
     beta, kappa = params.beta, params.kappa
     if beta <= BETA_C + CURVE_TOL:

@@ -513,8 +513,8 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     Returns (n, sup_error) rows; along a geometric n list the column should
     decrease, which is the numerical content of the compact-uniform limit.
     """
-    if radius <= 0:
-        raise ValueError(f"check_hypothesis_iiia: radius must be > 0, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
     g, exps = gl_polynomial(spec)
     xs = np.linspace(-radius, radius, 2001)
     gx = g(xs)

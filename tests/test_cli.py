@@ -11,7 +11,7 @@ import pytest
 
 import bclab
 from bclab import gl_polynomial, magnetization, spec_from_json, xbar
-from bclab.cli import ExperimentConfig, ConfigError, main
+from bclab.cli import ExperimentConfig, ConfigError, _emit_json, main
 from bclab.model import ModelParams
 from mp_reference import exp_poly_abs_moment_mp
 
@@ -319,6 +319,27 @@ class TestMdpCommand:
         err = capsys.readouterr().err
         assert "mdp-check failed" in err
         assert "xbar" in err
+
+    @pytest.mark.parametrize("a", ["inf", "nan"])
+    def test_nonfinite_threshold_rejected(self, tmp_path, capsys, a):
+        # --a inf exited 0 with "a": Infinity, "target": NaN in its sidecar;
+        # --a nan failed naming log_tail_mass
+        out = tmp_path / "x.csv"
+        assert main(["mdp-check", "--spec", write_spec(tmp_path, dict(SEQ1_DOC, alpha=0.25)),
+                     "--a", a, "--n", "500", "-o", str(out)]) == 1
+        assert "mdp_rate_estimate: threshold a must be finite" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.json").exists()
+
+
+class TestJsonArtifacts:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_numbers_refused(self, tmp_path, capsys, value):
+        # json.dumps wrote them as NaN and Infinity, which strict JSON readers reject
+        out = tmp_path / "x.json"
+        for path in (str(out), None):
+            with pytest.raises(ValueError, match="JSON"):
+                _emit_json({"target": value}, path)
+        assert not out.exists() and capsys.readouterr().out == ""
 
 
 class TestConjecturesCommand:

@@ -172,6 +172,8 @@ class TestFiniteSizeReports:
 @pytest.mark.parametrize("op, call", [
     ("abs_moment", lambda law, p: abs_moment(law, 0.0)),
     ("abs_moment", lambda law, p: abs_moment(law, 1.0, 1.0)),
+    # an infinite power returned 0.0 with a RuntimeWarning
+    ("abs_moment", lambda law, p: abs_moment(law, math.inf)),
     # gamma = 2 used to give a tail mass near 1 and gamma = -1 a mass of 0
     ("tail_mass", lambda law, p: tail_mass(law, 2.0, 0.5)),
     ("tail_mass", lambda law, p: tail_mass(law, -1.0, 0.5)),
@@ -182,6 +184,9 @@ class TestFiniteSizeReports:
     ("log_tail_mass", lambda law, p: log_tail_mass(law, 0.2, math.nan)),
     ("hs_lhs", lambda law, p: hs_lhs(20, p, 1.0, abs)),
     ("hs_rhs", lambda law, p: hs_rhs(20, p, -0.1, abs)),
+    # n = 0 raised ZeroDivisionError, n = -5 a TypeError about complex numbers
+    ("hs_rhs", lambda law, p: hs_rhs(0, p, 0.2, abs)),
+    ("hs_rhs", lambda law, p: hs_rhs(-5, p, 0.2, abs)),
     ("params_at", lambda law, p: params_at(SEQ1_BELOW, 0)),
     ("params_at", lambda law, p: params_at(SEQ1_ZERO_K, 10)),
     ("gl_polynomial", lambda law, p: gl_polynomial(SEQ1_ZERO_K)),
@@ -189,11 +194,19 @@ class TestFiniteSizeReports:
     ("scaled_free_energy_table",
      lambda law, p: scaled_free_energy_table(SEQ1_ZERO_K, [1.0], [100])),
     ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, 0.0, [100])),
+    # a nan or inf radius failed in free_energy after numpy RuntimeWarnings
+    ("check_hypothesis_iiia",
+     lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, math.nan, [100])),
+    ("check_hypothesis_iiia",
+     lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, math.inf, [100])),
     ("check_hypothesis_v", lambda law, p: check_hypothesis_v(SEQ1_BELOW, [1.0], [100])),
     ("g_tilde", lambda law, p: g_tilde(SequenceSpec(
         kind="seq6", alpha=0.3, p=3, ell=second_order_k_deriv(BETA_C, 3) - 6.0))),
     ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_ABOVE, 3.0, [100])),
     ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_BELOW, 0.5, [100])),
+    # a = inf gave a nan target, a = nan failed in log_tail_mass
+    ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_BELOW, math.inf, [100])),
+    ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_BELOW, math.nan, [100])),
     ("kappa_fluctuation_estimate",
      lambda law, p: kappa_fluctuation_estimate(SEQ1_ABOVE, [100, 200])),
     # one n used to give a fitted slope and only a RankWarning
@@ -201,14 +214,16 @@ class TestFiniteSizeReports:
     ("weak_limit_distance", lambda law, p: weak_limit_distance(SEQ1_BELOW, 100)),
     ("estimator_comparison",
      lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
-], ids=["abs_moment-power", "abs_moment-gamma", "tail_mass-gamma=2",
+], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf", "tail_mass-gamma=2",
         "tail_mass-gamma=-1", "tail_mass-a", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
-        "hs_lhs", "hs_rhs", "params_at", "params_at-invalid-spec",
+        "hs_lhs", "hs_rhs", "hs_rhs-n=0", "hs_rhs-n=-5", "params_at", "params_at-invalid-spec",
         "gl_polynomial-invalid-spec", "coexistence_onset-invalid-spec",
         "scaled_free_energy_table-invalid-spec", "check_hypothesis_iiia-radius",
+        "check_hypothesis_iiia-radius=nan", "check_hypothesis_iiia-radius=inf",
         "check_hypothesis_v-slow-speed", "g_tilde-seq6", "mdp_rate_estimate-fast-speed",
-        "mdp_rate_estimate-a-below-xbar", "kappa_fluctuation_estimate-fast-speed",
+        "mdp_rate_estimate-a-below-xbar", "mdp_rate_estimate-a=inf", "mdp_rate_estimate-a=nan",
+        "kappa_fluctuation_estimate-fast-speed",
         "kappa_fluctuation_estimate-one-n", "weak_limit_distance-below",
         "estimator_comparison"])
 def test_input_errors_name_the_operation(op, call):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from mp_reference import DPS, cumulant_mp
 
-from bclab import (BETA_C, ModelParams, cumulant, cumulant_deriv,
-                   free_energy, free_energy_deriv, magnetization)
-from bclab.model import (BETA_MAX, inflection_tilt, secant_excess, well_depth,
-                         well_depth_deriv)
+from bclab import (BETA_C, ModelParams, cumulant, cumulant_deriv, first_order_k,
+                   free_energy, free_energy_deriv, magnetization, model, second_order_k)
+from bclab.model import BETA_MAX, Tilt
 
 
 def cumulant_reference(beta, t):
@@ -85,10 +84,7 @@ class TestCumulant:
     @pytest.mark.parametrize("name, call", [
         ("cumulant", lambda beta: cumulant(beta, 1.0)),
         ("cumulant", lambda beta: cumulant(beta, np.array([1.0]))),
-        ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2)),
-        ("well_depth", lambda beta: well_depth(beta, 0.5)),
-        ("secant_excess", lambda beta: secant_excess(beta, 2.0)),
-        ("well_depth_deriv", lambda beta: well_depth_deriv(beta, 0.5))])
+        ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2))])
     def test_beta_ceiling(self, name, call):
         # only beta <= 0 was rejected: nan returned nan and 1000 returned 0.0
         assert np.all(np.isfinite(call(BETA_MAX)))
@@ -178,7 +174,7 @@ class TestArrayInput:
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, BETA_C, 5.0, BETA_MAX])
     def test_matches_scalar_calls(self, beta):
-        t_i = inflection_tilt(beta)
+        t_i = Tilt(beta).inflection
         ts = [0.0, 1e-300, -1e-300, 1e-8, -1e-8, t_i, -t_i, 1.0, -1.0, 50.0, -50.0,
               700.0, -700.0, 701.0, -701.0, 1e4, 0, -1, 701, np.float64(-50.0)]
         params = ModelParams(beta, 1.5)
@@ -204,6 +200,7 @@ class TestTiltForms:
     def test_against_mpmath(self, beta):
         # the series (|t| < 1) keeps full relative precision; the closed form
         # beyond loses the digits of t c'/2 against c, fewer than four
+        tilt = Tilt(beta)
         with mp.workdps(DPS):
             c, c1 = cumulant_mp(beta)
             p = mp.diff(c, 0, 2)
@@ -212,53 +209,91 @@ class TestTiltForms:
                 tol = 1e-14 if t < 1 else 1e-12
                 f = tm * c1(tm) / 2 - c(tm)
                 rho = c1(tm) / (p * tm) - 1
-                assert abs(well_depth(beta, t) - f) <= tol * abs(f)
-                assert abs(secant_excess(beta, -t) - rho) <= tol * abs(rho)
+                assert abs(tilt.depth(t)[0] - f) <= tol * abs(f)
+                assert tilt.depth(-t)[0] == tilt.depth(t)[0]
+                assert abs(tilt.secant_excess(-t) - rho) <= tol * abs(rho)
 
     @pytest.mark.parametrize("beta", [BETA_C + 1e-6, 2.0, 20.0])
     def test_depth_deriv(self, beta):
         # f' = (t c'' - c')/2 against mpmath; the series below |t| = 1 keeps
         # full relative precision where the closed form cancels near beta_c
+        tilt = Tilt(beta)
         with mp.workdps(DPS):
             c, c1 = cumulant_mp(beta)
             for t in (1e-4, 0.5, 0.999, 1.0, 1.001, 3.0, 50.0):
                 tm = mp.mpf(t)
                 ref = (tm * mp.diff(c1, tm) - c1(tm)) / 2
-                got = well_depth_deriv(beta, t)
+                got = tilt.depth(t)[1]
                 tol = 1e-14 if t < 1 else 1e-13
                 assert abs(got - ref) <= tol * abs(ref)
-                fd = central_diff(lambda u: well_depth(beta, u), t, 1e-3 * t)
+                fd = central_diff(lambda u: tilt.depth(u)[0], t, 1e-3 * t)
                 assert fd == pytest.approx(got, rel=1e-5)
-                assert well_depth_deriv(beta, -t) == -got
+                assert tilt.depth(-t)[1] == -got
 
     def test_depth_is_the_free_energy_at_the_stationary_point(self):
         for beta, t in ((0.7, 0.4), (1.9, 2.5), (3.0, 12.0)):
             m = cumulant_deriv(beta, t, 1)
             params = ModelParams(beta, t / (2 * beta * m))
-            assert free_energy(params, m) == pytest.approx(well_depth(beta, t), rel=1e-12)
+            assert free_energy(params, m) == pytest.approx(Tilt(beta).depth(t)[0], rel=1e-12)
             assert free_energy_deriv(params, m, 1) == pytest.approx(0.0, abs=1e-13)
 
     def test_inflection_tilt(self):
-        assert inflection_tilt(1.0) == 0.0 == inflection_tilt(BETA_C)
+        assert Tilt(1.0).inflection == 0.0 == Tilt(BETA_C).inflection
         for beta in (BETA_C + 1e-4, 1.5, 2.0, 3.0):
-            t = inflection_tilt(beta)
+            t = Tilt(beta).inflection
             assert cumulant_deriv(beta, t * (1 - 1e-6), 3) > 0 > cumulant_deriv(beta, t * (1 + 1e-6), 3)
 
     def test_rejects_bad_input(self):
-        for fn in (well_depth, secant_excess, well_depth_deriv):
-            with pytest.raises(ValueError, match=f"^{fn.__name__}: beta"):
-                fn(0.0, 0.5)
-            with pytest.raises(ValueError, match=f"^{fn.__name__}: t must be finite"):
-                fn(1.0, math.nan)
-        with pytest.raises(ValueError):
-            inflection_tilt(-1.0)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^Tilt: beta"):
+                Tilt(beta)
+        for name in ("depth", "secant_excess"):
+            for t in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^Tilt.{name}: t must be finite"):
+                    getattr(Tilt(1.0), name)(t)
 
     def test_inflection_tilt_beta_ceiling(self):
-        # at 800, e^{-beta} underflowed to 0 and was divided by; nan returned 0
-        assert inflection_tilt(BETA_MAX) > 0
+        # at 800, e^{-beta} underflowed to 0 and was divided by and nan returned
+        # 0; the tilt functions returned nan or 0.0 where they now raise
+        tilt = Tilt(BETA_MAX)
+        assert tilt.inflection > 0
+        assert all(math.isfinite(v) for v in (*tilt.depth(0.5), tilt.secant_excess(2.0)))
         for beta in (math.nextafter(BETA_MAX, math.inf), math.nan, 800.0):
-            with pytest.raises(ValueError, match="^inflection_tilt: beta"):
-                inflection_tilt(beta)
+            with pytest.raises(ValueError, match="^Tilt: beta"):
+                Tilt(beta)
+
+    def test_series_built_at_most_once(self, monkeypatch):
+        # the gamma_j series was rebuilt on every call below |t| = 1, twice per
+        # Newton step of first_order_k near beta_c
+        counts = {"series": 0, "tilts": 0}
+        build, init = model._series_coefficients, Tilt.__init__
+
+        def counting_build(beta):
+            counts["series"] += 1
+            return build(beta)
+
+        def counting_init(self, beta):
+            counts["tilts"] += 1
+            init(self, beta)
+
+        monkeypatch.setattr(model, "_series_coefficients", counting_build)
+        monkeypatch.setattr(Tilt, "__init__", counting_init)
+        tilt = Tilt(BETA_C + 1e-6)
+        assert counts["series"] == 0
+        for t in (0.9, -0.5, 1e-3, 3.0):
+            tilt.depth(t)
+            tilt.secant_excess(t)
+        assert counts["series"] == 1
+        counts.update(series=0, tilts=0)
+        assert first_order_k(BETA_C + 1e-6) > 0
+        assert 1 <= counts["series"] <= counts["tilts"]
+        counts.update(series=0, tilts=0)
+        # ordered point: the outer tilt descends from 2 beta K = 3.2 to 2.6
+        assert magnetization(ModelParams(1.0, second_order_k(1.0) + 0.4)) > 0.8
+        assert counts == {"series": 0, "tilts": 1}
+        counts.update(series=0, tilts=0)
+        assert magnetization(ModelParams(1.0, second_order_k(1.0) + 1e-6)) > 0
+        assert counts == {"series": 1, "tilts": 1}
 
 
 class TestFreeEnergy:
