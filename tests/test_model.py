@@ -84,7 +84,15 @@ class TestCumulant:
     @pytest.mark.parametrize("name, call", [
         ("cumulant", lambda beta: cumulant(beta, 1.0)),
         ("cumulant", lambda beta: cumulant(beta, np.array([1.0]))),
-        ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2))])
+        ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2)),
+        # the well depth f, its derivative f' and the secant excess rho are
+        # Tilt(beta) methods, so the constructor checks beta and names itself
+        pytest.param("Tilt", lambda beta: Tilt(beta).depth(0.5)[0],
+                     id="well_depth-<lambda>"),
+        pytest.param("Tilt", lambda beta: Tilt(beta).secant_excess(2.0),
+                     id="secant_excess-<lambda>"),
+        pytest.param("Tilt", lambda beta: Tilt(beta).depth(0.5)[1],
+                     id="well_depth_deriv-<lambda>")])
     def test_beta_ceiling(self, name, call):
         # only beta <= 0 was rejected: nan returned nan and 1000 returned 0.0
         assert np.all(np.isfinite(call(BETA_MAX)))
