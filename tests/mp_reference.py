@@ -1,6 +1,8 @@
 """50-digit mpmath references for the tilted cumulant, K1(beta), m(beta, K),
 the exact law of the total spin and the first absolute moment of exp(-poly),
-and an 80-digit Taylor expansion of K1 at the tricritical point.
+an 80-digit Taylor expansion of K1 at the tricritical point, and the
+numerator e^beta + 2 - 4 beta K of K(beta)/K - 1 at 1200 bits and in
+40-digit decimal.
 
 Nothing here calls bclab. The cumulant comes from its defining closed form;
 roots are bracketed by sign changes on a geometric grid and polished by
@@ -8,6 +10,8 @@ mpmath's Anderson-Bjorck solver. At large beta, c(t) ~ e^-beta t^2 sits
 beside 1 in the closed form, so K1 and m carry beta/2 more digits. Inputs are
 taken as the exact binary values of the floats passed in.
 """
+
+import decimal
 
 import mpmath as mp
 
@@ -25,6 +29,24 @@ def cumulant_mp(beta):
         return 2 * a * mp.sinh(t) / (1 + 2 * a * mp.cosh(t))
 
     return c, c1
+
+
+def spinodal_numerator_mp(beta: float, kappa: float) -> float:
+    """e^beta + 2 - 4 beta K rounded once to a float, from 1200 bits. These
+    resolve e^beta - 1 >= beta beside 3 down to beta = 5e-324, and its
+    beta^2/2 wherever that breaks a tie of the dyadic rest."""
+    with mp.workprec(1200):
+        b = mp.mpf(beta)
+        return float(mp.exp(b) + 2 - 4 * b * mp.mpf(kappa))
+
+
+def spinodal_numerator_decimal(beta: float, kappa: float) -> float:
+    """The same numerator in 40-digit decimal. Below beta ~ 1e-30 the 40
+    digits no longer hold e^beta - 1 beside 3, so it can round an exact tie
+    of 3 - 4 beta K the wrong way."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        b = decimal.Decimal(beta)
+        return float(b.exp() + 2 - 4 * b * decimal.Decimal(kappa))
 
 
 def _roots(fn, lo, hi, rising):

@@ -59,6 +59,14 @@ class TestMagnetize:
             magnetization(ModelParams(1.0, 1.5)), abs=1e-15)
         assert doc["free_energy_at_m"] < 0
 
+    def test_ordered_limit_far_above_the_curve(self, tmp_path):
+        # exited 1 with a bare ZeroDivisionError from K = 1.8e16 K(beta) on
+        out = tmp_path / "m.json"
+        assert main(["magnetize", "--beta", "1", "--kappa", "1e300", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["m"] == 1.0 and doc["kappa"] == 1e300
+        assert all(math.isfinite(v) for v in doc.values())
+
     def test_missing_field_names_it(self, capsys):
         assert main(["magnetize", "--beta", "1.0"]) == 2
         assert "kappa" in capsys.readouterr().err

@@ -243,6 +243,14 @@ class TestSmoothingIdentity:
                         outer - 8 * sigma, outer + 8 * sigma})
         assert sorted(set(points)) == pytest.approx(wells, rel=1e-12)
 
+    def test_weight_window_far_above_the_curve(self):
+        # at K = 1e17 > 1.8e16 K(beta) the outer tilt divided by 1 + rho_K = 0;
+        # the well sits at the ordered limit y = scale
+        phi = ScaledFreeEnergy(ModelParams(1.0, 1e17), 10**4, 10.0)
+        floor, cutoff, points = phi.weight_window()
+        assert floor == phi(10.0) < 0 and cutoff > 10.0
+        assert {-10.0, 10.0} <= set(points) and all(math.isfinite(p) for p in points)
+
     @pytest.mark.parametrize("beta, kappa", [(1.0, 1.3), (1.0, 1.0), (2.0, 0.9),
                                              (1.2, 1.05), (0.5, 2.0), (3.0, 0.8)])
     def test_second_moment_scales_with_gamma_bar(self, beta, kappa):

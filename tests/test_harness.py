@@ -3,10 +3,12 @@ bookkeeping, tail-rate and weak-limit plumbing."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from mixture_oracle import mixture_distance
-from mp_reference import magnetization_mp
+from mp_reference import (magnetization_mp, spinodal_numerator_decimal,
+                          spinodal_numerator_mp)
 from scipy.special import ndtr
 
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
@@ -19,8 +21,9 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
                    run_thermo_asymptotics, scaled_free_energy_table,
                    second_order_k, second_order_k_deriv,
                    weak_limit_distance, weak_limit_polynomial, xbar)
-from bclab import abs_moment, harness, hs_lhs, hs_rhs, tail_mass
+from bclab import abs_moment, harness, hs_lhs, hs_rhs, minimize, tail_mass
 from bclab.finite_size import log_tail_mass
+from bclab.minimize import min_free_energy
 from bclab.model import BETA_MAX
 from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C
 
@@ -65,6 +68,76 @@ class TestThermoMagnetization:
         k1 = first_order_k(beta)
         assert magnetization(ModelParams(beta, k1)) > 0.05
         assert magnetization(ModelParams(beta, k1 - 1e-3)) == 0.0
+
+    def test_ordered_limit_far_above_the_curve(self):
+        # from K = 1.8e16 K(beta) on, K(beta)/K - 1 rounds to -1 and the
+        # Newton step divided by 1 + rho_K = 0 (a bare ZeroDivisionError); at
+        # K = 5e307, 4 beta K overflowed and m came out 0
+        for beta, kappa in ((1.0, 1e16), (1.0, 1e17), (1.0, 1e300), (1.0, 5e307),
+                            (BETA_MAX, 1e300)):
+            params = ModelParams(beta, kappa)
+            assert magnetization(params) == 1.0
+            assert min_free_energy(params) == (free_energy(params, 1.0), 1.0)
+
+    def test_single_phase_far_below_the_curve(self):
+        # 4 beta K underflowed to 0 and K(beta)/K - 1 divided by it
+        for beta, kappa in ((1e-300, 1e-300), (5e-324, 1e-300), (BETA_MAX, 1e-300)):
+            assert min_free_energy(ModelParams(beta, kappa)) == (0.0, 0.0)
+
+
+def _spinodal_points():
+    """(beta, K) pairs: the grid ends, K(beta) +- 0..4 ulps, and 2,400 seeded
+    points, a third each within 8 ulps of K(beta), within a factor 2 of it
+    and anywhere in [1e-300, 1e300]."""
+    betas = (5e-324, 1e-300, 1e-3, BETA_C, 20.0, BETA_MAX)
+    points = [(b, k) for b in betas for k in (1e-300, 1e300)]
+    for b in betas[1:]:
+        for direction in (0.0, math.inf):
+            k = second_order_k(b)
+            for _ in range(5):
+                points.append((b, k))
+                k = math.nextafter(k, direction)
+    rng = np.random.default_rng(17)
+    for i in range(2400):
+        b = (rng.uniform(0.05, 20.0) if i % 2 else
+             math.exp(rng.uniform(math.log(1e-300), math.log(BETA_MAX))))
+        k = second_order_k(b)
+        if i % 3 == 0:
+            for _ in range(int(rng.integers(9))):
+                k = math.nextafter(k, math.inf if rng.random() < 0.5 else 0.0)
+        elif i % 3 == 1:
+            k *= rng.uniform(0.5, 2.0)
+        else:
+            k = math.exp(rng.uniform(math.log(1e-300), math.log(1e300)))
+        if math.isfinite(k):
+            points.append((b, k))
+    return [(b, k) for b, k in points if 0.0 < 4.0 * b * k < math.inf]
+
+
+class TestSpinodalExcess:
+    def test_matches_the_exact_numerator(self):
+        # the numerator is rounded once from exact integers: bit for bit the
+        # 1200-bit one everywhere, and the 40-digit decimal one (the earlier
+        # arithmetic) wherever 40 digits hold e^beta - 1 beside 3
+        points = _spinodal_points()
+        assert len(points) >= 2000
+        for beta, kappa in points:
+            den = 4.0 * beta * kappa
+            got = minimize._spinodal_excess(beta, kappa)
+            assert got == spinodal_numerator_mp(beta, kappa) / den, (beta, kappa)
+            if beta >= 1e-30:
+                assert got == spinodal_numerator_decimal(beta, kappa) / den, (beta, kappa)
+
+    def test_beyond_the_floats(self):
+        # K(beta)/K below the floats is -1, above them inf
+        assert minimize._spinodal_excess(1.0, 5e307) == -1.0
+        assert minimize._spinodal_excess(BETA_MAX, 1e306) == -1.0
+        assert minimize._spinodal_excess(1e-300, 1e-300) == math.inf
+        assert minimize._spinodal_excess(5e-324, 1e-300) == math.inf
+
+    def test_log2_literal(self):
+        with mp.workdps(60):
+            assert minimize._LN2 == int(mp.nint(mp.log(2) * mp.mpf(2) ** 136))
 
 
 class TestThermoAsymptotics:

@@ -251,11 +251,24 @@ class TestTiltForms:
             t = Tilt(beta).inflection
             assert cumulant_deriv(beta, t * (1 - 1e-6), 3) > 0 > cumulant_deriv(beta, t * (1 + 1e-6), 3)
 
+    @pytest.mark.parametrize("beta", [0.05, BETA_C, 20.0, BETA_MAX])
+    def test_one_kernel_call_per_newton_step(self, beta):
+        # c' and c'' come from one evaluation of the cumulant forms, and the
+        # Newton pair (rho, c'') of Tilt from one such evaluation, bit for bit
+        # equal to the separate calls
+        tilt = Tilt(beta)
+        for m in (1e-300, 1e-8, 0.5, 1.0, beta / 2, 2 * beta, 700.0, 1e4):
+            for t in (m, -m):
+                pair = (cumulant_deriv(beta, t, 1), cumulant_deriv(beta, t, 2))
+                assert model._cumulant_derivs(beta, t, 2) == pair
+                assert model._cumulant_derivs(beta, t, 4)[:2] == pair
+                assert tilt.excess_and_curvature(t) == (tilt.secant_excess(t), pair[1])
+
     def test_rejects_bad_input(self):
         for beta in (0.0, -1.0):
             with pytest.raises(ValueError, match="^Tilt: beta"):
                 Tilt(beta)
-        for name in ("depth", "secant_excess"):
+        for name in ("depth", "secant_excess", "excess_and_curvature"):
             for t in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^Tilt.{name}: t must be finite"):
                     getattr(Tilt(1.0), name)(t)
