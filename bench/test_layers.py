@@ -7,8 +7,9 @@ ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
 phase-curve grid's first-order range and at beta_c + 1e-6, where its Newton
-descent takes 41 steps. classify runs at beta = 2, K = 1.01 K1, and at
-beta = 1.5 within 5e-13 of K1, where it must name the first-order curve;
+descent takes 41 steps. classify runs at beta = 2, K = 0.99 K1 and 1.01 K1,
+where its two well probes decide without a K1 solve, and at beta = 1.5
+within 5e-13 of K1, where it solves K1 and must name the first-order curve;
 K1 there is checked against 50-digit mpmath. limit_constant runs on ybar of the
 README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
@@ -96,8 +97,10 @@ def test_first_order_k(benchmark, beta):
 
 
 @pytest.mark.parametrize("beta, kappa_over_k1, offset, region", [
+    (2.0, 0.99, 0.0, PhaseRegion.SINGLE_PHASE),
     (2.0, 1.01, 0.0, PhaseRegion.COEXISTENCE),
-    (1.5, 1.0, 5e-13, PhaseRegion.FIRST_ORDER_CURVE)], ids=["coexistence", "on-K1"])
+    (1.5, 1.0, 5e-13, PhaseRegion.FIRST_ORDER_CURVE)],
+    ids=["single-phase", "coexistence", "on-K1"])
 def test_classify(benchmark, beta, kappa_over_k1, offset, region):
     ref = first_order_k_mp(beta)
     params = ModelParams(beta, ref * kappa_over_k1 + offset)

@@ -1,13 +1,15 @@
 """The global minimum of the free-energy functional, solved in the tilt.
 
-``min_free_energy`` is the one equilibrium solver behind m(beta, K) and the
-first-order curve; ``ScaledFreeEnergy``, the exponent n G(y/n^gamma) of every
+One well test in the tilt, ``_well_tilt``, is the equilibrium solver behind
+``min_free_energy``, m(beta, K), the first-order curve and the region of a
+point; ``ScaledFreeEnergy``, the exponent n G(y/n^gamma) of every
 e^{-n G} integral, windows its weight at the wells of the same tilt.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
@@ -63,12 +65,13 @@ def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
     it; a step below t_i or a nonpositive slope shows there is none. The
     residual g = t (rho_K - rho(t))/(1 + rho_K) keeps its precision near
     K(beta). Where K(beta)/K rounds to 0 (K above about 1e16 K(beta)),
-    c'(2 beta K) = 1 and 2 beta K is the root.
+    c'(2 beta K) = 1 and 2 beta K is the root; where 2 beta K overflows, the
+    largest float stands for it (c' is 1.0 and the depth finite there).
     """
     beta, two_bk = params.beta, 2.0 * params.beta * params.kappa
     rho_k = _spinodal_excess(beta, params.kappa)
     if rho_k == -1.0:
-        return two_bk
+        return min(two_bk, sys.float_info.max)
     t_i = tilt.inflection
     t = two_bk if rho_k < 0.0 or t_i > 0.0 else 0.0   # else no root: c'(t)/t < c''(0)
     for _ in range(200):
@@ -85,12 +88,21 @@ def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
     raise ArithmeticError(f"stationary tilt at {params} did not converge")
 
 
-def min_free_energy(params: ModelParams) -> tuple[float, float]:
-    """Global minimum (value, argmin) of G_{beta,K} on [0, 1]: the well c'(t) at
-    the outer tilt t if its depth f(t) <= 0 = G(0) (ties resolve toward it), else (0, 0)."""
-    tilt = Tilt(params.beta)
+def _well_tilt(params: ModelParams, tilt: Tilt) -> float:
+    """The outer tilt t if G_{beta,K} has its global minimum at the well
+    c'(t) > 0, else 0.0: t > 0 and the depth f(t) <= 0 = G(0) (ties resolve
+    toward the well). tilt is Tilt(params.beta), which callers testing
+    several K at one beta share. The report is monotone in K but for the
+    last ulps around K1(beta), which phase.classify relies on."""
     t = _outer_tilt(params, tilt)
-    if t == 0.0 or tilt.depth(t)[0] > 0.0:
+    return t if t > 0.0 and tilt.depth(t)[0] <= 0.0 else 0.0
+
+
+def min_free_energy(params: ModelParams) -> tuple[float, float]:
+    """Global minimum (value, argmin) of G_{beta,K} on [0, 1]: the well c'(t)
+    at the tilt of _well_tilt, else (0, 0)."""
+    t = _well_tilt(params, Tilt(params.beta))
+    if t == 0.0:
         return 0.0, 0.0
     m = cumulant_deriv(params.beta, t, 1)
     return free_energy(params, m), m

@@ -264,19 +264,30 @@ class Tilt:
 
 
 def free_energy(params: ModelParams, x):
-    """Free-energy functional G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x)."""
+    """Free-energy functional G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x).
+
+    For a scalar x where 2 beta K x overflows, c = |2 beta K x| - beta -
+    log(1 + 2 e^-beta) gives G = beta K |x| (|x| - 2) + beta + log(1 +
+    2 e^-beta): G at the ordered limit x = 1 is about -beta K, a float
+    wherever beta K is one. An array raises there, as cumulant does."""
     _check_finite("free_energy", x, "x")
     scalar = np.isscalar(x)
     x = float(x) if isinstance(x, _SCALARS) else np.asarray(x, dtype=float)
     bk = params.beta * params.kappa
-    out = bk * x * x - cumulant(params.beta, 2.0 * bk * x)
+    t = 2.0 * (bk * x)
+    if isinstance(t, float) and math.isinf(t):
+        beta = params.beta
+        return bk * abs(x) * (abs(x) - 2.0) + beta + math.log1p(2.0 * math.exp(-beta))
+    out = bk * x * x - cumulant(params.beta, t)
     return _maybe_scalar(out, scalar)
 
 
 def free_energy_deriv(params: ModelParams, x, order: int):
     """First or second x-derivative of the free-energy functional.
 
-    order 1: 2 beta K (x - c'(2 beta K x)); order 2: 2 beta K - (2 beta K)^2 c''.
+    order 1: 2 beta K (x - c'(2 beta K x)); order 2: 2 beta K - (2 beta K)^2 c'',
+    formed as 2 beta K (2 beta K c''), which overflows to -inf, not to an
+    OverflowError, where that product leaves the floats.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -287,5 +298,5 @@ def free_energy_deriv(params: ModelParams, x, order: int):
     if order == 1:
         out = two_bk * (x - cumulant_deriv(params.beta, two_bk * x, 1))
     else:
-        out = two_bk - two_bk**2 * cumulant_deriv(params.beta, two_bk * x, 2)
+        out = two_bk - two_bk * (two_bk * cumulant_deriv(params.beta, two_bk * x, 2))
     return _maybe_scalar(out, scalar)

@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .minimize import min_free_energy
+from .minimize import _well_tilt, min_free_energy
 from .model import BETA_MAX, ModelParams, Tilt, check_beta
 
 BETA_C = math.log(4.0)
@@ -73,12 +73,16 @@ def first_order_k(beta: float) -> float:
     minimize._outer_tilt, and stops when the iterate stops falling. The cap
     2 beta + 2 log 3 keeps f resolved at large beta, where 2 beta K(beta) is
     5e21 by beta = 50. K1 is K(beta)/(1 + rho(t1)), raised by the ulps
-    min_free_energy needs to report the positive well there.
+    min_free_energy needs to report the positive well there. So K1 is the
+    smallest float with that report, or one ulp above it where K(beta)/(1 +
+    rho(t1)) already reports it (7 of 300 seeded beta); classify's well
+    probes rely on this.
 
     One Tilt(beta) gives (f, f') at 5-15 iterates on [beta_c + 0.1, 10], 3-6
     beyond, and 18, 43 and 70 at beta_c + 1e-2, 1e-6, 1e-10, where f ~ gamma_3
-    t^6 above t1 makes Newton linear. A solve takes a median 0.08 ms on
-    [beta_c + 0.1, 10] and 0.9 ms within 1e-3 of beta_c (2-core x86-64 box).
+    t^6 above t1 makes Newton linear. A solve takes 0.05 ms on [beta_c + 0.1,
+    10] and 0.6-0.7 ms within 1e-3 of beta_c (median over 60 beta of the best
+    of 5 calls, 2-core x86-64 box).
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
@@ -107,9 +111,18 @@ def classify(params: ModelParams) -> PhaseRegion:
 
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
-    Every point with beta > beta_c solves K1(beta) afresh, with no memo: a
-    median 0.08 ms a point on [beta_c + 0.1, 10] and 0.9 ms within 1e-3 of
-    beta_c, on a 2-core x86-64 box.
+    For beta > beta_c two well tests at K -+ 2 CURVE_TOL (minimize._well_tilt,
+    on one Tilt(beta)) decide first. first_order_k returns, to an ulp, the
+    smallest K at which min_free_energy reports the positive well, and that
+    report is monotone in K but for the last ulps around K1, so a well at
+    K - 2 CURVE_TOL means K - K1 > CURVE_TOL (coexistence) and none at
+    K + 2 CURVE_TOL means K1 - K > CURVE_TOL (single phase). A probe at
+    K - 2 CURVE_TOL <= 0 is skipped. Only a point the probes leave open, one
+    within about 2 CURVE_TOL of K1, compares K with first_order_k(beta).
+    Two probes take 0.025 ms on [beta_c + 0.1, 10] and 0.04-0.05 ms within
+    1e-3 of beta_c, against 0.05 ms and 0.6-0.7 ms for the K1 solve, at K
+    1-20% off K1 (median over 60 beta of the best of 5 calls, 2-core x86-64
+    box).
     """
     beta, kappa = params.beta, params.kappa
     if beta <= BETA_C + CURVE_TOL:
@@ -121,6 +134,11 @@ def classify(params: ModelParams) -> PhaseRegion:
         if kappa < k_curve:
             return PhaseRegion.SINGLE_PHASE
         return PhaseRegion.COEXISTENCE
+    tilt, delta = Tilt(beta), 2.0 * CURVE_TOL
+    if kappa > delta and _well_tilt(ModelParams(beta, kappa - delta), tilt):
+        return PhaseRegion.COEXISTENCE
+    if not _well_tilt(ModelParams(beta, kappa + delta), tilt):
+        return PhaseRegion.SINGLE_PHASE
     k1 = first_order_k(beta)
     if abs(kappa - k1) <= CURVE_TOL:
         return PhaseRegion.FIRST_ORDER_CURVE

@@ -251,6 +251,14 @@ class TestSmoothingIdentity:
         assert floor == phi(10.0) < 0 and cutoff > 10.0
         assert {-10.0, 10.0} <= set(points) and all(math.isfinite(p) for p in points)
 
+    def test_weight_window_where_two_beta_k_squared_overflows(self):
+        # (2 beta K)^2 c'' raised OverflowError from 2 beta K = 1.3e154 on; the
+        # origin's curvature is now -inf (no flank), the well's 2 beta K
+        phi = ScaledFreeEnergy(ModelParams(1.0, 1e300), 10**4, 10.0)
+        floor, cutoff, points = phi.weight_window()
+        assert floor == phi(10.0) == pytest.approx(-1e304) and cutoff == 16.0
+        assert set(points) == {-10.0, 10.0}
+
     @pytest.mark.parametrize("beta, kappa", [(1.0, 1.3), (1.0, 1.0), (2.0, 0.9),
                                              (1.2, 1.05), (0.5, 2.0), (3.0, 0.8)])
     def test_second_moment_scales_with_gamma_bar(self, beta, kappa):

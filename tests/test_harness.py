@@ -79,6 +79,15 @@ class TestThermoMagnetization:
             assert magnetization(params) == 1.0
             assert min_free_energy(params) == (free_energy(params, 1.0), 1.0)
 
+    def test_ordered_limit_beyond_the_floats(self):
+        # 2 beta K overflows: the outer tilt was inf and Tilt.depth raised.
+        # G(1) = -beta K + beta + log(1 + 2 e^-beta) is -inf once beta K is
+        for beta, kappa, g in ((1.0, 1e308, -1e308), (2.0, 1e308, -math.inf),
+                               (BETA_MAX, 1.7976931348623157e308, -math.inf)):
+            params = ModelParams(beta, kappa)
+            assert magnetization(params) == 1.0
+            assert min_free_energy(params) == (g, 1.0)
+
     def test_single_phase_far_below_the_curve(self):
         # 4 beta K underflowed to 0 and K(beta)/K - 1 divided by it
         for beta, kappa in ((1e-300, 1e-300), (5e-324, 1e-300), (BETA_MAX, 1e-300)):

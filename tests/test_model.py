@@ -345,6 +345,16 @@ class TestFreeEnergy:
         g10 = free_energy(params, 10.0)
         assert g10 > g1 > 0
 
+    def test_beyond_the_floats(self):
+        # 2 beta K x overflows: c(2 beta K x) = 2 beta K |x| - beta - log(1 + 2 e^-beta)
+        params = ModelParams(1.0, 1e308)
+        assert free_energy(params, 1.0) == free_energy(params, -1.0) == -1e308
+        assert free_energy(params, 0.5) == -7.5e307
+        assert free_energy(params, 0.0) == 0.0
+        assert free_energy(ModelParams(2.0, 1e308), 1.0) == -math.inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^cumulant: t must"):
+            free_energy(params, np.array([0.5, 1.0]))
+
 
 class TestFreeEnergyDeriv:
     def test_gradient_zero_at_origin(self):
@@ -365,6 +375,14 @@ class TestFreeEnergyDeriv:
         m = magnetization(params)
         assert m > 0
         assert abs(free_energy_deriv(params, m, 1)) < 1e-10
+
+    def test_curvature_beyond_the_square_of_two_beta_k(self):
+        # (2 beta K)^2 raised OverflowError past 2 beta K = 1.3e154;
+        # at the origin the curvature is now -inf, at the ordered well c'' = 0
+        params = ModelParams(1.0, 1e300)
+        assert free_energy_deriv(params, 0.0, 2) == -math.inf
+        assert free_energy_deriv(params, 1.0, 2) == 2e300
+        assert free_energy_deriv(ModelParams(1.0, 1e150), 0.0, 2) < -1e299
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

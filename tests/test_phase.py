@@ -186,6 +186,60 @@ class TestClassify:
                 assert m < 1e-8
 
 
+def classify_by_k1(params, k1):
+    """The region from K1 = first_order_k(beta): the rule classify applied to
+    every point above beta_c before its two well probes."""
+    if abs(params.kappa - k1) <= 1e-12:
+        return PhaseRegion.FIRST_ORDER_CURVE
+    return PhaseRegion.SINGLE_PHASE if params.kappa < k1 else PhaseRegion.COEXISTENCE
+
+
+class TestClassifyProbes:
+    OFFSETS = (0.0, 1e-13, 9e-13, 1e-12, 1.1e-12, 2e-12, 3e-12, 1e-9, 1e-3, 0.1)
+
+    def test_matches_the_k1_rule(self):
+        # beta_c + 10^u, one u in each twelfth of [-10, 2.5]; each point sits
+        # at an offset from K1, absolute or relative, or at a float
+        # neighbour of one
+        rng = np.random.default_rng(18)
+        for u in np.linspace(-10.0, 2.5, 13)[:-1] + rng.uniform(0.0, 12.5 / 12, 12):
+            beta = BETA_C + 10.0 ** u
+            k1 = first_order_k(beta)
+            kappas = set()
+            for off in self.OFFSETS:
+                for k in (k1 - off, k1 + off, k1 * (1 - off), k1 * (1 + off)):
+                    kappas.update((math.nextafter(k, 0.0), k, math.nextafter(k, math.inf)))
+            for kappa in sorted(kappas):
+                params = ModelParams(beta, kappa)
+                assert classify(params) is classify_by_k1(params, k1), params
+
+    @pytest.mark.parametrize("beta, kappa, region", [
+        (2.0, 1e-13, PhaseRegion.SINGLE_PHASE),       # kappa - 2e-12 is no model point
+        (2.0, 5e-324, PhaseRegion.SINGLE_PHASE),
+        (BETA_MAX, 1e-300, PhaseRegion.SINGLE_PHASE),
+        (2.0, 1e308, PhaseRegion.COEXISTENCE),        # 2 beta K overflows
+        (1.3863, 1e308, PhaseRegion.COEXISTENCE),
+        (2.0, 1.7976931348623157e308, PhaseRegion.COEXISTENCE)])
+    def test_total_at_the_extremes(self, beta, kappa, region):
+        params = ModelParams(beta, kappa)
+        assert classify(params) is region is classify_by_k1(params, first_order_k(beta))
+
+    def test_no_k1_solve_away_from_the_curve(self, monkeypatch):
+        from bclab import phase
+        k1, calls = first_order_k(2.0), []
+
+        def counted(beta):
+            calls.append(beta)
+            return first_order_k(beta)
+
+        monkeypatch.setattr(phase, "first_order_k", counted)
+        assert classify(ModelParams(2.0, 0.99 * k1)) is PhaseRegion.SINGLE_PHASE
+        assert classify(ModelParams(2.0, 1.01 * k1)) is PhaseRegion.COEXISTENCE
+        assert calls == []
+        assert classify(ModelParams(2.0, k1)) is PhaseRegion.FIRST_ORDER_CURVE
+        assert calls == [2.0]
+
+
 class TestCriticalConstants:
     def test_location(self):
         cc = critical_constants()
