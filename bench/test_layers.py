@@ -19,9 +19,13 @@ against the lattice-law mixture of tests/mixture_oracle.py. Past the exact
 law, on the same spec, hs_rhs runs at n = 10^13, gamma_bar = 1/4 against the
 limit second moment Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.8767448, and
 weak_limit_distance at n = 10^16 against the n^-(alpha - 1/2) trend from
-n = 10^14, where the exact law is out of reach. The CLI figure
-is the README's seq1 sequence-run call, on one thread. The import figure is
-a fresh interpreter importing bclab, the start-up every CLI call pays.
+n = 10^14, where the exact law is out of reach. abs_moment runs on the
+Metropolis point's law at n = 8000, against the 50-digit mpmath law, and at
+N_MAX, against the fsum over the full lattice, which it must equal to the
+bit. The CLI figures are the README's seq1 sequence-run call, on one thread,
+and a cold bclab magnetize call through cli.main, in a fresh interpreter,
+against 50-digit mpmath. The import figure is a fresh interpreter importing
+bclab, the start-up every CLI call pays.
 """
 
 import json
@@ -34,12 +38,13 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from lattice_reference import full_lattice_abs_moment
 from mixture_oracle import mixture_distance
 from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_weight_mp,
-                          magnetization_mp)
+                          magnetization_mp, spin_law_mp)
 
 import bclab
-from bclab import (ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
+from bclab import (N_MAX, ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
                    params_at, spec_from_json, weak_limit_distance, xbar)
 from bclab.minimize import magnetization
@@ -86,6 +91,21 @@ def test_finite_size_law(benchmark):
         mode=mode, max_abs_err_log_ratio=err, norm_residual=norm,
         ns_per_state=benchmark.stats.stats.median / (2 * LAW_N + 1) * 1e9)
     assert err <= 1e-12 and norm <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8000, N_MAX])
+def test_abs_moment(benchmark, n):
+    # at 8000 against the 50-digit mpmath law; at N_MAX, out of its reach,
+    # against the fsum over the full lattice, which must agree to the bit
+    law = finite_size_law(n, PARAMS)
+    value = benchmark.pedantic(abs_moment, args=(law,), rounds=10, iterations=1)
+    if n == N_MAX:
+        ref = full_lattice_abs_moment(law, 1.0, 0.0)
+    else:
+        ref = spin_law_mp(n, PARAMS.beta, PARAMS.kappa)[1]
+    rel_err = abs(value - ref) / ref
+    benchmark.extra_info.update(n=n, value=value, reference=ref, rel_err=rel_err)
+    assert rel_err <= (0.0 if n == N_MAX else 1e-12)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, BETA_C + 1e-6])
@@ -187,6 +207,44 @@ def test_cli_sequence_run(benchmark, tmp_path):
     ref = xbar(gl_polynomial(spec_from_json(README_SEQ1))[0]).value
     benchmark.extra_info.update(x_bar=x_bar, reference=ref, abs_err=abs(x_bar - ref))
     assert code == 0 and x_bar == ref
+
+
+CLI_SCRIPT = ("import contextlib, io, sys, time\n"
+              "import bclab.cli\n"
+              "argv = ['magnetize', '--beta', '1.0', '--kappa', '1.5']\n"
+              "out = io.StringIO()\n"
+              "start = time.perf_counter()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    if sys.argv[1] == 'main':\n"
+              "        bclab.cli.main(argv)\n"
+              "    else:\n"
+              "        bclab.cli.build_parser().parse_args(argv)\n"
+              "print(time.perf_counter() - start, out.getvalue().replace(chr(10), ''))\n")
+
+
+def test_cli_main_cold(benchmark):
+    # each round is a fresh interpreter with bclab.cli imported, timing one
+    # bclab magnetize call through cli.main (parse, check, solve, print);
+    # before each round, untimed, another fresh interpreter times the parse
+    # alone on the parser of every command (full_parse_s), the cost main
+    # paid before it built only the named command's subparser
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bclab.__file__)))
+    runs = {"main": [], "full": []}
+
+    def fresh(mode):
+        out = subprocess.run([sys.executable, "-c", CLI_SCRIPT, mode], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        seconds, doc = out.split(" ", 1)
+        runs[mode].append((float(seconds), doc))
+
+    benchmark.pedantic(fresh, args=("main",), setup=lambda: fresh("full"),
+                       rounds=10, iterations=1)
+    m = json.loads(runs["main"][0][1])["m"]
+    ref = magnetization_mp(1.0, 1.5)
+    benchmark.extra_info.update(main_s=statistics.median(s for s, _ in runs["main"]),
+                                full_parse_s=statistics.median(s for s, _ in runs["full"]),
+                                m=m, reference=ref, rel_err=abs(m - ref) / ref)
+    assert abs(m - ref) <= 1e-12 * ref
 
 
 IMPORT_SCRIPT = ("import sys, time\n"

@@ -35,8 +35,8 @@ from .minimize import ScaledFreeEnergy, magnetization
 from .model import ModelParams
 from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
-# the law takes about 200 B per n, and building the Metropolis acceptance
-# tables about 160 B per n, so about 200 MB here
+# the law and its moment take about 130 B per n, and building the Metropolis
+# acceptance tables about 160 B per n, so at most about 200 MB here
 N_MAX = 10**6
 MIN_BATCHES = 20
 
@@ -106,18 +106,35 @@ class McEstimate:
     seed: int
 
 
+def _ratios(n: int, beta: float) -> array:
+    """rho_0 .. rho_{n-1} of the recurrence, rho_0 = n and
+    rho_k = ((n - k) + q (2n - k + 1)/rho_{k-1})/(k + 1) with q = a^2.
+
+    The per-k coefficients are read as floats through memoryviews of float64
+    arrays: n - k and k + 1 are integers below 2^53, and q (2n - k + 1) is one
+    rounded product, as with the integers, so each step rounds the same and
+    gives the same rho to the bit, about 1.5x faster than integer arithmetic
+    in the loop.
+    """
+    q = math.exp(-2.0 * beta)
+    k = np.arange(1.0, n)
+    rho = float(n)
+    rhos = array("d", [rho])
+    for a, b, c in zip(memoryview(n - k), memoryview(q * (2 * n + 1 - k)),
+                       memoryview(k + 1.0)):
+        rho = (a + b / rho) / c
+        rhos.append(rho)
+    return rhos
+
+
 @lru_cache(maxsize=32)
 def _law_cached(n: int, beta: float, kappa: float) -> SpinLawExact:
-    q = math.exp(-2.0 * beta)
-    rho = float(n)
-    rhos = [rho]
-    for k in range(1, n):
-        rho = ((n - k) + q * (2 * n - k + 1) / rho) / (k + 1)
-        rhos.append(rho)
+    rhos = _ratios(n, beta)
+    rhos.reverse()   # in place: np.log of a strided view may round differently
     # log p(s) - log p(s + 1) for s = -1 .. -n; kappa (2s + 1) is rounded per
     # step, so no rounding of beta kappa is repeated n times
     s = np.arange(-1, -n - 1, -1)
-    steps = -np.log(rhos[::-1]) - beta * (kappa * (2 * s + 1) / n + 1.0)
+    steps = -np.log(np.frombuffer(rhos)) - beta * (kappa * (2 * s + 1) / n + 1.0)
     # Compensated prefix sum: the partial sums cross valleys up to ~beta n
     # e-folds deep, so each rounding of np.cumsum (a sequential accumulate) is
     # recovered exactly by TwoSum and summed into a tail.
@@ -137,7 +154,7 @@ def _law_cached(n: int, beta: float, kappa: float) -> SpinLawExact:
 def finite_size_law(n: int, params: ModelParams) -> SpinLawExact:
     """Exact law of the total spin S_n under the canonical ensemble at (beta, K).
 
-    O(n) time and memory, about 1 s and 200 MB at n = 10^6; raises
+    O(n) time and memory, about 0.3 s and 130 MB at n = 10^6; raises
     EnumerationLimitError for n above N_MAX = 10^6. Against 50-digit
     mpmath, log p_s is within 1e-12 wherever p_s > 1e-30 and E|S_n/n| within
     1e-12 relative for n <= 20000 and beta from 0.05 to 20; both are within
@@ -150,20 +167,24 @@ def finite_size_law(n: int, params: ModelParams) -> SpinLawExact:
 def abs_moment(law: SpinLawExact, power: float = 1.0, gamma: float = 0.0) -> float:
     """E |S_n / n^(1-gamma)|^power, summed exactly over the lattice.
 
-    math.fsum is correctly rounded in any order; the terms are fed in
-    descending magnitude because that keeps its list of partials short, about
-    5x faster than lattice order at n = 8000.
+    Only s = 1 .. n is summed: the log weights are mirrored exactly across
+    s = 0, so the terms at s and -s are the same float, and s = 0 adds
+    nothing. math.fsum is correctly rounded and doubling a float is exact, so
+    the fsum of the doubled half-lattice terms is the fsum of the full lattice
+    to the bit; so is the fsum without the terms that underflow to 0. The
+    terms are fed in descending magnitude, which keeps fsum's list of partials
+    short, through a memoryview, which yields floats: at N_MAX the sum takes
+    about 3 ms, against 90 ms over every term of the array.
     """
     if not (math.isfinite(power) and power > 0):
         raise ValueError(f"abs_moment: power must be finite and > 0, got {power}")
     _check_unit_interval("abs_moment", "gamma", gamma)
-    scale = float(law.n) ** (1.0 - gamma)
-    s = law.support()
-    log_terms = law.log_weights - law.log_z
-    with np.errstate(divide="ignore"):
-        log_terms = log_terms + power * np.log(np.abs(s) / scale)
-    terms = np.exp(log_terms[np.isfinite(log_terms)])
-    return math.fsum(np.sort(terms)[::-1])
+    n = law.n
+    scale = float(n) ** (1.0 - gamma)
+    log_terms = (law.log_weights[n + 1:] - law.log_z) + power * np.log(np.arange(1, n + 1) / scale)
+    terms = np.exp(log_terms)
+    terms = np.sort(terms[terms > 0.0])[::-1]
+    return math.fsum(memoryview(2.0 * terms))
 
 
 def tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 import bclab
 from bclab import gl_polynomial, magnetization, spec_from_json, xbar
-from bclab.cli import ExperimentConfig, ConfigError, _emit_json, main
+from bclab.cli import _COMMANDS, ExperimentConfig, ConfigError, _emit_json, build_parser, main
 from bclab.model import ModelParams
 from mp_reference import exp_poly_abs_moment_mp
 
@@ -70,6 +70,16 @@ class TestMagnetize:
     def test_missing_field_names_it(self, capsys):
         assert main(["magnetize", "--beta", "1.0"]) == 2
         assert "kappa" in capsys.readouterr().err
+
+    def test_overflowing_free_energy_named(self, tmp_path, capsys):
+        # beta K = 2e308 overflows, so G(1) = -beta K is -inf; this exited 1 with
+        # "Out of range float values are not JSON compliant: -inf"
+        out = tmp_path / "m.json"
+        assert main(["magnetize", "--beta", "2", "--kappa", "1e308", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "magnetize failed: OverflowError: free_energy at m = 1 overflows to -inf: "
+            "beta K is beyond the largest float\n")
+        assert not out.exists()
 
 
 class TestPhaseDiagram:
@@ -386,3 +396,49 @@ class TestExperimentConfigValidation:
         cfg = ExperimentConfig(command="magnetize", beta=1.0, kappa=1.0, a=2.0)
         with pytest.raises(ConfigError, match="a:"):
             cfg.validate()
+
+
+def _parse_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of an argparse exit from parse(argv)."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """main builds only the subparser its first argument names; what it prints
+    must be what the full parser prints."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("flags", [["--help"], ["--bogus"], ["--config"]],
+                             ids=["help", "unknown-flag", "missing-value"])
+    def test_command_text_is_the_full_parsers(self, capsys, command, flags):
+        # --bogus is reported by the top-level parser with its usage line,
+        # --config without a value by the command's own subparser
+        argv = [command, *flags]
+        got = _parse_exit(capsys, main, argv)
+        assert got == _parse_exit(capsys, lambda a: build_parser().parse_args(a), argv)
+        assert {"--help": got[1].startswith(f"usage: bclab {command} [-h]"),
+                "--bogus": got[2].endswith("bclab: error: unrecognized arguments: --bogus\n"),
+                "--config": got[2].endswith(f"bclab {command}: error: argument --config: "
+                                            "expected one argument\n")}[flags[0]]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["nosuch"], []], ids=["help", "unknown", "none"])
+    def test_top_level_text_is_the_full_parsers(self, capsys, argv):
+        got = _parse_exit(capsys, main, argv)
+        assert got == _parse_exit(capsys, lambda a: build_parser().parse_args(a), argv)
+        if argv == ["--help"]:
+            assert all(f"    {name} " in got[1] for name in _COMMANDS)
+        elif argv == ["nosuch"]:
+            assert got[2].endswith(
+                "bclab: error: argument command: invalid choice: 'nosuch' (choose from "
+                + ", ".join(f"'{name}'" for name in _COMMANDS) + ")\n")
+        else:
+            assert got[2].endswith("bclab: error: the following arguments are required: command\n")
+
+    def test_one_command_parser(self):
+        parser = build_parser("magnetize")
+        assert parser.parse_args(["magnetize", "--beta", "1"]).beta == "1"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["mc", "--n", "5"])

@@ -1,6 +1,7 @@
 """Closed-form cumulant and free-energy functional against independent oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -352,8 +353,19 @@ class TestFreeEnergy:
         assert free_energy(params, 0.5) == -7.5e307
         assert free_energy(params, 0.0) == 0.0
         assert free_energy(ModelParams(2.0, 1e308), 1.0) == -math.inf
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^cumulant: t must"):
-            free_energy(params, np.array([0.5, 1.0]))
+        assert free_energy(ModelParams(2.0, 1e308), 0.0) == 0.0
+
+    @pytest.mark.parametrize("beta, kappa", [(2.0, 1e308), (1.0, 1e307), (1.0, 1e308)])
+    def test_array_beyond_the_floats(self, beta, kappa):
+        # an array raised "cumulant: t must be finite" with RuntimeWarnings
+        # where 2 beta K x overflows; it holds its elements' scalar values
+        params = ModelParams(beta, kappa)
+        xs = [-1.0, 0.0, 0.5, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [free_energy(params, x) for x in xs]
+            assert free_energy(params, np.array(xs)).tolist() == values
+        assert values[1] == 0.0 and values[0] == values[3] <= values[2] < 0.0
 
 
 class TestFreeEnergyDeriv:
