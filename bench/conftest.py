@@ -8,6 +8,13 @@ Run from the repository root:
 
 The JSON records numpy and scipy versions and the usable CPU count besides
 pytest-benchmark's own machine description.
+
+A BENCH_<pr>.json / BENCH_<pr>.parent.json pair compares a change with its
+parent on one machine. Check out both sides at paths of equal length, run
+this file at least three times a side, alternating parent and change, and
+pool each side's runs with ``bench/pool.py``:
+
+    python3 bench/pool.py change-1.json change-2.json change-3.json -o bench/BENCH_<pr>.json
 """
 
 import os

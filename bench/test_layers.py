@@ -22,9 +22,11 @@ weak_limit_distance at n = 10^16 against the n^-(alpha - 1/2) trend from
 n = 10^14, where the exact law is out of reach. abs_moment runs on the
 Metropolis point's law at n = 8000, against the 50-digit mpmath law, and at
 N_MAX, against the fsum over the full lattice, which it must equal to the
-bit. The CLI figures are the README's seq1 sequence-run call, on one thread,
-and a cold bclab magnetize call through cli.main, in a fresh interpreter,
-against 50-digit mpmath. The import figure is a fresh interpreter importing
+bit. log_tail_mass runs on the same laws, at P{|S_n/n| >= 0.9} past the mode
+|S/n| = 0.82: at n = 8000 against the 50-digit mpmath law, at N_MAX against
+the log-sum of the tail masked on the full lattice. The CLI figures are the
+README's seq1 sequence-run call, on one thread, and a cold bclab magnetize
+call through cli.main, in a fresh interpreter, against 50-digit mpmath. The import figure is a fresh interpreter importing
 bclab, the start-up every CLI call pays.
 """
 
@@ -38,7 +40,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from lattice_reference import full_lattice_abs_moment
+from lattice_reference import full_lattice_abs_moment, full_lattice_log_tail_mass
 from mixture_oracle import mixture_distance
 from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_weight_mp,
                           magnetization_mp, spin_law_mp)
@@ -47,6 +49,7 @@ import bclab
 from bclab import (N_MAX, ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
                    gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
                    params_at, spec_from_json, weak_limit_distance, xbar)
+from bclab.finite_size import log_tail_mass
 from bclab.minimize import magnetization
 from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_order_k
 
@@ -56,6 +59,7 @@ MC_N = 10_000
 MC_SWEEPS = 60     # plus the default burn-in of 6: 66 sweeps of n steps
 MC_SEED = 1
 LAW_N = 20_000
+TAIL_A = 0.9
 README_SEQ1 = {"kind": "seq1", "alpha": 0.3, "beta": 1.0, "b": 0, "k": 1.0}
 README_N = "250,500,1000,2000,4000"
 
@@ -106,6 +110,25 @@ def test_abs_moment(benchmark, n):
     rel_err = abs(value - ref) / ref
     benchmark.extra_info.update(n=n, value=value, reference=ref, rel_err=rel_err)
     assert rel_err <= (0.0 if n == N_MAX else 1e-12)
+
+
+@pytest.mark.parametrize("n", [8000, N_MAX])
+def test_log_tail_mass(benchmark, n):
+    # the error is relative to max(1, |log P|), the tolerance log_tail_mass
+    # documents against mpmath; at N_MAX, against the full-lattice mask
+    law = finite_size_law(n, PARAMS)
+    gamma, a = 0.0, TAIL_A
+    value = benchmark.pedantic(log_tail_mass, args=(law, gamma, a), rounds=10, iterations=1)
+    if n == N_MAX:
+        ref = full_lattice_log_tail_mass(law, gamma, a)
+    else:
+        with mp.workdps(30):
+            log_p = spin_law_mp(n, PARAMS.beta, PARAMS.kappa)[0]
+            k = math.ceil(a * n)
+            ref = float(mp.log(2 * mp.fsum(mp.exp(x) for x in log_p[k:])))
+    err = abs(value - ref) / max(1.0, abs(ref))
+    benchmark.extra_info.update(n=n, gamma=gamma, a=a, value=value, reference=ref, err=err)
+    assert err <= (4e-15 if n == N_MAX else 1e-12)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, BETA_C + 1e-6])

@@ -16,7 +16,7 @@ from .phase import (BETA_C, CriticalConstants, PhaseRegion, classify,
                     second_order_k_deriv, verify_tricritical_conjectures)
 from .finite_size import (N_MAX, EnumerationLimitError, McEstimate,
                           SpinLawExact, abs_moment, finite_size_law, hs_lhs,
-                          hs_rhs, mc_estimate, tail_mass)
+                          hs_rhs, mc_estimate)
 from .quadrature import QuadratureError, aitken_limit
 from .sequences import (EvenPolynomial, MinimumSet, Regime, ScalingExponents,
                         SequenceSpec, SpecValidationError,

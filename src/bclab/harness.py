@@ -133,14 +133,13 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     theta*alpha0 at and above it; the matching limit constant (xbar, zbar or
     ybar) is attached. Rows are independent and are computed in parallel when
     threads > 1; the merge is by sorted n, so the output is identical for any
-    thread count. Monte Carlo rows are seeded per row as seed ^ n. An n_list
-    reaching past N_MAX fails before any row runs.
+    thread count. Monte Carlo rows are seeded per row as seed ^ n. An n that
+    is no int in 1..N_MAX fails before any row runs.
     """
     consts, exps = _constants_for(spec)
-    ns = sorted(n_list)
+    ns = sorted(check_n("run_finite_size_asymptotics", n) for n in n_list)
     if not ns:
         raise ValueError("run_finite_size_asymptotics: n_list is empty")
-    check_n("run_finite_size_asymptotics", ns[-1])
 
     def row(n: int) -> ReportRow:
         return _finite_size_row(spec, n, exps, estimator, sweeps, seed)

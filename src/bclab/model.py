@@ -246,15 +246,11 @@ class Tilt:
             d = 0.5 * (m * c2 - c1)
         return f, (d if t >= 0.0 else -d)
 
-    def secant_excess(self, t: float) -> float:
-        """rho(t) = c'(t)/(c''(0) t) - 1, even in t: t is stationary for
-        G_{beta,K} exactly when rho(t) = K(beta)/K - 1."""
-        _check_finite("Tilt.secant_excess", t)
-        return self.excess_and_curvature(t)[0]
-
     def excess_and_curvature(self, t: float) -> tuple[float, float]:
         """(rho(t), c''(t)), both even in t, from one kernel call: what a
-        Newton step on the stationary-tilt equation needs. Below |t| = 1,
+        Newton step on the stationary-tilt equation needs. rho is the secant
+        excess c'(t)/(c''(0) t) - 1: t is stationary for G_{beta,K} exactly
+        when rho(t) = K(beta)/K - 1. Below |t| = 1,
         rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2)."""
         _check_finite("Tilt.excess_and_curvature", t)
         m = abs(float(t))

@@ -98,7 +98,7 @@ def first_order_k(beta: float) -> float:
     else:
         raise ArithmeticError(f"first_order_k: Newton for the well-depth root at "
                               f"beta = {beta} did not converge in 200 steps")
-    k1 = second_order_k(beta) / (1.0 + tilt.secant_excess(t))
+    k1 = second_order_k(beta) / (1.0 + tilt.excess_and_curvature(t)[0])
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:
             return k1

@@ -11,15 +11,16 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from lattice_reference import full_lattice_abs_moment, integer_rho_law
+from lattice_reference import (full_lattice_abs_moment, full_lattice_log_tail_mass,
+                               integer_rho_law, temporary_acceptance_tables)
 from mp_reference import log_spin_weight_mp, spin_law_mp
 
 import bclab
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, ModelParams,
                    ScaledFreeEnergy, SequenceSpec, abs_moment, finite_size_law,
                    free_energy_deriv, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
-                   magnetization, mc_estimate, params_at, second_order_k,
-                   tail_mass, xbar)
+                   magnetization, mc_estimate, params_at, second_order_k, xbar)
+from bclab.finite_size import log_tail_mass
 from bclab.minimize import min_free_energy
 
 
@@ -119,9 +120,14 @@ class TestFiniteSizeLaw:
         with pytest.raises(ValueError, match="^finite_size_law: n must be >= 1"):
             finite_size_law(0, ModelParams(1.0, 1.0))
 
+    def test_numpy_int_n(self):
+        params = ModelParams(1.0, 1.5)
+        law = finite_size_law(np.int64(30), params)
+        assert type(law.n) is int and law is finite_size_law(30, params)
+
     def test_memory_at_the_bound(self):
         # peak RSS growth over the import baseline, in a fresh interpreter so
-        # no earlier test's peak hides it; measured about 128 B per n
+        # no earlier test's peak hides it; measured about 113 B per n
         script = (
             "import resource\n"
             "from bclab import N_MAX, ModelParams, abs_moment, finite_size_law\n"
@@ -189,16 +195,46 @@ class TestAbsMoment:
             abs_moment(law, 1.0, 1.0)
 
 
-class TestTailMass:
+class TestLogTailMass:
     def test_boundary_values(self):
         law = finite_size_law(30, ModelParams(1.0, 1.5))
-        assert tail_mass(law, 0.2, 0.0) == 1.0
-        assert tail_mass(law, 0.2, 30.0**0.2 + 0.1) == 0.0
+        assert log_tail_mass(law, 0.2, 0.0) == 0.0
+        assert log_tail_mass(law, 0.2, 30.0**0.2 + 0.1) == -math.inf
 
     def test_monotone_in_threshold(self):
         law = finite_size_law(30, ModelParams(1.0, 1.5))
-        values = [tail_mass(law, 0.0, a) for a in np.linspace(0, 1, 21)]
+        values = [log_tail_mass(law, 0.0, a) for a in np.linspace(0, 1, 21)]
         assert all(x >= y for x, y in zip(values, values[1:]))
+
+    def test_matches_full_lattice_mask(self):
+        # the doubled half-lattice tail against the tail masked on -n .. n
+        rng = np.random.default_rng(20)
+        ns = [1, 2, 3, 20000] + [int(n) for n in np.exp(rng.uniform(0, math.log(20000), 40))]
+        for n in ns:
+            law = finite_size_law(n, ModelParams(rng.uniform(0.05, 20.0), rng.uniform(0.2, 3.0)))
+            for gamma in (0.0, 0.25):
+                ceiling = float(n) ** gamma
+                for a in [0.0, 1e-300, ceiling, *rng.uniform(0.0, 1.1 * ceiling, 6)]:
+                    got = log_tail_mass(law, gamma, a)
+                    ref = full_lattice_log_tail_mass(law, gamma, a)
+                    assert got == ref or abs(got - ref) <= 4e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 2000])
+    def test_matches_mpmath(self, n):
+        # the tolerance log_tail_mass documents, against the tail of the
+        # 50-digit law summed in mpmath
+        for beta, kappa in ((0.05, 15.3), (1.0, 1.2), (BETA_C, 1.1), (20.0, 1.0),
+                            (20.0, 1.0000000001)):
+            law = finite_size_law(n, ModelParams(beta, kappa))
+            with mp.workdps(30):
+                p = [mp.exp(x) for x in spin_law_mp(n, beta, kappa)[0]]
+                for gamma in (0.0, 0.25):
+                    ceiling = float(n) ** gamma
+                    for a in np.linspace(0.0, ceiling, 9)[1:]:
+                        k = math.ceil(a * float(n) ** (1.0 - gamma))
+                        ref = float(mp.log(2 * mp.fsum(p[k:])))
+                        got = log_tail_mass(law, gamma, a)
+                        assert got == ref or abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def gaussian_bump(x):
@@ -405,6 +441,26 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="^mc_estimate: burn_in must be >= 0"):
             mc_estimate(10, params, sweeps=20, burn_in=-3)
         assert mc_estimate(10, params, sweeps=20, burn_in=0).sweeps == 20
+
+    def test_tables_match_the_temporary_form_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for n in [1, 2, 3, 10000] + [int(n) for n in rng.integers(1, 20000, 20)]:
+            beta, kappa = rng.uniform(0.05, 20.0), rng.uniform(0.2, 3.0)
+            pairs = zip(bclab.finite_size._acceptance_tables(n, beta, kappa),
+                        temporary_acceptance_tables(n, beta, kappa))
+            assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+    def test_tables_make_no_temporary_of_their_size(self):
+        # the S grid and six tables; whole-array temporaries peaked at about
+        # ten arrays of 2n + 1 floats
+        n = 10**4
+        tracemalloc.start()
+        try:
+            bclab.finite_size._acceptance_tables(n, 1.0, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 8 * (2 * n + 1)
 
     def test_resource_limit(self):
         # bclab mc --n 10**8 used to build tables of about 16 GB before failing

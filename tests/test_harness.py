@@ -21,7 +21,7 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
                    run_thermo_asymptotics, scaled_free_energy_table,
                    second_order_k, second_order_k_deriv,
                    weak_limit_distance, weak_limit_polynomial, xbar)
-from bclab import abs_moment, harness, hs_lhs, hs_rhs, minimize, tail_mass
+from bclab import abs_moment, harness, hs_lhs, hs_rhs, mc_estimate, minimize
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import min_free_energy
 from bclab.model import BETA_MAX
@@ -257,13 +257,20 @@ class TestFiniteSizeReports:
     # an infinite power returned 0.0 with a RuntimeWarning
     ("abs_moment", lambda law, p: abs_moment(law, math.inf)),
     # gamma = 2 used to give a tail mass near 1 and gamma = -1 a mass of 0
-    ("tail_mass", lambda law, p: tail_mass(law, 2.0, 0.5)),
-    ("tail_mass", lambda law, p: tail_mass(law, -1.0, 0.5)),
-    ("tail_mass", lambda law, p: tail_mass(law, 0.2, -1.0)),
+    ("log_tail_mass", lambda law, p: log_tail_mass(law, 2.0, 0.5)),
+    ("log_tail_mass", lambda law, p: log_tail_mass(law, -1.0, 0.5)),
     ("log_tail_mass", lambda law, p: log_tail_mass(law, 1.0, 0.5)),
     ("log_tail_mass", lambda law, p: log_tail_mass(law, math.nan, 0.5)),
     ("log_tail_mass", lambda law, p: log_tail_mass(law, 0.2, -0.1)),
     ("log_tail_mass", lambda law, p: log_tail_mass(law, 0.2, math.nan)),
+    # a non-integer n failed in slicing or in numpy with a bare TypeError, and
+    # n = True gave a law whose n was True
+    ("finite_size_law", lambda law, p: finite_size_law(2.5, p)),
+    ("finite_size_law", lambda law, p: finite_size_law(3.0, p)),
+    ("finite_size_law", lambda law, p: finite_size_law(True, p)),
+    ("mc_estimate", lambda law, p: mc_estimate(2.5, p, 20)),
+    ("run_finite_size_asymptotics",
+     lambda law, p: run_finite_size_asymptotics(SEQ1_BELOW, [100.5])),
     ("hs_lhs", lambda law, p: hs_lhs(20, p, 1.0, abs)),
     ("hs_rhs", lambda law, p: hs_rhs(20, p, -0.1, abs)),
     # n = 0 raised ZeroDivisionError, n = -5 a TypeError about complex numbers
@@ -296,9 +303,11 @@ class TestFiniteSizeReports:
     ("weak_limit_distance", lambda law, p: weak_limit_distance(SEQ1_BELOW, 100)),
     ("estimator_comparison",
      lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
-], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf", "tail_mass-gamma=2",
-        "tail_mass-gamma=-1", "tail_mass-a", "log_tail_mass-gamma=1",
+], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf",
+        "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
+        "finite_size_law-n=2.5", "finite_size_law-n=3.0", "finite_size_law-n=True",
+        "mc_estimate-n=2.5", "run_finite_size_asymptotics-n=100.5",
         "hs_lhs", "hs_rhs", "hs_rhs-n=0", "hs_rhs-n=-5", "params_at", "params_at-invalid-spec",
         "gl_polynomial-invalid-spec", "coexistence_onset-invalid-spec",
         "scaled_free_energy_table-invalid-spec", "check_hypothesis_iiia-radius",

@@ -86,11 +86,11 @@ class TestCumulant:
         ("cumulant", lambda beta: cumulant(beta, 1.0)),
         ("cumulant", lambda beta: cumulant(beta, np.array([1.0]))),
         ("cumulant_deriv", lambda beta: cumulant_deriv(beta, 1.0, 2)),
-        # the well depth f, its derivative f' and the secant excess rho are
-        # Tilt(beta) methods, so the constructor checks beta and names itself
+        # the well depth f, its derivative f' and the secant excess rho come
+        # from Tilt(beta) methods, so the constructor checks beta and names itself
         pytest.param("Tilt", lambda beta: Tilt(beta).depth(0.5)[0],
                      id="well_depth-<lambda>"),
-        pytest.param("Tilt", lambda beta: Tilt(beta).secant_excess(2.0),
+        pytest.param("Tilt", lambda beta: Tilt(beta).excess_and_curvature(2.0)[0],
                      id="secant_excess-<lambda>"),
         pytest.param("Tilt", lambda beta: Tilt(beta).depth(0.5)[1],
                      id="well_depth_deriv-<lambda>")])
@@ -220,7 +220,7 @@ class TestTiltForms:
                 rho = c1(tm) / (p * tm) - 1
                 assert abs(tilt.depth(t)[0] - f) <= tol * abs(f)
                 assert tilt.depth(-t)[0] == tilt.depth(t)[0]
-                assert abs(tilt.secant_excess(-t) - rho) <= tol * abs(rho)
+                assert abs(tilt.excess_and_curvature(-t)[0] - rho) <= tol * abs(rho)
 
     @pytest.mark.parametrize("beta", [BETA_C + 1e-6, 2.0, 20.0])
     def test_depth_deriv(self, beta):
@@ -254,22 +254,22 @@ class TestTiltForms:
 
     @pytest.mark.parametrize("beta", [0.05, BETA_C, 20.0, BETA_MAX])
     def test_one_kernel_call_per_newton_step(self, beta):
-        # c' and c'' come from one evaluation of the cumulant forms, and the
-        # Newton pair (rho, c'') of Tilt from one such evaluation, bit for bit
-        # equal to the separate calls
+        # c' and c'' come from one evaluation of the cumulant forms, bit for
+        # bit equal to the separate calls, and so does the c'' of Tilt's
+        # Newton pair (rho, c'')
         tilt = Tilt(beta)
         for m in (1e-300, 1e-8, 0.5, 1.0, beta / 2, 2 * beta, 700.0, 1e4):
             for t in (m, -m):
                 pair = (cumulant_deriv(beta, t, 1), cumulant_deriv(beta, t, 2))
                 assert model._cumulant_derivs(beta, t, 2) == pair
                 assert model._cumulant_derivs(beta, t, 4)[:2] == pair
-                assert tilt.excess_and_curvature(t) == (tilt.secant_excess(t), pair[1])
+                assert tilt.excess_and_curvature(t)[1] == pair[1]
 
     def test_rejects_bad_input(self):
         for beta in (0.0, -1.0):
             with pytest.raises(ValueError, match="^Tilt: beta"):
                 Tilt(beta)
-        for name in ("depth", "secant_excess", "excess_and_curvature"):
+        for name in ("depth", "excess_and_curvature"):
             for t in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^Tilt.{name}: t must be finite"):
                     getattr(Tilt(1.0), name)(t)
@@ -279,7 +279,8 @@ class TestTiltForms:
         # 0; the tilt functions returned nan or 0.0 where they now raise
         tilt = Tilt(BETA_MAX)
         assert tilt.inflection > 0
-        assert all(math.isfinite(v) for v in (*tilt.depth(0.5), tilt.secant_excess(2.0)))
+        rho = tilt.excess_and_curvature(2.0)[0]
+        assert all(math.isfinite(v) for v in (*tilt.depth(0.5), rho))
         for beta in (math.nextafter(BETA_MAX, math.inf), math.nan, 800.0):
             with pytest.raises(ValueError, match="^Tilt: beta"):
                 Tilt(beta)
@@ -304,7 +305,7 @@ class TestTiltForms:
         assert counts["series"] == 0
         for t in (0.9, -0.5, 1e-3, 3.0):
             tilt.depth(t)
-            tilt.secant_excess(t)
+            tilt.excess_and_curvature(t)
         assert counts["series"] == 1
         counts.update(series=0, tilts=0)
         assert first_order_k(BETA_C + 1e-6) > 0
