@@ -6,8 +6,8 @@ The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
 ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
-phase-curve grid's first-order range and at beta_c + 1e-6, where its Newton
-descent takes 41 steps. classify runs at beta = 2, K = 0.99 K1 and 1.01 K1,
+phase-curve grid's first-order range and at beta_c + 1e-6 and + 1e-10, where
+the descent starts at the series root of the well depth. classify runs at beta = 2, K = 0.99 K1 and 1.01 K1,
 where its two well probes decide without a K1 solve, and at beta = 1.5
 within 5e-13 of K1, where it solves K1 and must name the first-order curve;
 K1 there is checked against 50-digit mpmath. limit_constant runs on ybar of the
@@ -131,7 +131,7 @@ def test_log_tail_mass(benchmark, n):
     assert err <= (4e-15 if n == N_MAX else 1e-12)
 
 
-@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, BETA_C + 1e-6])
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, BETA_C + 1e-6, BETA_C + 1e-10])
 def test_first_order_k(benchmark, beta):
     k1 = benchmark(first_order_k, beta)
     ref = first_order_k_mp(beta)

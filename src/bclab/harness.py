@@ -162,12 +162,12 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     sequence whose m(beta_n, K_n) is 0 at some n of the list.
     """
     if isinstance(spec_or_params, ModelParams):
+        ns = sorted(check_n("estimator_comparison", n) for n in n_list)
         params = spec_or_params
         m = magnetization(params)
         if m <= 0:
             raise ValueError("estimator_comparison: fixed point outside coexistence (m = 0)")
-        return [(n, abs_moment(finite_size_law(n, params)) / m)
-                for n in sorted(n_list)]
+        return [(n, abs_moment(finite_size_law(n, params)) / m) for n in ns]
     report = run_finite_size_asymptotics(spec_or_params, n_list)
     for r in report.rows:
         if r.m_thermo <= 0:
@@ -203,6 +203,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     also carries a free-energy shift that decays like n^-alpha and a prefactor
     term of order log n / n^u.
     """
+    ns = sorted(check_n("mdp_rate_estimate", n) for n in n_list)
     g, exps = gl_polynomial(spec)
     exps.require("mdp_rate_estimate", spec.alpha, Regime.BELOW)
     xb = xbar(g).value
@@ -214,7 +215,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))
     rows = []
-    for n in sorted(n_list):
+    for n in ns:
         law = finite_size_law(n, params_at(spec, n))
         log_p = log_tail_mass(law, gamma, a)
         if log_p < SATURATION_LOG_FLOOR:
@@ -267,9 +268,9 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     reported alongside the fitted slope for informal comparison only; nothing
     here is asserted by the acceptance suite.
     """
+    ns = sorted(check_n("kappa_fluctuation_estimate", n) for n in n_list)
     _, exps = gl_polynomial(spec)
     exps.require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
-    ns = sorted(n_list)
     if len(set(ns)) < 2:
         raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "
                          f"distinct n, got {ns}")

@@ -57,43 +57,75 @@ def _spinodal_excess(beta: float, kappa: float) -> float:
     return num / (d << _EXP_BITS + 1) / den
 
 
-def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
-    """Largest root t of g(t) = t - 2 beta K c'(t), or 0.0 when there is none.
+def _largest_root(pair, level: float, s: float, s_right: float, power: int) -> float:
+    """The largest root in s = t^2 of h = v - level, pair(s) = (v(s), dv/ds),
+    or 0.0 if there is none: h rises (or not at all), then falls to below 0 at
+    s_right, and phi(t) = t^power h(t^2) is concave where h falls. A series
+    start s is used in (0, min(1, s_right)). Newton in s alone can cross the
+    root either way, so each step takes the larger of Newton's zero in s and
+    the zero of the tangent to phi in t, which lies above phi and so, where h
+    falls, not below the root. After the first step the iterates fall
+    monotonically, at least as fast as Newton in t, until a step falls by at
+    most 1e-15 s (its end is returned) or, by rounding noise, not at all. An
+    iterate where h rises lies below any root: there is none (a start there
+    restarts at s_right).
+    """
+    if not 0.0 < s < 1.0 or s >= s_right:
+        s = s_right
+    for step in range(200):
+        h, dh = pair(s)
+        h -= level
+        slope = power * h + 2.0 * s * dh          # t^(1 - power) phi'(t)
+        ratio = 1.0 - h / slope if slope < 0.0 else 0.0   # tangent zero / t
+        if dh < 0.0 and ratio > 0.0:
+            s_next = s - h / dh
+            if s_next < s * ratio * ratio:
+                s_next = s * ratio * ratio
+            fall = s - s_next
+            if fall <= 1e-15 * s:
+                if fall >= -1e-15 * s:
+                    return s_next
+                if step:
+                    return s
+        elif step == 0 and s < s_right:
+            s_next = s_right
+        else:
+            return 0.0
+        s = s_next
+    raise ArithmeticError(f"Newton descent in s from {s} did not converge in 200 steps")
 
-    g(2 beta K) > 0 and g is convex beyond the inflection tilt t_i of c',
-    which lies below any largest root, so Newton from 2 beta K descends onto
-    it; a step below t_i or a nonpositive slope shows there is none. The
-    residual g = t (rho_K - rho(t))/(1 + rho_K) keeps its precision near
-    K(beta). Where K(beta)/K rounds to 0 (K above about 1e16 K(beta)),
-    c'(2 beta K) = 1 and 2 beta K is the root; where 2 beta K overflows, the
-    largest float stands for it (c' is 1.0 and the depth finite there).
+
+def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
+    """Largest root t of t = 2 beta K c'(t), or 0.0 when there is none.
+
+    s = t^2 solves rho(s) = rho_K = K(beta)/K - 1 where the secant excess rho
+    (Tilt.secant_excess) falls; rho_K is exact to the rounding, so the
+    residual keeps its precision near K(beta). _largest_root starts at the
+    outer root of w2 s + w3 s^2 = rho_K (Tilt.excess_series): t (rho - rho_K)
+    = (2 beta K c'(t) - t)/(2 beta K c''(0)) is concave where rho falls, as c'
+    is. Below beta_c rho falls from 0: no root for rho_K >= 0. Where K(beta)/K
+    rounds to -1 (K above about 1e16 K(beta)) or (2 beta K)^2 overflows,
+    c'(2 beta K) = 1 and 2 beta K, or the largest float, is the root.
     """
     beta, two_bk = params.beta, 2.0 * params.beta * params.kappa
     rho_k = _spinodal_excess(beta, params.kappa)
-    if rho_k == -1.0:
+    if rho_k == -1.0 or two_bk * two_bk == math.inf:
         return min(two_bk, sys.float_info.max)
-    t_i = tilt.inflection
-    t = two_bk if rho_k < 0.0 or t_i > 0.0 else 0.0   # else no root: c'(t)/t < c''(0)
-    for _ in range(200):
-        if t <= t_i:
-            return 0.0
-        rho, c2 = tilt.excess_and_curvature(t)
-        slope = 1.0 - two_bk * c2
-        if slope <= 0.0:
-            return 0.0
-        t_next = t - t * (rho_k - rho) / ((1.0 + rho_k) * slope)
-        if t_next >= t:
-            return t
-        t = t_next
-    raise ArithmeticError(f"stationary tilt at {params} did not converge")
+    w2, w3 = tilt.excess_series
+    if rho_k >= 0.0 and w2 <= 0.0:
+        return 0.0
+    disc = w2 * w2 + 4.0 * w3 * rho_k
+    den = w2 - math.sqrt(disc) if disc > 0.0 else 0.0
+    s = 2.0 * rho_k / den if den else 0.0
+    return math.sqrt(_largest_root(tilt.secant_excess, rho_k, s, two_bk * two_bk, 1))
 
 
 def _well_tilt(params: ModelParams, tilt: Tilt) -> float:
     """The outer tilt t if G_{beta,K} has its global minimum at the well
     c'(t) > 0, else 0.0: t > 0 and the depth f(t) <= 0 = G(0) (ties resolve
     toward the well). tilt is Tilt(params.beta), which callers testing
-    several K at one beta share. The report is monotone in K but for the
-    last ulps around K1(beta), which phase.classify relies on."""
+    several K at one beta share. The report is monotone in K but within 8
+    ulps of K1(beta), which phase.classify relies on."""
     t = _outer_tilt(params, tilt)
     return t if t > 0.0 and tilt.depth(t)[0] <= 0.0 else 0.0
 

@@ -23,7 +23,7 @@ taken one at a time and every precision device lives in one place. The hot
 callers pass single floats: each equilibrium solve calls ``cumulant_deriv``
 and ``free_energy`` once, at about 1 us a call (56 times each for a
 100-point phase diagram), and its Newton steps call the scalar kernels
-through ``Tilt``, one kernel call a step. Arrays come from the scaled
+through ``Tilt``, at most one kernel call a step. Arrays come from the scaled
 free-energy tables of ``sequences``, a few thousand points at a time, from
 the 40001-point grid of ``harness.weak_limit_distance`` and from tests.
 """
@@ -40,9 +40,10 @@ _SCALARS = (int, float)   # evaluated directly; anything else element by element
 _CUMULANT_ORDERS = (1, 2, 3, 4)
 _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
 # Below |t| = 1 the series in t^2 is summed; its terms shrink at least like
-# (t/R)^2 <= 0.23, with R >= 2 pi/3 the nearest complex zero of e^c.
+# (t/R)^2 <= 0.23, R >= 2 pi/3 the nearest complex zero of e^c, so 26 terms
+# keep drho/ds, whose weights grow like j^2, to 1e-14 up to s = 1.
 _SERIES_MAX_T = 1.0
-_SERIES_TERMS = 24
+_SERIES_TERMS = 26
 _LOG4_LO = 4.638093627692599e-17   # log 4 - float(log 4)
 # The forms use e^{-2 beta}, which leaves the normal floats beyond beta = 354.2;
 # magnetization and K1 match mpmath up to here (tests/test_phase.py).
@@ -191,10 +192,15 @@ def _gamma_polynomials() -> np.ndarray:
 
 _GAMMA_POLYNOMIALS = _gamma_polynomials()
 _J = np.arange(2, _SERIES_TERMS + 1)
+_POWERS = _J - 2
+# factors of gamma_j in the weights of s^(j-2) in f/s^2 and f'/t^3, and of
+# gamma_j/gamma_1 in rho/s and drho/ds: one product with the powers gives both
+_DEPTH_FACTORS = np.array([_J - 1, 2 * _J * (_J - 1)])
+_EXCESS_FACTORS = np.array([_J, _J * (_J - 1)])
 
 
 def _series_coefficients(beta: float) -> np.ndarray:
-    """[gamma_1, ..., gamma_24]; gamma_2 = p (1 - 3p)/24 keeps its relative
+    """[gamma_1, ..., gamma_26]; gamma_2 = p (1 - 3p)/24 keeps its relative
     precision at beta_c through 1 - 3p = (1 - 4 e^{-beta})/(1 + 2 e^{-beta})."""
     a = math.exp(-beta)
     p = 2.0 * a / (1.0 + 2.0 * a)
@@ -204,26 +210,26 @@ def _series_coefficients(beta: float) -> np.ndarray:
 
 
 class Tilt:
-    """The K-free tilt functions at one beta, for the Newton descents in t of
-    ``minimize`` and ``phase``: beta is checked once, and the series weights
-    below |t| = 1 are built at the first such t, so at most once per solve and
-    not at all at an ordered point (t > 1 throughout). ``inflection`` is the
-    t >= 0 beyond which c' is concave (0 for beta <= beta_c = log 4): c''' has
-    the sign of (1 - 4a)(1 + 2a) - 4a sinh^2(t/2)."""
+    """The K-free tilt functions at one beta, for the Newton descent in s = t^2
+    of ``minimize`` and ``phase``: beta is checked once, and the series weights
+    below s = 1 are built at the first such s, so at most once per solve and
+    not at all at an ordered point. ``excess_series`` is (w2, w3), the secant
+    excess being rho = w2 s + w3 s^2 + O(s^3): w2 = 2 gamma_2/gamma_1, negative
+    exactly below beta_c = log 4, and w3 = 3 gamma_3/gamma_1."""
 
     def __init__(self, beta: float):
         check_beta("Tilt", beta)
         self.beta, a = beta, math.exp(-beta)
-        self._c2_origin = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
-        x = -math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) / (2.0 * a)
-        self.inflection = math.log1p(x + math.sqrt(x * (x + 2.0))) if x > 0 else 0.0
+        self._c2_origin = p = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
+        self.excess_series = (-math.expm1(math.log(4.0) - beta + _LOG4_LO) / (6.0 + 12.0 * a),
+                              (1.0 + p * (30.0 * p - 15.0)) / 120.0)
         self._weights = None
 
-    def _series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights of t^(2j-4), j = 2..24, in f/t^4, f'/t^3 and rho/t^2."""
+    def _series(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of s^(j-2), j = 2..26: rows f/s^2, f'/t^3 and rho/s, drho/ds."""
         if self._weights is None:
             g = _series_coefficients(self.beta)
-            self._weights = ((_J - 1) * g[1:], 2 * _J * (_J - 1) * g[1:], _J * g[1:] / g[0])
+            self._weights = (_DEPTH_FACTORS * g[1:], _EXCESS_FACTORS * (g[1:] / g[0]))
         return self._weights
 
     def depth(self, t: float) -> tuple[float, float]:
@@ -236,30 +242,30 @@ class Tilt:
         _check_finite("Tilt.depth", t)
         m = abs(float(t))
         if m < _SERIES_MAX_T:
-            w_f, w_d, _ = self._series()
             s = m * m
-            powers = s ** (_J - 2)
-            f, d = s * s * float(w_f @ powers), m * s * float(w_d @ powers)
+            f, d = (self._series()[0] @ s ** _POWERS).tolist()
+            f, d = s * s * f, m * s * d
         else:
             c1, c2 = _cumulant_derivs(self.beta, m, 2)
             f = 0.5 * m * c1 - _cumulant_scalar(self.beta, m)
             d = 0.5 * (m * c2 - c1)
         return f, (d if t >= 0.0 else -d)
 
-    def excess_and_curvature(self, t: float) -> tuple[float, float]:
-        """(rho(t), c''(t)), both even in t, from one kernel call: what a
-        Newton step on the stationary-tilt equation needs. rho is the secant
-        excess c'(t)/(c''(0) t) - 1: t is stationary for G_{beta,K} exactly
-        when rho(t) = K(beta)/K - 1. Below |t| = 1,
-        rho = sum_{j>=2} (j gamma_j/gamma_1) t^(2j-2)."""
-        _check_finite("Tilt.excess_and_curvature", t)
-        m = abs(float(t))
-        if m < _SERIES_MAX_T:
-            s = m * m
-            return (s * float(self._series()[2] @ s ** (_J - 2)),
-                    _cumulant_derivs(self.beta, m, 2)[1])
-        c1, c2 = _cumulant_derivs(self.beta, m, 2)
-        return c1 / (self._c2_origin * m) - 1.0, c2
+    def secant_excess(self, s: float) -> tuple[float, float]:
+        """(rho, drho/ds) at s = t^2 from at most one kernel call, for a Newton
+        step in s: t is stationary for G_{beta,K} exactly when the secant excess
+        rho = c'(t)/(c''(0) t) - 1 equals K(beta)/K - 1. Below s = 1 both sum
+        the series rho = sum_{j>=2} (j gamma_j/gamma_1) s^(j-1), so nothing
+        cancels; above, drho/ds = (c''/c''(0) - 1 - rho)/(2 s)."""
+        if _SERIES_MAX_T <= s < math.inf:
+            t = math.sqrt(s)
+            c1, c2 = _cumulant_derivs(self.beta, t, 2)
+            rho = c1 / (self._c2_origin * t) - 1.0
+            return rho, (c2 / self._c2_origin - 1.0 - rho) / (2.0 * s)
+        if not 0.0 <= s < _SERIES_MAX_T:
+            raise ValueError(f"Tilt.secant_excess: s must be finite and >= 0, got {s}")
+        rho, slope = (self._series()[1] @ s ** _POWERS).tolist()
+        return s * rho, slope
 
 
 def free_energy(params: ModelParams, x):

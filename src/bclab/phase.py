@@ -8,8 +8,8 @@ valid as the second-order curve for beta <= beta_c = log 4 and as the
 spinodal curve beyond. The discontinuous-bifurcation curve K1(beta), defined
 only implicitly, is the smallest K at which the free energy touches zero at a
 strictly positive magnetization: K(beta)/(1 + rho(t1)) at the positive root
-t1 of the K-free well depth f (``model.Tilt``). t1 comes from the monotone
-Newton descent in the tilt that ``minimize`` uses for m(beta, K).
+t1 of the K-free well depth f (``model.Tilt``). t1 comes from the Newton
+descent in s = t^2 that ``minimize`` uses for m(beta, K).
 
 Note on the tricritical interaction strength: it is sometimes written
 "3/2 log4", which this module reads as 3/(2 log 4) = K(log 4); the two
@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .minimize import _well_tilt, min_free_energy
+from .minimize import _largest_root, _well_tilt, min_free_energy
 from .model import BETA_MAX, ModelParams, Tilt, check_beta
 
 BETA_C = math.log(4.0)
@@ -67,38 +67,37 @@ def first_order_k(beta: float) -> float:
     """The first-order curve K1(beta) for beta > beta_c, to 1e-12 absolute.
 
     At K1 the positive wells are as deep as G(0) = 0. The root t1 of the well
-    depth f lies between the inflection tilt of c', beyond which f is concave
-    (f'' = t c'''/2 < 0), and t0 = min(2 beta K(beta), 2 beta + 2 log 3),
-    where f < 0. So Newton from t0 descends onto t1, as in
-    minimize._outer_tilt, and stops when the iterate stops falling. The cap
-    2 beta + 2 log 3 keeps f resolved at large beta, where 2 beta K(beta) is
-    5e21 by beta = 50. K1 is K(beta)/(1 + rho(t1)), raised by the ulps
-    min_free_energy needs to report the positive well there. So K1 is the
-    smallest float with that report, or one ulp above it where K(beta)/(1 +
-    rho(t1)) already reports it (7 of 300 seeded beta); classify's well
-    probes rely on this.
+    depth f lies where f falls, concave beyond the inflection tilt of c'
+    (f'' = t c'''/2 < 0), and below t0 = min(2 beta K(beta), 2 beta + 2 log 3),
+    where f < 0; the cap keeps f resolved at large beta. minimize._largest_root
+    finds s1 = t1^2 in s, df/ds = f'(t)/(2t), from the series root
+    -gamma_2/(2 gamma_3) of f/s^2 = gamma_2 + 2 gamma_3 s + ... . K1 is
+    K(beta)/(1 + rho(s1)), raised by the ulps min_free_energy needs to report
+    the positive well there. That report is the contract classify relies on:
+    the well shows at K1, at every float 8 or more ulps above it and at none
+    8 or more ulps below; between, it can flicker. On 300 seeded
+    beta = beta_c + 10^u, u in [-10, 2.5], it shows one ulp below K1 for 23
+    and is not monotone within 20 ulps of K1 for 7; on 6,000 it showed at
+    most 4 ulps below K1 and was missing at most 3 above.
 
-    One Tilt(beta) gives (f, f') at 5-15 iterates on [beta_c + 0.1, 10], 3-6
-    beyond, and 18, 43 and 70 at beta_c + 1e-2, 1e-6, 1e-10, where f ~ gamma_3
-    t^6 above t1 makes Newton linear. A solve takes 0.05 ms on [beta_c + 0.1,
-    10] and 0.6-0.7 ms within 1e-3 of beta_c (median over 60 beta of the best
-    of 5 calls, 2-core x86-64 box).
+    The descent takes 4-12 iterates of (f, f') on [beta_c + 0.1, 10], 2-4
+    beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. A solve takes 0.05
+    ms on [beta_c + 0.1, 10] and 0.1 ms within 1e-3 of beta_c (median over 60
+    beta of the best of 5 calls, 2-core x86-64 box).
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
                          f"{BETA_MAX}], got {beta}")
     tilt = Tilt(beta)
-    t = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
-    for _ in range(200):
-        f, f_prime = tilt.depth(t)
-        t_next = t - f / f_prime
-        if t_next >= t:
-            break
-        t = t_next
-    else:
-        raise ArithmeticError(f"first_order_k: Newton for the well-depth root at "
-                              f"beta = {beta} did not converge in 200 steps")
-    k1 = second_order_k(beta) / (1.0 + tilt.excess_and_curvature(t)[0])
+    t0 = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
+    w2, w3 = tilt.excess_series
+
+    def depth(s: float) -> tuple[float, float]:
+        f, f_prime = tilt.depth(math.sqrt(s))
+        return f, 0.5 * f_prime / math.sqrt(s)
+
+    s1 = _largest_root(depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0)
+    k1 = second_order_k(beta) / (1.0 + tilt.secant_excess(s1)[0])
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:
             return k1
@@ -112,17 +111,15 @@ def classify(params: ModelParams) -> PhaseRegion:
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
     For beta > beta_c two well tests at K -+ 2 CURVE_TOL (minimize._well_tilt,
-    on one Tilt(beta)) decide first. first_order_k returns, to an ulp, the
-    smallest K at which min_free_energy reports the positive well, and that
-    report is monotone in K but for the last ulps around K1, so a well at
-    K - 2 CURVE_TOL means K - K1 > CURVE_TOL (coexistence) and none at
-    K + 2 CURVE_TOL means K1 - K > CURVE_TOL (single phase). A probe at
-    K - 2 CURVE_TOL <= 0 is skipped. Only a point the probes leave open, one
-    within about 2 CURVE_TOL of K1, compares K with first_order_k(beta).
-    Two probes take 0.025 ms on [beta_c + 0.1, 10] and 0.04-0.05 ms within
-    1e-3 of beta_c, against 0.05 ms and 0.6-0.7 ms for the K1 solve, at K
-    1-20% off K1 (median over 60 beta of the best of 5 calls, 2-core x86-64
-    box).
+    on one Tilt(beta)) decide first: the report flickers only within 8 ulps
+    of K1 (see first_order_k), so a well at K - 2 CURVE_TOL means
+    K - K1 > CURVE_TOL (coexistence) and none at K + 2 CURVE_TOL means
+    K1 - K > CURVE_TOL (single phase). A probe at K - 2 CURVE_TOL <= 0 is
+    skipped. Only a point within about 2 CURVE_TOL of K1 compares K with
+    first_order_k(beta). Two probes take 0.03 ms on [beta_c + 0.1, 10] and
+    0.04 ms within 1e-3 of beta_c, against 0.05 ms and 0.1 ms for the K1
+    solve, at K 1-20% off K1 (median over 60 beta of the best of 5 calls,
+    2-core x86-64 box).
     """
     beta, kappa = params.beta, params.kappa
     if beta <= BETA_C + CURVE_TOL:

@@ -24,7 +24,7 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, mc_estimate, minimize
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import min_free_energy
-from bclab.model import BETA_MAX
+from bclab.model import BETA_MAX, Tilt
 from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C
 
 SEQ1_BELOW = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
@@ -55,13 +55,32 @@ class TestThermoMagnetization:
 
     def test_matches_mpmath(self):
         # just above the second-order curve, past the last cell of a
-        # 4001-point scan of [0, 1] (m > 0.99975), and at the beta ceiling
+        # 4001-point scan of [0, 1] (m > 0.99975), and at the beta ceiling.
+        # At K(beta)(1 + 1.3e-12) (beta = 0.2278) and K(beta)(1 + 1.4e-9)
+        # (beta = 0.3063) a Newton descent in t stopped 1.8e-9 off. Above
+        # beta_c, at K(beta)(1 - 1.8e-7), the secant excess rho sits near 0,
+        # where its rounding (about 1e-16) moves m by up to about 1e-14 and a
+        # stop rule on the step alone never fired; the last point has its
+        # root just above s = 1, past the series start
         points = ([(b, second_order_k(b) + 1e-6) for b in (0.8, 1.0, 1.2)]
-                  + [(3.0, 2.1), (BETA_MAX, 2.0), (BETA_MAX, 1.0 + 1e-12)])
+                  + [(3.0, 2.1), (BETA_MAX, 2.0), (BETA_MAX, 1.0 + 1e-12),
+                     (0.22784684517236403, 3.5724578084162206),
+                     (0.3062691303615972, 2.7413371909544346),
+                     (1.4396495798417763, 1.0799881923626093),
+                     (1.0225197664235288, 1.2226358611834702)])
         for beta, kappa in points:
             ref = magnetization_mp(beta, kappa)
             assert ref > 0
-            assert abs(magnetization(ModelParams(beta, kappa)) - ref) <= 1e-12 * ref
+            assert abs(magnetization(ModelParams(beta, kappa)) - ref) <= 1e-14 * ref
+
+    def test_matches_mpmath_near_the_curve(self):
+        # README's 1e-15 relative below beta_c, from 1e-12 to 1e-3 above K(beta)
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            beta = rng.uniform(0.2, 1.386)
+            kappa = second_order_k(beta) + 10.0 ** rng.uniform(-12.0, -3.0)
+            ref = magnetization_mp(beta, kappa)
+            assert abs(magnetization(ModelParams(beta, kappa)) - ref) <= 1e-15 * ref, (beta, kappa)
 
     def test_discontinuous_bifurcation(self):
         beta = 1.8
@@ -92,6 +111,23 @@ class TestThermoMagnetization:
         # 4 beta K underflowed to 0 and K(beta)/K - 1 divided by it
         for beta, kappa in ((1e-300, 1e-300), (5e-324, 1e-300), (BETA_MAX, 1e-300)):
             assert min_free_energy(ModelParams(beta, kappa)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("beta, kappa_over_k", [
+        (1.0, 1.0 + 1e-6), (1.0, 1.3), (BETA_C + 1e-3, 1.0 - 1e-9), (2.0, 0.999),
+        (2.0, 0.98), (2.0, 1.1), (2.0, 0.5), (10.0, 0.5)])
+    def test_descent_from_any_start(self, beta, kappa_over_k):
+        # the descent in s finds the outer root, or none, from any start below
+        # (2 beta K)^2: above beta_c and below K(beta) the series start could
+        # sit at the inner root, or below the level where rho still rises
+        params = ModelParams(beta, second_order_k(beta) * kappa_over_k)
+        tilt = Tilt(beta)
+        rho_k = minimize._spinodal_excess(beta, params.kappa)
+        s_right = (2.0 * beta * params.kappa) ** 2
+        root = minimize._outer_tilt(params, tilt) ** 2
+        for k in range(61):
+            s = minimize._largest_root(tilt.secant_excess, rho_k, s_right * 10.0 ** (-k / 4),
+                                       s_right, 1)
+            assert abs(s - root) <= 1e-14 * root, k
 
 
 def _spinodal_points():
@@ -321,6 +357,18 @@ def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
     with pytest.raises(ValueError, match=f"^{op}: "):
         call(finite_size_law(20, params), params)
+
+
+@pytest.mark.parametrize("n_list", [[100.5], [True, 100], [0, 100], [100, N_MAX + 1]])
+@pytest.mark.parametrize("op, call", [
+    ("mdp_rate_estimate", lambda ns: mdp_rate_estimate(SEQ1_BELOW, 3.0, ns)),
+    ("kappa_fluctuation_estimate", lambda ns: kappa_fluctuation_estimate(SEQ1_BELOW, ns)),
+    ("estimator_comparison", lambda ns: estimator_comparison(ModelParams(1.0, 1.5), ns))],
+    ids=["mdp_rate_estimate", "kappa_fluctuation_estimate", "estimator_comparison"])
+def test_n_list_errors_name_the_operation(op, call, n_list):
+    # these named finite_size_law, the first operation to check n
+    with pytest.raises((ValueError, EnumerationLimitError), match=f"^{op}: n "):
+        call(n_list)
 
 
 REGIME_RESTRICTED = {  # operation: (call on a spec, the regimes it accepts)

@@ -23,6 +23,14 @@ def central_diff(fn, t, h):
     return (fn(t + h) - fn(t - h)) / (2 * h)
 
 
+def inflection_tilt(beta):
+    # the zero of c''' in t > 0, beyond which c' is concave (0 for beta <=
+    # beta_c): c''' has the sign of (1 - 4a)(1 + 2a) - 4a sinh^2(t/2), a = e^-beta
+    a = math.exp(-beta)
+    x = -math.expm1(math.log(4.0) - beta) * (1 + 2 * a) / (2 * a)
+    return math.log1p(x + math.sqrt(x * (x + 2))) if x > 0 else 0.0
+
+
 class TestModelParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -90,7 +98,7 @@ class TestCumulant:
         # from Tilt(beta) methods, so the constructor checks beta and names itself
         pytest.param("Tilt", lambda beta: Tilt(beta).depth(0.5)[0],
                      id="well_depth-<lambda>"),
-        pytest.param("Tilt", lambda beta: Tilt(beta).excess_and_curvature(2.0)[0],
+        pytest.param("Tilt", lambda beta: Tilt(beta).secant_excess(4.0)[0],
                      id="secant_excess-<lambda>"),
         pytest.param("Tilt", lambda beta: Tilt(beta).depth(0.5)[1],
                      id="well_depth_deriv-<lambda>")])
@@ -183,7 +191,7 @@ class TestArrayInput:
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, BETA_C, 5.0, BETA_MAX])
     def test_matches_scalar_calls(self, beta):
-        t_i = Tilt(beta).inflection
+        t_i = inflection_tilt(beta)
         ts = [0.0, 1e-300, -1e-300, 1e-8, -1e-8, t_i, -t_i, 1.0, -1.0, 50.0, -50.0,
               700.0, -700.0, 701.0, -701.0, 1e4, 0, -1, 701, np.float64(-50.0)]
         params = ModelParams(beta, 1.5)
@@ -212,15 +220,41 @@ class TestTiltForms:
         tilt = Tilt(beta)
         with mp.workdps(DPS):
             c, c1 = cumulant_mp(beta)
-            p = mp.diff(c, 0, 2)
             for t in (1e-6, 1e-3, 0.3, 0.99, 1.01, 3.0, 30.0):
                 tm = mp.mpf(t)
                 tol = 1e-14 if t < 1 else 1e-12
                 f = tm * c1(tm) / 2 - c(tm)
-                rho = c1(tm) / (p * tm) - 1
                 assert abs(tilt.depth(t)[0] - f) <= tol * abs(f)
                 assert tilt.depth(-t)[0] == tilt.depth(t)[0]
-                assert abs(tilt.excess_and_curvature(-t)[0] - rho) <= tol * abs(rho)
+
+    @pytest.mark.parametrize("beta", [1e-300, 0.05, 1.0, BETA_C - 1e-6, BETA_C, BETA_C + 1e-7,
+                                      BETA_C + 1e-3, 2.0, 10.0, BETA_MAX])
+    def test_secant_excess_against_mpmath(self, beta):
+        # (rho, drho/ds) in s = t^2: the series below s = 1 keeps 1e-14, also
+        # next to the seam at s = 1, where the closed form above loses the
+        # digits of c'/(c''(0) t) against 1. drho/ds vanishes at the top of
+        # rho above beta_c (near s = 1e-6 at beta_c + 1e-7), so its error is taken
+        # against the larger of |drho/ds| and the secant slope |rho/s|
+        tilt = Tilt(beta)
+        below = (1e-12, 1e-6, 1e-3, 0.3, 0.98, math.nextafter(1.0, 0.0))
+        above = (1.0, math.nextafter(1.0, 2.0), 1.02, 9.0, 900.0)
+        with mp.workdps(DPS + int(beta / 2)):
+            c, c1 = cumulant_mp(beta)
+            p = mp.diff(c, 0, 2)
+            for s in below + above:
+                t = mp.sqrt(mp.mpf(s))
+                rho = c1(t) / (p * t) - 1
+                slope = (mp.diff(c1, t) / p - 1 - rho) / (2 * s)
+                got_rho, got_slope = tilt.secant_excess(s)
+                tol = 1e-14 if s < 1 else 1e-12
+                assert abs(got_rho - rho) <= tol * abs(rho), s
+                assert abs(got_slope - slope) <= tol * max(abs(slope), abs(rho / s)), s
+            # rho = c''''(0) s/(6 c''(0)) + c^(6)(0) s^2/(120 c''(0)) + O(s^3)
+            slope_0, w3 = mp.diff(c1, 0, 3) / (6 * p), mp.diff(c1, 0, 5) / (120 * p)
+            assert tilt.secant_excess(0.0)[0] == 0.0
+            for got in (tilt.secant_excess(0.0)[1], tilt.excess_series[0]):
+                assert abs(got - slope_0) <= 1e-14 * abs(slope_0)
+            assert abs(tilt.excess_series[1] - w3) <= 1e-14 * (abs(w3) + abs(slope_0))
 
     @pytest.mark.parametrize("beta", [BETA_C + 1e-6, 2.0, 20.0])
     def test_depth_deriv(self, beta):
@@ -247,40 +281,54 @@ class TestTiltForms:
             assert free_energy_deriv(params, m, 1) == pytest.approx(0.0, abs=1e-13)
 
     def test_inflection_tilt(self):
-        assert Tilt(1.0).inflection == 0.0 == Tilt(BETA_C).inflection
+        # c''' changes sign at the closed-form zero, and only above beta_c
+        assert inflection_tilt(1.0) == 0.0 == inflection_tilt(BETA_C)
         for beta in (BETA_C + 1e-4, 1.5, 2.0, 3.0):
-            t = Tilt(beta).inflection
+            t = inflection_tilt(beta)
             assert cumulant_deriv(beta, t * (1 - 1e-6), 3) > 0 > cumulant_deriv(beta, t * (1 + 1e-6), 3)
 
     @pytest.mark.parametrize("beta", [0.05, BETA_C, 20.0, BETA_MAX])
-    def test_one_kernel_call_per_newton_step(self, beta):
+    def test_one_kernel_call_per_newton_step(self, beta, monkeypatch):
         # c' and c'' come from one evaluation of the cumulant forms, bit for
-        # bit equal to the separate calls, and so does the c'' of Tilt's
-        # Newton pair (rho, c'')
+        # bit equal to the separate calls; a Newton step in s makes at most one
+        # such evaluation, and none below s = 1, where (rho, drho/ds) and
+        # (f, f') sum the series
         tilt = Tilt(beta)
-        for m in (1e-300, 1e-8, 0.5, 1.0, beta / 2, 2 * beta, 700.0, 1e4):
+        ms = (1e-300, 1e-8, 0.5, 1.0, beta / 2, 2 * beta, 700.0, 1e4)
+        for m in ms:
             for t in (m, -m):
                 pair = (cumulant_deriv(beta, t, 1), cumulant_deriv(beta, t, 2))
                 assert model._cumulant_derivs(beta, t, 2) == pair
                 assert model._cumulant_derivs(beta, t, 4)[:2] == pair
-                assert tilt.excess_and_curvature(t)[1] == pair[1]
+        calls, kernel = [], model._cumulant_derivs
+        monkeypatch.setattr(model, "_cumulant_derivs",
+                            lambda *args: calls.append(args) or kernel(*args))
+        for m in ms:
+            calls.clear()
+            tilt.secant_excess(m * m)
+            assert len(calls) == (m * m >= 1.0)
+            calls.clear()
+            tilt.depth(m)
+            assert len(calls) == (m >= 1.0)
 
     def test_rejects_bad_input(self):
         for beta in (0.0, -1.0):
             with pytest.raises(ValueError, match="^Tilt: beta"):
                 Tilt(beta)
-        for name in ("depth", "excess_and_curvature"):
-            for t in (math.nan, math.inf):
-                with pytest.raises(ValueError, match=f"^Tilt.{name}: t must be finite"):
-                    getattr(Tilt(1.0), name)(t)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^Tilt.depth: t must be finite"):
+                Tilt(1.0).depth(t)
+        for s in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="^Tilt.secant_excess: s must be finite and >= 0"):
+                Tilt(1.0).secant_excess(s)
 
-    def test_inflection_tilt_beta_ceiling(self):
+    def test_tilt_beta_ceiling(self):
         # at 800, e^{-beta} underflowed to 0 and was divided by and nan returned
         # 0; the tilt functions returned nan or 0.0 where they now raise
         tilt = Tilt(BETA_MAX)
-        assert tilt.inflection > 0
-        rho = tilt.excess_and_curvature(2.0)[0]
-        assert all(math.isfinite(v) for v in (*tilt.depth(0.5), rho))
+        values = (*tilt.depth(0.5), *tilt.secant_excess(4.0), *tilt.secant_excess(0.25),
+                  *tilt.excess_series)
+        assert all(math.isfinite(v) for v in values)
         for beta in (math.nextafter(BETA_MAX, math.inf), math.nan, 800.0):
             with pytest.raises(ValueError, match="^Tilt: beta"):
                 Tilt(beta)
@@ -305,7 +353,7 @@ class TestTiltForms:
         assert counts["series"] == 0
         for t in (0.9, -0.5, 1e-3, 3.0):
             tilt.depth(t)
-            tilt.excess_and_curvature(t)
+            tilt.secant_excess(t * t)
         assert counts["series"] == 1
         counts.update(series=0, tilts=0)
         assert first_order_k(BETA_C + 1e-6) > 0

@@ -121,7 +121,7 @@ class TestFirstOrderCurve:
 
     def test_matches_mpmath(self):
         # the documented 1e-12, from 1e-10 above the tricritical point, where
-        # f ~ gamma_3 t^6 makes the Newton descent linear, up to the beta
+        # the descent starts at the series root of f/s^2, up to the beta
         # ceiling of ModelParams, where the start is capped at 2 beta + 2 log 3
         for beta in [BETA_C + 10.0**-j for j in range(1, 11)] + [1.5, 2.0, 3.0, 50.0, BETA_MAX]:
             k1 = first_order_k(beta)
@@ -129,8 +129,25 @@ class TestFirstOrderCurve:
             assert magnetization(ModelParams(beta, k1)) > 0
             assert magnetization(ModelParams(beta, k1 * (1 - 1e-9))) == 0.0
 
+    def test_well_report_band(self):
+        # the documented contract: min_free_energy reports the well at K1, at
+        # every float 8 or more ulps above it and at none 8 or more ulps below;
+        # between, the report can flicker (it shows one ulp below K1 for 23 of
+        # these 300 beta and is not monotone within 20 ulps for 7)
+        rng = np.random.default_rng(300)
+        for beta in np.minimum(BETA_C + 10.0 ** rng.uniform(-10.0, 2.5, 300), BETA_MAX):
+            k1, below, above = first_order_k(beta), [], []
+            for side, direction in ((below, 0.0), (above, math.inf)):
+                k = k1
+                for _ in range(20):
+                    k = math.nextafter(k, direction)
+                    side.append(magnetization(ModelParams(beta, k)) > 0.0)
+            assert magnetization(ModelParams(beta, k1)) > 0.0
+            assert not any(below[7:]) and all(above[7:]), beta
+
     def test_next_float_above_tricritical(self):
-        # t1 is about 5e-8 here, about a hundred Newton steps below t0 = 3
+        # t1 is about 5e-8 here, a hundred Newton steps in t below t0 = 3 and
+        # one from the series root
         k1 = first_order_k(math.nextafter(BETA_C, math.inf))
         assert abs(k1 - second_order_k(BETA_C)) <= 1e-15
 
