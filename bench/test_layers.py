@@ -27,7 +27,13 @@ bit. log_tail_mass runs on the same laws, at P{|S_n/n| >= 0.9} past the mode
 the log-sum of the tail masked on the full lattice. The CLI figures are the
 README's seq1 sequence-run call, on one thread, and a cold bclab magnetize
 call through cli.main, in a fresh interpreter, against 50-digit mpmath. The import figure is a fresh interpreter importing
-bclab, the start-up every CLI call pays.
+bclab, the start-up every CLI call pays. The N_MAX figure is a fresh
+interpreter writing the finite-size CSV at n = 10^6 through cli.main, with its
+peak RSS, against the sum of the written probabilities. Acceptance criteria
+03, 09 and 13 are timed end to end as the suite runs them, each next to the
+figures it gates on, at full precision: the final gap of K1 to K(beta_c)
+(and K1 there against mpmath), the Aitken-extrapolated relative error of the
+scaled moment against ybar, and those against xbar and zbar along seq6.
 """
 
 import json
@@ -40,15 +46,17 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+import test_acceptance
 from lattice_reference import full_lattice_abs_moment, full_lattice_log_tail_mass
 from mixture_oracle import mixture_distance
 from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_weight_mp,
                           magnetization_mp, spin_law_mp)
 
 import bclab
-from bclab import (N_MAX, ModelParams, abs_moment, cli, finite_size, finite_size_law, g_tilde,
-                   gl_polynomial, hs_lhs, hs_rhs, limit_constant, mc_estimate,
-                   params_at, spec_from_json, weak_limit_distance, xbar)
+from bclab import (N_MAX, ModelParams, SequenceSpec, abs_moment, aitken_limit, cli,
+                   finite_size, finite_size_law, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
+                   limit_constant, mc_estimate, params_at, run_finite_size_asymptotics,
+                   spec_from_json, weak_limit_distance, xbar)
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import magnetization
 from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_order_k
@@ -291,3 +299,81 @@ def test_import_bclab(benchmark):
     benchmark.pedantic(fresh_import, rounds=10, iterations=1)
     benchmark.extra_info.update(import_s=statistics.median(s for s, _ in runs),
                                 scipy_loaded=any(loaded for _, loaded in runs))
+
+
+FINITE_SIZE_SCRIPT = ("import sys, time\n"
+                      "start = time.perf_counter()\n"
+                      "import bclab.cli\n"
+                      "code = bclab.cli.main(sys.argv[1:])\n"
+                      "with open('/proc/self/status') as fh:\n"
+                      "    hwm = next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:'))\n"
+                      "print(code, time.perf_counter() - start, hwm)\n")
+
+
+def test_cli_finite_size_n_max(benchmark, tmp_path):
+    # each round is a fresh interpreter writing the 2 N_MAX + 1 rows of the
+    # law through cli.main; peak_rss_mb is its VmHWM, import included. Its
+    # ru_maxrss would not do: Linux carries the high-water mark of the pytest
+    # process that spawned it across exec
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bclab.__file__)))
+    out = tmp_path / "law.csv"
+    argv = ["finite-size", "--beta", "1.0", "--kappa", "1.5", "--n", str(N_MAX), "-o", str(out)]
+    runs = []
+
+    def fresh():
+        code, seconds, rss_kb = subprocess.run(
+            [sys.executable, "-c", FINITE_SIZE_SCRIPT, *argv], env=env, check=True,
+            capture_output=True, text=True).stdout.split()
+        runs.append((int(code), float(seconds), int(rss_kb) / 1024))
+
+    benchmark.pedantic(fresh, rounds=3, iterations=1)
+    with open(out, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    norm = abs(math.fsum(float(row.split(",")[1]) for row in rows) - 1.0)
+    benchmark.extra_info.update(
+        n=N_MAX, rows=len(rows), main_s=statistics.median(s for _, s, _ in runs),
+        peak_rss_mb=statistics.median(mb for *_, mb in runs), norm_residual=norm)
+    assert all(code == 0 for code, *_ in runs) and len(rows) == 2 * N_MAX + 1
+    assert norm <= 1e-12
+
+
+def _criterion_03_figures() -> dict:
+    k1 = first_order_k(BETA_C + 1e-6)
+    return {"final_gap": abs(k1 - second_order_k(BETA_C)),
+            "k1_abs_err": abs(k1 - first_order_k_mp(BETA_C + 1e-6))}
+
+
+def _extrapolated_rel_err(spec, ns, constant: str) -> float:
+    report = run_finite_size_asymptotics(spec, ns)
+    limit = getattr(report.constants, constant)
+    return abs(aitken_limit([r.scaled_e for r in report.rows]) / limit - 1)
+
+
+def _criterion_09_figures() -> dict:
+    spec = SequenceSpec(alpha=0.8, **test_acceptance.SEQ1)
+    return {"extrapolated_rel_err": _extrapolated_rel_err(
+        spec, [250, 1000, 4000, 16000, 64000], "y_bar")}
+
+
+def _criterion_13_figures() -> dict:
+    ns = [500, 2000, 8000, 32000]
+    return {"below_rel_err": _extrapolated_rel_err(test_acceptance.seq6(0.15), ns, "x_bar"),
+            "at_rel_err": _extrapolated_rel_err(test_acceptance.seq6(0.2), ns, "z_bar")}
+
+
+@pytest.mark.parametrize("criterion, figures, bounds", [
+    (test_acceptance.test_criterion_03_first_order_curve, _criterion_03_figures,
+     {"final_gap": 1e-3, "k1_abs_err": 1e-12}),
+    (test_acceptance.test_criterion_09_finite_size_above, _criterion_09_figures,
+     {"extrapolated_rel_err": 0.05}),
+    (test_acceptance.test_criterion_13_seq6_guardrails_and_regimes, _criterion_13_figures,
+     {"below_rel_err": 0.05, "at_rel_err": 0.05})],
+    ids=["03", "09", "13"])
+def test_acceptance_criterion(benchmark, capsys, criterion, figures, bounds):
+    # finite_size_law memoizes by (n, beta, K); every round starts cold. The
+    # figures are computed after the timing, from the same calls
+    benchmark.pedantic(criterion, setup=finite_size._law_cached.cache_clear,
+                       rounds=5, iterations=1)
+    values = figures()
+    benchmark.extra_info.update(values, line=capsys.readouterr().out.splitlines()[-1])
+    assert all(values[name] <= bound for name, bound in bounds.items())

@@ -7,7 +7,9 @@ are UTF-8 with LF line endings. Two tables drive the parser, the config checks
 and dispatch: each ``ExperimentConfig`` field declares its config key's flags,
 converter and help (collected in ``_FIELDS``), and ``_COMMANDS`` gives each
 command its runner and fields. A config-file value is used only when the flag
-is absent; both pass the same converter.
+is absent; both pass the same converter. Reports are written from their
+dataclasses, whose fields are the schema: a CSV header is the row fields in
+order, a JSON document ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -154,11 +156,19 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _emit_json(doc: dict, output_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    # the only other values in a report are enums (Regime), written as their values
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=lambda e: e.value)
     if output_path:
         Path(output_path).write_text(text + "\n", encoding="utf-8")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _write_report(output_path: str, rows, sidecar: dict) -> None:
+    """Report rows to CSV, headed by the row fields in order; the sidecar beside it."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    _write_csv(output_path, names, ([getattr(row, name) for name in names] for row in rows))
+    _emit_json(sidecar, _sidecar_path(output_path))
 
 
 def _resolved_spec(config: ExperimentConfig) -> SequenceSpec:
@@ -196,17 +206,15 @@ def _run_magnetize(config: ExperimentConfig) -> None:
 def _run_finite_size(config: ExperimentConfig) -> None:
     params = ModelParams(config.beta, config.kappa)
     law = finite_size_law(config.n, params)
-    probs = law.probabilities()
-    rows = [(int(s), float(p)) for s, p in zip(law.support(), probs)]
-    _write_csv(config.output_path, ["s", "probability"], rows)
+    _write_csv(config.output_path, ["s", "probability"],
+               zip(range(-law.n, law.n + 1), law.probabilities().tolist()))
 
 
 def _run_mc(config: ExperimentConfig) -> None:
     params = ModelParams(config.beta, config.kappa)
     est = mc_estimate(config.n, params, sweeps=config.sweeps,
                       burn_in=config.burn_in, seed=config.seed or 0)
-    _emit_json({"mean": est.mean, "stderr": est.stderr, "sweeps": est.sweeps,
-                "seed": est.seed}, config.output_path)
+    _emit_json(dataclasses.asdict(est), config.output_path)
 
 
 def _sidecar_path(output_path: str) -> str:
@@ -222,23 +230,15 @@ def _run_sequence(config: ExperimentConfig) -> None:
     report = harness.run_finite_size_asymptotics(
         spec, config.n_list, estimator=estimator, seed=config.seed or 0, threads=config.threads,
         sweeps=20000 if config.sweeps is None else config.sweeps)
-    _write_csv(config.output_path,
-               ["n", "beta_n", "kappa_n", "m_thermo", "e_finite", "scaled_m", "scaled_e"],
-               [(r.n, r.beta_n, r.kappa_n, r.m_thermo, r.e_finite, r.scaled_m,
-                 r.scaled_e) for r in report.rows])
-    c = report.constants
-    _emit_json({"alpha0": c.alpha0, "theta": c.theta, "regime": c.regime.value,
-                "x_bar": c.x_bar, "y_bar": c.y_bar, "z_bar": c.z_bar,
-                "banner": c.banner}, _sidecar_path(config.output_path))
+    _write_report(config.output_path, report.rows, dataclasses.asdict(report.constants))
 
 
 def _run_mdp_check(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
     report = harness.mdp_rate_estimate(spec, config.a, config.n_list)
-    _write_csv(config.output_path, ["n", "rate_est", "saturated"],
-               [(r.n, r.rate_est, r.saturated) for r in report.rows])
-    _emit_json({"target": report.target, "a": report.a, "u": report.u},
-               _sidecar_path(config.output_path))
+    sidecar = dataclasses.asdict(report)
+    del sidecar["rows"]
+    _write_report(config.output_path, report.rows, sidecar)
 
 
 def _run_weak_limit(config: ExperimentConfig) -> None:
@@ -250,10 +250,7 @@ def _run_weak_limit(config: ExperimentConfig) -> None:
 def _run_conjectures(config: ExperimentConfig) -> None:
     h_grid = config.h_grid or (1e-2, 1e-3)
     report = phase.verify_tricritical_conjectures(h_grid)
-    _emit_json({"rows": [{"h": r.h, "k1_prime_est": r.k1_prime_est,
-                          "k1_second_est": r.k1_second_est} for r in report.rows],
-                "k_prime_ref": report.k_prime_ref,
-                "ell_c_ref": report.ell_c_ref}, config.output_path)
+    _emit_json(dataclasses.asdict(report), config.output_path)
 
 
 class _Command(NamedTuple):

@@ -25,7 +25,6 @@ n = 10^4 on a 2-core x86-64 box, against about 630 ns for the site-list chain.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .minimize import ScaledFreeEnergy, magnetization
-from .model import ModelParams
+from .model import ModelParams, check_count
 from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
 # the law and its moment take about 113 B per n, and building the Metropolis
@@ -48,11 +47,7 @@ class EnumerationLimitError(RuntimeError):
 
 def check_n(op: str, n: int) -> int:
     """n as an int in 1..N_MAX, else raise naming op (EnumerationLimitError above)."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"{op}: n must be an int, got {n!r}")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"{op}: n must be >= 1, got {n}")
+    n = check_count(op, n)
     if n > N_MAX:
         raise EnumerationLimitError(
             f"{op}: n = {n} exceeds N_MAX = {N_MAX}, the memory bound of the "
@@ -229,8 +224,7 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     The exponent is ScaledFreeEnergy(params, n, n^gb), which windows the weight
     at its wells (weighted_ratio); declare the kinks of f.
     """
-    if not n >= 1:
-        raise ValueError(f"hs_rhs: n must be >= 1, got {n}")
+    n = check_count("hs_rhs", n)
     _check_unit_interval("hs_rhs", "gamma_bar", gamma_bar)
 
     def fs(x: float) -> float:

@@ -15,6 +15,9 @@ alpha as a rational string such as "1/3" in configs for exact threshold hits):
                              magnetization: the thermodynamic value stops
                              being a faithful estimator of the finite-size
                              magnetization past the threshold.
+
+One entry checks, sorts and pairs with params_at every n list, naming the
+operation on a bad n or an empty list; one builder makes every ReportRow.
 """
 
 from __future__ import annotations
@@ -29,12 +32,10 @@ import numpy as np
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import ScaledFreeEnergy, magnetization
-from .model import ModelParams
+from .model import ModelParams, check_count
 from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, gl_polynomial,
                         limit_constant, params_at, scaling_exponents,
                         weak_limit_polynomial, xbar)
-
-SATURATION_LOG_FLOOR = -700.0
 
 
 class Estimator(enum.Enum):
@@ -91,6 +92,25 @@ def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponent
     return consts, exps
 
 
+def _points(op: str, spec, n_list, check=check_n) -> list[tuple[int, ModelParams]]:
+    """Pairs (n, params_at(spec, n)) by increasing n, raising naming op on a bad
+    n or an empty n_list; a fixed ModelParams spec is the constant sequence."""
+    ns = sorted(check(op, n) for n in n_list)
+    if not ns:
+        raise ValueError(f"{op}: n_list is empty")
+    return [(n, spec if isinstance(spec, ModelParams) else params_at(spec, n)) for n in ns]
+
+
+def _row(spec: SequenceSpec, exps: ScalingExponents, n: int, params: ModelParams,
+         e: float | None = None) -> ReportRow:
+    """The row of the point (n, params): m(beta_n, K_n) and moment e, each scaled."""
+    m = magnetization(params)
+    return ReportRow(
+        n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m, e_finite=e,
+        scaled_m=float(n) ** (exps.theta * spec.alpha) * m,
+        scaled_e=None if e is None else float(n) ** exps.e_exponent(spec.alpha) * e)
+
+
 def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     """Scaled thermodynamic magnetization n^(theta alpha) m(beta_n, K_n) per n.
 
@@ -98,29 +118,9 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     scaled column converges to xbar.
     """
     consts, exps = _constants_for(spec)
-    rows = []
-    for n in sorted(n_list):
-        params = params_at(spec, n)
-        m = magnetization(params)
-        rows.append(ReportRow(
-            n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m,
-            e_finite=None, scaled_m=float(n) ** (exps.theta * spec.alpha) * m,
-            scaled_e=None))
+    rows = [_row(spec, exps, n, params)
+            for n, params in _points("run_thermo_asymptotics", spec, n_list, check_count)]
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
-
-
-def _finite_size_row(spec: SequenceSpec, n: int, exps: ScalingExponents,
-                     estimator: Estimator, sweeps: int, seed: int) -> ReportRow:
-    params = params_at(spec, n)
-    m = magnetization(params)
-    if estimator is Estimator.EXACT:
-        e = abs_moment(finite_size_law(n, params))
-    else:
-        e = mc_estimate(n, params, sweeps=sweeps, seed=seed ^ n).mean
-    return ReportRow(
-        n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m, e_finite=e,
-        scaled_m=float(n) ** (exps.theta * spec.alpha) * m,
-        scaled_e=float(n) ** exps.e_exponent(spec.alpha) * e)
 
 
 def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
@@ -137,18 +137,20 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     is no int in 1..N_MAX fails before any row runs.
     """
     consts, exps = _constants_for(spec)
-    ns = sorted(check_n("run_finite_size_asymptotics", n) for n in n_list)
-    if not ns:
-        raise ValueError("run_finite_size_asymptotics: n_list is empty")
+    points = _points("run_finite_size_asymptotics", spec, n_list)
 
-    def row(n: int) -> ReportRow:
-        return _finite_size_row(spec, n, exps, estimator, sweeps, seed)
+    def row(n: int, params: ModelParams) -> ReportRow:
+        if estimator is Estimator.EXACT:
+            e = abs_moment(finite_size_law(n, params))
+        else:
+            e = mc_estimate(n, params, sweeps=sweeps, seed=seed ^ n).mean
+        return _row(spec, exps, n, params, e)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, ns))
+            rows = list(pool.map(row, *zip(*points)))
     else:
-        rows = [row(n) for n in ns]
+        rows = [row(n, params) for n, params in points]
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
@@ -158,23 +160,18 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     Below the threshold the ratio tends to 1; above it the column increases
     without bound. Passing fixed ModelParams runs the degenerate constant
     sequence, whose ratio tends to 1 at any coexistence point. A ValueError
-    is raised for a fixed point outside coexistence (m = 0), and for a
-    sequence whose m(beta_n, K_n) is 0 at some n of the list.
+    names the first n whose m(beta_n, K_n) is 0, outside coexistence.
     """
-    if isinstance(spec_or_params, ModelParams):
-        ns = sorted(check_n("estimator_comparison", n) for n in n_list)
-        params = spec_or_params
+    if not isinstance(spec_or_params, ModelParams):
+        _constants_for(spec_or_params)  # rejects what the report rejects: seq6 above alpha0
+    rows = []
+    for n, params in _points("estimator_comparison", spec_or_params, n_list):
         m = magnetization(params)
         if m <= 0:
-            raise ValueError("estimator_comparison: fixed point outside coexistence (m = 0)")
-        return [(n, abs_moment(finite_size_law(n, params)) / m) for n in ns]
-    report = run_finite_size_asymptotics(spec_or_params, n_list)
-    for r in report.rows:
-        if r.m_thermo <= 0:
-            raise ValueError(
-                f"estimator_comparison: m(beta_n, K_n) = 0 at n = {r.n}, "
-                "outside coexistence")
-    return [(r.n, r.e_finite / r.m_thermo) for r in report.rows]
+            raise ValueError(f"estimator_comparison: m(beta_n, K_n) = 0 at n = {n}, "
+                             "outside coexistence")
+        rows.append((n, abs_moment(finite_size_law(n, params)) / m))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -197,13 +194,12 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
 
     Requires alpha < alpha0 (so the speed exponent u = 1 - alpha/alpha0 is
     positive) and a > xbar (so the predicted rate g(a) - g(xbar) is positive).
-    Rows whose tail mass is empty or below e^-700 are marked saturated.
+    A row is saturated, with no rate, exactly when its tail is empty: a > n^(theta alpha).
 
     `target` is the n -> infinity limit of the rate. At enumerable n the rate
     also carries a free-energy shift that decays like n^-alpha and a prefactor
     term of order log n / n^u.
     """
-    ns = sorted(check_n("mdp_rate_estimate", n) for n in n_list)
     g, exps = gl_polynomial(spec)
     exps.require("mdp_rate_estimate", spec.alpha, Regime.BELOW)
     xb = xbar(g).value
@@ -215,13 +211,11 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))
     rows = []
-    for n in ns:
-        law = finite_size_law(n, params_at(spec, n))
-        log_p = log_tail_mass(law, gamma, a)
-        if log_p < SATURATION_LOG_FLOOR:
-            rows.append(MdpRow(n=n, rate_est=None, saturated=True))
-        else:
-            rows.append(MdpRow(n=n, rate_est=-log_p / float(n) ** u, saturated=False))
+    for n, params in _points("mdp_rate_estimate", spec, n_list):
+        log_p = log_tail_mass(finite_size_law(n, params), gamma, a)
+        saturated = log_p == -math.inf
+        rows.append(MdpRow(n=n, rate_est=None if saturated else -log_p / float(n) ** u,
+                           saturated=saturated))
     return MdpReport(rows=tuple(rows), target=target, a=a, u=u)
 
 
@@ -245,6 +239,7 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     rule on one 40001-point grid, cut where both weights are below e^-60 of
     their peaks (both weight_window cutoffs). Cost does not depend on n.
     """
+    n = check_count("weak_limit_distance", n)
     poly = weak_limit_polynomial(spec, "weak_limit_distance")
     phi = ScaledFreeEnergy(params_at(spec, n), n,
                            float(n) ** scaling_exponents(spec).theta_alpha0)
@@ -268,15 +263,15 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     reported alongside the fitted slope for informal comparison only; nothing
     here is asserted by the acceptance suite.
     """
-    ns = sorted(check_n("kappa_fluctuation_estimate", n) for n in n_list)
     _, exps = gl_polynomial(spec)
     exps.require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
+    points = _points("kappa_fluctuation_estimate", spec, n_list)
+    ns = [n for n, _ in points]
     if len(set(ns)) < 2:
         raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "
                          f"distinct n, got {ns}")
     rows = []
-    for n in ns:
-        params = params_at(spec, n)
+    for n, params in points:
         m = magnetization(params)
         law = finite_size_law(n, params)
         s = law.support()

@@ -31,6 +31,7 @@ the 40001-point grid of ``harness.weak_limit_distance`` and from tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -54,6 +55,16 @@ def check_beta(op: str, beta: float) -> None:
     """Raise a ValueError naming op unless 0 < beta <= BETA_MAX (nan fails)."""
     if not 0.0 < beta <= BETA_MAX:
         raise ValueError(f"{op}: beta must lie in (0, {BETA_MAX}], got {beta}")
+
+
+def check_count(op: str, n: int) -> int:
+    """n as an int >= 1 (no bool, no float), else raise a ValueError naming op."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"{op}: n must be an int, got {n!r}")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"{op}: n must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

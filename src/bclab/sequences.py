@@ -54,7 +54,7 @@ import numpy as np
 
 from . import phase
 from .minimize import ScaledFreeEnergy
-from .model import ModelParams, check_beta
+from .model import ModelParams, check_beta, check_count
 from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
 from .quadrature import tail_cutoff, weighted_ratio
 
@@ -407,8 +407,7 @@ def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     """The point (beta_n, K_n) of the sequence at index n; raises naming n
     when beta_n leaves (0, BETA_MAX], as it can at small n."""
     require_valid("params_at", spec)
-    if n < 1:
-        raise ValueError(f"params_at: n must be >= 1, got {n}")
+    n = check_count("params_at", n)
     a = _approach(spec)
     na = float(n) ** spec.alpha
     kappa_n = second_order_k(a.beta0)
@@ -515,11 +514,12 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
+    ns = [check_count("check_hypothesis_iiia", n) for n in n_list]
     g, exps = gl_polynomial(spec)
     xs = np.linspace(-radius, radius, 2001)
     gx = g(xs)
     rows = []
-    for n in n_list:
+    for n in ns:
         scaled = ScaledFreeEnergy(params_at(spec, n), float(n) ** (spec.alpha / exps.alpha0),
                                   float(n) ** (exps.theta * spec.alpha))(xs)
         rows.append((n, float(np.max(np.abs(scaled - gx)))))
@@ -545,11 +545,12 @@ def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[i
     degenerate pointwise limit 0 instead of a coercive polynomial.
     """
     require_valid("scaled_free_energy_table", spec)
+    ns = [check_count("scaled_free_energy_table", n) for n in n_list]
     exps = scaling_exponents(spec)
     xs = np.asarray(x_grid, dtype=float)
     return [(n, ScaledFreeEnergy(params_at(spec, n), float(n),
                                  float(n) ** exps.theta_alpha0)(xs))
-            for n in n_list]
+            for n in ns]
 
 
 def spec_to_json(spec: SequenceSpec) -> str:

@@ -129,6 +129,8 @@ class TestMcCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["seed"] == 9
+        # the keys are McEstimate's fields: renaming one changes the artifact
+        assert set(json.loads(first)) == {"mean", "stderr", "sweeps", "seed"}
 
     def test_negative_burn_in_fails_named(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
@@ -147,6 +149,9 @@ class TestSequenceRun:
         assert lines[0] == "n,beta_n,kappa_n,m_thermo,e_finite,scaled_m,scaled_e"
         assert len(lines) == 4
         sidecar = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        # the keys are ReportConstants' fields: renaming one changes the artifact
+        assert set(sidecar) == {"alpha0", "theta", "regime", "x_bar", "y_bar", "z_bar",
+                                "banner"}
         assert sidecar["regime"] == "below"
         assert sidecar["x_bar"] == pytest.approx(1.834237, abs=1e-5)
 
@@ -325,6 +330,8 @@ class TestMdpCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "n,rate_est,saturated"
         sidecar = json.loads((tmp_path / "mdp.json").read_text(encoding="utf-8"))
+        # the keys are MdpReport's fields but its rows
+        assert set(sidecar) == {"target", "a", "u"}
         assert sidecar["target"] > 0
 
     def test_numeric_failure_names_operation(self, tmp_path, capsys):
@@ -364,6 +371,9 @@ class TestConjecturesCommand:
     def test_reports_estimates(self, capsys):
         assert main(["conjectures", "--h", "0.01,0.001"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        # the keys are the report's and ConjectureRow's fields
+        assert set(doc) == {"rows", "k_prime_ref", "ell_c_ref"}
+        assert all(set(row) == {"h", "k1_prime_est", "k1_second_est"} for row in doc["rows"])
         assert doc["k_prime_ref"] == pytest.approx(-0.0591658, abs=1e-6)
         assert len(doc["rows"]) == 2
 

@@ -203,6 +203,11 @@ class TestThermoAsymptotics:
             assert row.scaled_m == pytest.approx(alt, rel=1e-12)
         assert abs(report.rows[-1].scaled_m / report.constants.x_bar - 1) < 0.05
 
+    def test_n_past_n_max(self):
+        # the thermodynamic column builds no law, so N_MAX does not bound n
+        row, = run_thermo_asymptotics(SEQ1_BELOW, [10**12]).rows
+        assert row.n == 10**12 and row.m_thermo > 0
+
 
 class TestFiniteSizeReports:
     def test_regime_constants(self):
@@ -287,6 +292,21 @@ class TestFiniteSizeReports:
         assert xbar(gl_polynomial(spec)[0]).minimum_set is MinimumSet.THREE_POINT
 
 
+# operations that take n without the N_MAX bound, called with one n; these
+# returned values for n = 100.5 or True, and run_thermo_asymptotics a row
+CALL_WITH_N = {
+    "run_thermo_asymptotics": lambda n: run_thermo_asymptotics(SEQ1_BELOW, [n]),
+    "check_hypothesis_iiia": lambda n: check_hypothesis_iiia(SEQ1_BELOW, 2.0, [n]),
+    "scaled_free_energy_table": lambda n: scaled_free_energy_table(SEQ1_BELOW, [1.0], [n]),
+    "weak_limit_distance": lambda n: weak_limit_distance(SEQ1_ABOVE, n),
+    "params_at": lambda n: params_at(SEQ1_BELOW, n),
+    "hs_rhs": lambda n: hs_rhs(n, ModelParams(1.0, 1.5), 0.2, abs),
+}
+# n = 0 of params_at and hs_rhs is a case of its own below
+BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
+               if (op, n) not in (("params_at", 0), ("hs_rhs", 0))]
+
+
 @pytest.mark.parametrize("op, call", [
     ("abs_moment", lambda law, p: abs_moment(law, 0.0)),
     ("abs_moment", lambda law, p: abs_moment(law, 1.0, 1.0)),
@@ -339,6 +359,9 @@ class TestFiniteSizeReports:
     ("weak_limit_distance", lambda law, p: weak_limit_distance(SEQ1_BELOW, 100)),
     ("estimator_comparison",
      lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
+    # an empty list returned an empty report
+    ("run_thermo_asymptotics", lambda law, p: run_thermo_asymptotics(SEQ1_BELOW, [])),
+    *[(op, lambda law, p, op=op, n=n: CALL_WITH_N[op](n)) for op, n in BAD_N_CASES],
 ], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf",
         "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
@@ -352,22 +375,29 @@ class TestFiniteSizeReports:
         "mdp_rate_estimate-a-below-xbar", "mdp_rate_estimate-a=inf", "mdp_rate_estimate-a=nan",
         "kappa_fluctuation_estimate-fast-speed",
         "kappa_fluctuation_estimate-one-n", "weak_limit_distance-below",
-        "estimator_comparison"])
+        "estimator_comparison", "run_thermo_asymptotics-empty",
+        *[f"{op}-n={n}" for op, n in BAD_N_CASES]])
 def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
     with pytest.raises(ValueError, match=f"^{op}: "):
         call(finite_size_law(20, params), params)
 
 
-@pytest.mark.parametrize("n_list", [[100.5], [True, 100], [0, 100], [100, N_MAX + 1]])
+@pytest.mark.parametrize("n_list", [[100.5], [True, 100], [0, 100], [100, N_MAX + 1], []])
 @pytest.mark.parametrize("op, call", [
     ("mdp_rate_estimate", lambda ns: mdp_rate_estimate(SEQ1_BELOW, 3.0, ns)),
     ("kappa_fluctuation_estimate", lambda ns: kappa_fluctuation_estimate(SEQ1_BELOW, ns)),
-    ("estimator_comparison", lambda ns: estimator_comparison(ModelParams(1.0, 1.5), ns))],
-    ids=["mdp_rate_estimate", "kappa_fluctuation_estimate", "estimator_comparison"])
+    ("estimator_comparison", lambda ns: estimator_comparison(ModelParams(1.0, 1.5), ns)),
+    ("estimator_comparison", lambda ns: estimator_comparison(SEQ1_BELOW, ns)),
+    ("run_finite_size_asymptotics", lambda ns: run_finite_size_asymptotics(SEQ1_BELOW, ns))],
+    ids=["mdp_rate_estimate", "kappa_fluctuation_estimate", "estimator_comparison",
+         "estimator_comparison-spec", "run_finite_size_asymptotics"])
 def test_n_list_errors_name_the_operation(op, call, n_list):
-    # these named finite_size_law, the first operation to check n
-    with pytest.raises((ValueError, EnumerationLimitError), match=f"^{op}: n "):
+    # the first three named finite_size_law, the first operation to check n,
+    # and estimator_comparison on a spec named run_finite_size_asymptotics;
+    # mdp_rate_estimate and estimator_comparison on a fixed point returned
+    # nothing for an empty list
+    with pytest.raises((ValueError, EnumerationLimitError), match=f"^{op}: n[ _]"):
         call(n_list)
 
 
@@ -452,6 +482,16 @@ class TestMdpRateEstimate:
         g, _ = gl_polynomial(spec)
         report = mdp_rate_estimate(spec, xbar(g).value + 0.5, [500])
         assert report.rows[0].saturated and report.rows[0].rate_est is None
+
+    def test_deep_tail_carries_a_rate(self):
+        # a = 3 < 16000^(1/8) = 3.36, so the tail is not empty; an e^-700
+        # floor on P marked this row saturated
+        spec = SequenceSpec(kind="seq1", alpha=0.25, beta=1.0, b=0, k=1.0)
+        n, a = 16000, 3.0
+        row, = mdp_rate_estimate(spec, a, [n]).rows
+        log_p = log_tail_mass(finite_size_law(n, params_at(spec, n)), 0.125, a)
+        assert -1700 < log_p < -700
+        assert not row.saturated and row.rate_est == -log_p / n ** 0.5
 
 
 # the four specs on which the smoothed-density distance is checked
