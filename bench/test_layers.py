@@ -27,7 +27,10 @@ bit. log_tail_mass runs on the same laws, at P{|S_n/n| >= 0.9} past the mode
 the log-sum of the tail masked on the full lattice. The CLI figures are the
 README's seq1 sequence-run call, on one thread, and a cold bclab magnetize
 call through cli.main, in a fresh interpreter, against 50-digit mpmath. The import figure is a fresh interpreter importing
-bclab, the start-up every CLI call pays. The N_MAX figure is a fresh
+bclab, the start-up every CLI call pays. The cold phase-diagram figure is a
+fresh interpreter importing bclab.cli and writing the README's 100-point
+phase diagram, its last K1 against 50-digit mpmath. These three record
+whether numpy was loaded. The N_MAX figure is a fresh
 interpreter writing the finite-size CSV at n = 10^6 through cli.main, with its
 peak RSS, against the sum of the written probabilities. Acceptance criteria
 03, 09 and 13 are timed end to end as the suite runs them, each next to the
@@ -250,7 +253,8 @@ CLI_SCRIPT = ("import contextlib, io, sys, time\n"
               "        bclab.cli.main(argv)\n"
               "    else:\n"
               "        bclab.cli.build_parser().parse_args(argv)\n"
-              "print(time.perf_counter() - start, out.getvalue().replace(chr(10), ''))\n")
+              "print(time.perf_counter() - start, 'numpy' in sys.modules,\n"
+              "      out.getvalue().replace(chr(10), ''))\n")
 
 
 def test_cli_main_cold(benchmark):
@@ -265,15 +269,16 @@ def test_cli_main_cold(benchmark):
     def fresh(mode):
         out = subprocess.run([sys.executable, "-c", CLI_SCRIPT, mode], env=env, check=True,
                              capture_output=True, text=True).stdout
-        seconds, doc = out.split(" ", 1)
-        runs[mode].append((float(seconds), doc))
+        seconds, numpy_loaded, doc = out.split(" ", 2)
+        runs[mode].append((float(seconds), doc, numpy_loaded == "True"))
 
     benchmark.pedantic(fresh, args=("main",), setup=lambda: fresh("full"),
                        rounds=10, iterations=1)
     m = json.loads(runs["main"][0][1])["m"]
     ref = magnetization_mp(1.0, 1.5)
-    benchmark.extra_info.update(main_s=statistics.median(s for s, _ in runs["main"]),
-                                full_parse_s=statistics.median(s for s, _ in runs["full"]),
+    benchmark.extra_info.update(main_s=statistics.median(s for s, *_ in runs["main"]),
+                                full_parse_s=statistics.median(s for s, *_ in runs["full"]),
+                                numpy_loaded=any(loaded for *_, loaded in runs["main"]),
                                 m=m, reference=ref, rel_err=abs(m - ref) / ref)
     assert abs(m - ref) <= 1e-12 * ref
 
@@ -282,7 +287,8 @@ IMPORT_SCRIPT = ("import sys, time\n"
                  "start = time.perf_counter()\n"
                  "import bclab\n"
                  "print(time.perf_counter() - start,\n"
-                 "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+                 "      any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+                 "      'numpy' in sys.modules)\n")
 
 
 def test_import_bclab(benchmark):
@@ -294,20 +300,48 @@ def test_import_bclab(benchmark):
     def fresh_import():
         out = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
-        runs.append((float(out[0]), out[1] == "True"))
+        runs.append((float(out[0]), out[1] == "True", out[2] == "True"))
 
     benchmark.pedantic(fresh_import, rounds=10, iterations=1)
-    benchmark.extra_info.update(import_s=statistics.median(s for s, _ in runs),
-                                scipy_loaded=any(loaded for _, loaded in runs))
+    benchmark.extra_info.update(import_s=statistics.median(s for s, _, _ in runs),
+                                scipy_loaded=any(scipy for _, scipy, _ in runs),
+                                numpy_loaded=any(numpy for _, _, numpy in runs))
 
 
-FINITE_SIZE_SCRIPT = ("import sys, time\n"
-                      "start = time.perf_counter()\n"
-                      "import bclab.cli\n"
-                      "code = bclab.cli.main(sys.argv[1:])\n"
-                      "with open('/proc/self/status') as fh:\n"
-                      "    hwm = next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:'))\n"
-                      "print(code, time.perf_counter() - start, hwm)\n")
+COLD_CLI_SCRIPT = ("import sys, time\n"
+                   "start = time.perf_counter()\n"
+                   "import bclab.cli\n"
+                   "code = bclab.cli.main(sys.argv[1:])\n"
+                   "with open('/proc/self/status') as fh:\n"
+                   "    hwm = next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:'))\n"
+                   "print(code, time.perf_counter() - start, hwm, 'numpy' in sys.modules)\n")
+
+
+def test_cli_phase_diagram_cold(benchmark, tmp_path):
+    # each round is a fresh interpreter importing bclab.cli and writing the
+    # README's phase diagram, a scalar command: main_s includes the import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bclab.__file__)))
+    out = tmp_path / "curves.csv"
+    argv = ["phase-diagram", "--beta-min", "0.5", "--beta-max", "2.5", "--points", "100",
+            "-o", str(out)]
+    runs = []
+
+    def fresh():
+        code, seconds, _, numpy_loaded = subprocess.run(
+            [sys.executable, "-c", COLD_CLI_SCRIPT, *argv], env=env, check=True,
+            capture_output=True, text=True).stdout.split()
+        runs.append((int(code), float(seconds), numpy_loaded == "True"))
+
+    benchmark.pedantic(fresh, rounds=10, iterations=1)
+    rows = [row.split(",") for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+    beta, k1 = float(rows[-1][0]), float(rows[-1][2])
+    ref = first_order_k_mp(beta)
+    benchmark.extra_info.update(main_s=statistics.median(s for _, s, _ in runs),
+                                numpy_loaded=any(loaded for *_, loaded in runs),
+                                points=len(rows), beta=beta, k1=k1, reference=ref,
+                                abs_err=abs(k1 - ref))
+    assert all(code == 0 for code, *_ in runs) and len(rows) == 100
+    assert abs(k1 - ref) <= 1e-12
 
 
 def test_cli_finite_size_n_max(benchmark, tmp_path):
@@ -321,8 +355,8 @@ def test_cli_finite_size_n_max(benchmark, tmp_path):
     runs = []
 
     def fresh():
-        code, seconds, rss_kb = subprocess.run(
-            [sys.executable, "-c", FINITE_SIZE_SCRIPT, *argv], env=env, check=True,
+        code, seconds, rss_kb, _ = subprocess.run(
+            [sys.executable, "-c", COLD_CLI_SCRIPT, *argv], env=env, check=True,
             capture_output=True, text=True).stdout.split()
         runs.append((int(code), float(seconds), int(rss_kb) / 1024))
 

@@ -6,7 +6,14 @@ sequences approaching second-order and tricritical points, including the
 threshold speed separating the regime where the thermodynamic magnetization
 faithfully estimates the finite-size magnetization from the regime where it
 does not.
+
+``model``, ``minimize`` and ``phase`` load with the package and need no numpy.
+The array layers enter sys.modules at once, by importlib's LazyLoader, but run
+and import numpy only at the first use of an attribute (or name, PEP 562).
 """
+
+import importlib.util as _util
+import sys as _sys
 
 from .model import (ModelParams, cumulant, cumulant_deriv, free_energy,
                     free_energy_deriv)
@@ -14,23 +21,33 @@ from .minimize import ScaledFreeEnergy, magnetization
 from .phase import (BETA_C, CriticalConstants, PhaseRegion, classify,
                     critical_constants, first_order_k, second_order_k,
                     second_order_k_deriv, verify_tricritical_conjectures)
-from .finite_size import (N_MAX, EnumerationLimitError, McEstimate,
-                          SpinLawExact, abs_moment, finite_size_law, hs_lhs,
-                          hs_rhs, mc_estimate)
-from .quadrature import QuadratureError, aitken_limit
-from .sequences import (EvenPolynomial, MinimumSet, Regime, ScalingExponents,
-                        SequenceSpec, SpecValidationError,
-                        UnsupportedSequenceError, XbarResult, c4_coefficient,
-                        check_hypothesis_iiia, check_hypothesis_v,
-                        coexistence_onset, g_tilde, gl_polynomial,
-                        limit_constant, params_at, scaled_free_energy_table,
-                        spec_from_json, spec_to_json, validate,
-                        weak_limit_polynomial, xbar)
-from .harness import (AsymptoticsReport, Estimator, KappaFitReport, MdpReport,
-                      ReportConstants, ReportRow, estimator_comparison,
-                      kappa_fluctuation_estimate, mdp_rate_estimate,
-                      run_finite_size_asymptotics, run_thermo_asymptotics,
-                      weak_limit_distance)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LAZY = {  # the public names of the array layers
+    "finite_size": "N_MAX EnumerationLimitError McEstimate SpinLawExact abs_moment "
+                   "finite_size_law hs_lhs hs_rhs mc_estimate",
+    "quadrature": "QuadratureError aitken_limit",
+    "sequences": "EvenPolynomial MinimumSet Regime ScalingExponents SequenceSpec "
+                 "SpecValidationError UnsupportedSequenceError XbarResult c4_coefficient "
+                 "check_hypothesis_iiia check_hypothesis_v coexistence_onset g_tilde "
+                 "gl_polynomial limit_constant params_at scaled_free_energy_table "
+                 "spec_from_json spec_to_json validate weak_limit_polynomial xbar",
+    "harness": "AsymptoticsReport Estimator KappaFitReport MdpReport ReportConstants ReportRow "
+               "estimator_comparison kappa_fluctuation_estimate mdp_rate_estimate "
+               "run_finite_size_asymptotics run_thermo_asymptotics weak_limit_distance",
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
+for _module in _LAZY:
+    _spec = _util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _sys.modules[_spec.name] = globals()[_module] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_HOME))
 __version__ = "0.1.0"

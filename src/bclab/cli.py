@@ -9,7 +9,9 @@ converter and help (collected in ``_FIELDS``), and ``_COMMANDS`` gives each
 command its runner and fields. A config-file value is used only when the flag
 is absent; both pass the same converter. Reports are written from their
 dataclasses, whose fields are the schema: a CSV header is the row fields in
-order, a JSON document ``dataclasses.asdict``.
+order, a JSON document ``dataclasses.asdict``. The array layers are read as
+attributes of the package, which loads them at first use, so ``magnetize``,
+``phase-diagram`` and ``conjectures`` never load numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import harness, phase
-from .finite_size import finite_size_law, mc_estimate
+import bclab
+
+from . import phase
 from .minimize import magnetization
 from .model import BETA_MAX, ModelParams, free_energy
 from .phase import BETA_C, first_order_k, second_order_k
-from .sequences import SequenceSpec, _parse_alpha, spec_from_json
 
 
 class ConfigError(ValueError):
@@ -50,7 +52,7 @@ def _number(kind: type, parse=None):
 
 
 _INT, _FLOAT = _number(int), _number(float)
-_ALPHA = _number(float, _parse_alpha)
+_ALPHA = _number(float, lambda text: bclab.sequences._parse_alpha(text))
 
 
 def _list(item):
@@ -76,10 +78,10 @@ def _estimator(value) -> str:
     return value
 
 
-def _spec(value) -> SequenceSpec:
+def _spec(value) -> bclab.sequences.SequenceSpec:
     """A SequenceSpec from a JSON file path or an inline JSON object."""
-    return spec_from_json(Path(value).read_text(encoding="utf-8") if isinstance(value, str)
-                          else value)
+    return bclab.sequences.spec_from_json(
+        Path(value).read_text(encoding="utf-8") if isinstance(value, str) else value)
 
 
 class _Field(NamedTuple):
@@ -96,7 +98,8 @@ def _field(flags: tuple[str, ...], convert: Callable, help: str):
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    spec: SequenceSpec | None = _field(("--spec",), _spec, "SequenceSpec JSON file")
+    spec: bclab.sequences.SequenceSpec | None = _field(("--spec",), _spec,
+                                                       "SequenceSpec JSON file")
     beta: float | None = _field(("--beta",), _FLOAT, "inverse temperature")
     kappa: float | None = _field(("--kappa",), _FLOAT, "interaction strength K")
     n: int | None = _field(("--n",), _INT, "number of spins")
@@ -171,7 +174,7 @@ def _write_report(output_path: str, rows, sidecar: dict) -> None:
     _emit_json(sidecar, _sidecar_path(output_path))
 
 
-def _resolved_spec(config: ExperimentConfig) -> SequenceSpec:
+def _resolved_spec(config: ExperimentConfig) -> bclab.sequences.SequenceSpec:
     spec = config.spec
     if config.alpha is not None:
         spec = dataclasses.replace(spec, alpha=config.alpha)
@@ -204,16 +207,15 @@ def _run_magnetize(config: ExperimentConfig) -> None:
 
 
 def _run_finite_size(config: ExperimentConfig) -> None:
-    params = ModelParams(config.beta, config.kappa)
-    law = finite_size_law(config.n, params)
+    law = bclab.finite_size.finite_size_law(config.n, ModelParams(config.beta, config.kappa))
     _write_csv(config.output_path, ["s", "probability"],
                zip(range(-law.n, law.n + 1), law.probabilities().tolist()))
 
 
 def _run_mc(config: ExperimentConfig) -> None:
     params = ModelParams(config.beta, config.kappa)
-    est = mc_estimate(config.n, params, sweeps=config.sweeps,
-                      burn_in=config.burn_in, seed=config.seed or 0)
+    est = bclab.finite_size.mc_estimate(config.n, params, sweeps=config.sweeps,
+                                        burn_in=config.burn_in, seed=config.seed or 0)
     _emit_json(dataclasses.asdict(est), config.output_path)
 
 
@@ -223,11 +225,11 @@ def _sidecar_path(output_path: str) -> str:
 
 def _run_sequence(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
-    estimator = (harness.Estimator.MONTE_CARLO if config.estimator == "mc"
-                 else harness.Estimator.EXACT)
+    estimator = (bclab.harness.Estimator.MONTE_CARLO if config.estimator == "mc"
+                 else bclab.harness.Estimator.EXACT)
     # rows run serially unless --threads asks for a pool; parallel rows merge
     # in sorted order, so the thread count never changes the artifact bytes
-    report = harness.run_finite_size_asymptotics(
+    report = bclab.harness.run_finite_size_asymptotics(
         spec, config.n_list, estimator=estimator, seed=config.seed or 0, threads=config.threads,
         sweeps=20000 if config.sweeps is None else config.sweeps)
     _write_report(config.output_path, report.rows, dataclasses.asdict(report.constants))
@@ -235,7 +237,7 @@ def _run_sequence(config: ExperimentConfig) -> None:
 
 def _run_mdp_check(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
-    report = harness.mdp_rate_estimate(spec, config.a, config.n_list)
+    report = bclab.harness.mdp_rate_estimate(spec, config.a, config.n_list)
     sidecar = dataclasses.asdict(report)
     del sidecar["rows"]
     _write_report(config.output_path, report.rows, sidecar)
@@ -243,7 +245,7 @@ def _run_mdp_check(config: ExperimentConfig) -> None:
 
 def _run_weak_limit(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
-    rows = [(n, harness.weak_limit_distance(spec, n)) for n in config.n_list]
+    rows = [(n, bclab.harness.weak_limit_distance(spec, n)) for n in config.n_list]
     _write_csv(config.output_path, ["n", "distance"], rows)
 
 

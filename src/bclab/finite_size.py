@@ -209,6 +209,7 @@ def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     hs_rhs by the Gaussian-smoothing identity, which the test suite uses as
     the primary correctness oracle of this module.
     """
+    n = check_n("hs_lhs", n)
     _check_unit_interval("hs_lhs", "gamma_bar", gamma_bar)
     law = finite_size_law(n, params)
     probs = law.probabilities()

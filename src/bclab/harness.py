@@ -33,8 +33,8 @@ from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import ScaledFreeEnergy, magnetization
 from .model import ModelParams, check_count
-from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, gl_polynomial,
-                        limit_constant, params_at, scaling_exponents,
+from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, g_tilde,
+                        gl_polynomial, limit_constant, params_at, scaling_exponents,
                         weak_limit_polynomial, xbar)
 
 
@@ -163,7 +163,10 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     names the first n whose m(beta_n, K_n) is 0, outside coexistence.
     """
     if not isinstance(spec_or_params, ModelParams):
-        _constants_for(spec_or_params)  # rejects what the report rejects: seq6 above alpha0
+        # the report's guards without its limit constant: an invalid spec, seq6 above alpha0
+        _, exps = gl_polynomial(spec_or_params)
+        if exps.regime(spec_or_params.alpha) is Regime.ABOVE:
+            g_tilde(spec_or_params)
     rows = []
     for n, params in _points("estimator_comparison", spec_or_params, n_list):
         m = magnetization(params)

@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass
 
 from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
-from .quadrature import tail_cutoff
 
+TAIL_CUT = 60.0   # tail_cutoff's margin: beyond it a weight is below e^-60 of its peak
 _EXP_BITS = 128                                    # fractional bits of e^r
 _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF41        # log 2 * 2^136, rounded
 
@@ -57,22 +57,24 @@ def _spinodal_excess(beta: float, kappa: float) -> float:
     return num / (d << _EXP_BITS + 1) / den
 
 
-def _largest_root(pair, level: float, s: float, s_right: float, power: int) -> float:
+def _largest_root(pair, level: float, s: float, s_right: float, power: int, floor: float) -> float:
     """The largest root in s = t^2 of h = v - level, pair(s) = (v(s), dv/ds),
     or 0.0 if there is none: h rises (or not at all), then falls to below 0 at
     s_right, and phi(t) = t^power h(t^2) is concave where h falls. A series
-    start s is used in (0, min(1, s_right)). Newton in s alone can cross the
-    root either way, so each step takes the larger of Newton's zero in s and
-    the zero of the tangent to phi in t, which lies above phi and so, where h
-    falls, not below the root. After the first step the iterates fall
+    start s is used in (floor, min(1, s_right)). Newton in s alone can cross
+    the root either way, so each step takes the larger of Newton's zero in s
+    and the zero of the tangent to phi in t, which lies above phi and so, where
+    h falls, not below the root. After the first step the iterates fall
     monotonically, at least as fast as Newton in t, until a step falls by at
     most 1e-15 s (its end is returned) or, by rounding noise, not at all. An
-    iterate where h rises lies below any root: there is none (a start there
-    restarts at s_right).
+    iterate where h rises, or below floor (Tilt.s_rise: no pair is taken), lies
+    below any root: there is none (a start there restarts at s_right).
     """
-    if not 0.0 < s < 1.0 or s >= s_right:
+    if not floor < s < 1.0 or s >= s_right:
         s = s_right
     for step in range(200):
+        if s < floor:
+            return 0.0
         h, dh = pair(s)
         h -= level
         slope = power * h + 2.0 * s * dh          # t^(1 - power) phi'(t)
@@ -117,7 +119,7 @@ def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
     disc = w2 * w2 + 4.0 * w3 * rho_k
     den = w2 - math.sqrt(disc) if disc > 0.0 else 0.0
     s = 2.0 * rho_k / den if den else 0.0
-    return math.sqrt(_largest_root(tilt.secant_excess, rho_k, s, two_bk * two_bk, 1))
+    return math.sqrt(_largest_root(tilt.secant_excess, rho_k, s, two_bk * two_bk, 1, tilt.s_rise))
 
 
 def _well_tilt(params: ModelParams, tilt: Tilt) -> float:
@@ -143,6 +145,20 @@ def min_free_energy(params: ModelParams) -> tuple[float, float]:
 def magnetization(params: ModelParams) -> float:
     """Largest global minimizer of G_{beta,K} on [0, 1] (the value m(beta, K))."""
     return min_free_energy(params)[1]
+
+
+def tail_cutoff(fn, floor: float, last_turn: float) -> float:
+    """Smallest power of two X >= max(1, last_turn) with fn(X) >= floor + TAIL_CUT.
+
+    fn must be even and coercive with minimum floor and no stationary point
+    beyond last_turn, so it increases past X and the weight e^(floor - fn)
+    stays below e^-TAIL_CUT there. The doubling ends for any fn: at worst X
+    overflows to inf, where fn(X) is inf or nan and the test fails.
+    """
+    x = 1.0
+    while x < last_turn or fn(x) < floor + TAIL_CUT:
+        x *= 2.0
+    return x
 
 
 @dataclass(frozen=True)

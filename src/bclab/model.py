@@ -16,16 +16,17 @@ functions of the equilibrium solvers at one beta, which take a float.
 Elsewhere the spin/tilt argument may be a scalar or a numpy array. No
 function overflows for any finite argument.
 
-A Python int or float (np.float64 included) is evaluated with ``math`` and
-returns a float. Any other argument is evaluated element by element by the
-same scalar kernels, so an array holds exactly the values of its elements
+A finite Python int or float (numpy's float64 included) is evaluated with
+``math``, without numpy, and returns a float; ``Tilt`` also sums its series in
+floats. Any other argument is evaluated by the same scalar kernels element by
+element, through numpy, so an array holds exactly the values of its elements
 taken one at a time and every precision device lives in one place. The hot
 callers pass single floats: each equilibrium solve calls ``cumulant_deriv``
-and ``free_energy`` once, at about 1 us a call (56 times each for a
-100-point phase diagram), and its Newton steps call the scalar kernels
-through ``Tilt``, at most one kernel call a step. Arrays come from the scaled
-free-energy tables of ``sequences``, a few thousand points at a time, from
-the 40001-point grid of ``harness.weak_limit_distance`` and from tests.
+and ``free_energy`` once, at about 1 us a call (56 times each for a 100-point
+phase diagram), and its Newton steps call the scalar kernels through ``Tilt``,
+at most one kernel call a step. Arrays come from the scaled free-energy tables
+of ``sequences``, a few thousand points at a time, from the 40001-point grid
+of ``harness.weak_limit_distance`` and from tests.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-
-import numpy as np
 
 _SCALARS = (int, float)   # evaluated directly; anything else element by element
 _CUMULANT_ORDERS = (1, 2, 3, 4)
@@ -84,24 +83,18 @@ class ModelParams:
             raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa}")
 
 
-def _check_finite(op: str, t, name: str = "t") -> None:
-    finite = math.isfinite(t) if isinstance(t, _SCALARS) else np.all(np.isfinite(t))
-    if not finite:
-        raise ValueError(f"{op}: {name} must be finite")
-
-
-def _maybe_scalar(x, scalar: bool):
-    return float(x) if scalar else x
-
-
-def _elementwise(kernel, beta: float, t, *rest):
-    """kernel(beta, v, *rest) for every element v of t, in the shape of t; a
-    numpy scalar gives a float. map feeds the kernel without building an
-    argument tuple per element, a third faster than a comprehension."""
+def _elementwise(op: str, name: str, kernel, beta: float, t, *rest):
+    """kernel(beta, v, *rest) for every element v of t, in the shape of t (a
+    numpy scalar gives a float); a ValueError naming op and name unless all are
+    finite. map feeds the kernel without building an argument tuple per
+    element, a third faster than a comprehension."""
+    import numpy as np
     arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{op}: {name} must be finite")
     values = arr.ravel().tolist()
     out = np.fromiter(map(kernel, repeat(beta), values, *map(repeat, rest)), float, len(values))
-    return _maybe_scalar(out.reshape(arr.shape), np.isscalar(t))
+    return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
 
 def cumulant(beta: float, t):
@@ -111,10 +104,9 @@ def cumulant(beta: float, t):
     threshold of exp; log1p(2 p sinh^2(t/2)) keeps its precision as t -> 0.
     """
     check_beta("cumulant", beta)
-    _check_finite("cumulant", t)
-    if isinstance(t, _SCALARS):
+    if isinstance(t, _SCALARS) and math.isfinite(t):
         return _cumulant_scalar(beta, float(t))
-    return _elementwise(_cumulant_scalar, beta, t)
+    return _elementwise("cumulant", "t", _cumulant_scalar, beta, t)
 
 
 def _cumulant_scalar(beta: float, t: float) -> float:
@@ -143,10 +135,10 @@ def cumulant_deriv(beta: float, t, order: int):
     check_beta("cumulant_deriv", beta)
     if order not in _CUMULANT_ORDERS:
         raise ValueError(f"order must be in {_CUMULANT_ORDERS}, got {order}")
-    _check_finite("cumulant_deriv", t)
-    if isinstance(t, _SCALARS):
+    if isinstance(t, _SCALARS) and math.isfinite(t):
         return _cumulant_derivs(beta, float(t), order)[-1]
-    return _elementwise(lambda b, v: _cumulant_derivs(b, v, order)[-1], beta, t)
+    return _elementwise("cumulant_deriv", "t", lambda b, v: _cumulant_derivs(b, v, order)[-1],
+                        beta, t)
 
 
 def _cumulant_derivs(beta: float, t: float, order: int) -> tuple[float, ...]:
@@ -190,34 +182,44 @@ def _cumulant_derivs(beta: float, t: float, order: int) -> tuple[float, ...]:
                         - 2 * c2 * c2 - 2 * c1 * c3)
 
 
-def _gamma_polynomials() -> np.ndarray:
-    """Row j - 1 holds gamma_j of c_beta(t) = sum_j gamma_j t^(2j) as a
-    polynomial in p: with c = log(1 + u), u = sum_k p t^(2k)/(2k)!, (1 + u) c' = u'."""
+def _gamma_polynomials() -> tuple[tuple[float, ...], ...]:
+    """Row j - 1 holds gamma_j of c_beta(t) = sum_j gamma_j t^(2j), a polynomial in p, from p^j
+    down to p^1 for Horner: with c = log(1 + u), u = sum_k p t^(2k)/(2k)!, (1 + u) c' = u'."""
     w = [1.0 / math.factorial(2 * k) for k in range(_SERIES_TERMS + 1)]
-    rows = np.zeros((_SERIES_TERMS + 1, _SERIES_TERMS + 1))
+    rows = [[0.0] * (_SERIES_TERMS + 2) for _ in range(_SERIES_TERMS + 1)]
     for n in range(1, _SERIES_TERMS + 1):
-        rows[n, 1] = w[n]
-        rows[n, 1:] -= sum(k * w[n - k] * rows[k, :-1] for k in range(1, n)) / n
-    return rows[1:]
+        rows[n][1] = w[n]
+        for k in range(1, n):
+            for i in range(1, k + 1):
+                rows[n][i + 1] -= k * w[n - k] / n * rows[k][i]
+    return tuple(tuple(rows[j][j:0:-1]) for j in range(1, _SERIES_TERMS + 1))
 
 
 _GAMMA_POLYNOMIALS = _gamma_polynomials()
-_J = np.arange(2, _SERIES_TERMS + 1)
-_POWERS = _J - 2
-# factors of gamma_j in the weights of s^(j-2) in f/s^2 and f'/t^3, and of
-# gamma_j/gamma_1 in rho/s and drho/ds: one product with the powers gives both
-_DEPTH_FACTORS = np.array([_J - 1, 2 * _J * (_J - 1)])
-_EXCESS_FACTORS = np.array([_J, _J * (_J - 1)])
 
 
-def _series_coefficients(beta: float) -> np.ndarray:
+def _series_coefficients(beta: float) -> list[float]:
     """[gamma_1, ..., gamma_26]; gamma_2 = p (1 - 3p)/24 keeps its relative
     precision at beta_c through 1 - 3p = (1 - 4 e^{-beta})/(1 + 2 e^{-beta})."""
     a = math.exp(-beta)
     p = 2.0 * a / (1.0 + 2.0 * a)
-    g = _GAMMA_POLYNOMIALS @ p ** np.arange(_SERIES_TERMS + 1)
+    g = []
+    for row in _GAMMA_POLYNOMIALS:
+        v = 0.0
+        for c in row:
+            v = v * p + c
+        g.append(v * p)
     g[1] = -p * math.expm1(math.log(4.0) - beta + _LOG4_LO) / (24.0 * (1.0 + 2.0 * a))
     return g
+
+
+def _horner(weights, s: float) -> tuple[float, float]:
+    """(P(s), P'(s)) for the coefficients of P, highest power first."""
+    v = dv = 0.0
+    for w in weights:
+        dv = dv * s + v
+        v = v * s + w
+    return v, dv
 
 
 class Tilt:
@@ -226,36 +228,41 @@ class Tilt:
     below s = 1 are built at the first such s, so at most once per solve and
     not at all at an ordered point. ``excess_series`` is (w2, w3), the secant
     excess being rho = w2 s + w3 s^2 + O(s^3): w2 = 2 gamma_2/gamma_1, negative
-    exactly below beta_c = log 4, and w3 = 3 gamma_3/gamma_1."""
+    exactly below beta_c = log 4, and w3 = 3 gamma_3/gamma_1. rho and the
+    depth f rise in s below ``s_rise`` = t_i^2 (0.0 up to beta_c), as c' is
+    convex up to t_i, cosh t_i = (1 - 8 e^{-2 beta}) e^beta/2."""
 
     def __init__(self, beta: float):
         check_beta("Tilt", beta)
         self.beta, a = beta, math.exp(-beta)
         self._c2_origin = p = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
-        self.excess_series = (-math.expm1(math.log(4.0) - beta + _LOG4_LO) / (6.0 + 12.0 * a),
-                              (1.0 + p * (30.0 * p - 15.0)) / 120.0)
+        d = -math.expm1(math.log(4.0) - beta + _LOG4_LO)     # 1 - 4 e^{-beta}
+        self.excess_series = (d / (6.0 + 12.0 * a), (1.0 + p * (30.0 * p - 15.0)) / 120.0)
+        self.s_rise = math.acosh(1.0 + d * (1.0 + 2.0 * a) / (2.0 * a)) ** 2 if d > 0.0 else 0.0
         self._weights = None
 
-    def _series(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of s^(j-2), j = 2..26: rows f/s^2, f'/t^3 and rho/s, drho/ds."""
+    def _series(self) -> tuple[list[float], list[float]]:
+        """Weights of s^(j-2), j = 26 down to 2: f/s^2 and rho/s."""
         if self._weights is None:
             g = _series_coefficients(self.beta)
-            self._weights = (_DEPTH_FACTORS * g[1:], _EXCESS_FACTORS * (g[1:] / g[0]))
+            self._weights = ([(j - 1) * g[j - 1] for j in range(_SERIES_TERMS, 1, -1)],
+                             [j * (g[j - 1] / g[0]) for j in range(_SERIES_TERMS, 1, -1)])
         return self._weights
 
     def depth(self, t: float) -> tuple[float, float]:
         """(f(t), f'(t)): the depth f = t c'/2 - c of G at its stationary point
         x = c'(t), even in t, and f' = (t c'' - c')/2, odd; G_{beta,K}(c'(t)) =
         f(t) whenever t = 2 beta K c'(t), whatever K is. Below |t| = 1 both sum
-        the series f = sum_{j>=2} (j - 1) gamma_j t^(2j): there the closed form
-        of f' cancels to noise near beta_c, where t c'' and c' agree to beyond
-        the last digit."""
-        _check_finite("Tilt.depth", t)
+        the series f = s^2 D(s), D = sum_{j>=2} (j - 1) gamma_j s^(j-2), and
+        f' = t^3 (4 D + 2 s D'): there the closed form of f' cancels to noise
+        near beta_c, where t c'' and c' agree to beyond the last digit."""
+        if not math.isfinite(t):
+            raise ValueError("Tilt.depth: t must be finite")
         m = abs(float(t))
         if m < _SERIES_MAX_T:
             s = m * m
-            f, d = (self._series()[0] @ s ** _POWERS).tolist()
-            f, d = s * s * f, m * s * d
+            v, dv = _horner(self._series()[0], s)
+            f, d = s * s * v, m * s * (4.0 * v + 2.0 * s * dv)
         else:
             c1, c2 = _cumulant_derivs(self.beta, m, 2)
             f = 0.5 * m * c1 - _cumulant_scalar(self.beta, m)
@@ -266,8 +273,8 @@ class Tilt:
         """(rho, drho/ds) at s = t^2 from at most one kernel call, for a Newton
         step in s: t is stationary for G_{beta,K} exactly when the secant excess
         rho = c'(t)/(c''(0) t) - 1 equals K(beta)/K - 1. Below s = 1 both sum
-        the series rho = sum_{j>=2} (j gamma_j/gamma_1) s^(j-1), so nothing
-        cancels; above, drho/ds = (c''/c''(0) - 1 - rho)/(2 s)."""
+        the series rho = s R(s), R = sum_{j>=2} (j gamma_j/gamma_1) s^(j-2), so
+        nothing cancels; above, drho/ds = (c''/c''(0) - 1 - rho)/(2 s)."""
         if _SERIES_MAX_T <= s < math.inf:
             t = math.sqrt(s)
             c1, c2 = _cumulant_derivs(self.beta, t, 2)
@@ -275,8 +282,8 @@ class Tilt:
             return rho, (c2 / self._c2_origin - 1.0 - rho) / (2.0 * s)
         if not 0.0 <= s < _SERIES_MAX_T:
             raise ValueError(f"Tilt.secant_excess: s must be finite and >= 0, got {s}")
-        rho, slope = (self._series()[1] @ s ** _POWERS).tolist()
-        return s * rho, slope
+        v, dv = _horner(self._series()[1], s)
+        return s * v, v + s * dv
 
 
 def free_energy(params: ModelParams, x):
@@ -286,11 +293,10 @@ def free_energy(params: ModelParams, x):
     gives G = beta K |x| (|x| - 2) + beta + log(1 + 2 e^-beta): G at the
     ordered limit x = 1 is about -beta K, a float wherever beta K is one, and
     G(0) = 0 even where beta K is not."""
-    _check_finite("free_energy", x, "x")
     bk = params.beta * params.kappa
-    if isinstance(x, _SCALARS):
+    if isinstance(x, _SCALARS) and math.isfinite(x):
         return _free_energy_scalar(params.beta, float(x), bk)
-    return _elementwise(_free_energy_scalar, params.beta, x, bk)
+    return _elementwise("free_energy", "x", _free_energy_scalar, params.beta, x, bk)
 
 
 def _free_energy_scalar(beta: float, x: float, bk: float) -> float:
@@ -311,12 +317,13 @@ def free_energy_deriv(params: ModelParams, x, order: int):
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    _check_finite("free_energy_deriv", x, "x")
-    scalar = np.isscalar(x)
-    x = float(x) if isinstance(x, _SCALARS) else np.asarray(x, dtype=float)
     two_bk = 2.0 * params.beta * params.kappa
-    if order == 1:
-        out = two_bk * (x - cumulant_deriv(params.beta, two_bk * x, 1))
-    else:
-        out = two_bk - two_bk * (two_bk * cumulant_deriv(params.beta, two_bk * x, 2))
-    return _maybe_scalar(out, scalar)
+    if isinstance(x, _SCALARS) and math.isfinite(x):
+        return _free_energy_deriv_scalar(params.beta, float(x), two_bk, order)
+    return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar, params.beta, x,
+                        two_bk, order)
+
+
+def _free_energy_deriv_scalar(beta: float, x: float, two_bk: float, order: int) -> float:
+    c = cumulant_deriv(beta, two_bk * x, order)
+    return two_bk * (x - c) if order == 1 else two_bk - two_bk * (two_bk * c)

@@ -96,7 +96,7 @@ def first_order_k(beta: float) -> float:
         f, f_prime = tilt.depth(math.sqrt(s))
         return f, 0.5 * f_prime / math.sqrt(s)
 
-    s1 = _largest_root(depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0)
+    s1 = _largest_root(depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0, tilt.s_rise)
     k1 = second_order_k(beta) / (1.0 + tilt.secant_excess(s1)[0])
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:

@@ -25,29 +25,12 @@ import sys
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-# Relative tolerance of every improper integral, and the exponent margin at
-# which a weight e^(floor - fn) is cut off: beyond the cutoff the integrand
-# is below e^-60 of its peak.
+# Relative tolerance of every improper integral.
 REL_TOL = 1e-10
-TAIL_CUT = 60.0
 
 
 class QuadratureError(RuntimeError):
     """Raised when an integral cannot be resolved to the requested tolerance."""
-
-
-def tail_cutoff(fn, floor: float, last_turn: float) -> float:
-    """Smallest power of two X >= max(1, last_turn) with fn(X) >= floor + TAIL_CUT.
-
-    fn must be even and coercive with minimum floor and no stationary point
-    beyond last_turn, so it increases past X and the weight e^(floor - fn)
-    stays below e^-TAIL_CUT there. The doubling ends for any fn: at worst X
-    overflows to inf, where fn(X) is inf or nan and the test fails.
-    """
-    x = 1.0
-    while x < last_turn or fn(x) < floor + TAIL_CUT:
-        x *= 2.0
-    return x
 
 
 # QUADPACK's qk21 on [0, 1]: the Kronrod nodes, largest first, and their

@@ -53,10 +53,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import phase
-from .minimize import ScaledFreeEnergy
+from .minimize import ScaledFreeEnergy, tail_cutoff
 from .model import ModelParams, check_beta, check_count
 from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
-from .quadrature import tail_cutoff, weighted_ratio
+from .quadrature import weighted_ratio
 
 TRICRITICAL_C4 = 3.0 / 16.0
 TRICRITICAL_C6 = 9.0 / 40.0
@@ -533,9 +533,10 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
     """
     gt = g_tilde(spec)
     scaling_exponents(spec).require("check_hypothesis_v", spec.alpha, Regime.ABOVE)
+    ns = [check_count("check_hypothesis_v", n) for n in n_list]
     gx = gt(np.asarray(x_grid, dtype=float))
     return [(n, np.abs(scaled - gx))
-            for n, scaled in scaled_free_energy_table(spec, x_grid, n_list)]
+            for n, scaled in scaled_free_energy_table(spec, x_grid, ns)]
 
 
 def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:

@@ -50,6 +50,54 @@ class TestRuntimeDependencies:
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_scalar_commands_load_no_numpy(self, tmp_path):
+        # import bclab and the scalar commands run only model, minimize and
+        # phase, and load no numpy; every public name still resolves, and the
+        # array layers run at a plain attribute read, as in a benchmark's
+        # bclab.finite_size.mc_estimate
+        script = (
+            "import sys\n"
+            "import bclab, bclab.cli\n"
+            "out = sys.argv[1]\n"
+            "for argv in (['magnetize', '--beta', '1.0', '--kappa', '1.5', '-o', out + '/m.json'],\n"
+            "             ['phase-diagram', '--beta-min', '0.5', '--beta-max', '3.0',\n"
+            "              '--points', '11', '-o', out + '/pd.csv'],\n"
+            "             ['conjectures', '-o', out + '/c.json']):\n"
+            "    assert bclab.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            "est = bclab.finite_size.mc_estimate(20, bclab.ModelParams(1.0, 1.5), sweeps=20)\n"
+            "assert 0.0 <= est.mean <= 1.0\n"
+            "assert bclab.harness.run_thermo_asymptotics is bclab.run_thermo_asymptotics\n"
+            "print(sorted(bclab.__all__))\n"
+            "print(all(getattr(bclab, name) is not None for name in bclab.__all__))\n")
+        src = os.path.dirname(os.path.dirname(bclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        loaded, names, resolved = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+            capture_output=True, text=True).stdout.splitlines()
+        assert loaded == "[]"
+        assert names == str(sorted(PUBLIC_NAMES)) and resolved == "True"
+
+
+# bclab.__all__: the eager layers' names and modules, then the lazy ones'
+PUBLIC_NAMES = """
+    ModelParams cumulant cumulant_deriv free_energy free_energy_deriv model
+    ScaledFreeEnergy magnetization minimize
+    BETA_C CriticalConstants PhaseRegion classify critical_constants first_order_k
+    second_order_k second_order_k_deriv verify_tricritical_conjectures phase
+    N_MAX EnumerationLimitError McEstimate SpinLawExact abs_moment finite_size_law
+    hs_lhs hs_rhs mc_estimate finite_size
+    QuadratureError aitken_limit quadrature
+    EvenPolynomial MinimumSet Regime ScalingExponents SequenceSpec SpecValidationError
+    UnsupportedSequenceError XbarResult c4_coefficient check_hypothesis_iiia
+    check_hypothesis_v coexistence_onset g_tilde gl_polynomial limit_constant params_at
+    scaled_free_energy_table spec_from_json spec_to_json validate weak_limit_polynomial
+    xbar sequences
+    AsymptoticsReport Estimator KappaFitReport MdpReport ReportConstants ReportRow
+    estimator_comparison kappa_fluctuation_estimate mdp_rate_estimate
+    run_finite_size_asymptotics run_thermo_asymptotics weak_limit_distance harness
+""".split()
+
 
 class TestMagnetize:
     def test_prints_json(self, capsys):

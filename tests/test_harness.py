@@ -12,7 +12,7 @@ from mp_reference import (magnetization_mp, spinodal_numerator_decimal,
 from scipy.special import ndtr
 
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
-                   MinimumSet, ModelParams, Regime, SequenceSpec,
+                   MinimumSet, ModelParams, Regime, SequenceSpec, UnsupportedSequenceError,
                    check_hypothesis_iiia, check_hypothesis_v,
                    coexistence_onset, estimator_comparison, finite_size_law,
                    first_order_k, free_energy, free_energy_deriv, g_tilde,
@@ -126,7 +126,7 @@ class TestThermoMagnetization:
         root = minimize._outer_tilt(params, tilt) ** 2
         for k in range(61):
             s = minimize._largest_root(tilt.secant_excess, rho_k, s_right * 10.0 ** (-k / 4),
-                                       s_right, 1)
+                                       s_right, 1, tilt.s_rise)
             assert abs(s - root) <= 1e-14 * root, k
 
 
@@ -301,6 +301,9 @@ CALL_WITH_N = {
     "weak_limit_distance": lambda n: weak_limit_distance(SEQ1_ABOVE, n),
     "params_at": lambda n: params_at(SEQ1_BELOW, n),
     "hs_rhs": lambda n: hs_rhs(n, ModelParams(1.0, 1.5), 0.2, abs),
+    # these two named finite_size_law and scaled_free_energy_table
+    "hs_lhs": lambda n: hs_lhs(n, ModelParams(1.0, 1.5), 0.2, abs),
+    "check_hypothesis_v": lambda n: check_hypothesis_v(SEQ1_ABOVE, [1.0], [n]),
 }
 # n = 0 of params_at and hs_rhs is a case of its own below
 BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
@@ -432,6 +435,13 @@ class TestEstimatorComparison:
     def test_fixed_point_requires_coexistence(self):
         with pytest.raises(ValueError, match="coexistence"):
             estimator_comparison(ModelParams(1.0, 1.0), [100])
+
+    def test_rejects_seq6_above_threshold(self):
+        # as the report does: seq6 has no limit density above alpha0 = 1/5
+        spec = SequenceSpec(kind="seq6", alpha=0.3, p=3,
+                            ell=second_order_k_deriv(BETA_C, 3) - 6.0)
+        with pytest.raises(UnsupportedSequenceError, match="^g_tilde: seq6"):
+            estimator_comparison(spec, [50, 100])
 
     def test_sequence_outside_coexistence_named(self):
         # seq5 at alpha = 1/4 starts outside coexistence: m(beta_1, K_1) = 0
