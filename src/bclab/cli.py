@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple
 import bclab
 
 from . import phase
-from .minimize import magnetization
-from .model import BETA_MAX, ModelParams, free_energy
+from .minimize import min_free_energy
+from .model import BETA_MAX, ModelParams
 from .phase import BETA_C, first_order_k, second_order_k
 
 
@@ -197,8 +197,7 @@ def _run_phase_diagram(config: ExperimentConfig) -> None:
 
 def _run_magnetize(config: ExperimentConfig) -> None:
     params = ModelParams(config.beta, config.kappa)
-    m = magnetization(params)
-    g = free_energy(params, m)
+    g, m = min_free_energy(params)
     if not math.isfinite(g):
         raise OverflowError(f"free_energy at m = {m:g} overflows to {g}: "
                             "beta K is beyond the largest float")

@@ -124,12 +124,13 @@ def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
 
 def _well_tilt(params: ModelParams, tilt: Tilt) -> float:
     """The outer tilt t if G_{beta,K} has its global minimum at the well
-    c'(t) > 0, else 0.0: t > 0 and the depth f(t) <= 0 = G(0) (ties resolve
-    toward the well). tilt is Tilt(params.beta), which callers testing
-    several K at one beta share. The report is monotone in K but within 8
-    ulps of K1(beta), which phase.classify relies on."""
+    c'(t) > 0, else 0.0: t > 0 and the depth f <= 0 = G(0) at s = t^2 (ties
+    resolve toward the well), or t^2 overflows, the ordered limit f ~ -t/2.
+    tilt is Tilt(params.beta), which callers testing several K at one beta
+    share. The report is monotone in K but within 8 ulps of K1(beta), which
+    phase.classify relies on."""
     t = _outer_tilt(params, tilt)
-    return t if t > 0.0 and tilt.depth(t)[0] <= 0.0 else 0.0
+    return t if t > 0.0 and (t * t == math.inf or tilt.depth(t * t)[0] <= 0.0) else 0.0
 
 
 def min_free_energy(params: ModelParams) -> tuple[float, float]:

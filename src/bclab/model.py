@@ -12,9 +12,9 @@ magnetization values is
     G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x).
 
 Everything here is a pure function of its arguments; ``Tilt`` holds the tilt
-functions of the equilibrium solvers at one beta, which take a float.
-Elsewhere the spin/tilt argument may be a scalar or a numpy array. No
-function overflows for any finite argument.
+functions of the equilibrium solvers at one beta, which take a float s = t^2
+and return a value with its slope in s. Elsewhere the spin/tilt argument may
+be a scalar or a numpy array. No function overflows for any finite argument.
 
 A finite Python int or float (numpy's float64 included) is evaluated with
 ``math``, without numpy, and returns a float; ``Tilt`` also sums its series in
@@ -37,12 +37,12 @@ from dataclasses import dataclass
 from itertools import repeat
 
 _SCALARS = (int, float)   # evaluated directly; anything else element by element
-_CUMULANT_ORDERS = (1, 2, 3, 4)
+_CUMULANT_ORDERS = (1, 2)
 _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
-# Below |t| = 1 the series in t^2 is summed; its terms shrink at least like
-# (t/R)^2 <= 0.23, R >= 2 pi/3 the nearest complex zero of e^c, so 26 terms
+# Below s = t^2 = 1 the series in s is summed; its terms shrink at least like
+# s/R^2 <= 0.23, R >= 2 pi/3 the nearest complex zero of e^c, so 26 terms
 # keep drho/ds, whose weights grow like j^2, to 1e-14 up to s = 1.
-_SERIES_MAX_T = 1.0
+_SERIES_MAX_S = 1.0
 _SERIES_TERMS = 26
 _LOG4_LO = 4.638093627692599e-17   # log 4 - float(log 4)
 # The forms use e^{-2 beta}, which leaves the normal floats beyond beta = 354.2;
@@ -119,15 +119,13 @@ def _cumulant_scalar(beta: float, t: float) -> float:
 
 
 def cumulant_deriv(beta: float, t, order: int):
-    """Closed-form d^order/dt^order of c_beta at t, for order in {1, 2, 3, 4}.
+    """Closed-form d^order/dt^order of c_beta at t, for order in {1, 2}.
 
     Derived analytically from c_beta = log D - const with D = 1 + E,
     E = e^{-beta}(e^t + e^{-t}):
 
         c'   = E'/D
         c''  = (E + 4 e^{-2 beta})/D^2    (E'' = E and E D - E'^2 = E + 4 e^{-2 beta})
-        c''' = E' B/D^3                   (B = 1 - E - 8 e^{-2 beta})
-        c'''' = (E D - 2 E'^2)/D^3 - 2 c''^2 - 2 c' c'''
 
     Finite differences are test oracles only; Newton steps elsewhere rely on
     these forms being exact.
@@ -136,50 +134,28 @@ def cumulant_deriv(beta: float, t, order: int):
     if order not in _CUMULANT_ORDERS:
         raise ValueError(f"order must be in {_CUMULANT_ORDERS}, got {order}")
     if isinstance(t, _SCALARS) and math.isfinite(t):
-        return _cumulant_derivs(beta, float(t), order)[-1]
-    return _elementwise("cumulant_deriv", "t", lambda b, v: _cumulant_derivs(b, v, order)[-1],
+        return _cumulant_derivs(beta, float(t))[order == 2]
+    return _elementwise("cumulant_deriv", "t", lambda b, v: _cumulant_derivs(b, v)[order == 2],
                         beta, t)
 
 
-def _cumulant_derivs(beta: float, t: float, order: int) -> tuple[float, ...]:
-    """(c', ..., c^(order)) at one float t: the forms of cumulant_deriv,
+def _cumulant_derivs(beta: float, t: float) -> tuple[float, float]:
+    """(c', c'') at one float t, the Newton pair: the forms of cumulant_deriv,
     written with the shifted parts dhat = e^{-m} D, ehat = e^{-m} E and
     ephat = e^{-m} E', m = |t|. All three lie in (0, 1 + 2 e^{-beta}], so
     their ratios never overflow; ephat = sign(t) a (1 - e^{-2m}) keeps its
-    relative precision as t -> 0. Each order reuses the lower ones, so one
-    call gives the Newton pair (c', c'')."""
+    relative precision as t -> 0."""
     a = math.exp(-beta)
     m = abs(t)
     em = math.exp(-m)
     ehat = a * (math.exp(t - m) + math.exp(-t - m))
     dhat = em + ehat
     ephat = math.copysign(-a * math.expm1(-2.0 * m), t)
-    c1 = ephat / dhat
-    if order == 1:
-        return (c1,)
     # E D - E'^2 = E + 4 e^{-2 beta} exactly, which keeps c'' positive for
     # large |t| where E/D - c'^2 would cancel to zero. Numerators are divided
     # by dhat before they meet the factor e^{-m}: a e^{-m} and a^2 e^{-m}
     # underflow once beta + |t| or 2 beta + |t| passes 708.
-    c2 = (ehat + 4.0 * a * a * em) / dhat * (em / dhat)
-    if order == 2:
-        return c1, c2
-    # B e^{-m} = (1 - 4a)(1 + 2a) e^{-m} - a expm1(-m)^2
-    #         = a expm1(beta - m) - a e^{-m} (e^{-m} + 8a).
-    # The second form is taken where beta - m is exact (beta/2 <= m <= 2 beta),
-    # so c''' keeps its relative precision next to its zero, the inflection
-    # tilt.
-    if 0.5 * beta <= m <= 2.0 * beta:
-        b_hat = a * math.expm1(beta - m) - a * em * (em + 8.0 * a)
-    else:
-        e1 = math.expm1(-m)
-        b_hat = (-math.expm1(math.log(4.0) - beta + _LOG4_LO) * (1.0 + 2.0 * a) * em
-                 - a * (e1 * e1))
-    c3 = c1 * (b_hat / dhat) * (em / dhat)
-    if order == 3:
-        return c1, c2, c3
-    return c1, c2, c3, ((ehat * dhat - 2 * (ephat * ephat)) / dhat * (em / dhat) / dhat
-                        - 2 * c2 * c2 - 2 * c1 * c3)
+    return ephat / dhat, (ehat + 4.0 * a * a * em) / dhat * (em / dhat)
 
 
 def _gamma_polynomials() -> tuple[tuple[float, ...], ...]:
@@ -230,7 +206,9 @@ class Tilt:
     excess being rho = w2 s + w3 s^2 + O(s^3): w2 = 2 gamma_2/gamma_1, negative
     exactly below beta_c = log 4, and w3 = 3 gamma_3/gamma_1. rho and the
     depth f rise in s below ``s_rise`` = t_i^2 (0.0 up to beta_c), as c' is
-    convex up to t_i, cosh t_i = (1 - 8 e^{-2 beta}) e^beta/2."""
+    convex up to t_i, cosh t_i = 1 + x = (1 - 8 e^{-2 beta}) e^beta/2; t_i =
+    log1p(x + sqrt(x (x + 2))) keeps the relative precision of x near beta_c,
+    where acosh(1 + x) loses that of 1 + x."""
 
     def __init__(self, beta: float):
         check_beta("Tilt", beta)
@@ -238,7 +216,8 @@ class Tilt:
         self._c2_origin = p = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
         d = -math.expm1(math.log(4.0) - beta + _LOG4_LO)     # 1 - 4 e^{-beta}
         self.excess_series = (d / (6.0 + 12.0 * a), (1.0 + p * (30.0 * p - 15.0)) / 120.0)
-        self.s_rise = math.acosh(1.0 + d * (1.0 + 2.0 * a) / (2.0 * a)) ** 2 if d > 0.0 else 0.0
+        x = d * (1.0 + 2.0 * a) / (2.0 * a)
+        self.s_rise = math.log1p(x + math.sqrt(x * (x + 2.0))) ** 2 if d > 0.0 else 0.0
         self._weights = None
 
     def _series(self) -> tuple[list[float], list[float]]:
@@ -249,25 +228,22 @@ class Tilt:
                              [j * (g[j - 1] / g[0]) for j in range(_SERIES_TERMS, 1, -1)])
         return self._weights
 
-    def depth(self, t: float) -> tuple[float, float]:
-        """(f(t), f'(t)): the depth f = t c'/2 - c of G at its stationary point
-        x = c'(t), even in t, and f' = (t c'' - c')/2, odd; G_{beta,K}(c'(t)) =
-        f(t) whenever t = 2 beta K c'(t), whatever K is. Below |t| = 1 both sum
-        the series f = s^2 D(s), D = sum_{j>=2} (j - 1) gamma_j s^(j-2), and
-        f' = t^3 (4 D + 2 s D'): there the closed form of f' cancels to noise
-        near beta_c, where t c'' and c' agree to beyond the last digit."""
-        if not math.isfinite(t):
-            raise ValueError("Tilt.depth: t must be finite")
-        m = abs(float(t))
-        if m < _SERIES_MAX_T:
-            s = m * m
-            v, dv = _horner(self._series()[0], s)
-            f, d = s * s * v, m * s * (4.0 * v + 2.0 * s * dv)
-        else:
-            c1, c2 = _cumulant_derivs(self.beta, m, 2)
-            f = 0.5 * m * c1 - _cumulant_scalar(self.beta, m)
-            d = 0.5 * (m * c2 - c1)
-        return f, (d if t >= 0.0 else -d)
+    def depth(self, s: float) -> tuple[float, float]:
+        """(f, df/ds) at s = t^2 from at most one kernel call, for a Newton
+        step in s: the depth f = t c'/2 - c of G at its stationary point x =
+        c'(t), so G_{beta,K}(c'(t)) = f whenever t = 2 beta K c'(t), whatever K
+        is. Below s = 1 both sum the series f = s^2 D(s), D = sum_{j>=2} (j - 1)
+        gamma_j s^(j-2), and df/ds = s (2 D + s D'): there the closed form
+        df/ds = (t c'' - c')/(4 t) cancels to noise near beta_c, where t c'' and
+        c' agree to beyond the last digit."""
+        if _SERIES_MAX_S <= s < math.inf:
+            t = math.sqrt(s)
+            c1, c2 = _cumulant_derivs(self.beta, t)
+            return 0.5 * t * c1 - _cumulant_scalar(self.beta, t), (t * c2 - c1) / (4.0 * t)
+        if not 0.0 <= s < _SERIES_MAX_S:
+            raise ValueError(f"Tilt.depth: s must be finite and >= 0, got {s}")
+        v, dv = _horner(self._series()[0], s)
+        return s * s * v, s * (2.0 * v + s * dv)
 
     def secant_excess(self, s: float) -> tuple[float, float]:
         """(rho, drho/ds) at s = t^2 from at most one kernel call, for a Newton
@@ -275,12 +251,12 @@ class Tilt:
         rho = c'(t)/(c''(0) t) - 1 equals K(beta)/K - 1. Below s = 1 both sum
         the series rho = s R(s), R = sum_{j>=2} (j gamma_j/gamma_1) s^(j-2), so
         nothing cancels; above, drho/ds = (c''/c''(0) - 1 - rho)/(2 s)."""
-        if _SERIES_MAX_T <= s < math.inf:
+        if _SERIES_MAX_S <= s < math.inf:
             t = math.sqrt(s)
-            c1, c2 = _cumulant_derivs(self.beta, t, 2)
+            c1, c2 = _cumulant_derivs(self.beta, t)
             rho = c1 / (self._c2_origin * t) - 1.0
             return rho, (c2 / self._c2_origin - 1.0 - rho) / (2.0 * s)
-        if not 0.0 <= s < _SERIES_MAX_T:
+        if not 0.0 <= s < _SERIES_MAX_S:
             raise ValueError(f"Tilt.secant_excess: s must be finite and >= 0, got {s}")
         v, dv = _horner(self._series()[1], s)
         return s * v, v + s * dv

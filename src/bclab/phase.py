@@ -70,7 +70,7 @@ def first_order_k(beta: float) -> float:
     depth f lies where f falls, concave beyond the inflection tilt of c'
     (f'' = t c'''/2 < 0), and below t0 = min(2 beta K(beta), 2 beta + 2 log 3),
     where f < 0; the cap keeps f resolved at large beta. minimize._largest_root
-    finds s1 = t1^2 in s, df/ds = f'(t)/(2t), from the series root
+    finds s1 = t1^2 from (f, df/ds) (Tilt.depth), starting at the series root
     -gamma_2/(2 gamma_3) of f/s^2 = gamma_2 + 2 gamma_3 s + ... . K1 is
     K(beta)/(1 + rho(s1)), raised by the ulps min_free_energy needs to report
     the positive well there. That report is the contract classify relies on:
@@ -80,7 +80,7 @@ def first_order_k(beta: float) -> float:
     and is not monotone within 20 ulps of K1 for 7; on 6,000 it showed at
     most 4 ulps below K1 and was missing at most 3 above.
 
-    The descent takes 4-12 iterates of (f, f') on [beta_c + 0.1, 10], 2-4
+    The descent takes 4-12 iterates of (f, df/ds) on [beta_c + 0.1, 10], 2-4
     beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. A solve takes 0.05
     ms on [beta_c + 0.1, 10] and 0.1 ms within 1e-3 of beta_c (median over 60
     beta of the best of 5 calls, 2-core x86-64 box).
@@ -91,12 +91,8 @@ def first_order_k(beta: float) -> float:
     tilt = Tilt(beta)
     t0 = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
     w2, w3 = tilt.excess_series
-
-    def depth(s: float) -> tuple[float, float]:
-        f, f_prime = tilt.depth(math.sqrt(s))
-        return f, 0.5 * f_prime / math.sqrt(s)
-
-    s1 = _largest_root(depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0, tilt.s_rise)
+    s1 = _largest_root(tilt.depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0,
+                       tilt.s_rise)
     k1 = second_order_k(beta) / (1.0 + tilt.secant_excess(s1)[0])
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:

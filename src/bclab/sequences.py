@@ -255,7 +255,7 @@ class SequenceSpec:
     beta: float | None = None        # anchor point, kinds 1 and 2 only
     b: int | None = None             # +-1 or 0 where admitted
     k: float | None = None           # kinds 1 and 3
-    p: int | None = None             # kinds 2 (>= 2) and 6 (>= 3)
+    p: int | None = None             # kinds 2 (2..12) and 6 (3..12)
     ell: float | None = None         # kinds 2, 4, 5, 6
     ell_tilde: float | None = None   # kind 4
     case: str | None = None          # kind 4: "a".."d"
@@ -294,10 +294,10 @@ class SequenceSpec:
             raise ValueError(f"SequenceSpec: b must be in {{-1, 0, 1}}, got {self.b}")
         if self.kind == "seq2" and self.b not in (-1, 1):
             raise ValueError(f"SequenceSpec: seq2 requires b in {{-1, 1}}, got {self.b}")
-        if self.kind == "seq2" and self.p < 2:
-            raise ValueError(f"SequenceSpec: seq2 requires integer p >= 2, got {self.p}")
-        if self.kind == "seq6" and self.p < 3:
-            raise ValueError(f"SequenceSpec: seq6 requires integer p >= 3, got {self.p}")
+        low = {"seq2": 2, "seq6": 3}.get(self.kind)
+        if low is not None and not low <= self.p <= phase.MAX_CURVE_DERIV_ORDER:
+            raise ValueError(f"SequenceSpec: {self.kind} requires integer p in "
+                             f"[{low}, {phase.MAX_CURVE_DERIV_ORDER}], got {self.p}")
         if self.kind == "seq4" and self.case not in ("a", "b", "c", "d"):
             raise ValueError(f"SequenceSpec: seq4 case must be one of a-d, got {self.case!r}")
 

@@ -155,6 +155,13 @@ class TestSequenceSpecConstruction:
             SequenceSpec(kind="seq2", alpha=0.1, beta=1.0, b=1, p=1, ell=0.0)
         with pytest.raises(ValueError):
             SequenceSpec(kind="seq6", alpha=0.1, p=2, ell=0.0)
+        # K^(p) is taken up to order 12: above it validate and params_at raised
+        with pytest.raises(ValueError, match=r"^SequenceSpec: seq6 requires integer p in \[3, 12\]"):
+            SequenceSpec(kind="seq6", alpha=0.1, p=14, ell=1.0)
+        with pytest.raises(ValueError, match=r"^SequenceSpec: seq2 requires integer p in \[2, 12\]"):
+            SequenceSpec(kind="seq2", alpha=0.1, beta=1.0, b=1, p=13, ell=1.0)
+        for kind, extra in (("seq6", {}), ("seq2", dict(beta=1.0, b=1))):
+            assert SequenceSpec(kind=kind, alpha=0.1, p=12, ell=1.0, **extra).p == 12
 
     def test_rejects_field_mismatch(self):
         with pytest.raises(ValueError, match="requires field"):
