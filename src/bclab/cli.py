@@ -130,8 +130,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: required by {self.command}")
             if value is not None and name not in command.required + command.optional:
                 raise ConfigError(f"{name}: not a field of {self.command}")
-        if self.n_list is not None and not self.n_list:
-            raise ConfigError("n_list: must hold at least one n")
+        for name, item in (("n_list", "n"), ("h_grid", "h")):
+            if getattr(self, name) == ():
+                raise ConfigError(f"{name}: must hold at least one {item}")
         if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list: must be strictly increasing")
 

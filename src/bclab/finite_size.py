@@ -271,13 +271,13 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     96 B per n (112 B per n while built), so n is bounded by N_MAX.
     """
     n = check_n("mc_estimate", n)
-    if sweeps < MIN_BATCHES:
-        raise ValueError(f"mc_estimate: sweeps must be >= {MIN_BATCHES} "
-                         f"(batch-means stderr), got {sweeps}")
+    for name, value, low in (("sweeps", sweeps, MIN_BATCHES), ("burn_in", burn_in, 0),
+                             ("seed", seed, 0)):
+        if value is not None and (isinstance(value, bool) or not hasattr(value, "__index__")
+                                  or value < low):
+            raise ValueError(f"mc_estimate: {name} must be >= {low} and an int, got {value!r}")
     if burn_in is None:
         burn_in = sweeps // 10
-    if burn_in < 0:
-        raise ValueError(f"mc_estimate: burn_in must be >= 0, got {burn_in}")
     plus_zero, plus_minus, minus_zero, minus_plus, zero_plus, zero_minus = (
         _acceptance_tables(n, params.beta, params.kappa))
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -31,11 +31,11 @@ import numpy as np
 
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
-from .minimize import ScaledFreeEnergy, magnetization
+from .minimize import magnetization
 from .model import ModelParams, check_count
-from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, g_tilde,
-                        gl_polynomial, limit_constant, params_at, scaling_exponents,
-                        weak_limit_polynomial, xbar)
+from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec,
+                        _scaled_free_energies, g_tilde, gl_polynomial, limit_constant,
+                        params_at, scaling_exponents, weak_limit_polynomial, xbar)
 
 
 class Estimator(enum.Enum):
@@ -242,10 +242,9 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     rule on one 40001-point grid, cut where both weights are below e^-60 of
     their peaks (both weight_window cutoffs). Cost does not depend on n.
     """
-    n = check_count("weak_limit_distance", n)
     poly = weak_limit_polynomial(spec, "weak_limit_distance")
-    phi = ScaledFreeEnergy(params_at(spec, n), n,
-                           float(n) ** scaling_exponents(spec).theta_alpha0)
+    [(_, phi)] = _scaled_free_energies("weak_limit_distance", spec, [n], 1.0,
+                                       scaling_exponents(spec).theta_alpha0)
     half_width = max(poly.weight_window()[1], phi.weight_window()[1])
     grid = np.linspace(-half_width, half_width, 40001)
     cdf_n = _cdf(-phi(grid), grid)

@@ -3,7 +3,8 @@
 One well test in the tilt, ``_well_tilt``, is the equilibrium solver behind
 ``min_free_energy``, m(beta, K), the first-order curve and the region of a
 point; ``ScaledFreeEnergy``, the exponent n G(y/n^gamma) of every
-e^{-n G} integral, windows its weight at the wells of the same tilt.
+e^{-n G} integral, windows its weight at the wells of the same tilt by
+``weight_window``, the window rule of every e^-phi integral.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
 
-TAIL_CUT = 60.0   # tail_cutoff's margin: beyond it a weight is below e^-60 of its peak
+TAIL_CUT = 60.0   # weight_window's margin: beyond it a weight is below e^-60 of its peak
 _EXP_BITS = 128                                    # fractional bits of e^r
 _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF41        # log 2 * 2^136, rounded
 
@@ -148,18 +149,19 @@ def magnetization(params: ModelParams) -> float:
     return min_free_energy(params)[1]
 
 
-def tail_cutoff(fn, floor: float, last_turn: float) -> float:
-    """Smallest power of two X >= max(1, last_turn) with fn(X) >= floor + TAIL_CUT.
-
-    fn must be even and coercive with minimum floor and no stationary point
-    beyond last_turn, so it increases past X and the weight e^(floor - fn)
-    stays below e^-TAIL_CUT there. The doubling ends for any fn: at worst X
-    overflows to inf, where fn(X) is inf or nan and the test fails.
-    """
+def weight_window(phi, outer: float, points=()) -> tuple[float, float, tuple[float, ...]]:
+    """(floor, cutoff, break_points) of the weight e^(floor - phi) of every
+    e^-phi integral, phi even and coercive with no stationary point beyond
+    outer >= 0: floor = min(0, phi(outer)) is its minimum, so the weight peaks
+    at 1 however deep the wells, and past cutoff, the smallest power of two X
+    >= max(1, outer) with phi(X) >= floor + TAIL_CUT, it stays below
+    e^-TAIL_CUT (at worst X overflows to inf, where the test fails). The break
+    points are +-outer when outer > 0, then points."""
+    floor = min(0.0, float(phi(outer)))
     x = 1.0
-    while x < last_turn or fn(x) < floor + TAIL_CUT:
+    while x < outer or phi(x) < floor + TAIL_CUT:
         x *= 2.0
-    return x
+    return floor, x, ((-outer, outer) if outer > 0.0 else ()) + tuple(points)
 
 
 @dataclass(frozen=True)
@@ -175,15 +177,13 @@ class ScaledFreeEnergy:
         return self.speed * free_energy(self.params, y / self.scale)
 
     def weight_window(self) -> tuple[float, float, tuple[float, ...]]:
-        """(floor, cutoff, break_points) as EvenPolynomial.weight_window, at the
-        outer well scale c'(t) of the outer tilt t; each well y in {0, +-outer}
-        with phi''(y) > 0 is flanked at y +- 8 phi''(y)^-1/2, on panels of its own."""
+        """weight_window at the outer well scale c'(t) of the outer tilt t, each
+        well y in {0, +-outer} with phi''(y) > 0 flanked at y +- 8 phi''(y)^-1/2."""
         t = _outer_tilt(self.params, Tilt(self.params.beta))
         outer = self.scale * cumulant_deriv(self.params.beta, t, 1)
-        floor = min(0.0, self(outer))
-        points = [-outer, outer]
+        points = []
         for y in (0.0, outer, -outer):
             curv = self.speed / self.scale**2 * free_energy_deriv(self.params, y / self.scale, 2)
             if curv > 0.0:
                 points += [y - 8.0 / math.sqrt(curv), y + 8.0 / math.sqrt(curv)]
-        return floor, tail_cutoff(self, floor, outer), tuple(points)
+        return weight_window(self, outer, points)

@@ -16,11 +16,12 @@ functions of the equilibrium solvers at one beta, which take a float s = t^2
 and return a value with its slope in s. Elsewhere the spin/tilt argument may
 be a scalar or a numpy array. No function overflows for any finite argument.
 
-A finite Python int or float (numpy's float64 included) is evaluated with
-``math``, without numpy, and returns a float; ``Tilt`` also sums its series in
-floats. Any other argument is evaluated by the same scalar kernels element by
-element, through numpy, so an array holds exactly the values of its elements
-taken one at a time and every precision device lives in one place. The hot
+One dispatcher, ``_elementwise``, serves the four public functions: a finite
+Python int or float (numpy's float64 included) goes straight to a ``math``
+kernel, without numpy, and returns a float; any other argument goes to the
+same kernel element by element, through numpy, so an array holds exactly the
+values of its elements taken one at a time and every precision device lives
+in one place. ``Tilt`` also sums its series in floats. The hot
 callers pass single floats: each equilibrium solve calls ``cumulant_deriv``
 and ``free_energy`` once, at about 1 us a call (56 times each for a 100-point
 phase diagram), and its Newton steps call the scalar kernels through ``Tilt``,
@@ -36,7 +37,6 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-_SCALARS = (int, float)   # evaluated directly; anything else element by element
 _CUMULANT_ORDERS = (1, 2)
 _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
 # Below s = t^2 = 1 the series in s is summed; its terms shrink at least like
@@ -85,9 +85,11 @@ class ModelParams:
 
 def _elementwise(op: str, name: str, kernel, beta: float, t, *rest):
     """kernel(beta, v, *rest) for every element v of t, in the shape of t (a
-    numpy scalar gives a float); a ValueError naming op and name unless all are
-    finite. map feeds the kernel without building an argument tuple per
-    element, a third faster than a comprehension."""
+    numpy scalar gives a float), or at t itself, without numpy, if t is a finite
+    int or float; a ValueError naming op and name unless all are finite. map
+    feeds the kernel without an argument tuple per element, a third faster."""
+    if isinstance(t, (int, float)) and math.isfinite(t):
+        return kernel(beta, float(t), *rest)
     import numpy as np
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -104,8 +106,6 @@ def cumulant(beta: float, t):
     threshold of exp; log1p(2 p sinh^2(t/2)) keeps its precision as t -> 0.
     """
     check_beta("cumulant", beta)
-    if isinstance(t, _SCALARS) and math.isfinite(t):
-        return _cumulant_scalar(beta, float(t))
     return _elementwise("cumulant", "t", _cumulant_scalar, beta, t)
 
 
@@ -133,8 +133,6 @@ def cumulant_deriv(beta: float, t, order: int):
     check_beta("cumulant_deriv", beta)
     if order not in _CUMULANT_ORDERS:
         raise ValueError(f"order must be in {_CUMULANT_ORDERS}, got {order}")
-    if isinstance(t, _SCALARS) and math.isfinite(t):
-        return _cumulant_derivs(beta, float(t))[order == 2]
     return _elementwise("cumulant_deriv", "t", lambda b, v: _cumulant_derivs(b, v)[order == 2],
                         beta, t)
 
@@ -269,10 +267,8 @@ def free_energy(params: ModelParams, x):
     gives G = beta K |x| (|x| - 2) + beta + log(1 + 2 e^-beta): G at the
     ordered limit x = 1 is about -beta K, a float wherever beta K is one, and
     G(0) = 0 even where beta K is not."""
-    bk = params.beta * params.kappa
-    if isinstance(x, _SCALARS) and math.isfinite(x):
-        return _free_energy_scalar(params.beta, float(x), bk)
-    return _elementwise("free_energy", "x", _free_energy_scalar, params.beta, x, bk)
+    return _elementwise("free_energy", "x", _free_energy_scalar, params.beta, x,
+                        params.beta * params.kappa)
 
 
 def _free_energy_scalar(beta: float, x: float, bk: float) -> float:
@@ -289,17 +285,20 @@ def free_energy_deriv(params: ModelParams, x, order: int):
 
     order 1: 2 beta K (x - c'(2 beta K x)); order 2: 2 beta K - (2 beta K)^2 c'',
     formed as 2 beta K (2 beta K c''), which overflows to -inf, not to an
-    OverflowError, where that product leaves the floats.
+    OverflowError, where that product leaves the floats. Where 2 beta K x
+    overflows c' = sign x and c'' = 0, as in free_energy, and G''(0) = -inf.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    two_bk = 2.0 * params.beta * params.kappa
-    if isinstance(x, _SCALARS) and math.isfinite(x):
-        return _free_energy_deriv_scalar(params.beta, float(x), two_bk, order)
     return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar, params.beta, x,
-                        two_bk, order)
+                        2.0 * params.beta * params.kappa, order)
 
 
 def _free_energy_deriv_scalar(beta: float, x: float, two_bk: float, order: int) -> float:
-    c = cumulant_deriv(beta, two_bk * x, order)
-    return two_bk * (x - c) if order == 1 else two_bk - two_bk * (two_bk * c)
+    t = two_bk * x
+    if not math.isfinite(t):   # c' = sign x, c'' = 0; t is nan at x = 0 where 2 beta K is inf
+        if order == 2:
+            return two_bk if x else -math.inf
+        return two_bk * (x - math.copysign(1.0, x)) if x and abs(x) != 1.0 else 0.0
+    c1, c2 = _cumulant_derivs(beta, t)
+    return two_bk * (x - c1) if order == 1 else two_bk - two_bk * (two_bk * c2)

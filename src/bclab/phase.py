@@ -180,6 +180,8 @@ def verify_tricritical_conjectures(h_grid) -> TricriticalConjectureReport:
     closed-form references.
     """
     h_grid = [float(h) for h in h_grid]
+    if not h_grid:
+        raise ValueError("verify_tricritical_conjectures: h_grid must hold at least one h")
     if any(h < 1e-5 for h in h_grid):
         raise ValueError("verify_tricritical_conjectures: h_grid entries must be "
                          ">= 1e-5; below it the second difference of K1 is "

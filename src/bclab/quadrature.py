@@ -1,8 +1,8 @@
 """Quadrature helpers for expectations against exp(-phi) weights and
 Gaussian-smoothed lattice laws.
 
-An exponent phi (EvenPolynomial, ScaledFreeEnergy) states its weight window,
-which weighted_ratio reads: its minimum, cutoff and break points at its wells.
+An exponent phi (EvenPolynomial, ScaledFreeEnergy) states the weight window
+weighted_ratio reads, by the one rule minimize.weight_window at its wells.
 
 Improper integrals run a globally adaptive 21-point Gauss-Kronrod rule, the
 qk21 rule of QUADPACK (Piessens et al., 1983). Each panel's error estimate is
@@ -65,7 +65,7 @@ def _gk21(f, lo: float, hi: float) -> tuple[float, float, float, float]:
     """The panel (-err, lo, hi, value) for the heap of _quad: the K21 integral
     of f on [lo, hi] and its QUADPACK error estimate err."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # f gets Python floats: model's closed forms take their math path on them
+    # f gets Python floats, which model's one dispatcher hands to its math kernels
     fx = [f(centre + half * x) for x in _GK21_NODES]
     kronrod = sum(map(operator.mul, _K21_WEIGHTS, fx))
     err = abs((kronrod - sum(map(operator.mul, _G10_WEIGHTS, fx[1::2]))) * half)

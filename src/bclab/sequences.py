@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import phase
-from .minimize import ScaledFreeEnergy, tail_cutoff
+from .minimize import ScaledFreeEnergy, weight_window
 from .model import ModelParams, check_beta, check_count
 from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
 from .quadrature import weighted_ratio
@@ -153,12 +153,8 @@ class EvenPolynomial:
         return math.sqrt(y) if y > 0 else 0.0
 
     def weight_window(self) -> tuple[float, float, tuple[float, ...]]:
-        """(floor, cutoff, +-outer if outer) of every weight e^(floor - g): floor
-        = min(0, g(outer)) is the minimum of g, so the weight peaks at 1 however
-        deep the wells; past cutoff (tail_cutoff beyond outer) it is below e^-TAIL_CUT."""
-        outer = self.outer_well()
-        floor = min(0.0, float(self(outer)))
-        return floor, tail_cutoff(self, floor, outer), (-outer, outer) if outer else ()
+        """minimize.weight_window at the outer well: (floor, cutoff, +-outer if outer)."""
+        return weight_window(self, self.outer_well())
 
 
 class Regime(enum.Enum):
@@ -506,6 +502,15 @@ def limit_constant(poly: EvenPolynomial) -> float:
     return weighted_ratio(abs, poly)
 
 
+def _scaled_free_energies(op: str, spec: SequenceSpec, n_list, speed: float, shrink: float):
+    """(n, n^speed G_n(y/n^shrink)) per n, G_n at params_at(spec, n), the spec
+    and each n checked under op's name first: the one loop of the exponents."""
+    require_valid(op, spec)
+    ns = [check_count(op, n) for n in n_list]
+    return [(n, ScaledFreeEnergy(params_at(spec, n), float(n) ** speed, float(n) ** shrink))
+            for n in ns]
+
+
 def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tuple[int, float]]:
     """Sup-error of n^(alpha/alpha0) G(x/n^(theta alpha)) against g on [-R, R].
 
@@ -514,16 +519,11 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
-    ns = [check_count("check_hypothesis_iiia", n) for n in n_list]
     g, exps = gl_polynomial(spec)
     xs = np.linspace(-radius, radius, 2001)
     gx = g(xs)
-    rows = []
-    for n in ns:
-        scaled = ScaledFreeEnergy(params_at(spec, n), float(n) ** (spec.alpha / exps.alpha0),
-                                  float(n) ** (exps.theta * spec.alpha))(xs)
-        rows.append((n, float(np.max(np.abs(scaled - gx)))))
-    return rows
+    return [(n, float(np.max(np.abs(phi(xs) - gx)))) for n, phi in _scaled_free_energies(
+        "check_hypothesis_iiia", spec, n_list, spec.alpha / exps.alpha0, exps.theta * spec.alpha)]
 
 
 def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:
@@ -533,10 +533,10 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
     """
     gt = g_tilde(spec)
     scaling_exponents(spec).require("check_hypothesis_v", spec.alpha, Regime.ABOVE)
-    ns = [check_count("check_hypothesis_v", n) for n in n_list]
-    gx = gt(np.asarray(x_grid, dtype=float))
-    return [(n, np.abs(scaled - gx))
-            for n, scaled in scaled_free_energy_table(spec, x_grid, ns)]
+    xs = np.asarray(x_grid, dtype=float)
+    gx = gt(xs)
+    return [(n, np.abs(phi(xs) - gx)) for n, phi in _scaled_free_energies(
+        "check_hypothesis_v", spec, n_list, 1.0, scaling_exponents(spec).theta_alpha0)]
 
 
 def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:
@@ -545,13 +545,9 @@ def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[i
     Diagnostic companion to check_hypothesis_v: for seq6 it exhibits the
     degenerate pointwise limit 0 instead of a coercive polynomial.
     """
-    require_valid("scaled_free_energy_table", spec)
-    ns = [check_count("scaled_free_energy_table", n) for n in n_list]
-    exps = scaling_exponents(spec)
     xs = np.asarray(x_grid, dtype=float)
-    return [(n, ScaledFreeEnergy(params_at(spec, n), float(n),
-                                 float(n) ** exps.theta_alpha0)(xs))
-            for n in ns]
+    return [(n, phi(xs)) for n, phi in _scaled_free_energies(
+        "scaled_free_energy_table", spec, n_list, 1.0, scaling_exponents(spec).theta_alpha0)]
 
 
 def spec_to_json(spec: SequenceSpec) -> str:

@@ -180,6 +180,18 @@ class TestMcCommand:
         # the keys are McEstimate's fields: renaming one changes the artifact
         assert set(json.loads(first)) == {"mean", "stderr", "sweeps", "seed"}
 
+    @pytest.mark.parametrize("command", [
+        ["mc", "--beta", "1", "--kappa", "1.5", "--n", "50", "--sweeps", "20"],
+        ["sequence-run", "--spec", None, "--n", "50", "--estimator", "mc"]],
+        ids=["mc", "sequence-run"])
+    def test_negative_seed_fails_named(self, tmp_path, capsys, command):
+        # numpy raised "expected non-negative integer"
+        out = tmp_path / "x.csv"
+        argv = [write_spec(tmp_path) if a is None else a for a in command]
+        assert main([*argv, "--seed", "-1", "-o", str(out)]) == 1
+        assert "mc_estimate: seed must be >= 0 and an int" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_burn_in_fails_named(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         assert main(["mc", "--beta", "1.0", "--kappa", "1.2", "--n", "50",
@@ -424,6 +436,21 @@ class TestConjecturesCommand:
         assert all(set(row) == {"h", "k1_prime_est", "k1_second_est"} for row in doc["rows"])
         assert doc["k_prime_ref"] == pytest.approx(-0.0591658, abs=1e-6)
         assert len(doc["rows"]) == 2
+
+    def test_absent_h_is_the_default_grid(self, capsys):
+        assert main(["conjectures"]) == 0
+        assert [row["h"] for row in json.loads(capsys.readouterr().out)["rows"]] == [1e-2, 1e-3]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_h_grid_rejected(self, tmp_path, capsys, source):
+        # both fell back to the default grid (1e-2, 1e-3) and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h_grid": []}), encoding="utf-8")
+        argv = ["--h", ","] if source == "flag" else ["--config", str(cfg)]
+        assert main(["conjectures", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: h_grid: must hold at least one h\n"
+        assert captured.out == ""
 
 
 class TestExperimentConfigValidation:

@@ -328,6 +328,13 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
     ("finite_size_law", lambda law, p: finite_size_law(3.0, p)),
     ("finite_size_law", lambda law, p: finite_size_law(True, p)),
     ("mc_estimate", lambda law, p: mc_estimate(2.5, p, 20)),
+    # numpy raised these: a TypeError for 20.5 sweeps, "expected non-negative
+    # integer" for a negative seed
+    ("mc_estimate", lambda law, p: mc_estimate(50, p, 20.5)),
+    ("mc_estimate", lambda law, p: mc_estimate(50, p, 20, burn_in=True)),
+    ("mc_estimate", lambda law, p: mc_estimate(50, p, 20, burn_in=1.5)),
+    ("mc_estimate", lambda law, p: mc_estimate(50, p, 20, seed=-1)),
+    ("mc_estimate", lambda law, p: mc_estimate(50, p, 20, seed=2.0)),
     ("run_finite_size_asymptotics",
      lambda law, p: run_finite_size_asymptotics(SEQ1_BELOW, [100.5])),
     ("hs_lhs", lambda law, p: hs_lhs(20, p, 1.0, abs)),
@@ -369,7 +376,9 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
         "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
         "finite_size_law-n=2.5", "finite_size_law-n=3.0", "finite_size_law-n=True",
-        "mc_estimate-n=2.5", "run_finite_size_asymptotics-n=100.5",
+        "mc_estimate-n=2.5", "mc_estimate-sweeps=20.5", "mc_estimate-burn_in=True",
+        "mc_estimate-burn_in=1.5", "mc_estimate-seed=-1", "mc_estimate-seed=2.0",
+        "run_finite_size_asymptotics-n=100.5",
         "hs_lhs", "hs_rhs", "hs_rhs-n=0", "hs_rhs-n=-5", "params_at", "params_at-invalid-spec",
         "gl_polynomial-invalid-spec", "coexistence_onset-invalid-spec",
         "scaled_free_energy_table-invalid-spec", "check_hypothesis_iiia-radius",

@@ -434,6 +434,21 @@ class TestFreeEnergyDeriv:
         assert free_energy_deriv(params, 1.0, 2) == 2e300
         assert free_energy_deriv(ModelParams(1.0, 1e150), 0.0, 2) < -1e299
 
+    def test_total_where_two_beta_k_x_overflows(self):
+        # both raised "cumulant_deriv: t must be finite"; as in free_energy,
+        # c' = sign x and c'' = 0 there, and 2 beta K = inf makes G''(0) = -inf
+        huge, unit = ModelParams(1.0, 1e308), ModelParams(1.0, 1.0)
+        assert free_energy_deriv(huge, 0.0, 2) == -math.inf
+        assert free_energy_deriv(unit, 1e308, 1) == math.inf
+        assert free_energy_deriv(huge, 0.0, 1) == 0.0
+        assert free_energy_deriv(unit, 1e308, 2) == 2.0
+        xs = np.array([0.0, 1.0, -1.0, 0.5, -2.0])
+        assert free_energy_deriv(huge, xs, 1).tolist() == [0.0, 0.0, 0.0, -math.inf, -math.inf]
+        assert free_energy_deriv(huge, xs, 2).tolist() == [-math.inf] + [math.inf] * 4
+        assert free_energy_deriv(unit, np.array([1e308, -1e308]), 1).tolist() == [
+            math.inf, -math.inf]
+        assert free_energy_deriv(unit, np.array([1e308, -1e308]), 2).tolist() == [2.0, 2.0]
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             free_energy_deriv(ModelParams(1.0, 1.0), 0.1, 3)

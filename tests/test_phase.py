@@ -275,3 +275,9 @@ class TestTricriticalConjectures:
         assert len(verify_tricritical_conjectures([1e-5]).rows) == 1
         with pytest.raises(ValueError, match="rounding noise"):
             verify_tricritical_conjectures([1e-4, 9e-6])
+
+    def test_empty_grid_rejected(self):
+        # returned a report with no rows
+        with pytest.raises(ValueError, match="^verify_tricritical_conjectures: h_grid must "
+                                             "hold at least one h$"):
+            verify_tricritical_conjectures([])
