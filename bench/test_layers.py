@@ -3,7 +3,10 @@ spin law, the quadrature layer and one CLI command, each stored with an
 accuracy figure for the same call in the benchmark's extra_info.
 
 The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
-ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82.
+ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82,
+at n = 10^4; the chain also runs on the n = 4000 row of the README seq1 spec,
+below the size from which it sets aside its certain rejections. Both record
+the share of steps the chain's loop visits.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
 phase-curve grid's first-order range and at beta_c + 1e-6 and + 1e-10, where
@@ -67,6 +70,7 @@ from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_ord
 PARAMS = ModelParams(1.0, second_order_k(1.0) + 0.4)
 NEAR_CURVE = ModelParams(1.0, second_order_k(1.0) + 1e-6)
 MC_N = 10_000
+MC_ROW_N = 4000
 MC_SWEEPS = 60     # plus the default burn-in of 6: 66 sweeps of n steps
 MC_SEED = 1
 LAW_N = 20_000
@@ -75,16 +79,48 @@ README_SEQ1 = {"kind": "seq1", "alpha": 0.3, "beta": 1.0, "b": 0, "k": 1.0}
 README_N = "250,500,1000,2000,4000"
 
 
-def test_mc_estimate(benchmark):
-    est = benchmark.pedantic(mc_estimate, args=(MC_N, PARAMS, MC_SWEEPS),
+def visited_share(n, params, sweeps, seed):
+    """Share of a chain's steps that the Metropolis loop visits: the steps fed
+    to finite_size._walk over all steps. A bclab without _walk runs the loop
+    inside mc_estimate over every step."""
+    walk = getattr(finite_size, "_walk", None)
+    if walk is None:
+        return 1.0
+    fed = []
+
+    def counting(n, draws, *rest):
+        fed.append(len(draws))
+        return walk(n, draws, *rest)
+
+    finite_size._walk = counting
+    try:
+        mc_estimate(n, params, sweeps, seed=seed)
+    finally:
+        finite_size._walk = walk
+    return sum(fed) / (n * (sweeps + sweeps // 10))
+
+
+def bench_chain(benchmark, n, params):
+    est = benchmark.pedantic(mc_estimate, args=(n, params, MC_SWEEPS),
                              kwargs={"seed": MC_SEED}, rounds=5, iterations=1)
-    exact = abs_moment(finite_size_law(MC_N, PARAMS))
+    exact = abs_moment(finite_size_law(n, params))
     z = (est.mean - exact) / est.stderr
-    steps = MC_N * (MC_SWEEPS + MC_SWEEPS // 10)
+    steps = n * (MC_SWEEPS + MC_SWEEPS // 10)
     benchmark.extra_info.update(
-        mean=est.mean, stderr=est.stderr, exact=exact, z=z, steps=steps,
+        n=n, mean=est.mean, stderr=est.stderr, exact=exact, z=z, steps=steps,
+        visited_share=visited_share(n, params, MC_SWEEPS, MC_SEED),
         ns_per_step=benchmark.stats.stats.median / steps * 1e9)
     assert abs(z) <= 6
+
+
+def test_mc_estimate(benchmark):
+    # above finite_size.SKIP_MIN_N: the pre-pass sets most steps aside
+    bench_chain(benchmark, MC_N, PARAMS)
+
+
+def test_mc_estimate_seq1_row(benchmark):
+    # below finite_size.SKIP_MIN_N: the loop visits every step
+    bench_chain(benchmark, MC_ROW_N, params_at(spec_from_json(README_SEQ1), MC_ROW_N))
 
 
 def test_finite_size_law(benchmark):

@@ -266,7 +266,7 @@ def free_energy(params: ModelParams, x):
     Where 2 beta K x overflows, c = |2 beta K x| - beta - log(1 + 2 e^-beta)
     gives G = beta K |x| (|x| - 2) + beta + log(1 + 2 e^-beta): G at the
     ordered limit x = 1 is about -beta K, a float wherever beta K is one, and
-    G(0) = 0 even where beta K is not."""
+    G(0) = 0 and G(+-2) = beta + log(1 + 2 e^-beta) even where beta K is not."""
     return _elementwise("free_energy", "x", _free_energy_scalar, params.beta, x,
                         params.beta * params.kappa)
 
@@ -275,8 +275,9 @@ def _free_energy_scalar(beta: float, x: float, bk: float) -> float:
     if x == 0.0:   # 2 beta K x is nan where beta K overflows
         return 0.0
     t = 2.0 * (bk * x)
-    if math.isinf(t):
-        return bk * abs(x) * (abs(x) - 2.0) + beta + math.log1p(2.0 * math.exp(-beta))
+    if math.isinf(t):   # bk |x| (|x| - 2) is 0 at |x| = 2, not inf * 0
+        a = abs(x)
+        return (bk * a * (a - 2.0) if a != 2.0 else 0.0) + beta + math.log1p(2.0 * math.exp(-beta))
     return bk * x * x - _cumulant_scalar(beta, t)
 
 

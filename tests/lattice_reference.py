@@ -1,16 +1,18 @@
 """The exact law, its absolute moment and its tail, and the Metropolis
-acceptance tables, in the forms that faster or leaner ones replaced, kept as
-oracles: the rho recurrence with integer coefficients and the compensated
-sums over the full lattice -n .. n, the fsum over the full lattice, the tail
-masked on the full lattice, and the tables built from whole-array
-temporaries."""
+acceptance tables and chain, in the forms that faster or leaner ones
+replaced, kept as oracles: the rho recurrence with integer coefficients and
+the compensated sums over the full lattice -n .. n, the fsum over the full
+lattice, the tail masked on the full lattice, the tables built from
+whole-array temporaries, and the chain that visits every step."""
 
 import math
 from array import array
 
 import numpy as np
 
-from bclab.finite_size import _logsumexp
+from bclab import finite_size
+from bclab.finite_size import MIN_BATCHES, McEstimate, _logsumexp
+from bclab.minimize import magnetization
 
 
 def integer_rho_law(n, beta, kappa):
@@ -66,3 +68,69 @@ def temporary_acceptance_tables(n, beta, kappa):
         dh = (new * new - old * old) - kappa / n * (2.0 * ds * s + ds * ds)
         tables.append(array("d", np.exp(np.minimum(0.0, -beta * dh)).tobytes()))
     return tables
+
+
+def reference_chain(n, params, sweeps, burn_in=None, seed=0):
+    """McEstimate of the Metropolis chain with one loop over every step of
+    every sweep, which the chain that first sets aside the steps it certainly
+    rejects replaced; the same draws in the same order, so the estimates are
+    equal. The tables are read from finite_size._acceptance_tables when called."""
+    if burn_in is None:
+        burn_in = sweeps // 10
+    plus_zero, plus_minus, minus_zero, minus_plus, zero_plus, zero_minus = (
+        finite_size._acceptance_tables(n, params.beta, params.kappa))
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    t = 2.0 * params.beta * params.kappa * magnetization(params)
+    e_t, e_beta = math.exp(-t), math.exp(-params.beta)
+    norm = n / (e_t + e_beta + e_t * e_t * e_beta)
+    n_plus, n_minus = round(norm * e_beta), round(norm * e_t * e_t * e_beta)
+
+    first_minus, j = n - n_minus, n + n_plus - n_minus  # n - n_-, S + n
+    n_plus_hi, first_minus_hi = n + n_plus, n + first_minus
+    samples = np.empty(sweeps)
+    for sweep in range(burn_in + sweeps):
+        draws = array("q", rng.integers(0, 2 * n, size=n).tobytes())
+        uniforms = array("d", rng.random(size=n).tobytes())
+        for r, u in zip(draws, uniforms):
+            if r < n:
+                if r < n_plus:
+                    if u < plus_zero[j]:
+                        n_plus -= 1
+                        n_plus_hi -= 1
+                        j -= 1
+                elif r >= first_minus:
+                    if u < minus_zero[j]:
+                        first_minus += 1
+                        first_minus_hi += 1
+                        j += 1
+                elif u < zero_plus[j]:
+                    n_plus += 1
+                    n_plus_hi += 1
+                    j += 1
+            elif r < n_plus_hi:
+                if u < plus_minus[j]:
+                    n_plus -= 1
+                    n_plus_hi -= 1
+                    first_minus -= 1
+                    first_minus_hi -= 1
+                    j -= 2
+            elif r >= first_minus_hi:
+                if u < minus_plus[j]:
+                    n_plus += 1
+                    n_plus_hi += 1
+                    first_minus += 1
+                    first_minus_hi += 1
+                    j += 2
+            elif u < zero_minus[j]:
+                first_minus -= 1
+                first_minus_hi -= 1
+                j -= 1
+        if sweep >= burn_in:
+            samples[sweep - burn_in] = abs(j - n) / n
+
+    batch_len = sweeps // MIN_BATCHES
+    batches = samples[:batch_len * MIN_BATCHES].reshape(MIN_BATCHES, batch_len)
+    means = batches.mean(axis=1)
+    stderr = float(means.std(ddof=1) / math.sqrt(MIN_BATCHES))
+    return McEstimate(mean=float(means.mean()), stderr=stderr, sweeps=sweeps, seed=seed)

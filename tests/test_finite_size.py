@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import mpmath as mp
 import numpy as np
 import pytest
 from lattice_reference import (full_lattice_abs_moment, full_lattice_log_tail_mass,
-                               integer_rho_law, temporary_acceptance_tables)
+                               integer_rho_law, reference_chain, temporary_acceptance_tables)
 from mp_reference import log_spin_weight_mp, spin_law_mp
 
 import bclab
@@ -379,6 +380,98 @@ class TestWeakLimitConcentration:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+BENCH_POINT = ModelParams(1.0, second_order_k(1.0) + 0.4)   # bench/test_layers.py PARAMS
+SEQ1 = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
+CHAIN_POINTS = {"bench": BENCH_POINT, "saturated": ModelParams(20.0, 1.5),
+                "empty": ModelParams(20.0, 0.5), "weak": ModelParams(1.0, 1e-9)}
+
+
+def _chain_cases():
+    """(n, params, pre-pass from size) of the bit-identity grid: at n <= 50
+    the window's edges clamp to [0, n], with the pre-pass forced on; 4000
+    and 2 10^4 lie on either side of SKIP_MIN_N at its own value."""
+    for n in (1, 2, 3, 4, 8, 50):
+        for name, params in CHAIN_POINTS.items():
+            yield pytest.param(n, params, 1, id=f"{name}-n{n}-forced")
+    for n in (4000, 2 * 10**4):
+        points = dict(CHAIN_POINTS, seq1=params_at(SEQ1, n))
+        for name, params in points.items():
+            yield pytest.param(n, params, None, id=f"{name}-n{n}")
+    yield pytest.param(4000, params_at(SEQ1, 4000), 1, id="seq1-n4000-forced")
+
+
+class TestCertainRejections:
+    """The pre-pass that sets aside the steps every state near a sweep's start
+    rejects leaves every decision of the chain as it was."""
+
+    @pytest.mark.parametrize("n, params, skip_min_n", _chain_cases())
+    def test_equals_the_chain_that_visits_every_step(self, monkeypatch, n, params, skip_min_n):
+        fs = bclab.finite_size
+        if skip_min_n is not None:
+            monkeypatch.setattr(fs, "SKIP_MIN_N", skip_min_n)
+        calls = []
+        prepass = fs._uncertain_steps
+        monkeypatch.setattr(fs, "_uncertain_steps", lambda *a: calls.append(1) or prepass(*a))
+        for seed in (0, 7):
+            assert mc_estimate(n, params, sweeps=40, seed=seed) == reference_chain(
+                n, params, sweeps=40, seed=seed)
+        assert bool(calls) == (n >= fs.SKIP_MIN_N)
+
+    def test_walk_reports_reaching_the_window_edge(self):
+        # every proposal accepted and every draw site 0, a +1 site: each step
+        # moves +1 -> 0, so n_plus falls by one a step from 5
+        n, half = 10, 3
+        tables = [array("d", [1.0]) * (2 * n + 1) for _ in range(6)]
+        draws, uniforms = array("q", [0] * 4), array("d", [0.5] * 4)
+        walk_within = bclab.finite_size._walk_within
+        assert walk_within(n, draws[:3], uniforms[:3], (5, 8), tables, half) == (2, 8)
+        assert walk_within(n, draws, uniforms, (5, 8), tables, half) is None
+        assert bclab.finite_size._walk(n, draws, uniforms, 5, 8, tables) == (1, 8)
+
+    def test_sweep_reruns_from_its_start_after_leaving_the_window(self, monkeypatch):
+        # a walk held to a half-width of 2 reaches the window's edge in most
+        # sweeps; each such sweep runs again over all n steps from its start
+        fs = bclab.finite_size
+        n, params = 2 * 10**4, params_at(SEQ1, 2 * 10**4)
+        walk, walk_within = fs._walk, fs._walk_within
+        log = []
+
+        def narrow(n, draws, uniforms, start, tables, half):
+            state = walk_within(n, draws, uniforms, start, tables, 2)
+            log.append(("within", start, state))
+            return state
+
+        def full(n, draws, uniforms, *rest):
+            if len(draws) == n:
+                log.append(("full", rest[:2]))
+            return walk(n, draws, uniforms, *rest)
+
+        monkeypatch.setattr(fs, "_walk_within", narrow)
+        monkeypatch.setattr(fs, "_walk", full)
+        assert mc_estimate(n, params, sweeps=20, seed=3) == reference_chain(
+            n, params, sweeps=20, seed=3)
+        exits = [i for i, entry in enumerate(log) if entry[0] == "within" and entry[2] is None]
+        assert len(exits) > 10
+        assert all(log[i + 1] == ("full", log[i][1]) for i in exits)
+        assert sum(entry[0] == "full" for entry in log) == len(exits)
+
+    def test_no_prepass_over_a_table_not_monotone_in_s(self, monkeypatch):
+        # the thresholds are read at the ends of a range of S, so a table out
+        # of order turns the pre-pass off; the chain still reads that table
+        fs = bclab.finite_size
+        build = fs._acceptance_tables
+
+        def out_of_order(n, beta, kappa):
+            tables = build(n, beta, kappa)
+            tables[4][n] = 1.0   # 0 -> +1 at S = 0, above its value at S = 1
+            return tables
+
+        monkeypatch.setattr(fs, "_acceptance_tables", out_of_order)
+        monkeypatch.setattr(fs, "_uncertain_steps", None)
+        n = 2 * 10**4
+        assert mc_estimate(n, BENCH_POINT, sweeps=20) == reference_chain(n, BENCH_POINT, sweeps=20)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         params = ModelParams(1.0, 1.5)
@@ -461,6 +554,21 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 7.5 * 8 * (2 * n + 1)
+
+    def test_chain_holds_its_tables_and_one_sweep(self):
+        # the docstring's bound: 96 B per n of tables and at most 40 B per n of
+        # one sweep's draws, uniforms and pre-pass temporaries; at n = 10^4 the
+        # pre-pass runs and the call peaked at 132.2 B per n
+        n = 10**4
+        assert n >= bclab.finite_size.SKIP_MIN_N
+        mc_estimate(n, BENCH_POINT, sweeps=20)
+        tracemalloc.start()
+        try:
+            mc_estimate(n, BENCH_POINT, sweeps=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (96 + 40) * n
 
     def test_resource_limit(self):
         # bclab mc --n 10**8 used to build tables of about 16 GB before failing

@@ -449,6 +449,15 @@ class TestFreeEnergyDeriv:
             math.inf, -math.inf]
         assert free_energy_deriv(unit, np.array([1e308, -1e308]), 2).tolist() == [2.0, 2.0]
 
+    def test_free_energy_where_beta_k_x_overflows_at_two(self):
+        # free_energy's bk |x| (|x| - 2) was inf * 0 = nan at |x| = 2; the term
+        # is 0 there, so G = beta + log1p(2 e^-beta), 1.5514 at beta = 1
+        huge = ModelParams(1.0, 1e308)
+        expected = 1.0 + math.log1p(2.0 * math.exp(-1.0))
+        assert free_energy(huge, 2.0) == free_energy(huge, -2.0) == expected
+        assert round(expected, 4) == 1.5514
+        assert free_energy(huge, np.array([2.0, -2.0])).tolist() == [expected, expected]
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             free_energy_deriv(ModelParams(1.0, 1.0), 0.1, 3)
