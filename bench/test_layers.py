@@ -35,7 +35,9 @@ fresh interpreter importing bclab.cli and writing the README's 100-point
 phase diagram, its last K1 against 50-digit mpmath. These three record
 whether numpy was loaded. The N_MAX figure is a fresh
 interpreter writing the finite-size CSV at n = 10^6 through cli.main, with its
-peak RSS, against the sum of the written probabilities. Acceptance criteria
+peak RSS, against the sum of the written probabilities; beside it, a fresh
+interpreter runs bclab mc at n = 10^6 with 20 sweeps, with its peak RSS,
+against the exact law. Acceptance criteria
 03, 09 and 13 are timed end to end as the suite runs them, each next to the
 figures it gates on, at full precision: the final gap of K1 to K(beta_c)
 (and K1 there against mpmath), the Aitken-extrapolated relative error of the
@@ -380,14 +382,13 @@ def test_cli_phase_diagram_cold(benchmark, tmp_path):
     assert abs(k1 - ref) <= 1e-12
 
 
-def test_cli_finite_size_n_max(benchmark, tmp_path):
-    # each round is a fresh interpreter writing the 2 N_MAX + 1 rows of the
-    # law through cli.main; peak_rss_mb is its VmHWM, import included. Its
-    # ru_maxrss would not do: Linux carries the high-water mark of the pytest
-    # process that spawned it across exec
+def cold_cli(benchmark, argv) -> list[tuple[int, float, float]]:
+    """(exit code, seconds, peak RSS in MB) of each of three rounds, each a
+    fresh interpreter importing bclab.cli and running argv through cli.main.
+    The peak is its VmHWM, import included. Its ru_maxrss would not do: Linux
+    carries the high-water mark of the pytest process that spawned it across
+    exec."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bclab.__file__)))
-    out = tmp_path / "law.csv"
-    argv = ["finite-size", "--beta", "1.0", "--kappa", "1.5", "--n", str(N_MAX), "-o", str(out)]
     runs = []
 
     def fresh():
@@ -397,6 +398,14 @@ def test_cli_finite_size_n_max(benchmark, tmp_path):
         runs.append((int(code), float(seconds), int(rss_kb) / 1024))
 
     benchmark.pedantic(fresh, rounds=3, iterations=1)
+    return runs
+
+
+def test_cli_finite_size_n_max(benchmark, tmp_path):
+    # the 2 N_MAX + 1 rows of the law, against the sum of their probabilities
+    out = tmp_path / "law.csv"
+    runs = cold_cli(benchmark, ["finite-size", "--beta", "1.0", "--kappa", "1.5",
+                                "--n", str(N_MAX), "-o", str(out)])
     with open(out, encoding="utf-8") as fh:
         rows = fh.read().splitlines()[1:]
     norm = abs(math.fsum(float(row.split(",")[1]) for row in rows) - 1.0)
@@ -405,6 +414,22 @@ def test_cli_finite_size_n_max(benchmark, tmp_path):
         peak_rss_mb=statistics.median(mb for *_, mb in runs), norm_residual=norm)
     assert all(code == 0 for code, *_ in runs) and len(rows) == 2 * N_MAX + 1
     assert norm <= 1e-12
+
+
+def test_cli_mc_n_max(benchmark, tmp_path):
+    # the Metropolis chain at N_MAX, 20 sweeps, at beta = 1, K = 1.5, against
+    # E|S_n/n| of the exact law
+    out = tmp_path / "mc.json"
+    runs = cold_cli(benchmark, ["mc", "--beta", "1.0", "--kappa", "1.5", "--n", str(N_MAX),
+                                "--sweeps", "20", "-o", str(out)])
+    est = json.loads(out.read_text(encoding="utf-8"))
+    exact = abs_moment(finite_size_law(N_MAX, ModelParams(1.0, 1.5)))
+    z = (est["mean"] - exact) / est["stderr"]
+    benchmark.extra_info.update(
+        n=N_MAX, sweeps=20, main_s=statistics.median(s for _, s, _ in runs),
+        peak_rss_mb=statistics.median(mb for *_, mb in runs), mean=est["mean"],
+        stderr=est["stderr"], exact=exact, z=z)
+    assert all(code == 0 for code, *_ in runs) and abs(z) <= 6
 
 
 def _criterion_03_figures() -> dict:

@@ -175,6 +175,11 @@ def _write_report(output_path: str, rows, sidecar: dict) -> None:
     _emit_json(sidecar, _sidecar_path(output_path))
 
 
+def _given(config: ExperimentConfig, *names: str) -> dict:
+    """The named fields that are set: an absent one takes the callee's default."""
+    return {name: getattr(config, name) for name in names if getattr(config, name) is not None}
+
+
 def _resolved_spec(config: ExperimentConfig) -> bclab.sequences.SequenceSpec:
     spec = config.spec
     if config.alpha is not None:
@@ -213,9 +218,8 @@ def _run_finite_size(config: ExperimentConfig) -> None:
 
 
 def _run_mc(config: ExperimentConfig) -> None:
-    params = ModelParams(config.beta, config.kappa)
-    est = bclab.finite_size.mc_estimate(config.n, params, sweeps=config.sweeps,
-                                        burn_in=config.burn_in, seed=config.seed or 0)
+    est = bclab.finite_size.mc_estimate(config.n, ModelParams(config.beta, config.kappa),
+                                        config.sweeps, **_given(config, "burn_in", "seed"))
     _emit_json(dataclasses.asdict(est), config.output_path)
 
 
@@ -230,8 +234,7 @@ def _run_sequence(config: ExperimentConfig) -> None:
     # rows run serially unless --threads asks for a pool; parallel rows merge
     # in sorted order, so the thread count never changes the artifact bytes
     report = bclab.harness.run_finite_size_asymptotics(
-        spec, config.n_list, estimator=estimator, seed=config.seed or 0, threads=config.threads,
-        sweeps=20000 if config.sweeps is None else config.sweeps)
+        spec, config.n_list, estimator, **_given(config, "sweeps", "seed", "threads"))
     _write_report(config.output_path, report.rows, dataclasses.asdict(report.constants))
 
 
@@ -250,8 +253,7 @@ def _run_weak_limit(config: ExperimentConfig) -> None:
 
 
 def _run_conjectures(config: ExperimentConfig) -> None:
-    h_grid = config.h_grid or (1e-2, 1e-3)
-    report = phase.verify_tricritical_conjectures(h_grid)
+    report = phase.verify_tricritical_conjectures(**_given(config, "h_grid"))
     _emit_json(dataclasses.asdict(report), config.output_path)
 
 

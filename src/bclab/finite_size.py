@@ -17,14 +17,14 @@ law costs O(n) time and memory.
 
 The Metropolis cross-estimator rests on the same fact: its chain state is the
 counts n_+, n_- and the total spin S, not a list of spins, and the acceptance
-of each of the six single-site moves is read from a table over S built once
-per call, so a step evaluates no exponential. From n = SKIP_MIN_N on, one
-vectorized pass per sweep sets aside the steps that every state near the
-sweep's start rejects, and the loop visits only the others, so the cost of a
-step follows the acceptance rate. At n = 10^4 and beta = 1 on a 2-core x86-64
-box, the loop visits 22% of the steps at K = K(1) + 0.4, about 60 ns a step
-against 140 ns when it visits every step, and 68% at K(1) + 1e-6, about 170
-against 180 ns (the site-list chain took about 630 ns).
+of each of the six single-site moves is read from one of three tables over S
+built once per call, so a step evaluates no exponential. From n = SKIP_MIN_N
+on, one vectorized pass per sweep sets aside the steps that every state near
+the sweep's start rejects, and the loop visits only the others, so the cost of
+a step follows the acceptance rate. At n = 10^4 and beta = 1 on a 2-core
+x86-64 box, the loop visits 22% of the steps at K = K(1) + 0.4, about 60 ns a
+step against 140 ns when it visits every step, and 68% at K(1) + 1e-6, about
+170 against 180 ns (the site-list chain took about 630 ns).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .minimize import ScaledFreeEnergy, magnetization
 from .model import ModelParams, check_count
 from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
-# the law and its moment take about 113 B per n, and building the Metropolis
-# acceptance tables about 112 B per n, so at most about 200 MB here
+# the law and its moment take about 113 B per n, and the Metropolis chain about
+# 88 B per n (its tables 64 B per n while built), so at most about 200 MB here
 N_MAX = 10**6
 MIN_BATCHES = 20
 # From this size on a Metropolis sweep first sets aside, in one vectorized
@@ -131,7 +131,7 @@ def _ratios(n: int, beta: float) -> array:
     return rhos
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _law_cached(n: int, beta: float, kappa: float) -> SpinLawExact:
     rhos = _ratios(n, beta)
     rhos.reverse()   # in place: np.log of a strided view may round differently
@@ -244,13 +244,15 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     return weighted_ratio(fs, ScaledFreeEnergy(params, n, float(n) ** gamma_bar), kinks)
 
 
-def _acceptance_tables(n: int, beta: float, kappa: float) -> list[array]:
+def _acceptance_tables(n: int, beta: float, kappa: float) -> list:
     """min(1, e^{-beta dH}) of the moves +1->0, +1->-1, -1->0, -1->+1, 0->+1,
-    0->-1 at every total spin S in [-n, n] (index S + n), as flat float64
-    tables; dH = (new^2 - old^2) - (K/n)(2 S ds + ds^2) with ds = new - old."""
+    0->-1 at every total spin S in [-n, n] (index S + n); dH = (new^2 - old^2)
+    - (K/n)(2 S ds + ds^2), ds = new - old. -1->0, -1->+1 and 0->-1 at S are
+    +1->0, +1->-1 and 0->+1 at -S to the bit: reversed views of those float64
+    tables, each clamped monotone in S as e^{-beta dH} is and exp may not be."""
     s = np.arange(-n, n + 1, dtype=float)
-    tables = [array("d", [0.0]) * (2 * n + 1) for _ in range(6)]
-    for table, (old, new) in zip(tables, ((1, 0), (1, -1), (-1, 0), (-1, 1), (0, 1), (0, -1))):
+    tables = [array("d", [0.0]) * (2 * n + 1) for _ in range(3)]
+    for table, (old, new) in zip(tables, ((1, 0), (1, -1), (0, 1))):
         ds = new - old
         # in place: freed table-sized temporaries left the peak RSS to heap layout
         x = np.frombuffer(table)
@@ -259,7 +261,10 @@ def _acceptance_tables(n: int, beta: float, kappa: float) -> list[array]:
         x *= kappa / n
         np.subtract(new * new - old * old, x, out=x)
         np.exp(np.minimum(0.0, np.multiply(-beta, x, out=x), out=x), out=x)
-    return tables
+        (np.maximum if ds > 0 else np.minimum).accumulate(x, out=x)
+    plus_zero, plus_minus, zero_plus = tables
+    return [plus_zero, plus_minus, memoryview(plus_zero)[::-1], memoryview(plus_minus)[::-1],
+            zero_plus, memoryview(zero_plus)[::-1]]
 
 
 def _walk(n: int, draws, uniforms, n_plus: int, first_minus: int,
@@ -380,9 +385,9 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     steps. Either way every draw is read in order and decided as by one loop
     over all steps, so the estimate is the same to the bit. At n = 10^4 the
     loop visits about 22% of the steps at beta = 1, K = K(1) + 0.4 and 68% at
-    K(1) + 1e-6; the module docstring gives the cost per step. The six tables
-    hold 96 B per n (112 B per n while built) and one sweep at most 40 B per
-    n more, so n is bounded by N_MAX.
+    K(1) + 1e-6; the module docstring gives the cost per step. The three
+    tables hold 48 B per n (64 B per n while built) and one sweep at most 40 B
+    per n more, so n is bounded by N_MAX.
     """
     n = check_n("mc_estimate", n)
     for name, value, low in (("sweeps", sweeps, MIN_BATCHES), ("burn_in", burn_in, 0),
@@ -402,20 +407,13 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     norm = n / (e_t + e_beta + e_t * e_t * e_beta)
     n_plus, n_minus = round(norm * e_beta), round(norm * e_t * e_t * e_beta)
 
-    # the pre-pass reads the largest acceptance over a range of S at one of
-    # its ends, so it runs only when every table is monotone in S; numpy's exp
-    # does not promise that, and at beta = 0.05, K = 1e-9, n = 10^6
-    # neighbouring entries differ by 1 ulp
-    prepass = n >= SKIP_MIN_N and all(
-        np.all(v[1:] >= v[:-1]) or np.all(v[1:] <= v[:-1])
-        for v in map(np.frombuffer, tables))
     state, half = (n_plus, n - n_minus), 2 * math.isqrt(n)
     samples = np.empty(sweeps)
     for sweep in range(burn_in + sweeps):
         draws = rng.integers(0, 2 * n, size=n)
         uniforms = rng.random(size=n)
         start, state = state, None
-        if prepass:
+        if n >= SKIP_MIN_N:
             kept = _uncertain_steps(n, draws, uniforms, tables, start, half)
             state = _walk_within(n, memoryview(draws[kept]), memoryview(uniforms[kept]),
                                  start, tables, half)

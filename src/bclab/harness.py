@@ -16,8 +16,8 @@ alpha as a rational string such as "1/3" in configs for exact threshold hits):
                              being a faithful estimator of the finite-size
                              magnetization past the threshold.
 
-One entry checks, sorts and pairs with params_at every n list, naming the
-operation on a bad n or an empty list; one builder makes every ReportRow.
+sequences._points checks, sorts and pairs with params_at every n list, naming
+the operation on a bad n or an empty list; one builder makes every ReportRow.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import numpy as np
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import magnetization
-from .model import ModelParams, check_count
-from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec,
+from .model import ModelParams
+from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _points,
                         _scaled_free_energies, g_tilde, gl_polynomial, limit_constant,
-                        params_at, scaling_exponents, weak_limit_polynomial, xbar)
+                        scaling_exponents, weak_limit_polynomial, xbar)
 
 
 class Estimator(enum.Enum):
@@ -92,15 +92,6 @@ def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponent
     return consts, exps
 
 
-def _points(op: str, spec, n_list, check=check_n) -> list[tuple[int, ModelParams]]:
-    """Pairs (n, params_at(spec, n)) by increasing n, raising naming op on a bad
-    n or an empty n_list; a fixed ModelParams spec is the constant sequence."""
-    ns = sorted(check(op, n) for n in n_list)
-    if not ns:
-        raise ValueError(f"{op}: n_list is empty")
-    return [(n, spec if isinstance(spec, ModelParams) else params_at(spec, n)) for n in ns]
-
-
 def _row(spec: SequenceSpec, exps: ScalingExponents, n: int, params: ModelParams,
          e: float | None = None) -> ReportRow:
     """The row of the point (n, params): m(beta_n, K_n) and moment e, each scaled."""
@@ -119,7 +110,7 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     """
     consts, exps = _constants_for(spec)
     rows = [_row(spec, exps, n, params)
-            for n, params in _points("run_thermo_asymptotics", spec, n_list, check_count)]
+            for n, params in _points("run_thermo_asymptotics", spec, n_list)]
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
@@ -137,7 +128,7 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     is no int in 1..N_MAX fails before any row runs.
     """
     consts, exps = _constants_for(spec)
-    points = _points("run_finite_size_asymptotics", spec, n_list)
+    points = _points("run_finite_size_asymptotics", spec, n_list, check_n)
 
     def row(n: int, params: ModelParams) -> ReportRow:
         if estimator is Estimator.EXACT:
@@ -168,7 +159,7 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
         if exps.regime(spec_or_params.alpha) is Regime.ABOVE:
             g_tilde(spec_or_params)
     rows = []
-    for n, params in _points("estimator_comparison", spec_or_params, n_list):
+    for n, params in _points("estimator_comparison", spec_or_params, n_list, check_n):
         m = magnetization(params)
         if m <= 0:
             raise ValueError(f"estimator_comparison: m(beta_n, K_n) = 0 at n = {n}, "
@@ -214,7 +205,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))
     rows = []
-    for n, params in _points("mdp_rate_estimate", spec, n_list):
+    for n, params in _points("mdp_rate_estimate", spec, n_list, check_n):
         log_p = log_tail_mass(finite_size_law(n, params), gamma, a)
         saturated = log_p == -math.inf
         rows.append(MdpRow(n=n, rate_est=None if saturated else -log_p / float(n) ** u,
@@ -267,7 +258,7 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     """
     _, exps = gl_polynomial(spec)
     exps.require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
-    points = _points("kappa_fluctuation_estimate", spec, n_list)
+    points = _points("kappa_fluctuation_estimate", spec, n_list, check_n)
     ns = [n for n, _ in points]
     if len(set(ns)) < 2:
         raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "

@@ -171,7 +171,7 @@ class TricriticalConjectureReport:
     ell_c_ref: float
 
 
-def verify_tricritical_conjectures(h_grid) -> TricriticalConjectureReport:
+def verify_tricritical_conjectures(h_grid=(1e-2, 1e-3)) -> TricriticalConjectureReport:
     """One-sided finite-difference estimates of K1'(beta_c) and K1''(beta_c).
 
     Uses the continuous extension K1(beta_c) = K(beta_c). The caller asserts

@@ -502,13 +502,22 @@ def limit_constant(poly: EvenPolynomial) -> float:
     return weighted_ratio(abs, poly)
 
 
+def _points(op: str, spec, n_list, check=check_count) -> list[tuple[int, ModelParams]]:
+    """Pairs (n, params_at(spec, n)) by increasing n, raising naming op on an
+    invalid spec, a bad n or an empty n_list; a fixed ModelParams spec is the
+    constant sequence."""
+    if isinstance(spec, SequenceSpec):
+        require_valid(op, spec)
+    ns = sorted(check(op, n) for n in n_list)
+    if not ns:
+        raise ValueError(f"{op}: n_list is empty")
+    return [(n, spec if isinstance(spec, ModelParams) else params_at(spec, n)) for n in ns]
+
+
 def _scaled_free_energies(op: str, spec: SequenceSpec, n_list, speed: float, shrink: float):
-    """(n, n^speed G_n(y/n^shrink)) per n, G_n at params_at(spec, n), the spec
-    and each n checked under op's name first: the one loop of the exponents."""
-    require_valid(op, spec)
-    ns = [check_count(op, n) for n in n_list]
-    return [(n, ScaledFreeEnergy(params_at(spec, n), float(n) ** speed, float(n) ** shrink))
-            for n in ns]
+    """(n, n^speed G_n(y/n^shrink)) per pair of _points: the one loop of the exponents."""
+    return [(n, ScaledFreeEnergy(params, float(n) ** speed, float(n) ** shrink))
+            for n, params in _points(op, spec, n_list)]
 
 
 def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tuple[int, float]]:

@@ -455,22 +455,6 @@ class TestCertainRejections:
         assert all(log[i + 1] == ("full", log[i][1]) for i in exits)
         assert sum(entry[0] == "full" for entry in log) == len(exits)
 
-    def test_no_prepass_over_a_table_not_monotone_in_s(self, monkeypatch):
-        # the thresholds are read at the ends of a range of S, so a table out
-        # of order turns the pre-pass off; the chain still reads that table
-        fs = bclab.finite_size
-        build = fs._acceptance_tables
-
-        def out_of_order(n, beta, kappa):
-            tables = build(n, beta, kappa)
-            tables[4][n] = 1.0   # 0 -> +1 at S = 0, above its value at S = 1
-            return tables
-
-        monkeypatch.setattr(fs, "_acceptance_tables", out_of_order)
-        monkeypatch.setattr(fs, "_uncertain_steps", None)
-        n = 2 * 10**4
-        assert mc_estimate(n, BENCH_POINT, sweeps=20) == reference_chain(n, BENCH_POINT, sweeps=20)
-
 
 class TestMonteCarlo:
     def test_deterministic(self):
@@ -543,8 +527,23 @@ class TestMonteCarlo:
                         temporary_acceptance_tables(n, beta, kappa))
             assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
+    @pytest.mark.parametrize("n, beta, kappa", [
+        (1, 1.0, 1.5), (3, 20.0, 0.5), (10**4, 1.0, 1.5), (10**4, 0.1, 1e-6),
+        (10**6, 0.05, 1e-9)])
+    def test_tables_are_monotone_in_s_with_mirrored_views(self, n, beta, kappa):
+        # the pre-pass reads a table's largest value over a range of S at one
+        # end; at beta = 0.05, K = 1e-9, n = 10^6 the tables are nearly flat.
+        # -1->0, -1->+1 and 0->-1 read +1->0, +1->-1 and 0->+1 reversed, as
+        # views of those tables, not copies
+        tables = bclab.finite_size._acceptance_tables(n, beta, kappa)
+        for base, mirror in ((0, 2), (1, 3), (4, 5)):
+            assert isinstance(tables[base], array) and tables[mirror].obj is tables[base]
+        for i, table in enumerate(tables):
+            steps = np.diff(np.asarray(table))
+            assert np.all(steps >= 0) if i in (2, 3, 4) else np.all(steps <= 0)
+
     def test_tables_make_no_temporary_of_their_size(self):
-        # the S grid and six tables; whole-array temporaries peaked at about
+        # the S grid and three tables; whole-array temporaries peaked at about
         # ten arrays of 2n + 1 floats
         n = 10**4
         tracemalloc.start()
@@ -553,12 +552,12 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7.5 * 8 * (2 * n + 1)
+        assert peak < 4.5 * 8 * (2 * n + 1)
 
     def test_chain_holds_its_tables_and_one_sweep(self):
-        # the docstring's bound: 96 B per n of tables and at most 40 B per n of
+        # the docstring's bound: 48 B per n of tables and at most 40 B per n of
         # one sweep's draws, uniforms and pre-pass temporaries; at n = 10^4 the
-        # pre-pass runs and the call peaked at 132.2 B per n
+        # pre-pass runs and the call peaks at 84.7 B per n
         n = 10**4
         assert n >= bclab.finite_size.SKIP_MIN_N
         mc_estimate(n, BENCH_POINT, sweeps=20)
@@ -568,7 +567,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (96 + 40) * n
+        assert peak < (48 + 40) * n
 
     def test_resource_limit(self):
         # bclab mc --n 10**8 used to build tables of about 16 GB before failing

@@ -369,8 +369,11 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
     ("weak_limit_distance", lambda law, p: weak_limit_distance(SEQ1_BELOW, 100)),
     ("estimator_comparison",
      lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
-    # an empty list returned an empty report
+    # an empty list returned an empty report, and these three an empty list
     ("run_thermo_asymptotics", lambda law, p: run_thermo_asymptotics(SEQ1_BELOW, [])),
+    ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, 2.0, [])),
+    ("check_hypothesis_v", lambda law, p: check_hypothesis_v(SEQ1_ABOVE, [1.0], [])),
+    ("scaled_free_energy_table", lambda law, p: scaled_free_energy_table(SEQ1_ABOVE, [1.0], [])),
     *[(op, lambda law, p, op=op, n=n: CALL_WITH_N[op](n)) for op, n in BAD_N_CASES],
 ], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf",
         "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
@@ -387,7 +390,8 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
         "mdp_rate_estimate-a-below-xbar", "mdp_rate_estimate-a=inf", "mdp_rate_estimate-a=nan",
         "kappa_fluctuation_estimate-fast-speed",
         "kappa_fluctuation_estimate-one-n", "weak_limit_distance-below",
-        "estimator_comparison", "run_thermo_asymptotics-empty",
+        "estimator_comparison", "run_thermo_asymptotics-empty", "check_hypothesis_iiia-empty",
+        "check_hypothesis_v-empty", "scaled_free_energy_table-empty",
         *[f"{op}-n={n}" for op, n in BAD_N_CASES]])
 def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
