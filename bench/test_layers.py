@@ -16,7 +16,8 @@ within 5e-13 of K1, where it solves K1 and must name the first-order curve;
 K1 there is checked against 50-digit mpmath. limit_constant runs on ybar of the
 README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
-beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs;
+beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs, and hs_lhs runs
+there with min(|x|, 1) and at n = 10^5 with |x|, each against hs_rhs;
 weak_limit_distance runs on the README seq1 spec at alpha = 0.8 and n = 4000,
 against the lattice-law mixture of tests/mixture_oracle.py. Past the exact
 law, on the same spec, hs_rhs runs at n = 10^13, gamma_bar = 1/4 against the
@@ -237,6 +238,25 @@ def test_hs_rhs(benchmark):
     rel_diff = abs(lhs - rhs) / abs(rhs)
     benchmark.extra_info.update(rhs=rhs, lhs=lhs, rel_diff=rel_diff)
     assert rel_diff <= 1e-8
+
+
+def min_abs_1(x):
+    return np.minimum(np.abs(x), 1.0)
+
+
+@pytest.mark.parametrize("n, f, kinks", [
+    (200, min_abs_1, (-1.0, 0.0, 1.0)),   # the criterion-06 point
+    (10**5, np.abs, (0.0,)),
+], ids=["200-min_abs_1", "100000-abs"])
+def test_hs_lhs(benchmark, n, f, kinks):
+    # the law is memoized, so every round after the first times the mixture alone
+    params, gamma_bar = ModelParams(1.0, 1.5), 0.2
+    lhs = benchmark(hs_lhs, n, params, gamma_bar, f, kinks=kinks)
+    rhs = hs_rhs(n, params, gamma_bar, f, kinks=kinks)
+    rel_diff = abs(lhs - rhs) / abs(rhs)
+    benchmark.extra_info.update(n=n, gamma_bar=gamma_bar, kinks=kinks, lhs=lhs, rhs=rhs,
+                                rel_diff=rel_diff)
+    assert rel_diff <= 1e-12
 
 
 def test_hs_rhs_past_the_exact_law(benchmark):

@@ -8,12 +8,15 @@ faithfully estimates the finite-size magnetization from the regime where it
 does not.
 
 ``model``, ``minimize`` and ``phase`` load with the package and need no numpy.
-The array layers enter sys.modules at once, by importlib's LazyLoader, but run
-and import numpy only at the first use of an attribute (or name, PEP 562).
+The array layers enter sys.modules at once, but run and import numpy only at
+the first use of an attribute (or name, PEP 562). That first use runs the
+layer under one lock, so another thread waits for the whole module.
 """
 
 import importlib.util as _util
 import sys as _sys
+import threading as _threading
+import types as _types
 
 from .model import (ModelParams, cumulant, cumulant_deriv, free_energy,
                     free_energy_deriv)
@@ -36,11 +39,34 @@ _LAZY = {  # the public names of the array layers
                "run_finite_size_asymptotics run_thermo_asymptotics weak_limit_distance",
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
+_LOAD_LOCK = _threading.RLock()   # one for all layers, as one layer's run loads another
+_RUNNING = set()
+
+
+class _LazyLayer(_types.ModuleType):
+    """An array layer whose module runs at the first attribute read. The read
+    holds _LOAD_LOCK until the module has run and the layer is a plain
+    module, so a read from another thread meanwhile waits; the loading
+    thread's own reads during the run pass through."""
+
+    def __getattribute__(self, attr):
+        read = _types.ModuleType.__getattribute__
+        with _LOAD_LOCK:
+            spec = read(self, "__spec__")
+            if type(self) is _LazyLayer and spec.name not in _RUNNING:
+                _RUNNING.add(spec.name)
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    _RUNNING.discard(spec.name)
+                self.__class__ = _types.ModuleType
+        return read(self, attr)
+
+
 for _module in _LAZY:
     _spec = _util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = _util.LazyLoader(_spec.loader)
     _sys.modules[_spec.name] = globals()[_module] = _util.module_from_spec(_spec)
-    _spec.loader.exec_module(globals()[_module])
+    globals()[_module].__class__ = _LazyLayer
 
 
 def __getattr__(name: str):

@@ -41,7 +41,7 @@ from .model import ModelParams, check_count
 from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
 # the law and its moment take about 113 B per n, and the Metropolis chain about
-# 88 B per n (its tables 64 B per n while built), so at most about 200 MB here
+# 88 B per n (its tables 64 B per n while built), so about 113 MB and 88 MB here
 N_MAX = 10**6
 MIN_BATCHES = 20
 # From this size on a Metropolis sweep first sets aside, in one vectorized
@@ -61,7 +61,7 @@ def check_n(op: str, n: int) -> int:
     if n > N_MAX:
         raise EnumerationLimitError(
             f"{op}: n = {n} exceeds N_MAX = {N_MAX}, the memory bound of the "
-            "exact law and the Metropolis tables (about 200 B per n)")
+            "exact law (about 113 B per n) and the Metropolis chain (about 88 B per n)")
     return n
 
 
@@ -214,10 +214,12 @@ def log_tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:
 def hs_lhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     """E f(S_n/n^(1-gb) + W_n/n^(1/2-gb)) with W_n ~ N(0, 1/(2 beta K)).
 
-    The spin part is exact; each lattice atom is convolved with its Gaussian
-    by quadrature (declare kink locations of f for the split rule). Equals
-    hs_rhs by the Gaussian-smoothing identity, which the test suite uses as
-    the primary correctness oracle of this module.
+    The spin part is exact: the atoms of the law above probability 1e-22,
+    each convolved with its Gaussian, form a mixture that
+    gaussian_mixture_expectation integrates in one pass (declare the kinks
+    of f). Equals hs_rhs by the Gaussian-smoothing identity, which the test
+    suite uses as the primary correctness oracle of this module: within
+    1e-12 relative up to n = N_MAX for |x| and min(|x|, j) (3e-14 measured).
     """
     n = check_n("hs_lhs", n)
     _check_unit_interval("hs_lhs", "gamma_bar", gamma_bar)
@@ -244,7 +246,7 @@ def hs_rhs(n: int, params: ModelParams, gamma_bar: float, f, kinks=()) -> float:
     return weighted_ratio(fs, ScaledFreeEnergy(params, n, float(n) ** gamma_bar), kinks)
 
 
-def _acceptance_tables(n: int, beta: float, kappa: float) -> list:
+def _acceptance_tables(n: int, beta: float, kappa: float) -> list[array | memoryview]:
     """min(1, e^{-beta dH}) of the moves +1->0, +1->-1, -1->0, -1->+1, 0->+1,
     0->-1 at every total spin S in [-n, n] (index S + n); dH = (new^2 - old^2)
     - (K/n)(2 S ds + ds^2), ds = new - old. -1->0, -1->+1 and 0->-1 at S are
@@ -268,7 +270,7 @@ def _acceptance_tables(n: int, beta: float, kappa: float) -> list:
 
 
 def _walk(n: int, draws, uniforms, n_plus: int, first_minus: int,
-          tables: list[array]) -> tuple[int, int]:
+          tables: list[array | memoryview]) -> tuple[int, int]:
     """The state (n_+, n - n_-) that the Metropolis steps (r, u) of draws and
     uniforms lead to from (n_plus, first_minus).
 
@@ -316,8 +318,8 @@ def _walk(n: int, draws, uniforms, n_plus: int, first_minus: int,
     return n_plus, first_minus
 
 
-def _walk_within(n: int, draws, uniforms, start: tuple[int, int], tables: list[array],
-                 half: int) -> tuple[int, int] | None:
+def _walk_within(n: int, draws, uniforms, start: tuple[int, int],
+                 tables: list[array | memoryview], half: int) -> tuple[int, int] | None:
     """The state _walk reaches, or None if it reaches the edge of the window
     of half-width half around start with steps still to walk.
 
@@ -335,8 +337,9 @@ def _walk_within(n: int, draws, uniforms, start: tuple[int, int], tables: list[a
     return state
 
 
-def _uncertain_steps(n: int, draws: np.ndarray, uniforms: np.ndarray, tables: list[array],
-                     start: tuple[int, int], half: int) -> np.ndarray:
+def _uncertain_steps(n: int, draws: np.ndarray, uniforms: np.ndarray,
+                     tables: list[array | memoryview], start: tuple[int, int],
+                     half: int) -> np.ndarray:
     """Indices of the steps that some state within half of start might accept.
 
     Every other step is rejected from every state (n_plus, first_minus) of

@@ -78,6 +78,37 @@ class TestRuntimeDependencies:
         assert loaded == "[]"
         assert names == str(sorted(PUBLIC_NAMES)) and resolved == "True"
 
+    def test_concurrent_first_use_of_the_array_layers(self):
+        # the first read of a layer runs it under one lock: threads that read
+        # it meanwhile wait for the whole module, where a half-run one raised
+        # AttributeError; each fresh interpreter loads the layers anew
+        script = (
+            "import threading\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import bclab\n"
+            "p = bclab.ModelParams(1.0, 1.5)\n"
+            "with ThreadPoolExecutor(4) as pool:\n"
+            "    means = list(pool.map(lambda n: bclab.abs_moment(bclab.finite_size_law(n, p)),\n"
+            "                          [100, 200, 300, 400]))\n"
+            "assert all(0.7 < m < 0.8 for m in means), means\n"
+            "barrier = threading.Barrier(8)\n"
+            "read = []\n"
+            "def first_use():\n"
+            "    barrier.wait()\n"
+            "    read.append((bclab.sequences.params_at, bclab.harness.weak_limit_distance))\n"
+            "threads = [threading.Thread(target=first_use) for _ in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "print(len(read))\n")
+        src = os.path.dirname(os.path.dirname(bclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for _ in range(3):
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0 and run.stdout == "8\n", run.stderr
+
 
 # bclab.__all__: the eager layers' names and modules, then the lazy ones'
 PUBLIC_NAMES = """

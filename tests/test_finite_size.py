@@ -116,7 +116,7 @@ class TestFiniteSizeLaw:
     def test_resource_limit(self):
         with pytest.raises(EnumerationLimitError,
                            match=f"^finite_size_law: n = {N_MAX + 1} exceeds "
-                                 f"N_MAX = {N_MAX}.*200 B per n"):
+                                 f"N_MAX = {N_MAX}.*113 B per n.*88 B per n"):
             finite_size_law(N_MAX + 1, ModelParams(1.0, 1.0))
         with pytest.raises(ValueError, match="^finite_size_law: n must be >= 1"):
             finite_size_law(0, ModelParams(1.0, 1.0))
@@ -274,6 +274,23 @@ class TestSmoothingIdentity:
             lhs = hs_lhs(n, params, gamma_bar, f, kinks=kinks)
             rhs = hs_rhs(n, params, gamma_bar, f, kinks=kinks)
             assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    @pytest.mark.parametrize("gamma_bar", [0.0, 0.2, 0.4])
+    def test_lhs_equals_rhs_at_large_n(self, n, gamma_bar):
+        params = ModelParams(1.0, 1.5)
+        for f, kinks in ((lambda x: np.minimum(np.abs(x), 1.0), (-1.0, 0.0, 1.0)),
+                         (np.abs, (0.0,))):
+            lhs = hs_lhs(n, params, gamma_bar, f, kinks=kinks)
+            rhs = hs_rhs(n, params, gamma_bar, f, kinks=kinks)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_lhs_equals_rhs_at_the_bound(self):
+        # 24,098 lattice atoms, each with three kinks; measured 6e-16
+        params, f = ModelParams(1.0, 1.5), lambda x: np.minimum(np.abs(x), 1.0)
+        lhs = hs_lhs(N_MAX, params, 0.0, f, kinks=(-1.0, 0.0, 1.0))
+        rhs = hs_rhs(N_MAX, params, 0.0, f, kinks=(-1.0, 0.0, 1.0))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_lhs_equals_rhs_between_grid_scalings(self):
         params = ModelParams(1.0, 1.5)
@@ -575,7 +592,7 @@ class TestMonteCarlo:
         try:
             with pytest.raises(EnumerationLimitError,
                                match=f"^mc_estimate: n = {N_MAX + 1} exceeds "
-                                     f"N_MAX = {N_MAX}.*200 B per n"):
+                                     f"N_MAX = {N_MAX}.*113 B per n.*88 B per n"):
                 mc_estimate(N_MAX + 1, ModelParams(1.0, 1.0), sweeps=20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
