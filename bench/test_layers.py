@@ -19,7 +19,9 @@ alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
 beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs, and hs_lhs runs
 there with min(|x|, 1) and at n = 10^5 with |x|, each against hs_rhs;
 weak_limit_distance runs on the README seq1 spec at alpha = 0.8 and n = 4000,
-against the lattice-law mixture of tests/mixture_oracle.py. Past the exact
+against the lattice-law mixture of tests/mixture_oracle.py. params_at, which
+every sequence row calls, runs on the README seq1 spec at n = 4000, its K_n
+against 50-digit mpmath, with the share of each call that its validate takes. Past the exact
 law, on the same spec, hs_rhs runs at n = 10^13, gamma_bar = 1/4 against the
 limit second moment Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.8767448, and
 weak_limit_distance at n = 10^16 against the n^-(alpha - 1/2) trend from
@@ -51,6 +53,7 @@ import os
 import statistics
 import subprocess
 import sys
+import timeit
 
 import mpmath as mp
 import numpy as np
@@ -65,7 +68,7 @@ import bclab
 from bclab import (N_MAX, ModelParams, SequenceSpec, abs_moment, aitken_limit, cli,
                    finite_size, finite_size_law, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
                    limit_constant, mc_estimate, params_at, run_finite_size_asymptotics,
-                   spec_from_json, weak_limit_distance, xbar)
+                   spec_from_json, validate, weak_limit_distance, xbar)
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import magnetization
 from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_order_k
@@ -283,6 +286,23 @@ def test_weak_limit_distance(benchmark):
     benchmark.extra_info.update(n=n, distance=distance, oracle=oracle,
                                 abs_diff=abs(distance - oracle))
     assert abs(distance - oracle) <= 3e-7
+
+
+def test_params_at(benchmark):
+    spec, n = spec_from_json(README_SEQ1), 4000
+    params = benchmark(params_at, spec, n)
+    validate_s = statistics.median(timeit.repeat(lambda: validate(spec), number=1000,
+                                                 repeat=7)) / 1000
+    with mp.workdps(50):
+        beta = mp.mpf(spec.beta)
+        # K_n = K(beta) + k / n^alpha, with K(beta) = e^beta / (4 beta) + 1 / (2 beta)
+        ref = mp.exp(beta) / (4 * beta) + 1 / (2 * beta) + spec.k / mp.mpf(n) ** spec.alpha
+        rel_err = float(abs(params.kappa - ref) / ref)
+    call_s = benchmark.stats.stats.median
+    benchmark.extra_info.update(n=n, kappa_n=params.kappa, reference=float(ref),
+                                rel_err=rel_err, call_us=call_s * 1e6,
+                                validate_us=validate_s * 1e6, validate_share=validate_s / call_s)
+    assert params.beta == spec.beta and rel_err <= 1e-15
 
 
 def test_cli_sequence_run(benchmark, tmp_path):

@@ -16,8 +16,9 @@ alpha as a rational string such as "1/3" in configs for exact threshold hits):
                              being a faithful estimator of the finite-size
                              magnetization past the threshold.
 
-sequences._points checks, sorts and pairs with params_at every n list, naming
-the operation on a bad n or an empty list; one builder makes every ReportRow.
+Each report takes its points first: sequences._points checks the spec and the
+n list under the report's name, then pairs each n with params_at. Only then
+does it read its constants; one builder makes every ReportRow.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     Cost is independent of n, so the list may run to 10^9 and beyond; the
     scaled column converges to xbar.
     """
+    points = _points("run_thermo_asymptotics", spec, n_list)
     consts, exps = _constants_for(spec)
-    rows = [_row(spec, exps, n, params)
-            for n, params in _points("run_thermo_asymptotics", spec, n_list)]
+    rows = [_row(spec, exps, n, params) for n, params in points]
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
@@ -127,8 +128,8 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     thread count. Monte Carlo rows are seeded per row as seed ^ n. An n that
     is no int in 1..N_MAX fails before any row runs.
     """
-    consts, exps = _constants_for(spec)
     points = _points("run_finite_size_asymptotics", spec, n_list, check_n)
+    consts, exps = _constants_for(spec)
 
     def row(n: int, params: ModelParams) -> ReportRow:
         if estimator is Estimator.EXACT:
@@ -153,13 +154,12 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     sequence, whose ratio tends to 1 at any coexistence point. A ValueError
     names the first n whose m(beta_n, K_n) is 0, outside coexistence.
     """
-    if not isinstance(spec_or_params, ModelParams):
-        # the report's guards without its limit constant: an invalid spec, seq6 above alpha0
-        _, exps = gl_polynomial(spec_or_params)
-        if exps.regime(spec_or_params.alpha) is Regime.ABOVE:
+    points = _points("estimator_comparison", spec_or_params, n_list, check_n)
+    if isinstance(spec_or_params, SequenceSpec):  # the report's seq6 guard, no limit constant
+        if scaling_exponents(spec_or_params).regime(spec_or_params.alpha) is Regime.ABOVE:
             g_tilde(spec_or_params)
     rows = []
-    for n, params in _points("estimator_comparison", spec_or_params, n_list, check_n):
+    for n, params in points:
         m = magnetization(params)
         if m <= 0:
             raise ValueError(f"estimator_comparison: m(beta_n, K_n) = 0 at n = {n}, "
@@ -194,6 +194,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     also carries a free-energy shift that decays like n^-alpha and a prefactor
     term of order log n / n^u.
     """
+    points = _points("mdp_rate_estimate", spec, n_list, check_n)
     g, exps = gl_polynomial(spec)
     exps.require("mdp_rate_estimate", spec.alpha, Regime.BELOW)
     xb = xbar(g).value
@@ -205,7 +206,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))
     rows = []
-    for n, params in _points("mdp_rate_estimate", spec, n_list, check_n):
+    for n, params in points:
         log_p = log_tail_mass(finite_size_law(n, params), gamma, a)
         saturated = log_p == -math.inf
         rows.append(MdpRow(n=n, rate_est=None if saturated else -log_p / float(n) ** u,
@@ -233,9 +234,10 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     rule on one 40001-point grid, cut where both weights are below e^-60 of
     their peaks (both weight_window cutoffs). Cost does not depend on n.
     """
-    poly = weak_limit_polynomial(spec, "weak_limit_distance")
-    [(_, phi)] = _scaled_free_energies("weak_limit_distance", spec, [n], 1.0,
-                                       scaling_exponents(spec).theta_alpha0)
+    exps = scaling_exponents(spec)
+    [(_, phi)] = _scaled_free_energies("weak_limit_distance", spec, [n], 1.0, exps.theta_alpha0)
+    exps.require("weak_limit_distance", spec.alpha, Regime.AT, Regime.ABOVE)
+    poly = weak_limit_polynomial(spec)
     half_width = max(poly.weight_window()[1], phi.weight_window()[1])
     grid = np.linspace(-half_width, half_width, 40001)
     cdf_n = _cdf(-phi(grid), grid)
@@ -256,9 +258,8 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     reported alongside the fitted slope for informal comparison only; nothing
     here is asserted by the acceptance suite.
     """
-    _, exps = gl_polynomial(spec)
-    exps.require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
     points = _points("kappa_fluctuation_estimate", spec, n_list, check_n)
+    scaling_exponents(spec).require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
     ns = [n for n, _ in points]
     if len(set(ns)) < 2:
         raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "
@@ -274,5 +275,5 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     vals = np.array([r[1] for r in rows])
     slope = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(vals), 1)[0]
     return KappaFitReport(fitted_exponent=float(-slope),
-                          conjectured_kappa=exps.kappa(spec.alpha),
+                          conjectured_kappa=scaling_exponents(spec).kappa(spec.alpha),
                           rows=tuple(rows))

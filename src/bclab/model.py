@@ -132,7 +132,7 @@ def cumulant_deriv(beta: float, t, order: int):
     """
     check_beta("cumulant_deriv", beta)
     if order not in _CUMULANT_ORDERS:
-        raise ValueError(f"order must be in {_CUMULANT_ORDERS}, got {order}")
+        raise ValueError(f"cumulant_deriv: order must be in {_CUMULANT_ORDERS}, got {order}")
     return _elementwise("cumulant_deriv", "t", lambda b, v: _cumulant_derivs(b, v)[order == 2],
                         beta, t)
 
@@ -290,7 +290,7 @@ def free_energy_deriv(params: ModelParams, x, order: int):
     overflows c' = sign x and c'' = 0, as in free_energy, and G''(0) = -inf.
     """
     if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+        raise ValueError(f"free_energy_deriv: order must be 1 or 2, got {order}")
     return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar, params.beta, x,
                         2.0 * params.beta * params.kappa, order)
 

@@ -52,10 +52,10 @@ def second_order_k_deriv(beta: float, order: int) -> float:
     """
     check_beta("second_order_k_deriv", beta)
     if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order}")
+        raise ValueError(f"second_order_k_deriv: order must be a positive integer, got {order}")
     if order > MAX_CURVE_DERIV_ORDER:
-        raise ValueError(
-            f"order {order} exceeds the supported cap {MAX_CURVE_DERIV_ORDER}")
+        raise ValueError(f"second_order_k_deriv: order {order} exceeds the supported "
+                         f"cap {MAX_CURVE_DERIV_ORDER}")
     s = 0.0
     for i in range(order + 1):
         r = order - i
@@ -187,7 +187,7 @@ def verify_tricritical_conjectures(h_grid=(1e-2, 1e-3)) -> TricriticalConjecture
                          ">= 1e-5; below it the second difference of K1 is "
                          "rounding noise (~4e-16/h^2)")
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
-        raise ValueError("h_grid must be strictly decreasing")
+        raise ValueError("verify_tricritical_conjectures: h_grid must be strictly decreasing")
     k0 = second_order_k(BETA_C)
     rows = []
     for h in h_grid:

@@ -97,8 +97,8 @@ def _quad(f, lo: float, hi: float, points):
         heapq.heappush(panels, _gk21(f, a, mid))
         heapq.heappush(panels, _gk21(f, mid, b))
     if err > max(1e-12, 10 * REL_TOL * abs(val)):
-        raise QuadratureError(
-            f"integral did not converge: value {val:.6g}, achieved abs error {err:.3g}")
+        raise QuadratureError(f"weighted_ratio: integral did not converge: value {val:.6g}, "
+                              f"achieved abs error {err:.3g}")
     return val
 
 
@@ -135,7 +135,7 @@ def gaussian_mixture_expectation(f, means, probs, sigma: float, kinks=()) -> flo
     means = np.asarray(means, dtype=float)[:, None]
     probs = np.asarray(probs, dtype=float)
     if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+        raise ValueError("gaussian_mixture_expectation: sigma must be > 0")
     kinks = np.sort(np.asarray(kinks, dtype=float))
     acc = np.zeros(len(probs))
     for edge in range(-12, 12, 3):
@@ -154,7 +154,7 @@ def aitken_limit(values) -> float:
     Falls back to the final value when the second difference vanishes.
     """
     if len(values) < 3:
-        raise ValueError("need at least three values to extrapolate")
+        raise ValueError("aitken_limit: need at least three values to extrapolate")
     a1, a2, a3 = values[-3], values[-2], values[-1]
     den = a3 - 2.0 * a2 + a1
     if den == 0.0:

@@ -448,10 +448,7 @@ def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]
     """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
     require_valid("gl_polynomial", spec)
     a = _approach(spec)
-    g = EvenPolynomial(c2=a.beta0 * a.d / math.factorial(a.p), c4=a.c4, c6=a.c6)
-    if g.degree not in (4, 6):
-        raise AssertionError(f"scaling polynomial degenerated to degree {g.degree}")
-    return g, a.exponents
+    return EvenPolynomial(c2=a.beta0 * a.d / math.factorial(a.p), c4=a.c4, c6=a.c6), a.exponents
 
 
 def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
@@ -461,15 +458,16 @@ def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
             "g_tilde: seq6 has no coercive high-order limit polynomial: the scaled "
             "free energy n G(x/n^(theta alpha0)) converges to 0 pointwise, so no "
             "above-threshold asymptotics exist for it")
-    g, _ = gl_polynomial(spec)
-    return g.leading_term()
+    require_valid("g_tilde", spec)
+    return gl_polynomial(spec)[0].leading_term()
 
 
-def weak_limit_polynomial(spec: SequenceSpec, op: str = "weak_limit_polynomial") -> EvenPolynomial:
+def weak_limit_polynomial(spec: SequenceSpec) -> EvenPolynomial:
     """Polynomial whose exp(-poly) is the weak limit of S_n/n^(1-theta alpha0):
-    g at alpha0 and g~ above it. Below alpha0 it raises a ValueError naming op."""
+    g at alpha0 and g~ above it. Below alpha0 it raises a ValueError."""
+    require_valid("weak_limit_polynomial", spec)
     g, exps = gl_polynomial(spec)
-    if exps.require(op, spec.alpha, Regime.AT, Regime.ABOVE) is Regime.AT:
+    if exps.require("weak_limit_polynomial", spec.alpha, Regime.AT, Regime.ABOVE) is Regime.AT:
         return g
     return g_tilde(spec)
 
@@ -528,11 +526,12 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
-    g, exps = gl_polynomial(spec)
+    exps = scaling_exponents(spec)
+    rows = _scaled_free_energies("check_hypothesis_iiia", spec, n_list,
+                                 spec.alpha / exps.alpha0, exps.theta * spec.alpha)
     xs = np.linspace(-radius, radius, 2001)
-    gx = g(xs)
-    return [(n, float(np.max(np.abs(phi(xs) - gx)))) for n, phi in _scaled_free_energies(
-        "check_hypothesis_iiia", spec, n_list, spec.alpha / exps.alpha0, exps.theta * spec.alpha)]
+    gx = gl_polynomial(spec)[0](xs)
+    return [(n, float(np.max(np.abs(phi(xs) - gx)))) for n, phi in rows]
 
 
 def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:
@@ -540,12 +539,12 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
 
     Requires Regime.ABOVE; rejects seq6 for the same reason g_tilde does.
     """
-    gt = g_tilde(spec)
-    scaling_exponents(spec).require("check_hypothesis_v", spec.alpha, Regime.ABOVE)
+    exps = scaling_exponents(spec)
+    rows = _scaled_free_energies("check_hypothesis_v", spec, n_list, 1.0, exps.theta_alpha0)
+    exps.require("check_hypothesis_v", spec.alpha, Regime.ABOVE)
     xs = np.asarray(x_grid, dtype=float)
-    gx = gt(xs)
-    return [(n, np.abs(phi(xs) - gx)) for n, phi in _scaled_free_energies(
-        "check_hypothesis_v", spec, n_list, 1.0, scaling_exponents(spec).theta_alpha0)]
+    gx = g_tilde(spec)(xs)
+    return [(n, np.abs(phi(xs) - gx)) for n, phi in rows]
 
 
 def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:

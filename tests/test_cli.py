@@ -186,6 +186,13 @@ class TestPhaseDiagram:
         assert "BETA_MAX = 350.0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_point_rejected(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        assert main(["phase-diagram", "--beta-min", "1.0", "--beta-max", "1.6",
+                     "--points", "1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: points: must be >= 2\n"
+        assert not out.exists()
+
 
 class TestFiniteSizeCommand:
     def test_law_csv_normalized(self, tmp_path):
@@ -364,7 +371,10 @@ class TestConfigFile:
         (["phase-diagram", "--beta-min", "1", "--beta-max", "2", "-o", "c.csv"],
          {"points": 3.5}),
         (["finite-size", "--beta", "1", "--kappa", "1.5", "-o", "l.csv"], {"n": 40.7}),
-    ], ids=["beta-text", "beta-bool", "points-fraction", "n-fraction"])
+        (["sequence-run"], {"n_list": 100, "spec": SEQ1_DOC, "output_path": "r.csv"}),
+        (["magnetize", "--beta", "1", "--kappa", "1.5"], {"output_path": 5}),
+    ], ids=["beta-text", "beta-bool", "points-fraction", "n-fraction", "n_list-number",
+            "output_path-number"])
     def test_bad_values_name_the_field(self, tmp_path, capsys, monkeypatch, argv, doc):
         # these crashed with TypeError (exit 1) or ran on a coerced value
         monkeypatch.chdir(tmp_path)
@@ -372,6 +382,12 @@ class TestConfigFile:
         assert main(argv + ["--config", "cfg.json"]) == 2
         assert f"config error: {next(iter(doc))}: " in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1.0, 1.5]), encoding="utf-8")
+        assert main(["magnetize", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: config: file must hold a JSON object\n"
 
     def test_config_spec_inline(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -499,6 +515,19 @@ class TestExperimentConfigValidation:
         assert main([command, "--spec", write_spec(tmp_path), *extra, "--n", ",",
                      "-o", str(out)]) == 2
         assert capsys.readouterr().err == "config error: n_list: must hold at least one n\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, op, extra", [
+        ("sequence-run", "run_finite_size_asymptotics", []),
+        ("mdp-check", "mdp_rate_estimate", ["--a", "2.4"]),
+        ("weak-limit", "weak_limit_distance", ["--alpha", "0.8"])])
+    def test_invalid_spec_names_the_operation(self, tmp_path, capsys, command, op, extra):
+        # each named gl_polynomial, which the operation called before its own check
+        out = tmp_path / "x.csv"
+        spec = write_spec(tmp_path, dict(SEQ1_DOC, b=1, k=0.0))
+        assert main([command, "--spec", spec, *extra, "--n", "100", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{command} failed: SpecValidationError: {op}: violated: k nonzero (margin 0)\n")
         assert not out.exists()
 
     def test_unknown_estimator_rejected(self, tmp_path, capsys):

@@ -11,20 +11,22 @@ from mp_reference import (magnetization_mp, spinodal_numerator_decimal,
                           spinodal_numerator_mp)
 from scipy.special import ndtr
 
-from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator,
-                   MinimumSet, ModelParams, Regime, SequenceSpec, UnsupportedSequenceError,
+from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator, EvenPolynomial,
+                   MinimumSet, ModelParams, QuadratureError, Regime, SequenceSpec,
+                   SpecValidationError, UnsupportedSequenceError, aitken_limit,
                    check_hypothesis_iiia, check_hypothesis_v,
-                   coexistence_onset, estimator_comparison, finite_size_law,
+                   coexistence_onset, cumulant_deriv, estimator_comparison, finite_size_law,
                    first_order_k, free_energy, free_energy_deriv, g_tilde,
                    gl_polynomial, kappa_fluctuation_estimate, magnetization,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
                    run_thermo_asymptotics, scaled_free_energy_table,
-                   second_order_k, second_order_k_deriv,
+                   second_order_k, second_order_k_deriv, verify_tricritical_conjectures,
                    weak_limit_distance, weak_limit_polynomial, xbar)
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, mc_estimate, minimize
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import min_free_energy
 from bclab.model import BETA_MAX, Tilt
+from bclab.quadrature import gaussian_mixture_expectation, weighted_ratio
 from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C
 
 SEQ1_BELOW = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
@@ -374,6 +376,19 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
     ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, 2.0, [])),
     ("check_hypothesis_v", lambda law, p: check_hypothesis_v(SEQ1_ABOVE, [1.0], [])),
     ("scaled_free_energy_table", lambda law, p: scaled_free_energy_table(SEQ1_ABOVE, [1.0], [])),
+    # these eight raised without the operation's name
+    ("aitken_limit", lambda law, p: aitken_limit([1.0, 2.0])),
+    ("verify_tricritical_conjectures",
+     lambda law, p: verify_tricritical_conjectures((1e-3, 1e-2))),
+    ("second_order_k_deriv", lambda law, p: second_order_k_deriv(1.0, 0)),
+    ("second_order_k_deriv", lambda law, p: second_order_k_deriv(1.0, 13)),
+    ("cumulant_deriv", lambda law, p: cumulant_deriv(1.0, 0.0, 3)),
+    ("free_energy_deriv", lambda law, p: free_energy_deriv(p, 0.5, 3)),
+    ("gaussian_mixture_expectation",
+     lambda law, p: gaussian_mixture_expectation(np.abs, [0.0], [1.0], 0.0)),
+    # 1/3 is no quadrature node; the error is a QuadratureError
+    ("weighted_ratio", lambda law, p: weighted_ratio(lambda x: 1.0 / abs(x - 1.0 / 3.0),
+                                                     EvenPolynomial(c2=1.0))),
     *[(op, lambda law, p, op=op, n=n: CALL_WITH_N[op](n)) for op, n in BAD_N_CASES],
 ], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf",
         "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
@@ -392,11 +407,39 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
         "kappa_fluctuation_estimate-one-n", "weak_limit_distance-below",
         "estimator_comparison", "run_thermo_asymptotics-empty", "check_hypothesis_iiia-empty",
         "check_hypothesis_v-empty", "scaled_free_energy_table-empty",
+        "aitken_limit-two-values", "verify_tricritical_conjectures-increasing",
+        "second_order_k_deriv-order=0", "second_order_k_deriv-order=13",
+        "cumulant_deriv-order", "free_energy_deriv-order", "gaussian_mixture_expectation",
+        "weighted_ratio-no-convergence",
         *[f"{op}-n={n}" for op, n in BAD_N_CASES]])
 def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
-    with pytest.raises(ValueError, match=f"^{op}: "):
+    with pytest.raises(QuadratureError if op == "weighted_ratio" else ValueError,
+                       match=f"^{op}: "):
         call(finite_size_law(20, params), params)
+
+
+SPEC_FIRST = {  # operation: its call on a spec, which checks the spec before anything else
+    "run_thermo_asymptotics": lambda spec: run_thermo_asymptotics(spec, [100]),
+    "run_finite_size_asymptotics": lambda spec: run_finite_size_asymptotics(spec, [100]),
+    "estimator_comparison": lambda spec: estimator_comparison(spec, [100]),
+    "mdp_rate_estimate": lambda spec: mdp_rate_estimate(spec, 3.0, [100]),
+    "weak_limit_distance": lambda spec: weak_limit_distance(spec, 100),
+    "kappa_fluctuation_estimate": lambda spec: kappa_fluctuation_estimate(spec, [100, 200]),
+    "check_hypothesis_iiia": lambda spec: check_hypothesis_iiia(spec, 2.0, [100]),
+    "check_hypothesis_v": lambda spec: check_hypothesis_v(spec, [1.0], [100]),
+    "g_tilde": g_tilde,
+    "weak_limit_polynomial": weak_limit_polynomial,
+}
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("op", SPEC_FIRST)
+def test_invalid_spec_names_the_operation(op, alpha):
+    # each named gl_polynomial, which it called before checking its points;
+    # the spec check comes first in every regime, before the regime's own
+    with pytest.raises(SpecValidationError, match=f"^{op}: violated: k nonzero"):
+        SPEC_FIRST[op](SequenceSpec(kind="seq1", alpha=alpha, beta=1.0, b=1, k=0.0))
 
 
 @pytest.mark.parametrize("n_list", [[100.5], [True, 100], [0, 100], [100, N_MAX + 1], []])

@@ -137,7 +137,7 @@ class TestCumulantDeriv:
 
     def test_rejects_bad_order(self):
         for order in (0, 3, 4, 5):
-            with pytest.raises(ValueError, match=r"^order must be in \(1, 2\)"):
+            with pytest.raises(ValueError, match=r"^cumulant_deriv: order must be in \(1, 2\)"):
                 cumulant_deriv(1.0, 0.0, order)
         # an order equal to 1 or 2 is accepted whatever its type
         assert cumulant_deriv(1.0, 0.5, 2.0) == cumulant_deriv(1.0, 0.5, 2)

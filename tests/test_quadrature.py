@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mp_reference import exp_poly_abs_moment_mp
 
-from bclab import (EvenPolynomial, QuadratureError, g_tilde, gl_polynomial,
+from bclab import (EvenPolynomial, QuadratureError, aitken_limit, g_tilde, gl_polynomial,
                    limit_constant, spec_from_json)
 from bclab.quadrature import gaussian_mixture_expectation, weighted_ratio
 
@@ -28,6 +28,10 @@ def test_vanishing_weight_integral_raises():
     with pytest.raises(QuadratureError,
                        match=r"^weighted_ratio: the weight integral .* is 0\.0"):
         weighted_ratio(abs, EvenPolynomial(c2=-1e8, c4=5e7))
+
+
+def test_aitken_limit_of_a_zero_second_difference_is_the_last_value():
+    assert aitken_limit([1.0, 2.0, 3.0]) == 3.0
 
 
 @pytest.mark.parametrize("constant", ["ybar", "zbar"])

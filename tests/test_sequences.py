@@ -10,7 +10,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from bclab import (BETA_C, EvenPolynomial, MinimumSet, Regime, SequenceSpec,
-                   SpecValidationError, UnsupportedSequenceError,
+                   SpecValidationError, UnsupportedSequenceError, XbarResult,
                    c4_coefficient, check_hypothesis_iiia, check_hypothesis_v,
                    coexistence_onset, critical_constants, g_tilde,
                    gl_polynomial, limit_constant, params_at,
@@ -138,6 +138,9 @@ class TestEvenPolynomial:
         assert g(2.0) == pytest.approx(-4.0 + 8.0)
         assert EvenPolynomial(c2=1.0).degree == 2
         assert EvenPolynomial(c2=-1.0, c6=1.0).degree == 6
+
+    def test_leading_term_of_a_quadratic_is_itself(self):
+        assert EvenPolynomial(c2=2.0).leading_term() == EvenPolynomial(c2=2.0)
 
 
 class TestSequenceSpecConstruction:
@@ -378,6 +381,15 @@ class TestParamsAt:
         with pytest.raises(ValueError, match=r"^params_at: beta_n at n = 8: .* got -0\.03"):
             params_at(low, 8)
 
+    def test_coexistence_onset_never_reached(self):
+        # d = -1e-9 is valid, but at alpha = 0.05 the ell-term stays below the
+        # curve remainder through every probe
+        spec = SequenceSpec(kind="seq5", alpha=0.05,
+                            ell=second_order_k_deriv(BETA_C, 2) + 1e-9)
+        with pytest.raises(SpecValidationError,
+                           match=r"^coexistence_onset: sequence never entered .* n = 2\^20$"):
+            coexistence_onset(spec)
+
 
 class TestGlPolynomial:
     def test_seq1_coefficients(self):
@@ -499,6 +511,12 @@ class TestXbar:
 
     def test_positive_definite_has_origin_only(self):
         assert xbar(EvenPolynomial(c2=1.0, c4=1.0)).value == 0.0
+
+    def test_outer_well_above_zero_has_origin_only(self):
+        # g has a local minimum at x = 0.874, where g = 0.16 > g(0)
+        g = EvenPolynomial(c2=1.0, c4=-1.8, c6=1.0)
+        assert g.outer_well() > 0 and g(g.outer_well()) > 0
+        assert xbar(g) == XbarResult(0.0, MinimumSet.PLUS_MINUS)
 
     def test_seq4_case_d_three_point(self):
         g, _ = gl_polynomial(seq4_case_d())
