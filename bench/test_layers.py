@@ -13,7 +13,9 @@ phase-curve grid's first-order range and at beta_c + 1e-6 and + 1e-10, where
 the descent starts at the series root of the well depth. classify runs at beta = 2, K = 0.99 K1 and 1.01 K1,
 where its two well probes decide without a K1 solve, and at beta = 1.5
 within 5e-13 of K1, where it solves K1 and must name the first-order curve;
-K1 there is checked against 50-digit mpmath. limit_constant runs on ybar of the
+K1 there is checked against 50-digit mpmath. These three solvers each run
+warm, at one beta every round, and cold, each round starting with an empty
+per-beta cache of minimize's exact e^beta. limit_constant runs on ybar of the
 README seq1 spec (the weight exp(-c4 x^4)) and on zbar of the same spec at
 alpha0 = 1/2, against 50-digit mpmath; hs_rhs runs at the criterion-06 point
 beta = 1, K = 1.5, n = 200, gamma_bar = 0.2, against hs_lhs, and hs_lhs runs
@@ -67,8 +69,9 @@ from mp_reference import (exp_poly_abs_moment_mp, first_order_k_mp, log_spin_wei
 import bclab
 from bclab import (N_MAX, ModelParams, SequenceSpec, abs_moment, aitken_limit, cli,
                    finite_size, finite_size_law, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
-                   limit_constant, mc_estimate, params_at, run_finite_size_asymptotics,
-                   spec_from_json, validate, weak_limit_distance, xbar)
+                   limit_constant, mc_estimate, minimize, params_at,
+                   run_finite_size_asymptotics, spec_from_json, validate,
+                   weak_limit_distance, xbar)
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import magnetization
 from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_order_k
@@ -184,9 +187,27 @@ def test_log_tail_mass(benchmark, n):
     assert err <= (4e-15 if n == N_MAX else 1e-12)
 
 
+def clear_curve_cache():
+    """Empty minimize's per-beta cache of e^beta; a bclab without one has
+    nothing to clear."""
+    cache = getattr(minimize, "_curve_numerator", None)
+    if cache is not None:
+        cache.cache_clear()
+
+
+def timed_solve(benchmark, cache, solve, arg):
+    """solve(arg) timed warm (the same beta every round) or cold (every round
+    starts with an empty per-beta cache)."""
+    if cache == "warm":
+        return benchmark(solve, arg)
+    return benchmark.pedantic(solve, args=(arg,), setup=clear_curve_cache, rounds=300,
+                              iterations=1)
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, BETA_C + 1e-6, BETA_C + 1e-10])
-def test_first_order_k(benchmark, beta):
-    k1 = benchmark(first_order_k, beta)
+def test_first_order_k(benchmark, beta, cache):
+    k1 = timed_solve(benchmark, cache, first_order_k, beta)
     ref = first_order_k_mp(beta)
     benchmark.extra_info.update(k1=k1, reference=ref, abs_err=abs(k1 - ref))
     assert abs(k1 - ref) <= 1e-12
@@ -197,19 +218,21 @@ def test_first_order_k(benchmark, beta):
     (2.0, 1.01, 0.0, PhaseRegion.COEXISTENCE),
     (1.5, 1.0, 5e-13, PhaseRegion.FIRST_ORDER_CURVE)],
     ids=["single-phase", "coexistence", "on-K1"])
-def test_classify(benchmark, beta, kappa_over_k1, offset, region):
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_classify(benchmark, beta, kappa_over_k1, offset, region, cache):
     ref = first_order_k_mp(beta)
     params = ModelParams(beta, ref * kappa_over_k1 + offset)
-    got = benchmark(classify, params)
+    got = timed_solve(benchmark, cache, classify, params)
     k1 = first_order_k(beta)
     benchmark.extra_info.update(beta=beta, kappa=params.kappa, region=got.value, k1=k1,
                                 reference=ref, abs_err=abs(k1 - ref))
     assert got == region and abs(k1 - ref) <= 1e-12
 
 
+@pytest.mark.parametrize("cache", ["cold", "warm"])
 @pytest.mark.parametrize("params", [PARAMS, NEAR_CURVE], ids=["ordered", "near-K"])
-def test_magnetization(benchmark, params):
-    m = benchmark(magnetization, params)
+def test_magnetization(benchmark, params, cache):
+    m = timed_solve(benchmark, cache, magnetization, params)
     ref = magnetization_mp(params.beta, params.kappa)
     rel_err = abs(m - ref) / ref
     benchmark.extra_info.update(beta=params.beta, kappa=params.kappa, m=m,

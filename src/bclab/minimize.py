@@ -9,6 +9,7 @@ e^{-n G} integral, windows its weight at the wells of the same tilt by
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,6 +19,24 @@ from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_d
 TAIL_CUT = 60.0   # weight_window's margin: beyond it a weight is below e^-60 of its peak
 _EXP_BITS = 128                                    # fractional bits of e^r
 _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF41        # log 2 * 2^136, rounded
+_CURVE_CACHE_SIZE = 64   # the last beta whose exact e^beta _spinodal_excess keeps
+
+
+@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _curve_numerator(beta: float) -> tuple[int, int, int]:
+    """(bn, bd, top): beta = bn/bd exactly, and top = 2^129 (e^beta + 2) + 1,
+    the numerator of K(beta) at 2^-129 plus half a unit, with e^beta = 2^k e^r
+    summed as the integer Taylor series of _spinodal_excess."""
+    bn, bd = beta.as_integer_ratio()
+    k = round(beta / math.log(2.0))
+    r = ((bn << _EXP_BITS + 8) // bd - k * _LN2) >> 8
+    term = exp_r = 1 << _EXP_BITS
+    n = 0
+    while term:
+        n += 1
+        term = (term * r >> _EXP_BITS) // n
+        exp_r += term
+    return bn, bd, 2 * ((exp_r << k) + (2 << _EXP_BITS)) + 1
 
 
 def _spinodal_excess(beta: float, kappa: float) -> float:
@@ -36,25 +55,25 @@ def _spinodal_excess(beta: float, kappa: float) -> float:
     e^beta - 1 lost below 2^-128 is positive, so an exact tie of the rest
     rounds up, as the exact numerator does. K(beta)/K below the floats gives
     -1.0, above them inf.
+
+    The series, most of a call, depends on beta alone, and the solves at one
+    beta (classify's two probes, the K1 confirmation, m) share it:
+    _curve_numerator keeps its integers for the last _CURVE_CACHE_SIZE = 64
+    beta in a functools.lru_cache, whose bookkeeping is thread-safe. An entry
+    holds exactly the integers the series returns, which depend on beta
+    alone, so a cached result is the uncached one to the bit; only the K part
+    (one product, one rounding, one division) runs on every call.
     """
     den = 4.0 * beta * kappa
     if den == math.inf:
         return -1.0
     if den == 0.0:
         return math.inf
-    bn, bd = beta.as_integer_ratio()
+    bn, bd, top = _curve_numerator(beta)
     kn, kd = kappa.as_integer_ratio()
-    k = round(beta / math.log(2.0))
-    r = ((bn << _EXP_BITS + 8) // bd - k * _LN2) >> 8
-    term = exp_r = 1 << _EXP_BITS
-    n = 0
-    while term:
-        n += 1
-        term = (term * r >> _EXP_BITS) // n
-        exp_r += term
     # 2^129 bd kd times the numerator plus half a unit
     d = bd * kd
-    num = (2 * ((exp_r << k) + (2 << _EXP_BITS)) + 1) * d - (bn * kn << _EXP_BITS + 3)
+    num = top * d - (bn * kn << _EXP_BITS + 3)
     return num / (d << _EXP_BITS + 1) / den
 
 

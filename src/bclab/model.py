@@ -23,7 +23,7 @@ same kernel element by element, through numpy, so an array holds exactly the
 values of its elements taken one at a time and every precision device lives
 in one place. ``Tilt`` also sums its series in floats. The hot
 callers pass single floats: each equilibrium solve calls ``cumulant_deriv``
-and ``free_energy`` once, at about 1 us a call (56 times each for a 100-point
+and ``free_energy`` once, at under 1 us a call (56 times each for a 100-point
 phase diagram), and its Newton steps call the scalar kernels through ``Tilt``,
 at most one kernel call a step. Arrays come from the scaled free-energy tables
 of ``sequences``, a few thousand points at a time, from the 40001-point grid
@@ -83,19 +83,21 @@ class ModelParams:
             raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa}")
 
 
-def _elementwise(op: str, name: str, kernel, beta: float, t, *rest):
-    """kernel(beta, v, *rest) for every element v of t, in the shape of t (a
+def _elementwise(op: str, name: str, kernel, beta: float, t, arg):
+    """kernel(beta, v, arg) for every element v of t, in the shape of t (a
     numpy scalar gives a float), or at t itself, without numpy, if t is a finite
-    int or float; a ValueError naming op and name unless all are finite. map
-    feeds the kernel without an argument tuple per element, a third faster."""
+    int or float; a ValueError naming op and name unless all are finite. Every
+    kernel takes these three positional arguments, so a scalar is one plain
+    call, and map feeds the kernel without an argument tuple per element, a
+    third faster."""
     if isinstance(t, (int, float)) and math.isfinite(t):
-        return kernel(beta, float(t), *rest)
+        return kernel(beta, float(t), arg)
     import numpy as np
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op}: {name} must be finite")
     values = arr.ravel().tolist()
-    out = np.fromiter(map(kernel, repeat(beta), values, *map(repeat, rest)), float, len(values))
+    out = np.fromiter(map(kernel, repeat(beta), values, repeat(arg)), float, len(values))
     return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
 
@@ -106,10 +108,10 @@ def cumulant(beta: float, t):
     threshold of exp; log1p(2 p sinh^2(t/2)) keeps its precision as t -> 0.
     """
     check_beta("cumulant", beta)
-    return _elementwise("cumulant", "t", _cumulant_scalar, beta, t)
+    return _elementwise("cumulant", "t", _cumulant_scalar, beta, t, None)
 
 
-def _cumulant_scalar(beta: float, t: float) -> float:
+def _cumulant_scalar(beta: float, t: float, _=None) -> float:
     a = math.exp(-beta)
     m = abs(t)
     if m > _LOG1P_MAX_T:   # there e^{-2|t|} is negligible against 1
@@ -133,8 +135,11 @@ def cumulant_deriv(beta: float, t, order: int):
     check_beta("cumulant_deriv", beta)
     if order not in _CUMULANT_ORDERS:
         raise ValueError(f"cumulant_deriv: order must be in {_CUMULANT_ORDERS}, got {order}")
-    return _elementwise("cumulant_deriv", "t", lambda b, v: _cumulant_derivs(b, v)[order == 2],
-                        beta, t)
+    return _elementwise("cumulant_deriv", "t", _cumulant_deriv_scalar, beta, t, order == 2)
+
+
+def _cumulant_deriv_scalar(beta: float, t: float, second: bool) -> float:
+    return _cumulant_derivs(beta, t)[second]
 
 
 def _cumulant_derivs(beta: float, t: float) -> tuple[float, float]:
@@ -292,10 +297,11 @@ def free_energy_deriv(params: ModelParams, x, order: int):
     if order not in (1, 2):
         raise ValueError(f"free_energy_deriv: order must be 1 or 2, got {order}")
     return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar, params.beta, x,
-                        2.0 * params.beta * params.kappa, order)
+                        (2.0 * params.beta * params.kappa, order))
 
 
-def _free_energy_deriv_scalar(beta: float, x: float, two_bk: float, order: int) -> float:
+def _free_energy_deriv_scalar(beta: float, x: float, two_bk_order: tuple[float, int]) -> float:
+    two_bk, order = two_bk_order
     t = two_bk * x
     if not math.isfinite(t):   # c' = sign x, c'' = 0; t is nan at x = 0 where 2 beta K is inf
         if order == 2:

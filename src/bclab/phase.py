@@ -81,9 +81,10 @@ def first_order_k(beta: float) -> float:
     most 4 ulps below K1 and was missing at most 3 above.
 
     The descent takes 4-12 iterates of (f, df/ds) on [beta_c + 0.1, 10], 2-4
-    beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. A solve takes 0.05
-    ms on [beta_c + 0.1, 10] and 0.1 ms within 1e-3 of beta_c (median over 60
-    beta of the best of 5 calls, 2-core x86-64 box).
+    beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. A solve takes 0.051
+    ms on [beta_c + 0.1, 10] and 0.161 ms within 1e-3 of beta_c at a new beta,
+    and 0.040 and 0.156 ms at a beta whose e^beta minimize._spinodal_excess
+    has kept (median over 60 beta of the best of 5 calls, 2-core x86-64 box).
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
@@ -112,10 +113,11 @@ def classify(params: ModelParams) -> PhaseRegion:
     K - K1 > CURVE_TOL (coexistence) and none at K + 2 CURVE_TOL means
     K1 - K > CURVE_TOL (single phase). A probe at K - 2 CURVE_TOL <= 0 is
     skipped. Only a point within about 2 CURVE_TOL of K1 compares K with
-    first_order_k(beta). Two probes take 0.03 ms on [beta_c + 0.1, 10] and
-    0.04 ms within 1e-3 of beta_c, against 0.05 ms and 0.1 ms for the K1
-    solve, at K 1-20% off K1 (median over 60 beta of the best of 5 calls,
-    2-core x86-64 box).
+    first_order_k(beta). Two probes take 0.037 ms on [beta_c + 0.1, 10] and
+    0.031 ms within 1e-3 of beta_c at a new beta, 0.028 and 0.027 ms at a beta
+    whose e^beta minimize._spinodal_excess has kept, against 0.051 and 0.161
+    ms for a new beta's K1 solve, at K 1-20% off K1 (median over 60 beta of the
+    best of 5 calls, 2-core x86-64 box).
     """
     beta, kappa = params.beta, params.kappa
     if beta <= BETA_C + CURVE_TOL:

@@ -2,6 +2,8 @@
 bookkeeping, tail-rate and weak-limit plumbing."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -12,9 +14,9 @@ from mp_reference import (magnetization_mp, spinodal_numerator_decimal,
 from scipy.special import ndtr
 
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator, EvenPolynomial,
-                   MinimumSet, ModelParams, QuadratureError, Regime, SequenceSpec,
+                   MinimumSet, ModelParams, PhaseRegion, QuadratureError, Regime, SequenceSpec,
                    SpecValidationError, UnsupportedSequenceError, aitken_limit,
-                   check_hypothesis_iiia, check_hypothesis_v,
+                   check_hypothesis_iiia, check_hypothesis_v, classify,
                    coexistence_onset, cumulant_deriv, estimator_comparison, finite_size_law,
                    first_order_k, free_energy, free_energy_deriv, g_tilde,
                    gl_polynomial, kappa_fluctuation_estimate, magnetization,
@@ -185,6 +187,95 @@ class TestSpinodalExcess:
     def test_log2_literal(self):
         with mp.workdps(60):
             assert minimize._LN2 == int(mp.nint(mp.log(2) * mp.mpf(2) ** 136))
+
+
+def _spinodal_excess_uncached(beta, kappa):
+    """_spinodal_excess written out in one piece, e^beta series and all, with
+    nothing kept between calls: the oracle of its cache."""
+    den = 4.0 * beta * kappa
+    if den == math.inf:
+        return -1.0
+    if den == 0.0:
+        return math.inf
+    bn, bd = beta.as_integer_ratio()
+    kn, kd = kappa.as_integer_ratio()
+    k = round(beta / math.log(2.0))
+    r = ((bn << 136) // bd - k * minimize._LN2) >> 8
+    term = exp_r = 1 << 128
+    n = 0
+    while term:
+        n += 1
+        term = (term * r >> 128) // n
+        exp_r += term
+    d = bd * kd
+    num = (2 * ((exp_r << k) + (2 << 128)) + 1) * d - (bn * kn << 131)
+    return num / (d << 129) / den
+
+
+def _cache_points():
+    """(beta, K) on a seeded grid: beta in [0.05, 20], beta_c +- 1e-6 and the
+    integers 1..20, each as an int and as a float; at each beta K(beta), one
+    ulp below it, K(beta) (1 + 1e-12) and four K within 20% of K(beta)."""
+    rng = np.random.default_rng(30)
+    betas = [*rng.uniform(0.05, 20.0, 120), BETA_C - 1e-6, BETA_C + 1e-6]
+    betas += [b for i in range(1, 21) for b in (i, float(i))]
+    points = []
+    for b in betas:
+        k = second_order_k(float(b))
+        ks = [k, math.nextafter(k, 0.0), k * (1.0 + 1e-12), *k * rng.uniform(0.8, 1.2, 4)]
+        points += [(b, float(kappa)) for kappa in ks]
+    return points
+
+
+class TestCurveCache:
+    def test_cached_equals_uncached(self):
+        # each value is the series' own, bit for bit, from a cold and from a
+        # warm cache, and an int beta gives what the equal float gives
+        points = _cache_points()
+        minimize._curve_numerator.cache_clear()
+        for warm in (False, True):
+            for beta, kappa in points:
+                got = minimize._spinodal_excess(beta, kappa)
+                assert got == _spinodal_excess_uncached(beta, kappa), (beta, kappa, warm)
+                assert got == minimize._spinodal_excess(float(beta), kappa), (beta, kappa)
+        assert minimize._curve_numerator.cache_info().hits >= len(points)
+
+    def test_one_series_per_beta(self):
+        # classify's two probes and m at the same beta share one series
+        params = ModelParams(2.0, 0.99 * first_order_k(2.0))
+        minimize._curve_numerator.cache_clear()
+        assert classify(params) == PhaseRegion.SINGLE_PHASE
+        assert magnetization(params) == 0.0
+        info = minimize._curve_numerator.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_bounded(self):
+        minimize._curve_numerator.cache_clear()
+        for i in range(3 * minimize._CURVE_CACHE_SIZE):
+            minimize._spinodal_excess(1.0 + i / 64.0, 1.0)
+            assert minimize._curve_numerator.cache_info().currsize <= minimize._CURVE_CACHE_SIZE
+        assert minimize._curve_numerator.cache_info().maxsize == minimize._CURVE_CACHE_SIZE
+
+    def test_threads_share_the_cache(self):
+        # eight threads over one list with more beta than the cache holds, so
+        # entries are added and evicted under each other, get the serial
+        # answers; a short switch interval makes the threads interleave often
+        rng = np.random.default_rng(31)
+        betas = rng.uniform(BETA_C + 0.01, 6.0, 2 * minimize._CURVE_CACHE_SIZE)
+        points = [ModelParams(float(b), float(f * second_order_k(float(b))))
+                  for b in betas for f in rng.uniform(0.85, 1.05, 3)]
+        minimize._curve_numerator.cache_clear()
+        serial = [(classify(p), magnetization(p)) for p in points]
+        minimize._curve_numerator.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                shared = list(pool.map(lambda p: (classify(p), magnetization(p)), points,
+                                       timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == serial
 
 
 class TestThermoAsymptotics:
