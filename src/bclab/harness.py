@@ -34,8 +34,8 @@ from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import magnetization
 from .model import ModelParams
-from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _points,
-                        _scaled_free_energies, g_tilde, gl_polynomial, limit_constant,
+from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _no_limit_above,
+                        _points, _scaled_free_energies, gl_polynomial, limit_constant,
                         scaling_exponents, weak_limit_polynomial, xbar)
 
 
@@ -72,8 +72,9 @@ class AsymptoticsReport:
     constants: ReportConstants
 
 
-def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponents]:
-    """Report constants, and the exponents that scale the report's columns."""
+def _constants_for(op: str, spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponents]:
+    """Report constants, and the exponents that scale the report's columns;
+    seq6 above alpha0, which has no limit constant, fails naming op."""
     g, exps = gl_polynomial(spec)
     regime = exps.regime(spec.alpha)
     xb = xbar(g)
@@ -86,7 +87,8 @@ def _constants_for(spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponent
         x_bar = None
     y_bar = z_bar = None
     if regime is not Regime.BELOW:
-        limit = limit_constant(weak_limit_polynomial(spec))  # rejects seq6 above alpha0
+        _no_limit_above(op, spec, regime)
+        limit = limit_constant(weak_limit_polynomial(spec))
         y_bar, z_bar = (limit, None) if regime is Regime.ABOVE else (None, limit)
     consts = ReportConstants(alpha0=exps.alpha0, theta=exps.theta, regime=regime,
                              x_bar=x_bar, y_bar=y_bar, z_bar=z_bar, banner=banner)
@@ -110,7 +112,7 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     scaled column converges to xbar.
     """
     points = _points("run_thermo_asymptotics", spec, n_list)
-    consts, exps = _constants_for(spec)
+    consts, exps = _constants_for("run_thermo_asymptotics", spec)
     rows = [_row(spec, exps, n, params) for n, params in points]
     return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
@@ -129,7 +131,7 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     is no int in 1..N_MAX fails before any row runs.
     """
     points = _points("run_finite_size_asymptotics", spec, n_list, check_n)
-    consts, exps = _constants_for(spec)
+    consts, exps = _constants_for("run_finite_size_asymptotics", spec)
 
     def row(n: int, params: ModelParams) -> ReportRow:
         if estimator is Estimator.EXACT:
@@ -156,8 +158,8 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     """
     points = _points("estimator_comparison", spec_or_params, n_list, check_n)
     if isinstance(spec_or_params, SequenceSpec):  # the report's seq6 guard, no limit constant
-        if scaling_exponents(spec_or_params).regime(spec_or_params.alpha) is Regime.ABOVE:
-            g_tilde(spec_or_params)
+        _no_limit_above("estimator_comparison", spec_or_params,
+                        scaling_exponents(spec_or_params).regime(spec_or_params.alpha))
     rows = []
     for n, params in points:
         m = magnetization(params)
@@ -236,7 +238,8 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     """
     exps = scaling_exponents(spec)
     [(_, phi)] = _scaled_free_energies("weak_limit_distance", spec, [n], 1.0, exps.theta_alpha0)
-    exps.require("weak_limit_distance", spec.alpha, Regime.AT, Regime.ABOVE)
+    _no_limit_above("weak_limit_distance", spec,
+                    exps.require("weak_limit_distance", spec.alpha, Regime.AT, Regime.ABOVE))
     poly = weak_limit_polynomial(spec)
     half_width = max(poly.weight_window()[1], phi.weight_window()[1])
     grid = np.linspace(-half_width, half_width, 40001)

@@ -4,7 +4,8 @@ One well test in the tilt, ``_well_tilt``, is the equilibrium solver behind
 ``min_free_energy``, m(beta, K), the first-order curve and the region of a
 point; ``ScaledFreeEnergy``, the exponent n G(y/n^gamma) of every
 e^{-n G} integral, windows its weight at the wells of the same tilt by
-``weight_window``, the window rule of every e^-phi integral.
+``weight_window``, the window rule of every e^-phi integral. Each reads the
+K-free state of its beta, one model.Tilt, from ``_tilt``, kept for 64 beta.
 """
 
 from __future__ import annotations
@@ -14,34 +15,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
+from .model import _EXP_BITS, ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
 
 TAIL_CUT = 60.0   # weight_window's margin: beyond it a weight is below e^-60 of its peak
-_EXP_BITS = 128                                    # fractional bits of e^r
-_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF41        # log 2 * 2^136, rounded
-_CURVE_CACHE_SIZE = 64   # the last beta whose exact e^beta _spinodal_excess keeps
+_TILT_CACHE_SIZE = 64   # the last beta whose Tilt the solvers keep
+# The one per-beta solver state: Tilt(beta), shared by every solve at beta.
+_tilt = functools.lru_cache(maxsize=_TILT_CACHE_SIZE)(Tilt)
 
 
-@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
-def _curve_numerator(beta: float) -> tuple[int, int, int]:
-    """(bn, bd, top): beta = bn/bd exactly, and top = 2^129 (e^beta + 2) + 1,
-    the numerator of K(beta) at 2^-129 plus half a unit, with e^beta = 2^k e^r
-    summed as the integer Taylor series of _spinodal_excess."""
-    bn, bd = beta.as_integer_ratio()
-    k = round(beta / math.log(2.0))
-    r = ((bn << _EXP_BITS + 8) // bd - k * _LN2) >> 8
-    term = exp_r = 1 << _EXP_BITS
-    n = 0
-    while term:
-        n += 1
-        term = (term * r >> _EXP_BITS) // n
-        exp_r += term
-    return bn, bd, 2 * ((exp_r << k) + (2 << _EXP_BITS)) + 1
-
-
-def _spinodal_excess(beta: float, kappa: float) -> float:
-    """K(beta)/K - 1 = (e^beta + 2 - 4 beta K)/(4 beta K), its numerator
-    rounded once from exact integer arithmetic.
+def _spinodal_excess(tilt: Tilt, kappa: float) -> float:
+    """K(beta)/K - 1 = (e^beta + 2 - 4 beta K)/(4 beta K) at beta = tilt.beta,
+    its numerator rounded once from exact integer arithmetic.
 
     m(beta, K) near the second-order curve is as sensitive to this difference
     as to K itself, and there the numerator cancels to a few ulps of e^beta.
@@ -56,20 +40,20 @@ def _spinodal_excess(beta: float, kappa: float) -> float:
     rounds up, as the exact numerator does. K(beta)/K below the floats gives
     -1.0, above them inf.
 
-    The series, most of a call, depends on beta alone, and the solves at one
-    beta (classify's two probes, the K1 confirmation, m) share it:
-    _curve_numerator keeps its integers for the last _CURVE_CACHE_SIZE = 64
-    beta in a functools.lru_cache, whose bookkeeping is thread-safe. An entry
-    holds exactly the integers the series returns, which depend on beta
-    alone, so a cached result is the uncached one to the bit; only the K part
-    (one product, one rounding, one division) runs on every call.
+    The series, most of the cost, depends on beta alone: Tilt(beta) sums it
+    once, into tilt.curve, and the solves at one beta (classify's two
+    probes, the K1 confirmation, m) share that Tilt through _tilt, a
+    functools.lru_cache of the last _TILT_CACHE_SIZE = 64 beta, whose
+    bookkeeping is thread-safe. A Tilt holds exactly what its beta gives, so
+    a cached result is the uncached one to the bit; only the K part (one
+    product, one rounding, one division) runs on every call.
     """
-    den = 4.0 * beta * kappa
+    den = 4.0 * tilt.beta * kappa
     if den == math.inf:
         return -1.0
     if den == 0.0:
         return math.inf
-    bn, bd, top = _curve_numerator(beta)
+    bn, bd, top = tilt.curve
     kn, kd = kappa.as_integer_ratio()
     # 2^129 bd kd times the numerator plus half a unit
     d = bd * kd
@@ -117,8 +101,9 @@ def _largest_root(pair, level: float, s: float, s_right: float, power: int, floo
     raise ArithmeticError(f"Newton descent in s from {s} did not converge in 200 steps")
 
 
-def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
-    """Largest root t of t = 2 beta K c'(t), or 0.0 when there is none.
+def _outer_tilt(kappa: float, tilt: Tilt) -> float:
+    """Largest root t of t = 2 beta K c'(t) at K = kappa and beta = tilt.beta,
+    or 0.0 when there is none.
 
     s = t^2 solves rho(s) = rho_K = K(beta)/K - 1 where the secant excess rho
     (Tilt.secant_excess) falls; rho_K is exact to the rounding, so the
@@ -129,8 +114,8 @@ def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
     rounds to -1 (K above about 1e16 K(beta)) or (2 beta K)^2 overflows,
     c'(2 beta K) = 1 and 2 beta K, or the largest float, is the root.
     """
-    beta, two_bk = params.beta, 2.0 * params.beta * params.kappa
-    rho_k = _spinodal_excess(beta, params.kappa)
+    two_bk = 2.0 * tilt.beta * kappa
+    rho_k = _spinodal_excess(tilt, kappa)
     if rho_k == -1.0 or two_bk * two_bk == math.inf:
         return min(two_bk, sys.float_info.max)
     w2, w3 = tilt.excess_series
@@ -142,21 +127,21 @@ def _outer_tilt(params: ModelParams, tilt: Tilt) -> float:
     return math.sqrt(_largest_root(tilt.secant_excess, rho_k, s, two_bk * two_bk, 1, tilt.s_rise))
 
 
-def _well_tilt(params: ModelParams, tilt: Tilt) -> float:
+def _well_tilt(kappa: float, tilt: Tilt) -> float:
     """The outer tilt t if G_{beta,K} has its global minimum at the well
     c'(t) > 0, else 0.0: t > 0 and the depth f <= 0 = G(0) at s = t^2 (ties
     resolve toward the well), or t^2 overflows, the ordered limit f ~ -t/2.
-    tilt is Tilt(params.beta), which callers testing several K at one beta
+    tilt is the Tilt of beta, which callers testing several K at one beta
     share. The report is monotone in K but within 8 ulps of K1(beta), which
     phase.classify relies on."""
-    t = _outer_tilt(params, tilt)
+    t = _outer_tilt(kappa, tilt)
     return t if t > 0.0 and (t * t == math.inf or tilt.depth(t * t)[0] <= 0.0) else 0.0
 
 
 def min_free_energy(params: ModelParams) -> tuple[float, float]:
     """Global minimum (value, argmin) of G_{beta,K} on [0, 1]: the well c'(t)
     at the tilt of _well_tilt, else (0, 0)."""
-    t = _well_tilt(params, Tilt(params.beta))
+    t = _well_tilt(params.kappa, _tilt(params.beta))
     if t == 0.0:
         return 0.0, 0.0
     m = cumulant_deriv(params.beta, t, 1)
@@ -198,7 +183,7 @@ class ScaledFreeEnergy:
     def weight_window(self) -> tuple[float, float, tuple[float, ...]]:
         """weight_window at the outer well scale c'(t) of the outer tilt t, each
         well y in {0, +-outer} with phi''(y) > 0 flanked at y +- 8 phi''(y)^-1/2."""
-        t = _outer_tilt(self.params, Tilt(self.params.beta))
+        t = _outer_tilt(self.params.kappa, _tilt(self.params.beta))
         outer = self.scale * cumulant_deriv(self.params.beta, t, 1)
         points = []
         for y in (0.0, outer, -outer):

@@ -45,6 +45,8 @@ _LOG1P_MAX_T = 700.0   # sinh^2(t/2) overflows beyond
 _SERIES_MAX_S = 1.0
 _SERIES_TERMS = 26
 _LOG4_LO = 4.638093627692599e-17   # log 4 - float(log 4)
+_EXP_BITS = 128                                    # fractional bits of e^r
+_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF41        # log 2 * 2^136, rounded
 # The forms use e^{-2 beta}, which leaves the normal floats beyond beta = 354.2;
 # magnetization and K1 match mpmath up to here (tests/test_phase.py).
 BETA_MAX = 350.0
@@ -83,21 +85,21 @@ class ModelParams:
             raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa}")
 
 
-def _elementwise(op: str, name: str, kernel, beta: float, t, arg):
-    """kernel(beta, v, arg) for every element v of t, in the shape of t (a
+def _elementwise(op: str, name: str, kernel, first: float, t, arg):
+    """kernel(first, v, arg) for every element v of t, in the shape of t (a
     numpy scalar gives a float), or at t itself, without numpy, if t is a finite
-    int or float; a ValueError naming op and name unless all are finite. Every
-    kernel takes these three positional arguments, so a scalar is one plain
-    call, and map feeds the kernel without an argument tuple per element, a
-    third faster."""
+    int or float; a ValueError naming op and name unless all are finite, so no
+    kernel sees a non-finite t. Every kernel takes these three positional
+    arguments, so a scalar is one plain call, and map feeds the kernel without
+    an argument tuple per element, a third faster."""
     if isinstance(t, (int, float)) and math.isfinite(t):
-        return kernel(beta, float(t), arg)
+        return kernel(first, float(t), arg)
     import numpy as np
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op}: {name} must be finite")
     values = arr.ravel().tolist()
-    out = np.fromiter(map(kernel, repeat(beta), values, repeat(arg)), float, len(values))
+    out = np.fromiter(map(kernel, repeat(first), values, repeat(arg)), float, len(values))
     return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
 
@@ -108,11 +110,10 @@ def cumulant(beta: float, t):
     threshold of exp; log1p(2 p sinh^2(t/2)) keeps its precision as t -> 0.
     """
     check_beta("cumulant", beta)
-    return _elementwise("cumulant", "t", _cumulant_scalar, beta, t, None)
+    return _elementwise("cumulant", "t", _cumulant_scalar, math.exp(-beta), t, None)
 
 
-def _cumulant_scalar(beta: float, t: float, _=None) -> float:
-    a = math.exp(-beta)
+def _cumulant_scalar(a: float, t: float, _=None) -> float:
     m = abs(t)
     if m > _LOG1P_MAX_T:   # there e^{-2|t|} is negligible against 1
         return m + math.log(a + math.exp(-m)) - math.log1p(2.0 * a)
@@ -135,23 +136,25 @@ def cumulant_deriv(beta: float, t, order: int):
     check_beta("cumulant_deriv", beta)
     if order not in _CUMULANT_ORDERS:
         raise ValueError(f"cumulant_deriv: order must be in {_CUMULANT_ORDERS}, got {order}")
-    return _elementwise("cumulant_deriv", "t", _cumulant_deriv_scalar, beta, t, order == 2)
+    return _elementwise("cumulant_deriv", "t", _cumulant_deriv_scalar, math.exp(-beta), t,
+                        order == 2)
 
 
-def _cumulant_deriv_scalar(beta: float, t: float, second: bool) -> float:
-    return _cumulant_derivs(beta, t)[second]
+def _cumulant_deriv_scalar(a: float, t: float, second: bool) -> float:
+    return _cumulant_derivs(a, t)[second]
 
 
-def _cumulant_derivs(beta: float, t: float) -> tuple[float, float]:
-    """(c', c'') at one float t, the Newton pair: the forms of cumulant_deriv,
-    written with the shifted parts dhat = e^{-m} D, ehat = e^{-m} E and
-    ephat = e^{-m} E', m = |t|. All three lie in (0, 1 + 2 e^{-beta}], so
-    their ratios never overflow; ephat = sign(t) a (1 - e^{-2m}) keeps its
-    relative precision as t -> 0."""
-    a = math.exp(-beta)
+def _cumulant_derivs(a: float, t: float) -> tuple[float, float]:
+    """(c', c'') at one finite float t from a = e^{-beta}, the Newton pair:
+    the forms of cumulant_deriv, written with the shifted parts dhat = e^{-m}
+    D, ehat = e^{-m} E and ephat = e^{-m} E', m = |t|. All three lie in (0, 1
+    + 2a], so their ratios never overflow; ephat = sign(t) a (1 - e^{-2m})
+    keeps its relative precision as t -> 0. ehat = a (1 + e^{-2m}) is the
+    a (e^{t-m} + e^{-t-m}) of the definition to the bit: of the two exponents
+    one is exactly 0 and the other exactly -2m."""
     m = abs(t)
     em = math.exp(-m)
-    ehat = a * (math.exp(t - m) + math.exp(-t - m))
+    ehat = a * (1.0 + math.exp(-2.0 * m))
     dhat = em + ehat
     ephat = math.copysign(-a * math.expm1(-2.0 * m), t)
     # E D - E'^2 = E + 4 e^{-2 beta} exactly, which keeps c'' positive for
@@ -203,25 +206,39 @@ def _horner(weights, s: float) -> tuple[float, float]:
 
 class Tilt:
     """The K-free tilt functions at one beta, for the Newton descent in s = t^2
-    of ``minimize`` and ``phase``: beta is checked once, and the series weights
-    below s = 1 are built at the first such s, so at most once per solve and
-    not at all at an ordered point. ``excess_series`` is (w2, w3), the secant
-    excess being rho = w2 s + w3 s^2 + O(s^3): w2 = 2 gamma_2/gamma_1, negative
-    exactly below beta_c = log 4, and w3 = 3 gamma_3/gamma_1. rho and the
-    depth f rise in s below ``s_rise`` = t_i^2 (0.0 up to beta_c), as c' is
-    convex up to t_i, cosh t_i = 1 + x = (1 - 8 e^{-2 beta}) e^beta/2; t_i =
-    log1p(x + sqrt(x (x + 2))) keeps the relative precision of x near beta_c,
-    where acosh(1 + x) loses that of 1 + x."""
+    of ``minimize`` and ``phase``, which share one Tilt per beta: beta is
+    checked and e^{-beta} formed once, and the series weights below s = 1 are
+    built at the first such s, so at most once per beta. ``curve`` is (bn, bd,
+    top): beta = bn/bd exactly and top = 2^129 (e^beta + 2) + 1, e^beta =
+    2^k e^r summed as the integer series of minimize._spinodal_excess.
+    ``excess_series`` is (w2, w3), the secant excess being rho = w2 s + w3 s^2
+    + O(s^3): w2 = 2 gamma_2/gamma_1, negative exactly below beta_c = log 4,
+    and w3 = 3 gamma_3/gamma_1. rho and the depth f rise in s below
+    ``s_rise`` = t_i^2 (0.0 up to beta_c), as c' is convex up to t_i, cosh t_i
+    = 1 + x = (1 - 8 e^{-2 beta}) e^beta/2; t_i = log1p(x + sqrt(x (x + 2)))
+    keeps the relative precision of x near beta_c, where acosh(1 + x) loses
+    that of 1 + x."""
 
     def __init__(self, beta: float):
         check_beta("Tilt", beta)
-        self.beta, a = beta, math.exp(-beta)
+        self.beta = beta = float(beta)
+        self._a = a = math.exp(-beta)
         self._c2_origin = p = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
         d = -math.expm1(math.log(4.0) - beta + _LOG4_LO)     # 1 - 4 e^{-beta}
         self.excess_series = (d / (6.0 + 12.0 * a), (1.0 + p * (30.0 * p - 15.0)) / 120.0)
         x = d * (1.0 + 2.0 * a) / (2.0 * a)
         self.s_rise = math.log1p(x + math.sqrt(x * (x + 2.0))) ** 2 if d > 0.0 else 0.0
         self._weights = None
+        bn, bd = beta.as_integer_ratio()
+        k = round(beta / math.log(2.0))
+        r = ((bn << _EXP_BITS + 8) // bd - k * _LN2) >> 8
+        term = exp_r = 1 << _EXP_BITS
+        n = 0
+        while term:
+            n += 1
+            term = (term * r >> _EXP_BITS) // n
+            exp_r += term
+        self.curve = bn, bd, 2 * ((exp_r << k) + (2 << _EXP_BITS)) + 1
 
     def _series(self) -> tuple[list[float], list[float]]:
         """Weights of s^(j-2), j = 26 down to 2: f/s^2 and rho/s."""
@@ -241,8 +258,8 @@ class Tilt:
         c' agree to beyond the last digit."""
         if _SERIES_MAX_S <= s < math.inf:
             t = math.sqrt(s)
-            c1, c2 = _cumulant_derivs(self.beta, t)
-            return 0.5 * t * c1 - _cumulant_scalar(self.beta, t), (t * c2 - c1) / (4.0 * t)
+            c1, c2 = _cumulant_derivs(self._a, t)
+            return 0.5 * t * c1 - _cumulant_scalar(self._a, t), (t * c2 - c1) / (4.0 * t)
         if not 0.0 <= s < _SERIES_MAX_S:
             raise ValueError(f"Tilt.depth: s must be finite and >= 0, got {s}")
         v, dv = _horner(self._series()[0], s)
@@ -256,7 +273,7 @@ class Tilt:
         nothing cancels; above, drho/ds = (c''/c''(0) - 1 - rho)/(2 s)."""
         if _SERIES_MAX_S <= s < math.inf:
             t = math.sqrt(s)
-            c1, c2 = _cumulant_derivs(self.beta, t)
+            c1, c2 = _cumulant_derivs(self._a, t)
             rho = c1 / (self._c2_origin * t) - 1.0
             return rho, (c2 / self._c2_origin - 1.0 - rho) / (2.0 * s)
         if not 0.0 <= s < _SERIES_MAX_S:
@@ -283,7 +300,7 @@ def _free_energy_scalar(beta: float, x: float, bk: float) -> float:
     if math.isinf(t):   # bk |x| (|x| - 2) is 0 at |x| = 2, not inf * 0
         a = abs(x)
         return (bk * a * (a - 2.0) if a != 2.0 else 0.0) + beta + math.log1p(2.0 * math.exp(-beta))
-    return bk * x * x - _cumulant_scalar(beta, t)
+    return bk * x * x - _cumulant_scalar(math.exp(-beta), t)
 
 
 def free_energy_deriv(params: ModelParams, x, order: int):
@@ -296,16 +313,16 @@ def free_energy_deriv(params: ModelParams, x, order: int):
     """
     if order not in (1, 2):
         raise ValueError(f"free_energy_deriv: order must be 1 or 2, got {order}")
-    return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar, params.beta, x,
-                        (2.0 * params.beta * params.kappa, order))
+    return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar,
+                        math.exp(-params.beta), x, (2.0 * params.beta * params.kappa, order))
 
 
-def _free_energy_deriv_scalar(beta: float, x: float, two_bk_order: tuple[float, int]) -> float:
+def _free_energy_deriv_scalar(a: float, x: float, two_bk_order: tuple[float, int]) -> float:
     two_bk, order = two_bk_order
     t = two_bk * x
     if not math.isfinite(t):   # c' = sign x, c'' = 0; t is nan at x = 0 where 2 beta K is inf
         if order == 2:
             return two_bk if x else -math.inf
         return two_bk * (x - math.copysign(1.0, x)) if x and abs(x) != 1.0 else 0.0
-    c1, c2 = _cumulant_derivs(beta, t)
+    c1, c2 = _cumulant_derivs(a, t)
     return two_bk * (x - c1) if order == 1 else two_bk - two_bk * (two_bk * c2)

@@ -22,8 +22,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .minimize import _largest_root, _well_tilt, min_free_energy
-from .model import BETA_MAX, ModelParams, Tilt, check_beta
+from .minimize import _largest_root, _tilt, _well_tilt, min_free_energy
+from .model import BETA_MAX, ModelParams, check_beta
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
@@ -81,15 +81,16 @@ def first_order_k(beta: float) -> float:
     most 4 ulps below K1 and was missing at most 3 above.
 
     The descent takes 4-12 iterates of (f, df/ds) on [beta_c + 0.1, 10], 2-4
-    beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. A solve takes 0.051
-    ms on [beta_c + 0.1, 10] and 0.161 ms within 1e-3 of beta_c at a new beta,
-    and 0.040 and 0.156 ms at a beta whose e^beta minimize._spinodal_excess
-    has kept (median over 60 beta of the best of 5 calls, 2-core x86-64 box).
+    beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. The descent and
+    its confirming well tests share one Tilt(beta), from minimize's per-beta
+    cache. A solve takes 0.024 ms on [beta_c + 0.1, 10] and 0.042 ms within
+    1e-3 of beta_c at a new beta, and 0.019 and 0.023 ms at a beta whose Tilt
+    is kept (median over 60 beta of the best of 9 calls, 2-core x86-64 box).
     """
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
                          f"{BETA_MAX}], got {beta}")
-    tilt = Tilt(beta)
+    tilt = _tilt(beta)
     t0 = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
     w2, w3 = tilt.excess_series
     s1 = _largest_root(tilt.depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0,
@@ -108,16 +109,16 @@ def classify(params: ModelParams) -> PhaseRegion:
     K exactly on K(beta) for beta <= beta_c classifies as the second-order
     curve (the single-phase set is the closed interval 0 < K <= K(beta)).
     For beta > beta_c two well tests at K -+ 2 CURVE_TOL (minimize._well_tilt,
-    on one Tilt(beta)) decide first: the report flickers only within 8 ulps
-    of K1 (see first_order_k), so a well at K - 2 CURVE_TOL means
+    on the kept Tilt(beta)) decide first: the report flickers only within 8
+    ulps of K1 (see first_order_k), so a well at K - 2 CURVE_TOL means
     K - K1 > CURVE_TOL (coexistence) and none at K + 2 CURVE_TOL means
     K1 - K > CURVE_TOL (single phase). A probe at K - 2 CURVE_TOL <= 0 is
     skipped. Only a point within about 2 CURVE_TOL of K1 compares K with
-    first_order_k(beta). Two probes take 0.037 ms on [beta_c + 0.1, 10] and
-    0.031 ms within 1e-3 of beta_c at a new beta, 0.028 and 0.027 ms at a beta
-    whose e^beta minimize._spinodal_excess has kept, against 0.051 and 0.161
-    ms for a new beta's K1 solve, at K 1-20% off K1 (median over 60 beta of the
-    best of 5 calls, 2-core x86-64 box).
+    first_order_k(beta). Two probes take 0.013 ms on [beta_c + 0.1, 10] and
+    0.027 ms within 1e-3 of beta_c at a new beta, 0.008 and 0.009 ms at a beta
+    whose Tilt is kept, against 0.024 and 0.042 ms for a new beta's K1 solve,
+    at K 1-20% off K1 (median over 60 beta of the best of 9 calls, 2-core
+    x86-64 box).
     """
     beta, kappa = params.beta, params.kappa
     if beta <= BETA_C + CURVE_TOL:
@@ -129,10 +130,10 @@ def classify(params: ModelParams) -> PhaseRegion:
         if kappa < k_curve:
             return PhaseRegion.SINGLE_PHASE
         return PhaseRegion.COEXISTENCE
-    tilt, delta = Tilt(beta), 2.0 * CURVE_TOL
-    if kappa > delta and _well_tilt(ModelParams(beta, kappa - delta), tilt):
+    tilt, delta = _tilt(beta), 2.0 * CURVE_TOL
+    if kappa > delta and _well_tilt(kappa - delta, tilt):
         return PhaseRegion.COEXISTENCE
-    if not _well_tilt(ModelParams(beta, kappa + delta), tilt):
+    if not _well_tilt(kappa + delta, tilt):
         return PhaseRegion.SINGLE_PHASE
     k1 = first_order_k(beta)
     if abs(kappa - k1) <= CURVE_TOL:

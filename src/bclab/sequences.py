@@ -444,32 +444,40 @@ def coexistence_onset(spec: SequenceSpec) -> int:
     return onset
 
 
-def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
-    """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
-    require_valid("gl_polynomial", spec)
+def _scaling(op: str, spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
+    """gl_polynomial, the spec checked once, under op's name."""
+    require_valid(op, spec)
     a = _approach(spec)
     return EvenPolynomial(c2=a.beta0 * a.d / math.factorial(a.p), c4=a.c4, c6=a.c6), a.exponents
 
 
-def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
-    """Leading monomial of g, the weight of the high-speed limit density."""
-    if spec.kind == "seq6":
+def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
+    """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
+    return _scaling("gl_polynomial", spec)
+
+
+def _no_limit_above(op: str, spec: SequenceSpec, regime: Regime) -> None:
+    """Raise an UnsupportedSequenceError naming op for seq6 above alpha0."""
+    if regime is Regime.ABOVE and spec.kind == "seq6":
         raise UnsupportedSequenceError(
-            "g_tilde: seq6 has no coercive high-order limit polynomial: the scaled "
+            f"{op}: seq6 has no coercive high-order limit polynomial: the scaled "
             "free energy n G(x/n^(theta alpha0)) converges to 0 pointwise, so no "
             "above-threshold asymptotics exist for it")
-    require_valid("g_tilde", spec)
-    return gl_polynomial(spec)[0].leading_term()
+
+
+def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
+    """Leading monomial of g, the weight of the high-speed limit density."""
+    _no_limit_above("g_tilde", spec, Regime.ABOVE)
+    return _scaling("g_tilde", spec)[0].leading_term()
 
 
 def weak_limit_polynomial(spec: SequenceSpec) -> EvenPolynomial:
     """Polynomial whose exp(-poly) is the weak limit of S_n/n^(1-theta alpha0):
     g at alpha0 and g~ above it. Below alpha0 it raises a ValueError."""
-    require_valid("weak_limit_polynomial", spec)
-    g, exps = gl_polynomial(spec)
-    if exps.require("weak_limit_polynomial", spec.alpha, Regime.AT, Regime.ABOVE) is Regime.AT:
-        return g
-    return g_tilde(spec)
+    g, exps = _scaling("weak_limit_polynomial", spec)
+    regime = exps.require("weak_limit_polynomial", spec.alpha, Regime.AT, Regime.ABOVE)
+    _no_limit_above("weak_limit_polynomial", spec, regime)
+    return g if regime is Regime.AT else g.leading_term()
 
 
 def xbar(g: EvenPolynomial) -> XbarResult:

@@ -24,7 +24,7 @@ from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator, EvenPolynomi
                    run_thermo_asymptotics, scaled_free_energy_table,
                    second_order_k, second_order_k_deriv, verify_tricritical_conjectures,
                    weak_limit_distance, weak_limit_polynomial, xbar)
-from bclab import abs_moment, harness, hs_lhs, hs_rhs, mc_estimate, minimize
+from bclab import abs_moment, harness, hs_lhs, hs_rhs, mc_estimate, minimize, model, sequences
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import min_free_energy
 from bclab.model import BETA_MAX, Tilt
@@ -125,9 +125,9 @@ class TestThermoMagnetization:
         # sit at the inner root, or below the level where rho still rises
         params = ModelParams(beta, second_order_k(beta) * kappa_over_k)
         tilt = Tilt(beta)
-        rho_k = minimize._spinodal_excess(beta, params.kappa)
+        rho_k = minimize._spinodal_excess(tilt, params.kappa)
         s_right = (2.0 * beta * params.kappa) ** 2
-        root = minimize._outer_tilt(params, tilt) ** 2
+        root = minimize._outer_tilt(params.kappa, tilt) ** 2
         for k in range(61):
             s = minimize._largest_root(tilt.secant_excess, rho_k, s_right * 10.0 ** (-k / 4),
                                        s_right, 1, tilt.s_rise)
@@ -172,26 +172,26 @@ class TestSpinodalExcess:
         assert len(points) >= 2000
         for beta, kappa in points:
             den = 4.0 * beta * kappa
-            got = minimize._spinodal_excess(beta, kappa)
+            got = minimize._spinodal_excess(Tilt(beta), kappa)
             assert got == spinodal_numerator_mp(beta, kappa) / den, (beta, kappa)
             if beta >= 1e-30:
                 assert got == spinodal_numerator_decimal(beta, kappa) / den, (beta, kappa)
 
     def test_beyond_the_floats(self):
         # K(beta)/K below the floats is -1, above them inf
-        assert minimize._spinodal_excess(1.0, 5e307) == -1.0
-        assert minimize._spinodal_excess(BETA_MAX, 1e306) == -1.0
-        assert minimize._spinodal_excess(1e-300, 1e-300) == math.inf
-        assert minimize._spinodal_excess(5e-324, 1e-300) == math.inf
+        assert minimize._spinodal_excess(Tilt(1.0), 5e307) == -1.0
+        assert minimize._spinodal_excess(Tilt(BETA_MAX), 1e306) == -1.0
+        assert minimize._spinodal_excess(Tilt(1e-300), 1e-300) == math.inf
+        assert minimize._spinodal_excess(Tilt(5e-324), 1e-300) == math.inf
 
     def test_log2_literal(self):
         with mp.workdps(60):
-            assert minimize._LN2 == int(mp.nint(mp.log(2) * mp.mpf(2) ** 136))
+            assert model._LN2 == int(mp.nint(mp.log(2) * mp.mpf(2) ** 136))
 
 
 def _spinodal_excess_uncached(beta, kappa):
     """_spinodal_excess written out in one piece, e^beta series and all, with
-    nothing kept between calls: the oracle of its cache."""
+    nothing kept between calls: the oracle of the Tilt cache."""
     den = 4.0 * beta * kappa
     if den == math.inf:
         return -1.0
@@ -200,7 +200,7 @@ def _spinodal_excess_uncached(beta, kappa):
     bn, bd = beta.as_integer_ratio()
     kn, kd = kappa.as_integer_ratio()
     k = round(beta / math.log(2.0))
-    r = ((bn << 136) // bd - k * minimize._LN2) >> 8
+    r = ((bn << 136) // bd - k * model._LN2) >> 8
     term = exp_r = 1 << 128
     n = 0
     while term:
@@ -229,44 +229,57 @@ def _cache_points():
 
 class TestCurveCache:
     def test_cached_equals_uncached(self):
-        # each value is the series' own, bit for bit, from a cold and from a
+        # a kept Tilt is an uncached one, bit for bit, from a cold and from a
         # warm cache, and an int beta gives what the equal float gives
+        def state(tilt):
+            pairs = [f(s) for s in (0.0, 0.04, 0.81, 1.0, 9.0, 400.0)
+                     for f in (tilt.depth, tilt.secant_excess)]
+            return (tilt.beta, tilt.curve, tilt.excess_series, tilt.s_rise, pairs)
+
         points = _cache_points()
-        minimize._curve_numerator.cache_clear()
+        minimize._tilt.cache_clear()
         for warm in (False, True):
             for beta, kappa in points:
-                got = minimize._spinodal_excess(beta, kappa)
-                assert got == _spinodal_excess_uncached(beta, kappa), (beta, kappa, warm)
-                assert got == minimize._spinodal_excess(float(beta), kappa), (beta, kappa)
-        assert minimize._curve_numerator.cache_info().hits >= len(points)
+                kept = minimize._tilt(beta)
+                assert state(kept) == state(Tilt(float(beta))), (beta, warm)
+                assert state(kept) == state(minimize._tilt(float(beta))), beta
+                got = minimize._spinodal_excess(kept, kappa)
+                assert got == _spinodal_excess_uncached(float(beta), kappa), (beta, kappa, warm)
+                assert got == minimize._spinodal_excess(Tilt(beta), kappa), (beta, kappa)
+        assert minimize._tilt.cache_info().hits >= len(points)
 
     def test_one_series_per_beta(self):
-        # classify's two probes and m at the same beta share one series
+        # classify's two probes and m at the same beta share one Tilt, and so
+        # do the K1 descent and its confirming well tests
         params = ModelParams(2.0, 0.99 * first_order_k(2.0))
-        minimize._curve_numerator.cache_clear()
+        minimize._tilt.cache_clear()
         assert classify(params) == PhaseRegion.SINGLE_PHASE
         assert magnetization(params) == 0.0
-        info = minimize._curve_numerator.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        info = minimize._tilt.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        minimize._tilt.cache_clear()
+        first_order_k(2.5)
+        info = minimize._tilt.cache_info()
+        assert info.misses == 1 and info.hits >= 1
 
     def test_bounded(self):
-        minimize._curve_numerator.cache_clear()
-        for i in range(3 * minimize._CURVE_CACHE_SIZE):
-            minimize._spinodal_excess(1.0 + i / 64.0, 1.0)
-            assert minimize._curve_numerator.cache_info().currsize <= minimize._CURVE_CACHE_SIZE
-        assert minimize._curve_numerator.cache_info().maxsize == minimize._CURVE_CACHE_SIZE
+        minimize._tilt.cache_clear()
+        for i in range(3 * minimize._TILT_CACHE_SIZE):
+            magnetization(ModelParams(1.0 + i / 64.0, 1.0))
+            assert minimize._tilt.cache_info().currsize <= minimize._TILT_CACHE_SIZE
+        assert minimize._tilt.cache_info().maxsize == minimize._TILT_CACHE_SIZE == 64
 
     def test_threads_share_the_cache(self):
         # eight threads over one list with more beta than the cache holds, so
         # entries are added and evicted under each other, get the serial
         # answers; a short switch interval makes the threads interleave often
         rng = np.random.default_rng(31)
-        betas = rng.uniform(BETA_C + 0.01, 6.0, 2 * minimize._CURVE_CACHE_SIZE)
+        betas = rng.uniform(BETA_C + 0.01, 6.0, 2 * minimize._TILT_CACHE_SIZE)
         points = [ModelParams(float(b), float(f * second_order_k(float(b))))
                   for b in betas for f in rng.uniform(0.85, 1.05, 3)]
-        minimize._curve_numerator.cache_clear()
+        minimize._tilt.cache_clear()
         serial = [(classify(p), magnetization(p)) for p in points]
-        minimize._curve_numerator.cache_clear()
+        minimize._tilt.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -276,6 +289,28 @@ class TestCurveCache:
         finally:
             sys.setswitchinterval(interval)
         assert shared == serial
+
+
+class TestValidateOnce:
+    def test_a_report_validates_its_spec_once(self, monkeypatch):
+        # _points checks the spec under the report's name and params_at once
+        # per n; gl_polynomial adds one check, and weak_limit_polynomial one
+        # more at and above alpha0, none of them through a second helper
+        calls = []
+        validate = sequences.validate
+        monkeypatch.setattr(sequences, "validate", lambda spec: calls.append(spec) or
+                            validate(spec))
+
+        def count(run, *args):
+            calls.clear()
+            run(*args)
+            return len(calls)
+
+        ns = [50, 100, 200]
+        assert [count(run_finite_size_asymptotics, spec, ns)
+                for spec in (SEQ1_BELOW, SEQ1_AT, SEQ1_ABOVE)] == [5, 6, 6]
+        assert [count(weak_limit_distance, spec, 100) for spec in (SEQ1_AT, SEQ1_ABOVE)] == [3, 3]
+        assert [count(f, SEQ1_ABOVE) for f in (g_tilde, weak_limit_polynomial)] == [1, 1]
 
 
 class TestThermoAsymptotics:
@@ -584,11 +619,14 @@ class TestEstimatorComparison:
             estimator_comparison(ModelParams(1.0, 1.0), [100])
 
     def test_rejects_seq6_above_threshold(self):
-        # as the report does: seq6 has no limit density above alpha0 = 1/5
+        # seq6 has no limit density above alpha0 = 1/5: each report fails
+        # under its own name
         spec = SequenceSpec(kind="seq6", alpha=0.3, p=3,
                             ell=second_order_k_deriv(BETA_C, 3) - 6.0)
-        with pytest.raises(UnsupportedSequenceError, match="^g_tilde: seq6"):
-            estimator_comparison(spec, [50, 100])
+        for report in (estimator_comparison, run_finite_size_asymptotics,
+                       run_thermo_asymptotics):
+            with pytest.raises(UnsupportedSequenceError, match=f"^{report.__name__}: seq6"):
+                report(spec, [50, 100])
 
     def test_sequence_outside_coexistence_named(self):
         # seq5 at alpha = 1/4 starts outside coexistence: m(beta_1, K_1) = 0

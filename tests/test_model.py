@@ -9,7 +9,8 @@ import pytest
 from mp_reference import DPS, cumulant_mp
 
 from bclab import (BETA_C, ModelParams, cumulant, cumulant_deriv, first_order_k,
-                   free_energy, free_energy_deriv, magnetization, model, second_order_k)
+                   free_energy, free_energy_deriv, magnetization, minimize, model,
+                   second_order_k)
 from bclab.model import BETA_MAX, Tilt
 
 
@@ -290,7 +291,7 @@ class TestTiltForms:
         for m in ms:
             for t in (m, -m):
                 pair = (cumulant_deriv(beta, t, 1), cumulant_deriv(beta, t, 2))
-                assert model._cumulant_derivs(beta, t) == pair
+                assert model._cumulant_derivs(math.exp(-beta), t) == pair
         calls, kernel = [], model._cumulant_derivs
         monkeypatch.setattr(model, "_cumulant_derivs",
                             lambda *args: calls.append(args) or kernel(*args))
@@ -301,6 +302,30 @@ class TestTiltForms:
             calls.clear()
             tilt.depth(m * m)
             assert len(calls) == (m * m >= 1.0)
+
+    def test_kernel_takes_e_to_the_minus_beta(self):
+        # the pair from a = e^-beta and 1 + e^{-2|t|} is, bit for bit, the
+        # pair that formed e^-beta per call and e^{t-|t|} + e^{-t-|t|} from two
+        # exponentials, over seeded beta in [1e-3, 350] and |t| in [e^-40, e^7]
+        def two_exponentials(beta, t):
+            a = math.exp(-beta)
+            m = abs(t)
+            em = math.exp(-m)
+            ehat = a * (math.exp(t - m) + math.exp(-t - m))
+            dhat = em + ehat
+            ephat = math.copysign(-a * math.expm1(-2.0 * m), t)
+            return ephat / dhat, (ehat + 4.0 * a * a * em) / dhat * (em / dhat)
+
+        rng = np.random.default_rng(31)
+        betas = [1e-3, BETA_C, BETA_MAX, *np.exp(rng.uniform(math.log(1e-3), math.log(350), 150))]
+        ms = np.exp(rng.uniform(-40.0, 7.0, 150)).tolist()
+        ts = [0.0, 5e-324, 700.0, 745.0, 1e308, math.exp(-40.0), math.exp(7.0), *ms]
+        for beta in map(float, betas):
+            a = math.exp(-beta)
+            for t in ts:
+                for signed in (t, -t):
+                    got = [v.hex() for v in model._cumulant_derivs(a, signed)]
+                    assert got == [v.hex() for v in two_exponentials(beta, signed)], (beta, signed)
 
     def test_rejects_bad_input(self):
         for beta in (0.0, -1.0):
@@ -344,16 +369,21 @@ class TestTiltForms:
             tilt.depth(t * t)
             tilt.secant_excess(t * t)
         assert counts["series"] == 1
+        # the descent and every confirming well test share one Tilt
+        minimize._tilt.cache_clear()
         counts.update(series=0, tilts=0)
         assert first_order_k(BETA_C + 1e-6) > 0
-        assert 1 <= counts["series"] <= counts["tilts"]
+        assert counts == {"series": 1, "tilts": 1}
         counts.update(series=0, tilts=0)
         # ordered point: the outer tilt descends from 2 beta K = 3.2 to 2.6
         assert magnetization(ModelParams(1.0, second_order_k(1.0) + 0.4)) > 0.8
         assert counts == {"series": 0, "tilts": 1}
         counts.update(series=0, tilts=0)
+        # the same beta near K(beta): the kept Tilt builds its series
         assert magnetization(ModelParams(1.0, second_order_k(1.0) + 1e-6)) > 0
-        assert counts == {"series": 1, "tilts": 1}
+        assert counts == {"series": 1, "tilts": 0}
+        assert magnetization(ModelParams(1.0, second_order_k(1.0) + 2e-6)) > 0
+        assert counts == {"series": 1, "tilts": 0}
 
 
 class TestFreeEnergy:
