@@ -16,9 +16,10 @@ alpha as a rational string such as "1/3" in configs for exact threshold hits):
                              being a faithful estimator of the finite-size
                              magnetization past the threshold.
 
-Each report takes its points first: sequences._points checks the spec and the
-n list under the report's name, then pairs each n with params_at. Only then
-does it read its constants; one builder makes every ReportRow.
+Every report runs one prelude under its own name: sequences._points checks
+the spec and the n list once and pairs each n with params_at, then the gate
+sequences._scaling decides the regime and the limit, rejecting a regime the
+report does not admit and seq6 above alpha0. _row makes every ReportRow.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import magnetization
 from .model import ModelParams
-from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _no_limit_above,
-                        _points, _scaled_free_energies, gl_polynomial, limit_constant,
-                        scaling_exponents, weak_limit_polynomial, xbar)
+from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _points,
+                        _scaled_free_energies, _scaling, limit_constant, xbar)
 
 
 class Estimator(enum.Enum):
@@ -75,24 +75,18 @@ class AsymptoticsReport:
 def _constants_for(op: str, spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponents]:
     """Report constants, and the exponents that scale the report's columns;
     seq6 above alpha0, which has no limit constant, fails naming op."""
-    g, exps = gl_polynomial(spec)
-    regime = exps.regime(spec.alpha)
+    g, exps, regime, limit = _scaling(op, spec, *Regime)
     xb = xbar(g)
-    banner = None
-    x_bar: float | None = xb.value
-    if xb.minimum_set is MinimumSet.THREE_POINT:
-        banner = ("three-point-limit conjecture: the scaling polynomial has "
-                  "global minimizers {0, +-xbar}, the below-threshold limit "
-                  "is conjectural and no xbar comparison is attached")
-        x_bar = None
-    y_bar = z_bar = None
-    if regime is not Regime.BELOW:
-        _no_limit_above(op, spec, regime)
-        limit = limit_constant(weak_limit_polynomial(spec))
-        y_bar, z_bar = (limit, None) if regime is Regime.ABOVE else (None, limit)
-    consts = ReportConstants(alpha0=exps.alpha0, theta=exps.theta, regime=regime,
-                             x_bar=x_bar, y_bar=y_bar, z_bar=z_bar, banner=banner)
-    return consts, exps
+    three_point = xb.minimum_set is MinimumSet.THREE_POINT
+    constant = None if limit is None else limit_constant(limit)
+    return ReportConstants(
+        alpha0=exps.alpha0, theta=exps.theta, regime=regime,
+        x_bar=None if three_point else xb.value,
+        y_bar=constant if regime is Regime.ABOVE else None,
+        z_bar=constant if regime is Regime.AT else None,
+        banner=("three-point-limit conjecture: the scaling polynomial has "
+                "global minimizers {0, +-xbar}, the below-threshold limit "
+                "is conjectural and no xbar comparison is attached") if three_point else None), exps
 
 
 def _row(spec: SequenceSpec, exps: ScalingExponents, n: int, params: ModelParams,
@@ -158,8 +152,7 @@ def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
     """
     points = _points("estimator_comparison", spec_or_params, n_list, check_n)
     if isinstance(spec_or_params, SequenceSpec):  # the report's seq6 guard, no limit constant
-        _no_limit_above("estimator_comparison", spec_or_params,
-                        scaling_exponents(spec_or_params).regime(spec_or_params.alpha))
+        _scaling("estimator_comparison", spec_or_params, *Regime)
     rows = []
     for n, params in points:
         m = magnetization(params)
@@ -197,8 +190,7 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     term of order log n / n^u.
     """
     points = _points("mdp_rate_estimate", spec, n_list, check_n)
-    g, exps = gl_polynomial(spec)
-    exps.require("mdp_rate_estimate", spec.alpha, Regime.BELOW)
+    g, exps = _scaling("mdp_rate_estimate", spec, Regime.BELOW)[:2]
     xb = xbar(g).value
     if not (math.isfinite(a) and a > xb):
         raise ValueError(
@@ -236,11 +228,9 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     rule on one 40001-point grid, cut where both weights are below e^-60 of
     their peaks (both weight_window cutoffs). Cost does not depend on n.
     """
-    exps = scaling_exponents(spec)
-    [(_, phi)] = _scaled_free_energies("weak_limit_distance", spec, [n], 1.0, exps.theta_alpha0)
-    _no_limit_above("weak_limit_distance", spec,
-                    exps.require("weak_limit_distance", spec.alpha, Regime.AT, Regime.ABOVE))
-    poly = weak_limit_polynomial(spec)
+    points = _points("weak_limit_distance", spec, [n])
+    _, exps, _, poly = _scaling("weak_limit_distance", spec, Regime.AT, Regime.ABOVE)
+    [(_, phi)] = _scaled_free_energies(points, 1.0, exps.theta_alpha0)
     half_width = max(poly.weight_window()[1], phi.weight_window()[1])
     grid = np.linspace(-half_width, half_width, 40001)
     cdf_n = _cdf(-phi(grid), grid)
@@ -262,7 +252,7 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     here is asserted by the acceptance suite.
     """
     points = _points("kappa_fluctuation_estimate", spec, n_list, check_n)
-    scaling_exponents(spec).require("kappa_fluctuation_estimate", spec.alpha, Regime.BELOW)
+    exps = _scaling("kappa_fluctuation_estimate", spec, Regime.BELOW)[1]
     ns = [n for n, _ in points]
     if len(set(ns)) < 2:
         raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "
@@ -278,5 +268,5 @@ def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
     vals = np.array([r[1] for r in rows])
     slope = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(vals), 1)[0]
     return KappaFitReport(fitted_exponent=float(-slope),
-                          conjectured_kappa=scaling_exponents(spec).kappa(spec.alpha),
+                          conjectured_kappa=exps.kappa(spec.alpha),
                           rows=tuple(rows))

@@ -189,6 +189,9 @@ def verify_tricritical_conjectures(h_grid=(1e-2, 1e-3)) -> TricriticalConjecture
         raise ValueError("verify_tricritical_conjectures: h_grid entries must be "
                          ">= 1e-5; below it the second difference of K1 is "
                          "rounding noise (~4e-16/h^2)")
+    if not all(BETA_C + 2 * h <= BETA_MAX for h in h_grid):  # nan and inf fail too
+        raise ValueError("verify_tricritical_conjectures: h_grid entries must be finite "
+                         f"with beta_c + 2h <= BETA_MAX = {BETA_MAX}, got {h_grid}")
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
         raise ValueError("verify_tricritical_conjectures: h_grid must be strictly decreasing")
     k0 = second_order_k(BETA_C)

@@ -190,15 +190,6 @@ class ScalingExponents:
         """Decay exponent of E|S_n/n|: theta alpha below alpha0, theta alpha0 at and above."""
         return self.theta * alpha if self.regime(alpha) is Regime.BELOW else self.theta_alpha0
 
-    def require(self, op: str, alpha: float, *allowed: Regime) -> Regime:
-        """The regime of alpha; a ValueError naming op if it is not in allowed."""
-        regime = self.regime(alpha)
-        if regime not in allowed:
-            raise ValueError(f"{op}: requires alpha {' or '.join(r.value for r in allowed)} "
-                             f"alpha0 = {self.alpha0:.6g} (tolerance {ALPHA_MATCH_TOL:g}), "
-                             f"got {alpha!r}")
-        return regime
-
 
 class MinimumSet(enum.Enum):
     PLUS_MINUS = "plus-minus"
@@ -341,10 +332,6 @@ def _approach(spec: SequenceSpec) -> _Approach:
                      ScalingExponents(1.0 / (2 * p - 1), (p - 1) / 2.0))
 
 
-def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
-    return _approach(spec).exponents
-
-
 def validate(spec: SequenceSpec) -> list[CheckResult]:
     """Evaluate the coexistence inequalities of the sequence, with margins.
 
@@ -444,40 +431,54 @@ def coexistence_onset(spec: SequenceSpec) -> int:
     return onset
 
 
-def _scaling(op: str, spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
-    """gl_polynomial, the spec checked once, under op's name."""
-    require_valid(op, spec)
+def _scaling(op: str, spec: SequenceSpec, *allowed: Regime, alpha=None
+             ) -> tuple[EvenPolynomial, ScalingExponents, Regime, EvenPolynomial | None]:
+    """The one gate from a spec, checked by its caller, to (g, exponents,
+    regime, limit): the regime is that of alpha (spec.alpha unless given), the
+    limit the weak-limit polynomial, g at alpha0 and g~ above, else None.
+
+    With no allowed regimes it forms no limit. Otherwise a regime outside
+    allowed raises naming op, and so does seq6 above alpha0, which has no g~.
+    """
     a = _approach(spec)
-    return EvenPolynomial(c2=a.beta0 * a.d / math.factorial(a.p), c4=a.c4, c6=a.c6), a.exponents
-
-
-def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
-    """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
-    return _scaling("gl_polynomial", spec)
-
-
-def _no_limit_above(op: str, spec: SequenceSpec, regime: Regime) -> None:
-    """Raise an UnsupportedSequenceError naming op for seq6 above alpha0."""
-    if regime is Regime.ABOVE and spec.kind == "seq6":
+    g = EvenPolynomial(c2=a.beta0 * a.d / math.factorial(a.p), c4=a.c4, c6=a.c6)
+    regime = a.exponents.regime(spec.alpha if alpha is None else alpha)
+    if allowed and regime not in allowed:
+        raise ValueError(f"{op}: requires alpha {' or '.join(r.value for r in allowed)} "
+                         f"alpha0 = {a.exponents.alpha0:.6g} (tolerance {ALPHA_MATCH_TOL:g}), "
+                         f"got {spec.alpha!r}")
+    if allowed and regime is Regime.ABOVE and spec.kind == "seq6":
         raise UnsupportedSequenceError(
             f"{op}: seq6 has no coercive high-order limit polynomial: the scaled "
             "free energy n G(x/n^(theta alpha0)) converges to 0 pointwise, so no "
             "above-threshold asymptotics exist for it")
+    limit = (None if not allowed or regime is Regime.BELOW
+             else g if regime is Regime.AT else g.leading_term())
+    return g, a.exponents, regime, limit
+
+
+def scaling_exponents(spec: SequenceSpec) -> ScalingExponents:
+    return _scaling("scaling_exponents", spec)[1]
+
+
+def gl_polynomial(spec: SequenceSpec) -> tuple[EvenPolynomial, ScalingExponents]:
+    """Scaling polynomial g and exponents (alpha0, theta) of the sequence."""
+    require_valid("gl_polynomial", spec)
+    return _scaling("gl_polynomial", spec)[:2]
 
 
 def g_tilde(spec: SequenceSpec) -> EvenPolynomial:
     """Leading monomial of g, the weight of the high-speed limit density."""
-    _no_limit_above("g_tilde", spec, Regime.ABOVE)
-    return _scaling("g_tilde", spec)[0].leading_term()
+    g_above = _scaling("g_tilde", spec, Regime.ABOVE, alpha=math.inf)[3]
+    require_valid("g_tilde", spec)
+    return g_above
 
 
 def weak_limit_polynomial(spec: SequenceSpec) -> EvenPolynomial:
     """Polynomial whose exp(-poly) is the weak limit of S_n/n^(1-theta alpha0):
     g at alpha0 and g~ above it. Below alpha0 it raises a ValueError."""
-    g, exps = _scaling("weak_limit_polynomial", spec)
-    regime = exps.require("weak_limit_polynomial", spec.alpha, Regime.AT, Regime.ABOVE)
-    _no_limit_above("weak_limit_polynomial", spec, regime)
-    return g if regime is Regime.AT else g.leading_term()
+    require_valid("weak_limit_polynomial", spec)
+    return _scaling("weak_limit_polynomial", spec, Regime.AT, Regime.ABOVE)[3]
 
 
 def xbar(g: EvenPolynomial) -> XbarResult:
@@ -511,7 +512,8 @@ def limit_constant(poly: EvenPolynomial) -> float:
 def _points(op: str, spec, n_list, check=check_count) -> list[tuple[int, ModelParams]]:
     """Pairs (n, params_at(spec, n)) by increasing n, raising naming op on an
     invalid spec, a bad n or an empty n_list; a fixed ModelParams spec is the
-    constant sequence."""
+    constant sequence. Every report and check starts here, with the one
+    validation of its spec outside params_at, then passes the gate _scaling."""
     if isinstance(spec, SequenceSpec):
         require_valid(op, spec)
     ns = sorted(check(op, n) for n in n_list)
@@ -520,10 +522,10 @@ def _points(op: str, spec, n_list, check=check_count) -> list[tuple[int, ModelPa
     return [(n, spec if isinstance(spec, ModelParams) else params_at(spec, n)) for n in ns]
 
 
-def _scaled_free_energies(op: str, spec: SequenceSpec, n_list, speed: float, shrink: float):
+def _scaled_free_energies(points, speed: float, shrink: float):
     """(n, n^speed G_n(y/n^shrink)) per pair of _points: the one loop of the exponents."""
     return [(n, ScaledFreeEnergy(params, float(n) ** speed, float(n) ** shrink))
-            for n, params in _points(op, spec, n_list)]
+            for n, params in points]
 
 
 def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tuple[int, float]]:
@@ -534,11 +536,11 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
-    exps = scaling_exponents(spec)
-    rows = _scaled_free_energies("check_hypothesis_iiia", spec, n_list,
-                                 spec.alpha / exps.alpha0, exps.theta * spec.alpha)
+    points = _points("check_hypothesis_iiia", spec, n_list)
+    g, exps = _scaling("check_hypothesis_iiia", spec)[:2]
+    rows = _scaled_free_energies(points, spec.alpha / exps.alpha0, exps.theta * spec.alpha)
     xs = np.linspace(-radius, radius, 2001)
-    gx = gl_polynomial(spec)[0](xs)
+    gx = g(xs)
     return [(n, float(np.max(np.abs(phi(xs) - gx)))) for n, phi in rows]
 
 
@@ -547,11 +549,11 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
 
     Requires Regime.ABOVE; rejects seq6 for the same reason g_tilde does.
     """
-    exps = scaling_exponents(spec)
-    rows = _scaled_free_energies("check_hypothesis_v", spec, n_list, 1.0, exps.theta_alpha0)
-    exps.require("check_hypothesis_v", spec.alpha, Regime.ABOVE)
+    points = _points("check_hypothesis_v", spec, n_list)
+    _, exps, _, g_above = _scaling("check_hypothesis_v", spec, Regime.ABOVE)
+    rows = _scaled_free_energies(points, 1.0, exps.theta_alpha0)
     xs = np.asarray(x_grid, dtype=float)
-    gx = g_tilde(spec)(xs)
+    gx = g_above(xs)
     return [(n, np.abs(phi(xs) - gx)) for n, phi in rows]
 
 
@@ -561,9 +563,10 @@ def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[i
     Diagnostic companion to check_hypothesis_v: for seq6 it exhibits the
     degenerate pointwise limit 0 instead of a coercive polynomial.
     """
+    points = _points("scaled_free_energy_table", spec, n_list)
     xs = np.asarray(x_grid, dtype=float)
     return [(n, phi(xs)) for n, phi in _scaled_free_energies(
-        "scaled_free_energy_table", spec, n_list, 1.0, scaling_exponents(spec).theta_alpha0)]
+        points, 1.0, _scaling("scaled_free_energy_table", spec)[1].theta_alpha0)]
 
 
 def spec_to_json(spec: SequenceSpec) -> str:

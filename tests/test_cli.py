@@ -500,6 +500,17 @@ class TestConjecturesCommand:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "200"])
+    def test_h_past_beta_max_rejected(self, capsys, h):
+        # each failed naming first_order_k, at beta_c + h or beta_c + 2h
+        assert main(["conjectures", "--h", h]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "conjectures failed: ValueError: verify_tricritical_conjectures: h_grid entries "
+            f"must be finite with beta_c + 2h <= BETA_MAX = 350.0, got [{float(h)}]\n")
+        assert captured.out == ""
+
+
 class TestExperimentConfigValidation:
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="command"):
@@ -522,7 +533,6 @@ class TestExperimentConfigValidation:
         ("mdp-check", "mdp_rate_estimate", ["--a", "2.4"]),
         ("weak-limit", "weak_limit_distance", ["--alpha", "0.8"])])
     def test_invalid_spec_names_the_operation(self, tmp_path, capsys, command, op, extra):
-        # each named gl_polynomial, which the operation called before its own check
         out = tmp_path / "x.csv"
         spec = write_spec(tmp_path, dict(SEQ1_DOC, b=1, k=0.0))
         assert main([command, "--spec", spec, *extra, "--n", "100", "-o", str(out)]) == 1

@@ -293,24 +293,44 @@ class TestCurveCache:
 
 class TestValidateOnce:
     def test_a_report_validates_its_spec_once(self, monkeypatch):
-        # _points checks the spec under the report's name and params_at once
-        # per n; gl_polynomial adds one check, and weak_limit_polynomial one
-        # more at and above alpha0, none of them through a second helper
+        # a report or check validates its spec once, in _points under its own
+        # name, and params_at once per n; a view of the gate validates once
         calls = []
         validate = sequences.validate
         monkeypatch.setattr(sequences, "validate", lambda spec: calls.append(spec) or
                             validate(spec))
-
-        def count(run, *args):
-            calls.clear()
-            run(*args)
-            return len(calls)
-
         ns = [50, 100, 200]
-        assert [count(run_finite_size_asymptotics, spec, ns)
-                for spec in (SEQ1_BELOW, SEQ1_AT, SEQ1_ABOVE)] == [5, 6, 6]
-        assert [count(weak_limit_distance, spec, 100) for spec in (SEQ1_AT, SEQ1_ABOVE)] == [3, 3]
-        assert [count(f, SEQ1_ABOVE) for f in (g_tilde, weak_limit_polynomial)] == [1, 1]
+        every, at_or_above = (SEQ1_BELOW, SEQ1_AT, SEQ1_ABOVE), (SEQ1_AT, SEQ1_ABOVE)
+        table = {  # operation: (call on a spec, the specs it admits, validate calls)
+            "run_thermo_asymptotics":
+                (lambda spec: run_thermo_asymptotics(spec, ns), every, 1 + len(ns)),
+            "run_finite_size_asymptotics":
+                (lambda spec: run_finite_size_asymptotics(spec, ns), every, 1 + len(ns)),
+            "estimator_comparison":
+                (lambda spec: estimator_comparison(spec, ns), every, 1 + len(ns)),
+            "mdp_rate_estimate":
+                (lambda spec: mdp_rate_estimate(spec, 3.0, ns), [SEQ1_BELOW], 1 + len(ns)),
+            "kappa_fluctuation_estimate":
+                (lambda spec: kappa_fluctuation_estimate(spec, ns), [SEQ1_BELOW], 1 + len(ns)),
+            "weak_limit_distance": (lambda spec: weak_limit_distance(spec, 100), at_or_above, 2),
+            "check_hypothesis_iiia":
+                (lambda spec: check_hypothesis_iiia(spec, 2.0, ns), every, 1 + len(ns)),
+            "check_hypothesis_v":
+                (lambda spec: check_hypothesis_v(spec, [1.0], ns), [SEQ1_ABOVE], 1 + len(ns)),
+            "scaled_free_energy_table":
+                (lambda spec: scaled_free_energy_table(spec, [1.0], ns), every, 1 + len(ns)),
+            "gl_polynomial": (gl_polynomial, every, 1),
+            "g_tilde": (g_tilde, every, 1),
+            "weak_limit_polynomial": (weak_limit_polynomial, at_or_above, 1),
+        }
+        counts = {}
+        for op, (call, specs, _) in table.items():
+            for spec in specs:
+                calls.clear()
+                call(spec)
+                counts[op, spec.alpha] = len(calls)
+        assert counts == {(op, spec.alpha): expected
+                          for op, (_, specs, expected) in table.items() for spec in specs}
 
 
 class TestThermoAsymptotics:
@@ -605,6 +625,26 @@ def test_regime_errors_name_the_operation(op, regime):
     with pytest.raises(ValueError, match=(f"^{op}: requires alpha {' or '.join(accepted)} "
                                           r"alpha0 = 0\.5 \(tolerance 1e-12\), got ")):
         call(spec)
+
+
+SEQ6_ABOVE = SequenceSpec(kind="seq6", alpha=0.3, p=3, ell=second_order_k_deriv(BETA_C, 3) - 6.0)
+SEQ6_REJECTED = {  # operation: its call on a spec; seq6 has no g~ above alpha0 = 1/5
+    "estimator_comparison": lambda spec: estimator_comparison(spec, [50, 100]),
+    "run_finite_size_asymptotics": lambda spec: run_finite_size_asymptotics(spec, [50, 100]),
+    "run_thermo_asymptotics": lambda spec: run_thermo_asymptotics(spec, [50, 100]),
+    "weak_limit_distance": lambda spec: weak_limit_distance(spec, 100),
+    "weak_limit_polynomial": weak_limit_polynomial,
+    "check_hypothesis_v": lambda spec: check_hypothesis_v(spec, [1.0], [100]),
+    "g_tilde": g_tilde,
+}
+
+
+@pytest.mark.parametrize("op", SEQ6_REJECTED)
+def test_seq6_above_threshold_errors_name_the_operation(op):
+    # check_hypothesis_v failed under g_tilde's name
+    with pytest.raises(UnsupportedSequenceError,
+                       match=f"^{op}: seq6 has no coercive high-order limit polynomial: "):
+        SEQ6_REJECTED[op](SEQ6_ABOVE)
 
 
 class TestEstimatorComparison:

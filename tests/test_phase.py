@@ -276,6 +276,19 @@ class TestTricriticalConjectures:
         with pytest.raises(ValueError, match="rounding noise"):
             verify_tricritical_conjectures([1e-4, 9e-6])
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, (BETA_MAX - BETA_C) / 1.999])
+    def test_h_past_beta_max_rejected(self, h):
+        # first_order_k rejected beta_c + h or beta_c + 2h under its own name
+        with pytest.raises(ValueError, match=r"^verify_tricritical_conjectures: h_grid entries "
+                                             r"must be finite with beta_c \+ 2h <= BETA_MAX"):
+            verify_tricritical_conjectures([h])
+
+    def test_largest_h(self):
+        # beta_c + 2h = BETA_MAX is the last point first_order_k takes
+        h = (BETA_MAX - BETA_C) / 2
+        assert BETA_C + 2 * h <= BETA_MAX
+        assert len(verify_tricritical_conjectures([h]).rows) == 1
+
     def test_empty_grid_rejected(self):
         # returned a report with no rows
         with pytest.raises(ValueError, match="^verify_tricritical_conjectures: h_grid must "
