@@ -2,10 +2,10 @@
 
 One well test in the tilt, ``_well_tilt``, is the equilibrium solver behind
 ``min_free_energy``, m(beta, K), the first-order curve and the region of a
-point; ``ScaledFreeEnergy``, the exponent n G(y/n^gamma) of every
-e^{-n G} integral, windows its weight at the wells of the same tilt by
-``weight_window``, the window rule of every e^-phi integral. Each reads the
-K-free state of its beta, one model.Tilt, from ``_tilt``, kept for 64 beta.
+point; ``ScaledFreeEnergy``, the exponent n G(y/n^gamma) of every e^{-n G}
+integral, windows its weight at the wells of the same tilt by ``weight_window``,
+the window rule of every e^-phi integral. Each asks the per-beta solver state,
+one model.Tilt from ``_tilt``, for rho_K and the tilt functions.
 """
 
 from __future__ import annotations
@@ -15,50 +15,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import _EXP_BITS, ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
+from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_deriv
 
 TAIL_CUT = 60.0   # weight_window's margin: beyond it a weight is below e^-60 of its peak
 _TILT_CACHE_SIZE = 64   # the last beta whose Tilt the solvers keep
-# The one per-beta solver state: Tilt(beta), shared by every solve at beta.
+# Tilt(beta) for every solve at beta; a kept one answers as a new one, to the bit.
 _tilt = functools.lru_cache(maxsize=_TILT_CACHE_SIZE)(Tilt)
-
-
-def _spinodal_excess(tilt: Tilt, kappa: float) -> float:
-    """K(beta)/K - 1 = (e^beta + 2 - 4 beta K)/(4 beta K) at beta = tilt.beta,
-    its numerator rounded once from exact integer arithmetic.
-
-    m(beta, K) near the second-order curve is as sensitive to this difference
-    as to K itself, and there the numerator cancels to a few ulps of e^beta.
-    Floats cannot form it: a float e^beta is itself up to half an ulp off, and
-    4 beta K takes 106 bits. So beta and K are read as exact dyadic
-    rationals, and e^beta = 2^k e^r, k = round(beta/log 2), |r| <= 0.35, is
-    summed as the Taylor series of e^r in integers at 2^-128 (log 2 at
-    2^-136). The numerator is then within 2^-121 e^beta of its exact value,
-    and int / int rounds it once. Below beta = 0.35 (k = 0) every truncation
-    is downward, and half a unit is added before the rounding: the part of
-    e^beta - 1 lost below 2^-128 is positive, so an exact tie of the rest
-    rounds up, as the exact numerator does. K(beta)/K below the floats gives
-    -1.0, above them inf.
-
-    The series, most of the cost, depends on beta alone: Tilt(beta) sums it
-    once, into tilt.curve, and the solves at one beta (classify's two
-    probes, the K1 confirmation, m) share that Tilt through _tilt, a
-    functools.lru_cache of the last _TILT_CACHE_SIZE = 64 beta, whose
-    bookkeeping is thread-safe. A Tilt holds exactly what its beta gives, so
-    a cached result is the uncached one to the bit; only the K part (one
-    product, one rounding, one division) runs on every call.
-    """
-    den = 4.0 * tilt.beta * kappa
-    if den == math.inf:
-        return -1.0
-    if den == 0.0:
-        return math.inf
-    bn, bd, top = tilt.curve
-    kn, kd = kappa.as_integer_ratio()
-    # 2^129 bd kd times the numerator plus half a unit
-    d = bd * kd
-    num = top * d - (bn * kn << _EXP_BITS + 3)
-    return num / (d << _EXP_BITS + 1) / den
 
 
 def _largest_root(pair, level: float, s: float, s_right: float, power: int, floor: float) -> float:
@@ -106,16 +68,16 @@ def _outer_tilt(kappa: float, tilt: Tilt) -> float:
     or 0.0 when there is none.
 
     s = t^2 solves rho(s) = rho_K = K(beta)/K - 1 where the secant excess rho
-    (Tilt.secant_excess) falls; rho_K is exact to the rounding, so the
-    residual keeps its precision near K(beta). _largest_root starts at the
-    outer root of w2 s + w3 s^2 = rho_K (Tilt.excess_series): t (rho - rho_K)
-    = (2 beta K c'(t) - t)/(2 beta K c''(0)) is concave where rho falls, as c'
-    is. Below beta_c rho falls from 0: no root for rho_K >= 0. Where K(beta)/K
-    rounds to -1 (K above about 1e16 K(beta)) or (2 beta K)^2 overflows,
-    c'(2 beta K) = 1 and 2 beta K, or the largest float, is the root.
+    (Tilt.secant_excess) falls; rho_K (Tilt.spinodal_excess) is exact to the
+    rounding, so the residual keeps its precision near K(beta). _largest_root
+    starts at the outer root of w2 s + w3 s^2 = rho_K (Tilt.excess_series):
+    t (rho - rho_K) = (2 beta K c'(t) - t)/(2 beta K c''(0)) is concave where
+    rho falls, as c' is. Below beta_c rho falls from 0: no root for rho_K >= 0.
+    Where K(beta)/K rounds to -1 (K above about 1e16 K(beta)) or (2 beta K)^2
+    overflows, c'(2 beta K) = 1 and 2 beta K, or the largest float, is the root.
     """
     two_bk = 2.0 * tilt.beta * kappa
-    rho_k = _spinodal_excess(tilt, kappa)
+    rho_k = tilt.spinodal_excess(kappa)
     if rho_k == -1.0 or two_bk * two_bk == math.inf:
         return min(two_bk, sys.float_info.max)
     w2, w3 = tilt.excess_series

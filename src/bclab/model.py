@@ -11,10 +11,11 @@ magnetization values is
 
     G_{beta,K}(x) = beta K x^2 - c_beta(2 beta K x).
 
-Everything here is a pure function of its arguments; ``Tilt`` holds the tilt
-functions of the equilibrium solvers at one beta, which take a float s = t^2
-and return a value with its slope in s. Elsewhere the spin/tilt argument may
-be a scalar or a numpy array. No function overflows for any finite argument.
+Everything here is a pure function of its arguments; ``Tilt``, the per-beta
+state of the equilibrium solvers, alone forms or reads a per-beta quantity:
+the exact rho_K = K(beta)/K - 1, the tilt functions in s = t^2 and their
+Newton starts. Elsewhere the spin/tilt argument may be a scalar or a numpy
+array. No function overflows for any finite argument.
 
 One dispatcher, ``_elementwise``, serves the four public functions: a finite
 Python int or float (numpy's float64 included) goes straight to a ``math``
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -59,12 +61,14 @@ def check_beta(op: str, beta: float) -> None:
 
 
 def check_count(op: str, n: int) -> int:
-    """n as an int >= 1 (no bool, no float), else raise a ValueError naming op."""
+    """n as an int in [1, float max] (no bool, no float), else raise a ValueError naming op."""
     if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise ValueError(f"{op}: n must be an int, got {n!r}")
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"{op}: n must be >= 1, got {n}")
+    if n > sys.float_info.max:   # exact; the text of such an n can pass 4300 digits
+        raise ValueError(f"{op}: n must be at most the largest float, got 10^{math.log10(n):.6g}")
     return n
 
 
@@ -180,18 +184,17 @@ def _gamma_polynomials() -> tuple[tuple[float, ...], ...]:
 _GAMMA_POLYNOMIALS = _gamma_polynomials()
 
 
-def _series_coefficients(beta: float) -> list[float]:
-    """[gamma_1, ..., gamma_26]; gamma_2 = p (1 - 3p)/24 keeps its relative
-    precision at beta_c through 1 - 3p = (1 - 4 e^{-beta})/(1 + 2 e^{-beta})."""
-    a = math.exp(-beta)
-    p = 2.0 * a / (1.0 + 2.0 * a)
+def _series_coefficients(tilt: Tilt) -> list[float]:
+    """[gamma_1, ..., gamma_26] at tilt.beta; gamma_2 = p (1 - 3p)/24 keeps its
+    relative precision at beta_c through 1 - 3p = (1 - 4 e^{-beta})/(1 + 2 e^{-beta})."""
+    a, p = tilt._a, tilt._c2_origin
     g = []
     for row in _GAMMA_POLYNOMIALS:
         v = 0.0
         for c in row:
             v = v * p + c
         g.append(v * p)
-    g[1] = -p * math.expm1(math.log(4.0) - beta + _LOG4_LO) / (24.0 * (1.0 + 2.0 * a))
+    g[1] = p * tilt._d / (24.0 * (1.0 + 2.0 * a))
     return g
 
 
@@ -205,27 +208,28 @@ def _horner(weights, s: float) -> tuple[float, float]:
 
 
 class Tilt:
-    """The K-free tilt functions at one beta, for the Newton descent in s = t^2
-    of ``minimize`` and ``phase``, which share one Tilt per beta: beta is
-    checked and e^{-beta} formed once, and the series weights below s = 1 are
-    built at the first such s, so at most once per beta. ``curve`` is (bn, bd,
-    top): beta = bn/bd exactly and top = 2^129 (e^beta + 2) + 1, e^beta =
-    2^k e^r summed as the integer series of minimize._spinodal_excess.
-    ``excess_series`` is (w2, w3), the secant excess being rho = w2 s + w3 s^2
-    + O(s^3): w2 = 2 gamma_2/gamma_1, negative exactly below beta_c = log 4,
-    and w3 = 3 gamma_3/gamma_1. rho and the depth f rise in s below
-    ``s_rise`` = t_i^2 (0.0 up to beta_c), as c' is convex up to t_i, cosh t_i
-    = 1 + x = (1 - 8 e^{-2 beta}) e^beta/2; t_i = log1p(x + sqrt(x (x + 2)))
-    keeps the relative precision of x near beta_c, where acosh(1 + x) loses
-    that of 1 + x."""
+    """The per-beta state of the equilibrium solvers of ``minimize`` and
+    ``phase``, which share one Tilt per beta and ask it every per-beta answer.
+    Once per beta it checks beta, forms e^{-beta}, c''(0) and 1 - 4 e^{-beta}
+    and sums e^beta exactly (``spinodal_excess``), and it builds the gamma
+    series of the K-free tilt functions at the first s < 1. ``excess_series``
+    is (w2, w3), the secant excess being rho = w2 s + w3 s^2 + O(s^3): w2 = 2
+    gamma_2/gamma_1, negative exactly below beta_c = log 4, and w3 = 3
+    gamma_3/gamma_1. ``depth_start``, the K1 descent's start, is the series
+    root -gamma_2/(2 gamma_3) of f/s^2 = gamma_2 + 2 gamma_3 s + ..., or 0.0
+    where gamma_3 >= 0. rho and f rise in s below ``s_rise`` = t_i^2 (0.0 up
+    to beta_c), as c' is convex up to t_i, cosh t_i = 1 + x = (1 - 8 e^{-2
+    beta}) e^beta/2; t_i = log1p(x + sqrt(x (x + 2))) keeps the relative
+    precision of x near beta_c, where acosh(1 + x) loses that of 1 + x."""
 
     def __init__(self, beta: float):
         check_beta("Tilt", beta)
         self.beta = beta = float(beta)
         self._a = a = math.exp(-beta)
         self._c2_origin = p = 2.0 * a / (1.0 + 2.0 * a)   # c''(0)
-        d = -math.expm1(math.log(4.0) - beta + _LOG4_LO)     # 1 - 4 e^{-beta}
-        self.excess_series = (d / (6.0 + 12.0 * a), (1.0 + p * (30.0 * p - 15.0)) / 120.0)
+        self._d = d = -math.expm1(math.log(4.0) - beta + _LOG4_LO)   # 1 - 4 e^{-beta}
+        self.excess_series = w2, w3 = d / (6.0 + 12.0 * a), (1.0 + p * (30.0 * p - 15.0)) / 120.0
+        self.depth_start = -0.75 * w2 / w3 if w3 < 0.0 else 0.0
         x = d * (1.0 + 2.0 * a) / (2.0 * a)
         self.s_rise = math.log1p(x + math.sqrt(x * (x + 2.0))) ** 2 if d > 0.0 else 0.0
         self._weights = None
@@ -238,12 +242,39 @@ class Tilt:
             n += 1
             term = (term * r >> _EXP_BITS) // n
             exp_r += term
-        self.curve = bn, bd, 2 * ((exp_r << k) + (2 << _EXP_BITS)) + 1
+        self._curve = bn, bd, 2 * ((exp_r << k) + (2 << _EXP_BITS)) + 1
+
+    def spinodal_excess(self, kappa: float) -> float:
+        """rho_K = K(beta)/K - 1 = (e^beta + 2 - 4 beta K)/(4 beta K), its
+        numerator rounded once from exact integers: near the second-order
+        curve m(beta, K) is as sensitive to it as to K, and the numerator
+        cancels to a few ulps of e^beta, which a float e^beta is itself up to
+        half an ulp off; 4 beta K takes 106 bits. So beta = bn/bd and K are
+        read as exact dyadic rationals, and e^beta = 2^k e^r, k = round(beta/log
+        2), |r| <= 0.35, is summed once per beta as the Taylor series of e^r in
+        integers at 2^-128 (log 2 at 2^-136), into _curve = (bn, bd, top), top
+        = 2^129 (e^beta + 2) + 1; a call forms the K part alone. The numerator
+        is then within 2^-121 e^beta of its exact value. Below beta = 0.35 (k =
+        0) every truncation is downward, and top's + 1 adds half a unit before
+        the rounding: the part of e^beta - 1 lost below 2^-128 is positive, so
+        an exact tie of the rest rounds up, as the exact numerator does.
+        K(beta)/K below the floats gives -1.0, above them inf."""
+        den = 4.0 * self.beta * kappa
+        if den == math.inf:
+            return -1.0
+        if den == 0.0:
+            return math.inf
+        bn, bd, top = self._curve
+        kn, kd = kappa.as_integer_ratio()
+        # 2^129 bd kd times the numerator plus half a unit
+        d = bd * kd
+        num = top * d - (bn * kn << _EXP_BITS + 3)
+        return num / (d << _EXP_BITS + 1) / den
 
     def _series(self) -> tuple[list[float], list[float]]:
         """Weights of s^(j-2), j = 26 down to 2: f/s^2 and rho/s."""
         if self._weights is None:
-            g = _series_coefficients(self.beta)
+            g = _series_coefficients(self)
             self._weights = ([(j - 1) * g[j - 1] for j in range(_SERIES_TERMS, 1, -1)],
                              [j * (g[j - 1] / g[0]) for j in range(_SERIES_TERMS, 1, -1)])
         return self._weights

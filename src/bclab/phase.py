@@ -8,8 +8,8 @@ valid as the second-order curve for beta <= beta_c = log 4 and as the
 spinodal curve beyond. The discontinuous-bifurcation curve K1(beta), defined
 only implicitly, is the smallest K at which the free energy touches zero at a
 strictly positive magnetization: K(beta)/(1 + rho(t1)) at the positive root
-t1 of the K-free well depth f (``model.Tilt``). t1 comes from the Newton
-descent in s = t^2 that ``minimize`` uses for m(beta, K).
+t1 of the K-free well depth f, from the Newton descent in s = t^2 that
+``minimize`` uses for m(beta, K), on answers of the per-beta ``model.Tilt``.
 
 Note on the tricritical interaction strength: it is sometimes written
 "3/2 log4", which this module reads as 3/(2 log 4) = K(log 4); the two
@@ -71,14 +71,13 @@ def first_order_k(beta: float) -> float:
     (f'' = t c'''/2 < 0), and below t0 = min(2 beta K(beta), 2 beta + 2 log 3),
     where f < 0; the cap keeps f resolved at large beta. minimize._largest_root
     finds s1 = t1^2 from (f, df/ds) (Tilt.depth), starting at the series root
-    -gamma_2/(2 gamma_3) of f/s^2 = gamma_2 + 2 gamma_3 s + ... . K1 is
-    K(beta)/(1 + rho(s1)), raised by the ulps min_free_energy needs to report
-    the positive well there. That report is the contract classify relies on:
-    the well shows at K1, at every float 8 or more ulps above it and at none
-    8 or more ulps below; between, it can flicker. On 300 seeded
-    beta = beta_c + 10^u, u in [-10, 2.5], it shows one ulp below K1 for 23
-    and is not monotone within 20 ulps of K1 for 7; on 6,000 it showed at
-    most 4 ulps below K1 and was missing at most 3 above.
+    of f/s^2 (Tilt.depth_start). K1 is K(beta)/(1 + rho(s1)), raised by the
+    ulps min_free_energy needs to report the positive well there. That report
+    is the contract classify relies on: the well shows at K1, at every float 8
+    or more ulps above it and at none 8 or more ulps below; between, it can
+    flicker. On 300 seeded beta = beta_c + 10^u, u in [-10, 2.5], it shows one
+    ulp below K1 for 23 and is not monotone within 20 ulps of K1 for 7; on
+    6,000 it showed at most 4 ulps below K1 and was missing at most 3 above.
 
     The descent takes 4-12 iterates of (f, df/ds) on [beta_c + 0.1, 10], 2-4
     beyond, and 5, 3 and 2 at beta_c + 1e-2, 1e-6, 1e-10. The descent and
@@ -92,9 +91,7 @@ def first_order_k(beta: float) -> float:
                          f"{BETA_MAX}], got {beta}")
     tilt = _tilt(beta)
     t0 = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
-    w2, w3 = tilt.excess_series
-    s1 = _largest_root(tilt.depth, 0.0, -0.75 * w2 / w3 if w3 < 0.0 else 0.0, t0 * t0, 0,
-                       tilt.s_rise)
+    s1 = _largest_root(tilt.depth, 0.0, tilt.depth_start, t0 * t0, 0, tilt.s_rise)
     k1 = second_order_k(beta) / (1.0 + tilt.secant_excess(s1)[0])
     for _ in range(64):
         if min_free_energy(ModelParams(beta, k1))[1] > 0.0:

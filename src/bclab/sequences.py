@@ -390,7 +390,11 @@ def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     """The point (beta_n, K_n) of the sequence at index n; raises naming n
     when beta_n leaves (0, BETA_MAX], as it can at small n."""
     require_valid("params_at", spec)
-    n = check_count("params_at", n)
+    return _point(spec, check_count("params_at", n))
+
+
+def _point(spec: SequenceSpec, n: int) -> ModelParams:
+    """params_at for a spec and an n its caller has checked."""
     a = _approach(spec)
     na = float(n) ** spec.alpha
     kappa_n = second_order_k(a.beta0)
@@ -417,8 +421,8 @@ def coexistence_onset(spec: SequenceSpec) -> int:
     n = 1
     while n <= 2**20:
         try:
-            inside = classify(params_at(spec, n)) in ok_regions
-        except ValueError:  # after require_valid: beta_n or K_n out of range
+            inside = classify(_point(spec, n)) in ok_regions
+        except ValueError:  # beta_n or K_n out of range
             inside = False
         if not inside:
             onset = None
@@ -538,7 +542,11 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
         raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
     points = _points("check_hypothesis_iiia", spec, n_list)
     g, exps = _scaling("check_hypothesis_iiia", spec)[:2]
-    rows = _scaled_free_energies(points, spec.alpha / exps.alpha0, exps.theta * spec.alpha)
+    try:
+        rows = _scaled_free_energies(points, spec.alpha / exps.alpha0, exps.theta * spec.alpha)
+    except OverflowError:   # n^(alpha/alpha0), first at the largest n
+        raise ValueError("check_hypothesis_iiia: n^(alpha/alpha0) leaves the float range at "
+                         f"n = {points[-1][0]:.6g}") from None
     xs = np.linspace(-radius, radius, 2001)
     gx = g(xs)
     return [(n, float(np.max(np.abs(phi(xs) - gx)))) for n, phi in rows]

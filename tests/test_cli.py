@@ -417,6 +417,16 @@ class TestWeakLimitCommand:
         assert [int(n) for n, _ in rows] == [10**8, 10**10]
         assert 0 < float(rows[1][1]) < float(rows[0][1]) < 1e-3
 
+    def test_n_past_the_floats_named(self, tmp_path, capsys):
+        # exited 1 with a bare "int too large to convert to float"
+        spec = write_spec(tmp_path, dict(SEQ1_DOC, alpha=0.8))
+        assert main(["weak-limit", "--spec", spec, "--n", str(10**400),
+                     "-o", str(tmp_path / "wl.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "weak-limit failed: ValueError: weak_limit_distance: n must be at most the "
+            "largest float, got 10^400\n")
+        assert not (tmp_path / "wl.csv").exists()
+
     def test_output_over_the_spec_rejected(self, tmp_path, capsys):
         # weak-limit writes no sidecar, so only -o itself can hit the spec
         spec = write_spec(tmp_path, dict(SEQ1_DOC, alpha=0.8))

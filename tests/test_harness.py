@@ -125,7 +125,7 @@ class TestThermoMagnetization:
         # sit at the inner root, or below the level where rho still rises
         params = ModelParams(beta, second_order_k(beta) * kappa_over_k)
         tilt = Tilt(beta)
-        rho_k = minimize._spinodal_excess(tilt, params.kappa)
+        rho_k = tilt.spinodal_excess(params.kappa)
         s_right = (2.0 * beta * params.kappa) ** 2
         root = minimize._outer_tilt(params.kappa, tilt) ** 2
         for k in range(61):
@@ -172,17 +172,17 @@ class TestSpinodalExcess:
         assert len(points) >= 2000
         for beta, kappa in points:
             den = 4.0 * beta * kappa
-            got = minimize._spinodal_excess(Tilt(beta), kappa)
+            got = Tilt(beta).spinodal_excess(kappa)
             assert got == spinodal_numerator_mp(beta, kappa) / den, (beta, kappa)
             if beta >= 1e-30:
                 assert got == spinodal_numerator_decimal(beta, kappa) / den, (beta, kappa)
 
     def test_beyond_the_floats(self):
         # K(beta)/K below the floats is -1, above them inf
-        assert minimize._spinodal_excess(Tilt(1.0), 5e307) == -1.0
-        assert minimize._spinodal_excess(Tilt(BETA_MAX), 1e306) == -1.0
-        assert minimize._spinodal_excess(Tilt(1e-300), 1e-300) == math.inf
-        assert minimize._spinodal_excess(Tilt(5e-324), 1e-300) == math.inf
+        assert Tilt(1.0).spinodal_excess(5e307) == -1.0
+        assert Tilt(BETA_MAX).spinodal_excess(1e306) == -1.0
+        assert Tilt(1e-300).spinodal_excess(1e-300) == math.inf
+        assert Tilt(5e-324).spinodal_excess(1e-300) == math.inf
 
     def test_log2_literal(self):
         with mp.workdps(60):
@@ -190,7 +190,7 @@ class TestSpinodalExcess:
 
 
 def _spinodal_excess_uncached(beta, kappa):
-    """_spinodal_excess written out in one piece, e^beta series and all, with
+    """Tilt.spinodal_excess written out in one piece, e^beta series and all, with
     nothing kept between calls: the oracle of the Tilt cache."""
     den = 4.0 * beta * kappa
     if den == math.inf:
@@ -234,7 +234,7 @@ class TestCurveCache:
         def state(tilt):
             pairs = [f(s) for s in (0.0, 0.04, 0.81, 1.0, 9.0, 400.0)
                      for f in (tilt.depth, tilt.secant_excess)]
-            return (tilt.beta, tilt.curve, tilt.excess_series, tilt.s_rise, pairs)
+            return (tilt.beta, tilt.excess_series, tilt.s_rise, pairs)
 
         points = _cache_points()
         minimize._tilt.cache_clear()
@@ -243,9 +243,9 @@ class TestCurveCache:
                 kept = minimize._tilt(beta)
                 assert state(kept) == state(Tilt(float(beta))), (beta, warm)
                 assert state(kept) == state(minimize._tilt(float(beta))), beta
-                got = minimize._spinodal_excess(kept, kappa)
+                got = kept.spinodal_excess(kappa)
                 assert got == _spinodal_excess_uncached(float(beta), kappa), (beta, kappa, warm)
-                assert got == minimize._spinodal_excess(Tilt(beta), kappa), (beta, kappa)
+                assert got == Tilt(beta).spinodal_excess(kappa), (beta, kappa)
         assert minimize._tilt.cache_info().hits >= len(points)
 
     def test_one_series_per_beta(self):
@@ -319,6 +319,7 @@ class TestValidateOnce:
                 (lambda spec: check_hypothesis_v(spec, [1.0], ns), [SEQ1_ABOVE], 1 + len(ns)),
             "scaled_free_energy_table":
                 (lambda spec: scaled_free_energy_table(spec, [1.0], ns), every, 1 + len(ns)),
+            "coexistence_onset": (coexistence_onset, every, 1),
             "gl_polynomial": (gl_polynomial, every, 1),
             "g_tilde": (g_tilde, every, 1),
             "weak_limit_polynomial": (weak_limit_polynomial, at_or_above, 1),
@@ -535,7 +536,11 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
     # 1/3 is no quadrature node; the error is a QuadratureError
     ("weighted_ratio", lambda law, p: weighted_ratio(lambda x: 1.0 / abs(x - 1.0 / 3.0),
                                                      EvenPolynomial(c2=1.0))),
+    # n^(alpha/alpha0) = 10^480 raised a bare OverflowError
+    ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_ABOVE, 2.0, [10**300])),
     *[(op, lambda law, p, op=op, n=n: CALL_WITH_N[op](n)) for op, n in BAD_N_CASES],
+    # float(n) raised a bare OverflowError
+    *[(op, lambda law, p, op=op: CALL_WITH_N[op](2**1024)) for op in CALL_WITH_N],
 ], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf",
         "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
@@ -556,13 +561,22 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
         "aitken_limit-two-values", "verify_tricritical_conjectures-increasing",
         "second_order_k_deriv-order=0", "second_order_k_deriv-order=13",
         "cumulant_deriv-order", "free_energy_deriv-order", "gaussian_mixture_expectation",
-        "weighted_ratio-no-convergence",
-        *[f"{op}-n={n}" for op, n in BAD_N_CASES]])
+        "weighted_ratio-no-convergence", "check_hypothesis_iiia-n^speed-overflows",
+        *[f"{op}-n={n}" for op, n in BAD_N_CASES], *[f"{op}-n=2^1024" for op in CALL_WITH_N]])
 def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
     with pytest.raises(QuadratureError if op == "weighted_ratio" else ValueError,
                        match=f"^{op}: "):
         call(finite_size_law(20, params), params)
+
+
+def test_n_up_to_the_largest_float():
+    # n runs up to the largest float; one past it fails naming the operation
+    n = int(sys.float_info.max)
+    assert params_at(SEQ1_BELOW, n) == ModelParams(1.0, second_order_k(1.0))
+    with pytest.raises(ValueError, match=r"^params_at: n must be at most the largest float, "
+                                         r"got 10\^308\.255$"):
+        params_at(SEQ1_BELOW, n + 1)
 
 
 SPEC_FIRST = {  # operation: its call on a spec, which checks the spec before anything else

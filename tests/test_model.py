@@ -242,6 +242,22 @@ class TestTiltForms:
                 assert abs(got - slope_0) <= 1e-14 * abs(slope_0)
             assert abs(tilt.excess_series[1] - w3) <= 1e-14 * (abs(w3) + abs(slope_0))
 
+    @pytest.mark.parametrize("beta", [BETA_C + 1e-10, BETA_C + 1e-6, BETA_C + 1e-3, 1.5, 2.0,
+                                      3.0, 3.14, 3.15, 10.0, BETA_MAX])
+    def test_depth_start(self, beta):
+        # the K1 descent starts at the series root -gamma_2/(2 gamma_3) of
+        # f/s^2 = gamma_2 + 2 gamma_3 s + ..., where gamma_3 < 0 (up to
+        # beta = 3.146), and at 0.0 beyond
+        with mp.workdps(DPS + int(beta / 2)):
+            c = cumulant_mp(beta)[0]
+            gamma_2, gamma_3 = mp.diff(c, 0, 4) / 24, mp.diff(c, 0, 6) / 720
+            assert (gamma_3 < 0) == (beta < 3.146)
+            if gamma_3 < 0:
+                root = -gamma_2 / (2 * gamma_3)
+                assert abs(Tilt(beta).depth_start - root) <= 1e-13 * root
+            else:
+                assert Tilt(beta).depth_start == 0.0
+
     @pytest.mark.parametrize("beta", [BETA_C + 1e-6, 2.0, 20.0])
     def test_depth_deriv(self, beta):
         # df/ds = (t c'' - c')/(4 t) against mpmath; the series below s = 1
@@ -353,9 +369,9 @@ class TestTiltForms:
         counts = {"series": 0, "tilts": 0}
         build, init = model._series_coefficients, Tilt.__init__
 
-        def counting_build(beta):
+        def counting_build(tilt):
             counts["series"] += 1
-            return build(beta)
+            return build(tilt)
 
         def counting_init(self, beta):
             counts["tilts"] += 1
