@@ -33,7 +33,8 @@ N_MAX, against the fsum over the full lattice, which it must equal to the
 bit. log_tail_mass runs on the same laws, at P{|S_n/n| >= 0.9} past the mode
 |S/n| = 0.82: at n = 8000 against the 50-digit mpmath law, at N_MAX against
 the log-sum of the tail masked on the full lattice. The CLI figures are the
-README's seq1 sequence-run call, on one thread, and a cold bclab magnetize
+README's seq1 sequence-run call, with no flag and with --threads 2 (which
+must read the same: rows always run serially), and a cold bclab magnetize
 call through cli.main, in a fresh interpreter, against 50-digit mpmath. The import figure is a fresh interpreter importing
 bclab, the start-up every CLI call pays. The cold phase-diagram figure is a
 fresh interpreter importing bclab.cli and writing the README's 100-point
@@ -328,12 +329,12 @@ def test_params_at(benchmark):
     assert params.beta == spec.beta and rel_err <= 1e-15
 
 
-def test_cli_sequence_run(benchmark, tmp_path):
+@pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["default", "threads2"])
+def test_cli_sequence_run(benchmark, tmp_path, threads):
     spec = tmp_path / "seq1.json"
     spec.write_text(json.dumps(README_SEQ1), encoding="utf-8")
     out = tmp_path / "report.csv"
-    argv = ["sequence-run", "--spec", str(spec), "--n", README_N, "--threads", "1",
-            "-o", str(out)]
+    argv = ["sequence-run", "--spec", str(spec), "--n", README_N, *threads, "-o", str(out)]
     # finite_size_law memoizes by (n, beta, K); every round starts cold
     code = benchmark.pedantic(cli.main, args=(argv,),
                               setup=finite_size._law_cached.cache_clear,

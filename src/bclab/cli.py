@@ -118,7 +118,7 @@ class ExperimentConfig:
     output_path: str | None = _field(("-o", "--output"), _text, "output file")
     seed: int | None = _field(("--seed",), _INT, "Metropolis seed")
     threads: int | None = _field(("--threads",), _INT,
-                                 "row workers (default: rows run serially)")
+                                 "accepted for compatibility; rows always run serially")
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
@@ -231,10 +231,10 @@ def _run_sequence(config: ExperimentConfig) -> None:
     spec = _resolved_spec(config)
     estimator = (bclab.harness.Estimator.MONTE_CARLO if config.estimator == "mc"
                  else bclab.harness.Estimator.EXACT)
-    # rows run serially unless --threads asks for a pool; parallel rows merge
-    # in sorted order, so the thread count never changes the artifact bytes
+    # rows run serially: they hold the GIL, so a pool only made them contend
+    # for it; threads is accepted and checked but not passed on
     report = bclab.harness.run_finite_size_asymptotics(
-        spec, config.n_list, estimator, **_given(config, "sweeps", "seed", "threads"))
+        spec, config.n_list, estimator, **_given(config, "sweeps", "seed"))
     _write_report(config.output_path, report.rows, dataclasses.asdict(report.constants))
 
 

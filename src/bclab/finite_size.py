@@ -45,9 +45,10 @@ from .quadrature import gaussian_mixture_expectation, weighted_ratio
 N_MAX = 10**6
 MIN_BATCHES = 20
 # From this size on a Metropolis sweep first sets aside, in one vectorized
-# pass, the steps it certainly rejects. Below it the pass saves little and, in
-# sequence-run's two-thread row pool, costs more than it saves: two rows at
-# n = 4000 took 1.03x as long with it, two at 8192 0.92x
+# pass, the steps it certainly rejects. Where few steps are certain rejections
+# the pass costs more than it saves. Timed serially against the full walk, it
+# took 0.76x at beta = 1, K = K(1) + 0.4, n = 1000 and 0.41x at 8192, but at
+# beta = 0.5, K = K(0.5) - 0.2 1.26x at 1000, 1.10x at 4000 and 1.07x at 8192
 SKIP_MIN_N = 8192
 
 

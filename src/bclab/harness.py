@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +118,14 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
 
     The scaled-e column uses exponent theta*alpha below the threshold and
     theta*alpha0 at and above it; the matching limit constant (xbar, zbar or
-    ybar) is attached. Rows are independent and are computed in parallel when
-    threads > 1; the merge is by sorted n, so the output is identical for any
-    thread count. Monte Carlo rows are seeded per row as seed ^ n. An n that
-    is no int in 1..N_MAX fails before any row runs.
+    ybar) is attached. Rows are independent and are computed on a thread pool
+    when threads > 1; the merge is by sorted n, so the output is identical for
+    any thread count. Every row holds the GIL, so the pool never pays off: on
+    a 2-core x86-64 box the nine seq1 rows of the crossover-exact benchmark
+    took 11 ms serially and 15 ms with threads=2, and four rows near
+    n = 10^6 0.96 s either way, with 18% more CPU. The CLI never passes
+    threads. Monte Carlo rows are seeded per row as seed ^ n. An n that is
+    no int in 1..N_MAX fails before any row runs.
     """
     points = _points("run_finite_size_asymptotics", spec, n_list, check_n)
     consts, exps = _constants_for("run_finite_size_asymptotics", spec)
@@ -135,6 +138,7 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
         return _row(spec, exps, n, params, e)
 
     if threads is not None and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(row, *zip(*points)))
     else:

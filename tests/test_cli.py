@@ -261,6 +261,32 @@ class TestSequenceRun:
                          "--seed", "3", "-o", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_threads_flag_starts_no_thread(self, tmp_path):
+        # the rows hold the GIL, so --threads is accepted and the rows still
+        # run serially: no pool module loads, no thread starts, and every
+        # thread count writes the same bytes
+        script = (
+            "import sys, threading\n"
+            "import bclab.cli\n"
+            "spec, out = sys.argv[1], sys.argv[2]\n"
+            "for estimator in ('exact', 'mc'):\n"
+            "    for i, threads in enumerate(([], ['--threads', '2'], ['--threads', '1'])):\n"
+            "        argv = ['sequence-run', '--spec', spec, '--n', '50,100,200',\n"
+            "                '--estimator', estimator, '--sweeps', '40', *threads,\n"
+            "                '-o', f'{out}/{estimator}-{i}.csv']\n"
+            "        assert bclab.cli.main(argv) == 0, argv\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n")
+        src = os.path.dirname(os.path.dirname(bclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, write_spec(tmp_path), str(tmp_path)],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        assert out == "False 1\n"
+        for estimator in ("exact", "mc"):
+            for suffix in (".csv", ".json"):
+                first, *rest = [(tmp_path / f"{estimator}-{i}{suffix}").read_bytes()
+                                for i in range(3)]
+                assert rest == [first, first]
+
     def test_alpha_flag_overrides_spec(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["sequence-run", "--spec", write_spec(tmp_path),
@@ -373,8 +399,10 @@ class TestConfigFile:
         (["finite-size", "--beta", "1", "--kappa", "1.5", "-o", "l.csv"], {"n": 40.7}),
         (["sequence-run"], {"n_list": 100, "spec": SEQ1_DOC, "output_path": "r.csv"}),
         (["magnetize", "--beta", "1", "--kappa", "1.5"], {"output_path": 5}),
+        (["sequence-run"], {"threads": 1.5, "spec": SEQ1_DOC, "n_list": [100],
+                            "output_path": "r.csv"}),
     ], ids=["beta-text", "beta-bool", "points-fraction", "n-fraction", "n_list-number",
-            "output_path-number"])
+            "output_path-number", "threads-fraction"])
     def test_bad_values_name_the_field(self, tmp_path, capsys, monkeypatch, argv, doc):
         # these crashed with TypeError (exit 1) or ran on a coerced value
         monkeypatch.chdir(tmp_path)
