@@ -34,7 +34,8 @@ bit. log_tail_mass runs on the same laws, at P{|S_n/n| >= 0.9} past the mode
 |S/n| = 0.82: at n = 8000 against the 50-digit mpmath law, at N_MAX against
 the log-sum of the tail masked on the full lattice. The CLI figures are the
 README's seq1 sequence-run call, with no flag and with --threads 2 (which
-must read the same: rows always run serially), and a cold bclab magnetize
+must read the same: rows always run serially), 30 rounds a run, as a 4-7 ms
+call's median over fewer follows the host's speed mode, and a cold bclab magnetize
 call through cli.main, in a fresh interpreter, against 50-digit mpmath. The import figure is a fresh interpreter importing
 bclab, the start-up every CLI call pays. The cold phase-diagram figure is a
 fresh interpreter importing bclab.cli and writing the README's 100-point
@@ -91,11 +92,8 @@ README_N = "250,500,1000,2000,4000"
 
 def visited_share(n, params, sweeps, seed):
     """Share of a chain's steps that the Metropolis loop visits: the steps fed
-    to finite_size._walk over all steps. A bclab without _walk runs the loop
-    inside mc_estimate over every step."""
-    walk = getattr(finite_size, "_walk", None)
-    if walk is None:
-        return 1.0
+    to finite_size._walk over all steps."""
+    walk = finite_size._walk
     fed = []
 
     def counting(n, draws, *rest):
@@ -189,11 +187,9 @@ def test_log_tail_mass(benchmark, n):
 
 
 def clear_curve_cache():
-    """Empty minimize's per-beta cache: the Tilt cache, or in a bclab that
-    predates it the e^beta cache it replaced. A bclab with neither fails
-    here, so no "cold" round can run warm unseen."""
-    cache = minimize._tilt if hasattr(minimize, "_tilt") else minimize._curve_numerator
-    cache.cache_clear()
+    """Empty minimize's per-beta Tilt cache. A bclab without it fails here, so
+    no "cold" round can run warm unseen."""
+    minimize._tilt.cache_clear()
 
 
 def timed_solve(benchmark, cache, solve, arg):
@@ -338,7 +334,7 @@ def test_cli_sequence_run(benchmark, tmp_path, threads):
     # finite_size_law memoizes by (n, beta, K); every round starts cold
     code = benchmark.pedantic(cli.main, args=(argv,),
                               setup=finite_size._law_cached.cache_clear,
-                              rounds=5, iterations=1)
+                              rounds=30, iterations=1)
     x_bar = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["x_bar"]
     ref = xbar(gl_polynomial(spec_from_json(README_SEQ1))[0]).value
     benchmark.extra_info.update(x_bar=x_bar, reference=ref, abs_err=abs(x_bar - ref))

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .minimize import ScaledFreeEnergy, magnetization
-from .model import ModelParams, check_count
+from .model import ModelParams, _is_real, check_count
 from .quadrature import gaussian_mixture_expectation, weighted_ratio
 
 # the law and its moment take about 113 B per n, and the Metropolis chain about
@@ -67,8 +67,8 @@ def check_n(op: str, n: int) -> int:
 
 
 def _check_unit_interval(op: str, name: str, value: float) -> None:
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{op}: {name} must lie in [0, 1), got {value}")
+    if not (_is_real(value) and 0.0 <= value < 1.0):
+        raise ValueError(f"{op}: {name} must lie in [0, 1), got {value!r}")
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -180,8 +180,8 @@ def abs_moment(law: SpinLawExact, power: float = 1.0, gamma: float = 0.0) -> flo
     short, through a memoryview, which yields floats: at N_MAX the sum takes
     about 3 ms, against 90 ms over every term of the array.
     """
-    if not (math.isfinite(power) and power > 0):
-        raise ValueError(f"abs_moment: power must be finite and > 0, got {power}")
+    if not (_is_real(power) and power > 0):
+        raise ValueError(f"abs_moment: power must be finite and > 0, got {power!r}")
     _check_unit_interval("abs_moment", "gamma", gamma)
     n = law.n
     scale = float(n) ** (1.0 - gamma)
@@ -201,8 +201,8 @@ def log_tail_mass(law: SpinLawExact, gamma: float, a: float) -> float:
     0.05 to 20 (1.8e-14 at most on the tests' grid).
     """
     _check_unit_interval("log_tail_mass", "gamma", gamma)
-    if not a >= 0:
-        raise ValueError(f"log_tail_mass: threshold a must be >= 0, got {a}")
+    if not (_is_real(a) and a >= 0):
+        raise ValueError(f"log_tail_mass: threshold a must be >= 0, got {a!r}")
     n = law.n
     threshold = a * float(n) ** (1.0 - gamma)
     if threshold == 0.0:
@@ -394,13 +394,9 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     per n more, so n is bounded by N_MAX.
     """
     n = check_n("mc_estimate", n)
-    for name, value, low in (("sweeps", sweeps, MIN_BATCHES), ("burn_in", burn_in, 0),
-                             ("seed", seed, 0)):
-        if value is not None and (isinstance(value, bool) or not hasattr(value, "__index__")
-                                  or value < low):
-            raise ValueError(f"mc_estimate: {name} must be >= {low} and an int, got {value!r}")
-    if burn_in is None:
-        burn_in = sweeps // 10
+    sweeps = check_count("mc_estimate", sweeps, "sweeps", MIN_BATCHES)
+    seed = check_count("mc_estimate", seed, "seed", 0)
+    burn_in = sweeps // 10 if burn_in is None else check_count("mc_estimate", burn_in, "burn_in", 0)
     tables = _acceptance_tables(n, params.beta, params.kappa)
     rng = np.random.Generator(np.random.PCG64(seed))
 

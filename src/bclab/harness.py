@@ -33,7 +33,7 @@ import numpy as np
 from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import magnetization
-from .model import ModelParams
+from .model import ModelParams, _is_real
 from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _points,
                         _scaled_free_energies, _scaling, limit_constant, xbar)
 
@@ -196,10 +196,10 @@ def mdp_rate_estimate(spec: SequenceSpec, a: float, n_list) -> MdpReport:
     points = _points("mdp_rate_estimate", spec, n_list, check_n)
     g, exps = _scaling("mdp_rate_estimate", spec, Regime.BELOW)[:2]
     xb = xbar(g).value
-    if not (math.isfinite(a) and a > xb):
+    if not (_is_real(a) and a > xb):
         raise ValueError(
             f"mdp_rate_estimate: threshold a must be finite and exceed xbar = {xb:.6g} "
-            f"(the rate vanishes on [0, xbar]), got {a}")
+            f"(the rate vanishes on [0, xbar]), got {a!r}")
     u = 1.0 - spec.alpha / exps.alpha0
     gamma = exps.theta * spec.alpha
     target = float(g(a) - g(xb))

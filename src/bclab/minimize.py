@@ -19,8 +19,15 @@ from .model import ModelParams, Tilt, cumulant_deriv, free_energy, free_energy_d
 
 TAIL_CUT = 60.0   # weight_window's margin: beyond it a weight is below e^-60 of its peak
 _TILT_CACHE_SIZE = 64   # the last beta whose Tilt the solvers keep
-# Tilt(beta) for every solve at beta; a kept one answers as a new one, to the bit.
-_tilt = functools.lru_cache(maxsize=_TILT_CACHE_SIZE)(Tilt)
+_kept_tilt = functools.lru_cache(maxsize=_TILT_CACHE_SIZE)(Tilt)
+
+
+def _tilt(beta: float) -> Tilt:
+    """Tilt(beta), kept per float beta: lru_cache keys a lone int apart from the equal float."""
+    return _kept_tilt(float(beta))
+
+
+_tilt.cache_clear, _tilt.cache_info = _kept_tilt.cache_clear, _kept_tilt.cache_info
 
 
 def _largest_root(pair, level: float, s: float, s_right: float, power: int, floor: float) -> float:

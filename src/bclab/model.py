@@ -54,22 +54,36 @@ _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF41        # log 2 * 2^136, rounded
 BETA_MAX = 350.0
 
 
+def _is_real(value) -> bool:
+    """The real rule: a finite Python int or float, numpy's float64 (a float) included, no
+    bool; strings, None, arrays, numpy integers and float32 fail. Callers add bounds."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return (not isinstance(value, bool) and isinstance(value, int)
+            and abs(value) <= sys.float_info.max)
+
+
 def check_beta(op: str, beta: float) -> None:
-    """Raise a ValueError naming op unless 0 < beta <= BETA_MAX (nan fails)."""
-    if not 0.0 < beta <= BETA_MAX:
-        raise ValueError(f"{op}: beta must lie in (0, {BETA_MAX}], got {beta}")
+    """Raise a ValueError naming op unless beta is real and 0 < beta <= BETA_MAX."""
+    if type(beta) is not float and not _is_real(beta) or not 0.0 < beta <= BETA_MAX:
+        raise ValueError(f"{op}: beta must lie in (0, {BETA_MAX}], got {beta!r}")
 
 
-def check_count(op: str, n: int) -> int:
-    """n as an int in [1, float max] (no bool, no float), else raise a ValueError naming op."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"{op}: n must be an int, got {n!r}")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"{op}: n must be >= 1, got {n}")
-    if n > sys.float_info.max:   # exact; the text of such an n can pass 4300 digits
-        raise ValueError(f"{op}: n must be at most the largest float, got 10^{math.log10(n):.6g}")
-    return n
+def check_count(op: str, value: int, name: str = "n", low: int | None = 1) -> int:
+    """The integer rule: value as a Python int in [low, float max] if operator.index takes
+    it (Python or numpy integers) and it is no bool, else a ValueError naming op and name."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{op}: {name} must be an int, got {value!r}") from None
+    if low is not None and index < low:
+        raise ValueError(f"{op}: {name} must be >= {low}, got {index!r}")
+    if index > sys.float_info.max:   # exact; the text of such a value can pass 4300 digits
+        raise ValueError(f"{op}: {name} must be at most the largest float, "
+                         f"got 10^{math.log10(index):.6g}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -85,8 +99,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_beta("ModelParams", self.beta)
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa}")
+        if not (_is_real(self.kappa) and self.kappa > 0):
+            raise ValueError(f"ModelParams: kappa must be finite and > 0, got {self.kappa!r}")
 
 
 def _elementwise(op: str, name: str, kernel, first: float, t, arg):
@@ -138,14 +152,15 @@ def cumulant_deriv(beta: float, t, order: int):
     these forms being exact.
     """
     check_beta("cumulant_deriv", beta)
-    if order not in _CUMULANT_ORDERS:
-        raise ValueError(f"cumulant_deriv: order must be in {_CUMULANT_ORDERS}, got {order}")
+    # an int passes first: every equilibrium solve makes this call
+    if not ((type(order) is int or _is_real(order)) and order in _CUMULANT_ORDERS):
+        raise ValueError(f"cumulant_deriv: order must be in {_CUMULANT_ORDERS}, got {order!r}")
     return _elementwise("cumulant_deriv", "t", _cumulant_deriv_scalar, math.exp(-beta), t,
-                        order == 2)
+                        _CUMULANT_ORDERS.index(order))
 
 
-def _cumulant_deriv_scalar(a: float, t: float, second: bool) -> float:
-    return _cumulant_derivs(a, t)[second]
+def _cumulant_deriv_scalar(a: float, t: float, which: int) -> float:
+    return _cumulant_derivs(a, t)[which]
 
 
 def _cumulant_derivs(a: float, t: float) -> tuple[float, float]:
@@ -342,8 +357,8 @@ def free_energy_deriv(params: ModelParams, x, order: int):
     OverflowError, where that product leaves the floats. Where 2 beta K x
     overflows c' = sign x and c'' = 0, as in free_energy, and G''(0) = -inf.
     """
-    if order not in (1, 2):
-        raise ValueError(f"free_energy_deriv: order must be 1 or 2, got {order}")
+    if not (_is_real(order) and order in _CUMULANT_ORDERS):
+        raise ValueError(f"free_energy_deriv: order must be 1 or 2, got {order!r}")
     return _elementwise("free_energy_deriv", "x", _free_energy_deriv_scalar,
                         math.exp(-params.beta), x, (2.0 * params.beta * params.kappa, order))
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .minimize import _largest_root, _tilt, _well_tilt, min_free_energy
-from .model import BETA_MAX, ModelParams, check_beta
+from .model import BETA_MAX, ModelParams, _is_real, check_beta, check_count
 
 BETA_C = math.log(4.0)
 CURVE_TOL = 1e-12
@@ -51,8 +51,7 @@ def second_order_k_deriv(beta: float, order: int) -> float:
     the first summand using d^r (1/beta) = (-1)^r r! / beta^(r+1).
     """
     check_beta("second_order_k_deriv", beta)
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"second_order_k_deriv: order must be a positive integer, got {order}")
+    order = check_count("second_order_k_deriv", order, "order")
     if order > MAX_CURVE_DERIV_ORDER:
         raise ValueError(f"second_order_k_deriv: order {order} exceeds the supported "
                          f"cap {MAX_CURVE_DERIV_ORDER}")
@@ -86,9 +85,9 @@ def first_order_k(beta: float) -> float:
     1e-3 of beta_c at a new beta, and 0.019 and 0.023 ms at a beta whose Tilt
     is kept (median over 60 beta of the best of 9 calls, 2-core x86-64 box).
     """
-    if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
+    if not (_is_real(beta) and BETA_C < beta <= BETA_MAX):
         raise ValueError(f"first_order_k: beta must lie in (beta_c = {BETA_C}, "
-                         f"{BETA_MAX}], got {beta}")
+                         f"{BETA_MAX}], got {beta!r}")
     tilt = _tilt(beta)
     t0 = min(2.0 * beta * second_order_k(beta), 2.0 * beta + 2.0 * math.log(3.0))
     s1 = _largest_root(tilt.depth, 0.0, tilt.depth_start, t0 * t0, 0, tilt.s_rise)
@@ -179,16 +178,16 @@ def verify_tricritical_conjectures(h_grid=(1e-2, 1e-3)) -> TricriticalConjecture
     a decreasing h grid; this routine only reports the estimates next to the
     closed-form references.
     """
-    h_grid = [float(h) for h in h_grid]
+    h_grid = list(h_grid)
     if not h_grid:
         raise ValueError("verify_tricritical_conjectures: h_grid must hold at least one h")
+    if not all(_is_real(h) and BETA_C + 2 * h <= BETA_MAX for h in h_grid):
+        raise ValueError("verify_tricritical_conjectures: h_grid entries must be finite "
+                         f"with beta_c + 2h <= BETA_MAX = {BETA_MAX}, got {h_grid}")
     if any(h < 1e-5 for h in h_grid):
         raise ValueError("verify_tricritical_conjectures: h_grid entries must be "
                          ">= 1e-5; below it the second difference of K1 is "
                          "rounding noise (~4e-16/h^2)")
-    if not all(BETA_C + 2 * h <= BETA_MAX for h in h_grid):  # nan and inf fail too
-        raise ValueError("verify_tricritical_conjectures: h_grid entries must be finite "
-                         f"with beta_c + 2h <= BETA_MAX = {BETA_MAX}, got {h_grid}")
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
         raise ValueError("verify_tricritical_conjectures: h_grid must be strictly decreasing")
     k0 = second_order_k(BETA_C)

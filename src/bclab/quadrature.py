@@ -28,6 +28,8 @@ import sys
 
 import numpy as np
 
+from .model import _is_real
+
 # Relative tolerance of every improper integral.
 REL_TOL = 1e-10
 
@@ -134,7 +136,7 @@ def gaussian_mixture_expectation(f, means, probs, sigma: float, kinks=()) -> flo
     """
     means = np.asarray(means, dtype=float)[:, None]
     probs = np.asarray(probs, dtype=float)
-    if sigma <= 0:
+    if not (_is_real(sigma) and sigma > 0):
         raise ValueError("gaussian_mixture_expectation: sigma must be > 0")
     kinks = np.sort(np.asarray(kinks, dtype=float))
     acc = np.zeros(len(probs))

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import phase
 from .minimize import ScaledFreeEnergy, weight_window
-from .model import ModelParams, check_beta, check_count
+from .model import ModelParams, _is_real, check_beta, check_count
 from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
 from .quadrature import weighted_ratio
 
@@ -116,9 +116,9 @@ class EvenPolynomial:
 
     def __post_init__(self):
         lead = self.c6 if self.c6 != 0 else (self.c4 if self.c4 != 0 else self.c2)
-        if not (all(map(math.isfinite, (self.c2, self.c4, self.c6))) and lead > 0):
+        if not (all(map(_is_real, (self.c2, self.c4, self.c6))) and lead > 0):
             raise ValueError("EvenPolynomial: coefficients must be finite with a positive "
-                             f"leading one (coercive), got {self.c2}, {self.c4}, {self.c6}")
+                             f"leading one (coercive), got {self.c2!r}, {self.c4!r}, {self.c6!r}")
 
     @property
     def degree(self) -> int:
@@ -210,12 +210,6 @@ class CheckResult:
     note: str = ""
 
 
-def _is_real(value) -> bool:
-    """A finite int or float, and no bool."""
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
-
-
 def _parse_alpha(value) -> float:
     """alpha from a number or a decimal or rational string: 0.25, "0.25", "1/4"."""
     if isinstance(value, str):
@@ -268,8 +262,7 @@ class SequenceSpec:
             if val is None or f.name == "case":
                 continue
             if f.name in ("b", "p"):
-                if isinstance(val, bool) or not isinstance(val, int):
-                    raise ValueError(f"SequenceSpec: {f.name}: must be an int, got {val!r}")
+                object.__setattr__(self, f.name, check_count("SequenceSpec", val, f.name, None))
             elif not _is_real(val):
                 raise ValueError(
                     f"SequenceSpec: {f.name}: must be a finite int or float, got {val!r}")
@@ -388,7 +381,10 @@ def require_valid(op: str, spec: SequenceSpec) -> None:
 
 def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     """The point (beta_n, K_n) of the sequence at index n; raises naming n
-    when beta_n leaves (0, BETA_MAX], as it can at small n."""
+    when beta_n leaves (0, BETA_MAX], as it can at small n. K_n is a float:
+    once the order-p term ell s/(p! n^(p alpha)) falls below half an ulp of
+    K, the point lands on the curve and rows built on it are silently wrong
+    (seq1 at beta = 1, b = 0, k = 1, alpha = 0.8 gives m = 0 at n = 10^50)."""
     require_valid("params_at", spec)
     return _point(spec, check_count("params_at", n))
 
@@ -538,8 +534,8 @@ def check_hypothesis_iiia(spec: SequenceSpec, radius: float, n_list) -> list[tup
     Returns (n, sup_error) rows; along a geometric n list the column should
     decrease, which is the numerical content of the compact-uniform limit.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius}")
+    if not (_is_real(radius) and radius > 0):
+        raise ValueError(f"check_hypothesis_iiia: radius must be finite and > 0, got {radius!r}")
     points = _points("check_hypothesis_iiia", spec, n_list)
     g, exps = _scaling("check_hypothesis_iiia", spec)[:2]
     try:

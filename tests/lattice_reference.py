@@ -3,15 +3,17 @@ acceptance tables and chain, in the forms that faster or leaner ones
 replaced, kept as oracles: the rho recurrence with integer coefficients and
 the compensated sums over the full lattice -n .. n, the fsum over the full
 lattice, the tail masked on the full lattice, the tables built from
-whole-array temporaries, and the chain that visits every step."""
+whole-array temporaries, and the chain that visits every step. Log-sums are
+SciPy's special.logsumexp, independent of bclab's own."""
 
 import math
 from array import array
 
 import numpy as np
+from scipy.special import logsumexp
 
 from bclab import finite_size
-from bclab.finite_size import MIN_BATCHES, McEstimate, _logsumexp
+from bclab.finite_size import MIN_BATCHES, McEstimate
 from bclab.minimize import magnetization
 
 
@@ -34,7 +36,7 @@ def integer_rho_law(n, beta, kappa):
     tail = np.concatenate((tail[::-1], [0.0], tail))
     top = int(np.argmax(head + tail))
     log_weights = (head - head[top]) + (tail - tail[top])
-    return log_weights, _logsumexp(log_weights)
+    return log_weights, float(logsumexp(log_weights))
 
 
 def full_lattice_abs_moment(law, power, gamma):
@@ -55,7 +57,7 @@ def full_lattice_log_tail_mass(law, gamma, a):
     mask = np.abs(law.support()) >= threshold
     if not mask.any():
         return -np.inf
-    return _logsumexp(law.log_weights[mask]) - law.log_z
+    return float(logsumexp(law.log_weights[mask])) - law.log_z
 
 
 def temporary_acceptance_tables(n, beta, kappa):

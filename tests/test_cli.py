@@ -227,7 +227,7 @@ class TestMcCommand:
         out = tmp_path / "x.csv"
         argv = [write_spec(tmp_path) if a is None else a for a in command]
         assert main([*argv, "--seed", "-1", "-o", str(out)]) == 1
-        assert "mc_estimate: seed must be >= 0 and an int" in capsys.readouterr().err
+        assert "mc_estimate: seed must be >= 0, got -" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_burn_in_fails_named(self, tmp_path, capsys):

@@ -169,6 +169,24 @@ class TestLogSumExp:
         for a in arrays:
             assert bclab.finite_size._logsumexp(a) == float(logsumexp(a))
 
+    def test_matches_scipy_on_the_slices_readers_take(self):
+        # the docstring's claim on law log weights as log_z and log_tail_mass
+        # read them: the whole lattice, the half s >= 0 and s >= 1, and tails
+        # s >= k, from ordered laws (two maxima at +-s) and disordered ones
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(35)
+        ns = [1, 2, 3, 20000] + [int(n) for n in np.exp(rng.uniform(0, math.log(20000), 10))]
+        checked = 0
+        for n in ns:
+            for beta in (0.2, 1.0, BETA_C, 20.0):
+                for kappa in (0.5 * second_order_k(beta), 1.5 * second_order_k(beta)):
+                    w = finite_size_law(n, ModelParams(beta, kappa)).log_weights
+                    ks = {0, 1, n // 3, n // 2, n, *rng.integers(0, n + 1, 2)}
+                    for a in (w, *(w[n + k:] for k in ks)):
+                        assert bclab.finite_size._logsumexp(a) == float(logsumexp(a)), (n, beta)
+                        checked += 1
+        assert checked > 500
+
 
 class TestAbsMoment:
     def test_bounded_by_one(self):

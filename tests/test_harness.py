@@ -1,6 +1,8 @@
 """Harness operations: magnetization solver, report machinery, regime
 bookkeeping, tail-rate and weak-limit plumbing."""
 
+import dataclasses
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,8 +18,8 @@ from scipy.special import ndtr
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator, EvenPolynomial,
                    MinimumSet, ModelParams, PhaseRegion, QuadratureError, Regime, SequenceSpec,
                    SpecValidationError, UnsupportedSequenceError, aitken_limit,
-                   check_hypothesis_iiia, check_hypothesis_v, classify,
-                   coexistence_onset, cumulant_deriv, estimator_comparison, finite_size_law,
+                   check_hypothesis_iiia, check_hypothesis_v, classify, coexistence_onset,
+                   cumulant, cumulant_deriv, estimator_comparison, finite_size_law,
                    first_order_k, free_energy, free_energy_deriv, g_tilde,
                    gl_polynomial, kappa_fluctuation_estimate, magnetization,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
@@ -262,6 +264,19 @@ class TestCurveCache:
         info = minimize._tilt.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
+    def test_int_and_float_beta_share_one_tilt(self, monkeypatch):
+        # ModelParams(1, K) and ModelParams(1.0, K) built two Tilts and two
+        # gamma series: lru_cache keyed the int apart from the equal float
+        built = []
+        series = model._series_coefficients
+        monkeypatch.setattr(model, "_series_coefficients",
+                            lambda tilt: built.append(tilt) or series(tilt))
+        kappa = second_order_k(1.0) + 1e-6   # small m: the tilt sits on the series
+        minimize._tilt.cache_clear()
+        assert magnetization(ModelParams(1, kappa)) == magnetization(ModelParams(1.0, kappa)) > 0
+        info = minimize._tilt.cache_info()
+        assert (info.misses, info.hits, len(built)) == (1, 1, 1)
+
     def test_bounded(self):
         minimize._tilt.cache_clear()
         for i in range(3 * minimize._TILT_CACHE_SIZE):
@@ -459,6 +474,82 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
                if (op, n) not in (("params_at", 0), ("hs_rhs", 0))]
 
 
+# Every real input: (op, call on the law, params and the value, a valid value
+# that is an integer exact in float32). Each takes a finite Python int or float
+# (numpy's float64 included) and no bool, string, None, numpy integer or
+# float32; float32 parameters ran the solvers partly in single precision.
+REAL_INPUTS = {
+    "ModelParams-beta": ("ModelParams", lambda law, p, v: ModelParams(v, 1.5), 1.0),
+    "ModelParams-kappa": ("ModelParams", lambda law, p, v: ModelParams(1.0, v), 1.0),
+    "cumulant-beta": ("cumulant", lambda law, p, v: cumulant(v, 0.5), 1.0),
+    "cumulant_deriv-beta": ("cumulant_deriv", lambda law, p, v: cumulant_deriv(v, 0.5, 1), 1.0),
+    "cumulant_deriv-order": ("cumulant_deriv", lambda law, p, v: cumulant_deriv(1.0, 0.5, v),
+                             1.0),
+    "free_energy_deriv-order": ("free_energy_deriv",
+                                lambda law, p, v: free_energy_deriv(p, 0.5, v), 1.0),
+    "Tilt-beta": ("Tilt", lambda law, p, v: Tilt(v).depth(0.25), 1.0),
+    "second_order_k-beta": ("second_order_k", lambda law, p, v: second_order_k(v), 1.0),
+    "second_order_k_deriv-beta": ("second_order_k_deriv",
+                                  lambda law, p, v: second_order_k_deriv(v, 2), 1.0),
+    "first_order_k-beta": ("first_order_k", lambda law, p, v: first_order_k(v), 2.0),
+    "abs_moment-power": ("abs_moment", lambda law, p, v: abs_moment(law, v), 2.0),
+    "abs_moment-gamma": ("abs_moment", lambda law, p, v: abs_moment(law, 1.0, v), 0.0),
+    "log_tail_mass-gamma": ("log_tail_mass", lambda law, p, v: log_tail_mass(law, v, 0.5), 0.0),
+    "log_tail_mass-a": ("log_tail_mass", lambda law, p, v: log_tail_mass(law, 0.2, v), 1.0),
+    "hs_lhs-gamma_bar": ("hs_lhs", lambda law, p, v: hs_lhs(20, p, v, abs), 0.0),
+    "hs_rhs-gamma_bar": ("hs_rhs", lambda law, p, v: hs_rhs(20, p, v, abs), 0.0),
+    "gaussian_mixture_expectation-sigma": (
+        "gaussian_mixture_expectation",
+        lambda law, p, v: gaussian_mixture_expectation(np.abs, [0.0], [1.0], v), 1.0),
+    "EvenPolynomial-c2": ("EvenPolynomial", lambda law, p, v: EvenPolynomial(c2=v), 1.0),
+    "EvenPolynomial-c6": ("EvenPolynomial", lambda law, p, v: EvenPolynomial(c6=v), 1.0),
+    "check_hypothesis_iiia-radius": (
+        "check_hypothesis_iiia", lambda law, p, v: check_hypothesis_iiia(SEQ1_BELOW, v, [100]),
+        2.0),
+    "mdp_rate_estimate-a": ("mdp_rate_estimate",
+                            lambda law, p, v: mdp_rate_estimate(SEQ1_BELOW, v, [100]), 3.0),
+    "verify_tricritical_conjectures-h": (
+        "verify_tricritical_conjectures", lambda law, p, v: verify_tricritical_conjectures([v]),
+        1.0),
+    "SequenceSpec-beta": ("SequenceSpec", lambda law, p, v: SequenceSpec(
+        kind="seq1", alpha=0.3, beta=v, b=0, k=1.0), 1.0),
+    "SequenceSpec-k": ("SequenceSpec", lambda law, p, v: SequenceSpec(
+        kind="seq1", alpha=0.3, beta=1.0, b=0, k=v), 1.0),
+    "SequenceSpec-ell_tilde": ("SequenceSpec", lambda law, p, v: SequenceSpec(
+        kind="seq4", alpha=0.2, ell=1.0, ell_tilde=v, case="a"), 1.0),
+}
+# Every integer input: (op, call on the law, params and the value, a valid
+# value, whether None is the default). Each takes a Python or numpy integer and
+# no bool, float, string or float array; a 0-d float array raised a bare TypeError.
+INT_INPUTS = {
+    "second_order_k_deriv-order": ("second_order_k_deriv",
+                                   lambda law, p, v: second_order_k_deriv(1.0, v), 2, False),
+    "finite_size_law-n": ("finite_size_law", lambda law, p, v: finite_size_law(v, p), 20, False),
+    "params_at-n": ("params_at", lambda law, p, v: params_at(SEQ1_BELOW, v), 100, False),
+    "hs_rhs-n": ("hs_rhs", lambda law, p, v: hs_rhs(v, p, 0.2, abs), 20, False),
+    "run_thermo_asymptotics-n": (
+        "run_thermo_asymptotics", lambda law, p, v: run_thermo_asymptotics(SEQ1_BELOW, [v]),
+        100, False),
+    "mc_estimate-n": ("mc_estimate", lambda law, p, v: mc_estimate(v, p, 20), 20, False),
+    "mc_estimate-sweeps": ("mc_estimate", lambda law, p, v: mc_estimate(20, p, v), 20, False),
+    "mc_estimate-burn_in": ("mc_estimate", lambda law, p, v: mc_estimate(20, p, 20, burn_in=v),
+                            2, True),
+    "mc_estimate-seed": ("mc_estimate", lambda law, p, v: mc_estimate(20, p, 20, seed=v),
+                         3, False),
+    "SequenceSpec-b": ("SequenceSpec", lambda law, p, v: SequenceSpec(
+        kind="seq1", alpha=0.3, beta=1.0, b=v, k=1.0), 1, False),
+    "SequenceSpec-p": ("SequenceSpec", lambda law, p, v: SequenceSpec(
+        kind="seq6", alpha=0.3, p=v, ell=-10.0), 3, False),
+}
+BAD_NUMBERS = [  # (id, op, call, value)
+    *[(f"{key}:{value!r}", op, call, value) for key, (op, call, ok) in REAL_INPUTS.items()
+      for value in (True, False, str(ok), None, np.float32(ok), np.int64(ok))],
+    *[(f"{key}:{value!r}", op, call, value) for key, (op, call, ok, none_ok) in INT_INPUTS.items()
+      for value in (True, str(ok), float(ok), np.array(float(ok)),
+                    *(() if none_ok else (None,)))],
+]
+
+
 @pytest.mark.parametrize("op, call", [
     ("abs_moment", lambda law, p: abs_moment(law, 0.0)),
     ("abs_moment", lambda law, p: abs_moment(law, 1.0, 1.0)),
@@ -541,6 +632,8 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
     *[(op, lambda law, p, op=op, n=n: CALL_WITH_N[op](n)) for op, n in BAD_N_CASES],
     # float(n) raised a bare OverflowError
     *[(op, lambda law, p, op=op: CALL_WITH_N[op](2**1024)) for op in CALL_WITH_N],
+    *[(op, lambda law, p, call=call, value=value: call(law, p, value))
+      for _, op, call, value in BAD_NUMBERS],
 ], ids=["abs_moment-power", "abs_moment-gamma", "abs_moment-power=inf",
         "log_tail_mass-gamma=2", "log_tail_mass-gamma=-1", "log_tail_mass-gamma=1",
         "log_tail_mass-gamma=nan", "log_tail_mass-a", "log_tail_mass-a=nan",
@@ -562,12 +655,45 @@ BAD_N_CASES = [(op, n) for op in CALL_WITH_N for n in (100.5, True, 0)
         "second_order_k_deriv-order=0", "second_order_k_deriv-order=13",
         "cumulant_deriv-order", "free_energy_deriv-order", "gaussian_mixture_expectation",
         "weighted_ratio-no-convergence", "check_hypothesis_iiia-n^speed-overflows",
-        *[f"{op}-n={n}" for op, n in BAD_N_CASES], *[f"{op}-n=2^1024" for op in CALL_WITH_N]])
+        *[f"{op}-n={n}" for op, n in BAD_N_CASES], *[f"{op}-n=2^1024" for op in CALL_WITH_N],
+        *[case[0] for case in BAD_NUMBERS]])
 def test_input_errors_name_the_operation(op, call):
     params = ModelParams(1.0, 1.5)
     with pytest.raises(QuadratureError if op == "weighted_ratio" else ValueError,
                        match=f"^{op}: "):
         call(finite_size_law(20, params), params)
+
+
+@pytest.mark.parametrize("key", [*REAL_INPUTS, *INT_INPUTS])
+def test_numpy_numbers_give_the_python_answer(key):
+    # a numpy float64 at a real input and a numpy integer at an integer input
+    # give the answer of the Python number to the bit; a numpy integer was
+    # refused as p, b and the K-derivative order, and kept as sweeps and seed
+    if key in REAL_INPUTS:
+        call, ok = REAL_INPUTS[key][1:]
+        values = (ok, int(ok), np.float64(ok))
+    else:
+        call, ok = INT_INPUTS[key][1:3]
+        values = (ok, np.int64(ok), np.int32(ok))
+    params = ModelParams(1.0, 1.5)
+    law = finite_size_law(20, params)
+    got = [call(law, params, v) for v in values]
+    assert all(g == got[0] for g in got[1:]), got
+    if isinstance(got[0], float):
+        assert all(g.hex() == got[0].hex() for g in got[1:]), got
+
+
+def test_numpy_integers_are_held_as_python_ints():
+    # these were numpy integers, which json refuses
+    spec = SequenceSpec(kind="seq6", alpha=0.3, p=np.int64(3), ell=-10.0)
+    assert type(spec.p) is int
+    assert sequences.spec_to_json(spec) == sequences.spec_to_json(
+        SequenceSpec(kind="seq6", alpha=0.3, p=3, ell=-10.0))
+    est = mc_estimate(np.int64(20), ModelParams(1.0, 1.5), sweeps=np.int64(40),
+                      burn_in=np.int32(4), seed=np.int64(3))
+    assert est == mc_estimate(20, ModelParams(1.0, 1.5), 40, burn_in=4, seed=3)
+    assert (type(est.sweeps), type(est.seed)) == (int, int)
+    json.dumps(dataclasses.asdict(est))
 
 
 def test_n_up_to_the_largest_float():

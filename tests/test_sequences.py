@@ -6,6 +6,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
@@ -198,12 +199,16 @@ class TestSequenceSpecConstruction:
     @pytest.mark.parametrize("field, value, message", [
         ("alpha", True, "alpha: must be a finite int or float or a rational string, got True"),
         ("alpha", None, "alpha: must be a finite int or float or a rational string, got None"),
+        ("alpha", np.float32(0.5),
+         r"alpha: must be a finite int or float or a rational string, got np.float32\(0.5\)"),
+        ("alpha", np.int64(1),
+         r"alpha: must be a finite int or float or a rational string, got np.int64\(1\)"),
         ("beta", "x", "beta: must be a finite int or float, got 'x'"),
         ("k", math.nan, "k: must be a finite int or float, got nan"),
         ("k", math.inf, "k: must be a finite int or float, got inf"),
         ("k", False, "k: must be a finite int or float, got False"),
-        ("b", True, "b: must be an int, got True"),
-        ("b", 1.0, "b: must be an int, got 1.0"),
+        ("b", True, "b must be an int, got True"),
+        ("b", 1.0, "b must be an int, got 1.0"),
     ])
     def test_rejects_ill_typed_fields(self, field, value, message):
         fields = dict(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
@@ -213,8 +218,8 @@ class TestSequenceSpecConstruction:
 
     @pytest.mark.parametrize("fields, message", [
         (dict(kind="seq2", alpha=0.1, beta=1.0, b=1, p=2.0, ell=0.0),
-         "p: must be an int, got 2.0"),
-        (dict(kind="seq6", alpha=0.1, p=True, ell=0.0), "p: must be an int, got True"),
+         "p must be an int, got 2.0"),
+        (dict(kind="seq6", alpha=0.1, p=True, ell=0.0), "p must be an int, got True"),
         (dict(kind="seq5", alpha=0.2, ell=-math.inf), "ell: must be a finite int or float, got -inf"),
         (dict(kind="seq4", alpha=0.2, ell=1.0, ell_tilde="0.5", case="a"),
          "ell_tilde: must be a finite int or float, got '0.5'"),
