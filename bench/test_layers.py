@@ -23,8 +23,10 @@ there with min(|x|, 1) and at n = 10^5 with |x|, each against hs_rhs;
 weak_limit_distance runs on the README seq1 spec at alpha = 0.8 and n = 4000,
 against the lattice-law mixture of tests/mixture_oracle.py. params_at, which
 every sequence row calls, runs on the README seq1 spec at n = 4000, its K_n
-against 50-digit mpmath, with the share of each call that its validate takes. Past the exact
-law, on the same spec, hs_rhs runs at n = 10^13, gamma_bar = 1/4 against the
+against 50-digit mpmath, with the share of each call that its validate takes.
+run_thermo_asymptotics runs on criterion 07's seq1 spec (alpha = 0.3) at
+n = 10^3..10^9, with |scaled_m/xbar - 1| at 10^9. Past the exact law, on the
+same spec, hs_rhs runs at n = 10^13, gamma_bar = 1/4 against the
 limit second moment Gamma(3/4)/(Gamma(1/4) sqrt(c4)) = 0.8767448, and
 weak_limit_distance at n = 10^16 against the n^-(alpha - 1/2) trend from
 n = 10^14, where the exact law is out of reach. abs_moment runs on the
@@ -72,8 +74,8 @@ import bclab
 from bclab import (N_MAX, ModelParams, SequenceSpec, abs_moment, aitken_limit, cli,
                    finite_size, finite_size_law, g_tilde, gl_polynomial, hs_lhs, hs_rhs,
                    limit_constant, mc_estimate, minimize, params_at,
-                   run_finite_size_asymptotics, spec_from_json, validate,
-                   weak_limit_distance, xbar)
+                   run_finite_size_asymptotics, run_thermo_asymptotics, spec_from_json,
+                   validate, weak_limit_distance, xbar)
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import magnetization
 from bclab.phase import BETA_C, PhaseRegion, classify, first_order_k, second_order_k
@@ -323,6 +325,16 @@ def test_params_at(benchmark):
                                 rel_err=rel_err, call_us=call_s * 1e6,
                                 validate_us=validate_s * 1e6, validate_share=validate_s / call_s)
     assert params.beta == spec.beta and rel_err <= 1e-15
+
+
+def test_run_thermo_asymptotics(benchmark):
+    # criterion 07's seq1 spec at 10^3..10^9: the thermodynamic table's row loop
+    spec, ns = SequenceSpec(alpha=0.3, **test_acceptance.SEQ1), [10**d for d in range(3, 10)]
+    report = benchmark(run_thermo_asymptotics, spec, ns)
+    scaled_m, x_bar = report.rows[-1].scaled_m, report.constants.x_bar
+    rel_err = abs(scaled_m / x_bar - 1)
+    benchmark.extra_info.update(n=ns[-1], scaled_m=scaled_m, x_bar=x_bar, rel_err=rel_err)
+    assert rel_err < 0.01
 
 
 @pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["default", "threads2"])

@@ -31,12 +31,12 @@ _LAZY = {  # the public names of the array layers
     "quadrature": "QuadratureError aitken_limit",
     "sequences": "EvenPolynomial MinimumSet Regime ScalingExponents SequenceSpec "
                  "SpecValidationError UnsupportedSequenceError XbarResult c4_coefficient "
-                 "check_hypothesis_iiia check_hypothesis_v coexistence_onset g_tilde "
-                 "gl_polynomial limit_constant params_at scaled_free_energy_table "
-                 "spec_from_json spec_to_json validate weak_limit_polynomial xbar",
-    "harness": "AsymptoticsReport Estimator KappaFitReport MdpReport ReportConstants ReportRow "
-               "estimator_comparison kappa_fluctuation_estimate mdp_rate_estimate "
-               "run_finite_size_asymptotics run_thermo_asymptotics weak_limit_distance",
+                 "check_hypothesis_iiia check_hypothesis_v g_tilde gl_polynomial "
+                 "limit_constant params_at spec_from_json spec_to_json validate "
+                 "weak_limit_polynomial xbar",
+    "harness": "AsymptoticsReport Estimator MdpReport ReportConstants ReportRow "
+               "estimator_comparison mdp_rate_estimate run_finite_size_asymptotics "
+               "run_thermo_asymptotics weak_limit_distance",
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
 _LOAD_LOCK = _threading.RLock()   # one for all layers, as one layer's run loads another

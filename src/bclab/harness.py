@@ -1,7 +1,6 @@
 """End-to-end experiments: scaled magnetization tables along the six
 sequences, the three finite-size regimes split by the threshold speed alpha0,
-tail-decay rate estimates, weak-limit distances, and the exploratory
-fluctuation-exponent fit.
+tail-decay rate estimates and weak-limit distances.
 
 The regime of a run is decided by comparing the sequence speed alpha with the
 kind's threshold alpha0 (ScalingExponents.regime, tolerance 1e-12; supply
@@ -19,7 +18,8 @@ alpha as a rational string such as "1/3" in configs for exact threshold hits):
 Every report runs one prelude under its own name: sequences._points checks
 the spec and the n list once and pairs each n with params_at, then the gate
 sequences._scaling decides the regime and the limit, rejecting a regime the
-report does not admit and seq6 above alpha0. _row makes every ReportRow.
+report does not admit and seq6 above alpha0. _report, the one row loop of
+both asymptotics tables, makes every ReportRow.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_size import (abs_moment, check_n, finite_size_law, log_tail_mass,
+from .finite_size import (MIN_BATCHES, abs_moment, check_n, finite_size_law, log_tail_mass,
                           mc_estimate)
 from .minimize import magnetization
-from .model import ModelParams, _is_real
-from .sequences import (MinimumSet, Regime, ScalingExponents, SequenceSpec, _points,
-                        _scaled_free_energies, _scaling, limit_constant, xbar)
+from .model import ModelParams, _is_real, check_count
+from .sequences import (MinimumSet, Regime, SequenceSpec, _points, _scaled_free_energies,
+                        _scaling, limit_constant, xbar)
 
 
 class Estimator(enum.Enum):
@@ -71,31 +71,43 @@ class AsymptoticsReport:
     constants: ReportConstants
 
 
-def _constants_for(op: str, spec: SequenceSpec) -> tuple[ReportConstants, ScalingExponents]:
-    """Report constants, and the exponents that scale the report's columns;
-    seq6 above alpha0, which has no limit constant, fails naming op."""
+def _report(op: str, spec: SequenceSpec, n_list, check, moment=None,
+            threads: int | None = None) -> AsymptoticsReport:
+    """The one row loop of both asymptotics tables, each row m(beta_n, K_n)
+    and, given moment(n, params), the finite-size moment, scaled by the
+    regime's exponents, with the regime's constants; seq6 above alpha0, which
+    has no limit constant, fails naming op. Rows run on a thread pool when
+    threads > 1 and merge by sorted n."""
+    points = _points(op, spec, n_list, check)
     g, exps, regime, limit = _scaling(op, spec, *Regime)
     xb = xbar(g)
     three_point = xb.minimum_set is MinimumSet.THREE_POINT
     constant = None if limit is None else limit_constant(limit)
-    return ReportConstants(
+    consts = ReportConstants(
         alpha0=exps.alpha0, theta=exps.theta, regime=regime,
         x_bar=None if three_point else xb.value,
         y_bar=constant if regime is Regime.ABOVE else None,
         z_bar=constant if regime is Regime.AT else None,
         banner=("three-point-limit conjecture: the scaling polynomial has "
                 "global minimizers {0, +-xbar}, the below-threshold limit "
-                "is conjectural and no xbar comparison is attached") if three_point else None), exps
+                "is conjectural and no xbar comparison is attached") if three_point else None)
+    m_exponent, e_exponent = exps.theta * spec.alpha, exps.e_exponent(spec.alpha)
 
+    def row(n: int, params: ModelParams) -> ReportRow:
+        e = None if moment is None else moment(n, params)
+        m = magnetization(params)
+        return ReportRow(
+            n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m, e_finite=e,
+            scaled_m=float(n) ** m_exponent * m,
+            scaled_e=None if e is None else float(n) ** e_exponent * e)
 
-def _row(spec: SequenceSpec, exps: ScalingExponents, n: int, params: ModelParams,
-         e: float | None = None) -> ReportRow:
-    """The row of the point (n, params): m(beta_n, K_n) and moment e, each scaled."""
-    m = magnetization(params)
-    return ReportRow(
-        n=n, beta_n=params.beta, kappa_n=params.kappa, m_thermo=m, e_finite=e,
-        scaled_m=float(n) ** (exps.theta * spec.alpha) * m,
-        scaled_e=None if e is None else float(n) ** exps.e_exponent(spec.alpha) * e)
+    if threads is not None and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(row, *zip(*points)))
+    else:
+        rows = [row(n, params) for n, params in points]
+    return AsymptoticsReport(rows=tuple(rows), constants=consts)
 
 
 def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
@@ -104,10 +116,7 @@ def run_thermo_asymptotics(spec: SequenceSpec, n_list) -> AsymptoticsReport:
     Cost is independent of n, so the list may run to 10^9 and beyond; the
     scaled column converges to xbar.
     """
-    points = _points("run_thermo_asymptotics", spec, n_list)
-    consts, exps = _constants_for("run_thermo_asymptotics", spec)
-    rows = [_row(spec, exps, n, params) for n, params in points]
-    return AsymptoticsReport(rows=tuple(rows), constants=consts)
+    return _report("run_thermo_asymptotics", spec, n_list, check_count)
 
 
 def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
@@ -125,25 +134,19 @@ def run_finite_size_asymptotics(spec: SequenceSpec, n_list,
     took 11 ms serially and 15 ms with threads=2, and four rows near
     n = 10^6 0.96 s either way, with 18% more CPU. The CLI never passes
     threads. Monte Carlo rows are seeded per row as seed ^ n. An n that is
-    no int in 1..N_MAX fails before any row runs.
+    no int in 1..N_MAX, sweeps below MIN_BATCHES or a negative seed fails
+    before any row runs, whatever the estimator.
     """
-    points = _points("run_finite_size_asymptotics", spec, n_list, check_n)
-    consts, exps = _constants_for("run_finite_size_asymptotics", spec)
-
-    def row(n: int, params: ModelParams) -> ReportRow:
-        if estimator is Estimator.EXACT:
-            e = abs_moment(finite_size_law(n, params))
-        else:
-            e = mc_estimate(n, params, sweeps=sweeps, seed=seed ^ n).mean
-        return _row(spec, exps, n, params, e)
-
-    if threads is not None and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, *zip(*points)))
+    op = "run_finite_size_asymptotics"
+    sweeps = check_count(op, sweeps, "sweeps", MIN_BATCHES)
+    seed = check_count(op, seed, "seed", 0)
+    if estimator is Estimator.EXACT:
+        def moment(n: int, params: ModelParams) -> float:
+            return abs_moment(finite_size_law(n, params))
     else:
-        rows = [row(n, params) for n, params in points]
-    return AsymptoticsReport(rows=tuple(rows), constants=consts)
+        def moment(n: int, params: ModelParams) -> float:
+            return mc_estimate(n, params, sweeps=sweeps, seed=seed ^ n).mean
+    return _report(op, spec, n_list, check_n, moment, threads)
 
 
 def estimator_comparison(spec_or_params, n_list) -> list[tuple[int, float]]:
@@ -239,38 +242,3 @@ def weak_limit_distance(spec: SequenceSpec, n: int) -> float:
     grid = np.linspace(-half_width, half_width, 40001)
     cdf_n = _cdf(-phi(grid), grid)
     return float(np.max(np.abs(cdf_n - _cdf(-poly(grid), grid))))
-
-
-@dataclass(frozen=True)
-class KappaFitReport:
-    fitted_exponent: float
-    conjectured_kappa: float
-    rows: tuple[tuple[int, float], ...]  # (n, E||S_n/n| - m_n|)
-
-
-def kappa_fluctuation_estimate(spec: SequenceSpec, n_list) -> KappaFitReport:
-    """Exploratory log-log fit of E| |S_n/n| - m(beta_n, K_n) | against n.
-
-    The conjectured decay exponent (1/2)(1 - alpha/alpha0) + theta*alpha is
-    reported alongside the fitted slope for informal comparison only; nothing
-    here is asserted by the acceptance suite.
-    """
-    points = _points("kappa_fluctuation_estimate", spec, n_list, check_n)
-    exps = _scaling("kappa_fluctuation_estimate", spec, Regime.BELOW)[1]
-    ns = [n for n, _ in points]
-    if len(set(ns)) < 2:
-        raise ValueError("kappa_fluctuation_estimate: the fit needs at least two "
-                         f"distinct n, got {ns}")
-    rows = []
-    for n, params in points:
-        m = magnetization(params)
-        law = finite_size_law(n, params)
-        s = law.support()
-        dev = np.abs(np.abs(s / law.n) - m)
-        val = float(np.sum(law.probabilities() * dev))
-        rows.append((n, val))
-    vals = np.array([r[1] for r in rows])
-    slope = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(vals), 1)[0]
-    return KappaFitReport(fitted_exponent=float(-slope),
-                          conjectured_kappa=exps.kappa(spec.alpha),
-                          rows=tuple(rows))

@@ -17,9 +17,9 @@ the exact rho_K = K(beta)/K - 1, the tilt functions in s = t^2 and their
 Newton starts. Elsewhere the spin/tilt argument may be a scalar or a numpy
 array. No function overflows for any finite argument.
 
-One dispatcher, ``_elementwise``, serves the four public functions: a finite
-Python int or float (numpy's float64 included) goes straight to a ``math``
-kernel, without numpy, and returns a float; any other argument goes to the
+One dispatcher, ``_elementwise``, serves the four public functions: a value
+the real rule takes goes straight to a ``math`` kernel, without numpy, and
+returns a float; an array or numpy number of integer or float dtype goes to the
 same kernel element by element, through numpy, so an array holds exactly the
 values of its elements taken one at a time and every precision device lives
 in one place. ``Tilt`` also sums its series in floats. The hot
@@ -104,16 +104,21 @@ class ModelParams:
 
 
 def _elementwise(op: str, name: str, kernel, first: float, t, arg):
-    """kernel(first, v, arg) for every element v of t, in the shape of t (a
-    numpy scalar gives a float), or at t itself, without numpy, if t is a finite
-    int or float; a ValueError naming op and name unless all are finite, so no
-    kernel sees a non-finite t. Every kernel takes these three positional
-    arguments, so a scalar is one plain call, and map feeds the kernel without
-    an argument tuple per element, a third faster."""
-    if isinstance(t, (int, float)) and math.isfinite(t):
+    """kernel(first, v, arg) at t itself, without numpy, if t passes the real
+    rule, else for every element v of t, in the shape of t (a numpy scalar gives
+    a float); a ValueError naming op and name unless t is real or of integer or
+    float dtype (no bool, str or object) and all of it is finite, so no kernel
+    sees a non-finite t. Every kernel takes these three positional arguments,
+    so a scalar is one plain call, and map feeds the kernel without an argument
+    tuple per element, a third faster."""
+    if type(t) is float and math.isfinite(t) or _is_real(t):
         return kernel(first, float(t), arg)
     import numpy as np
-    arr = np.asarray(t, dtype=float)
+    arr = np.asarray(t)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{op}: {name} must be a finite int or float or an array of them, "
+                         f"got {type(t).__name__} (dtype {arr.dtype})")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op}: {name} must be finite")
     values = arr.ravel().tolist()

@@ -55,7 +55,7 @@ import numpy as np
 from . import phase
 from .minimize import ScaledFreeEnergy, weight_window
 from .model import ModelParams, _is_real, check_beta, check_count
-from .phase import BETA_C, classify, second_order_k, second_order_k_deriv
+from .phase import BETA_C, second_order_k, second_order_k_deriv
 from .quadrature import weighted_ratio
 
 TRICRITICAL_C4 = 3.0 / 16.0
@@ -173,10 +173,6 @@ class ScalingExponents:
     @property
     def theta_alpha0(self) -> float:
         return self.theta * self.alpha0
-
-    def kappa(self, alpha: float) -> float:
-        """Conjectured fluctuation exponent (1/2)(1 - alpha/alpha0) + theta*alpha."""
-        return 0.5 * (1.0 - alpha / self.alpha0) + self.theta * alpha
 
     def regime(self, alpha: float) -> Regime:
         """The regime of speed alpha: AT within ALPHA_MATCH_TOL of alpha0."""
@@ -384,7 +380,8 @@ def params_at(spec: SequenceSpec, n: int) -> ModelParams:
     when beta_n leaves (0, BETA_MAX], as it can at small n. K_n is a float:
     once the order-p term ell s/(p! n^(p alpha)) falls below half an ulp of
     K, the point lands on the curve and rows built on it are silently wrong
-    (seq1 at beta = 1, b = 0, k = 1, alpha = 0.8 gives m = 0 at n = 10^50)."""
+    (seq1 at beta = 1, b = 0, k = 1, alpha = 0.8 has K_n = K(1) and m = 0 from
+    n = 10^20; at 10^19 its scaled m is already 9% below xbar)."""
     require_valid("params_at", spec)
     return _point(spec, check_count("params_at", n))
 
@@ -402,33 +399,6 @@ def _point(spec: SequenceSpec, n: int) -> ModelParams:
     beta_n = a.beta0 + a.h / na
     check_beta(f"params_at: beta_n at n = {n}", beta_n)
     return ModelParams(beta_n, kappa_n)
-
-
-def coexistence_onset(spec: SequenceSpec) -> int:
-    """Smallest probed n from which the sequence sits in phase coexistence.
-
-    Probes powers of two up to 2^20 and returns the first probe after the
-    last excursion outside {coexistence, first-order curve}. A probe whose
-    beta_n or K_n is no model point counts as outside.
-    """
-    require_valid("coexistence_onset", spec)
-    ok_regions = (phase.PhaseRegion.COEXISTENCE, phase.PhaseRegion.FIRST_ORDER_CURVE)
-    onset = None
-    n = 1
-    while n <= 2**20:
-        try:
-            inside = classify(_point(spec, n)) in ok_regions
-        except ValueError:  # beta_n or K_n out of range
-            inside = False
-        if not inside:
-            onset = None
-        elif onset is None:
-            onset = n
-        n *= 2
-    if onset is None:
-        raise SpecValidationError("coexistence_onset: sequence never entered the "
-                                  "coexistence region up to n = 2^20")
-    return onset
 
 
 def _scaling(op: str, spec: SequenceSpec, *allowed: Regime, alpha=None
@@ -559,18 +529,6 @@ def check_hypothesis_v(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np
     xs = np.asarray(x_grid, dtype=float)
     gx = g_above(xs)
     return [(n, np.abs(phi(xs) - gx)) for n, phi in rows]
-
-
-def scaled_free_energy_table(spec: SequenceSpec, x_grid, n_list) -> list[tuple[int, np.ndarray]]:
-    """Raw values n G(x/n^(theta alpha0)) per grid point and n.
-
-    Diagnostic companion to check_hypothesis_v: for seq6 it exhibits the
-    degenerate pointwise limit 0 instead of a coercive polynomial.
-    """
-    points = _points("scaled_free_energy_table", spec, n_list)
-    xs = np.asarray(x_grid, dtype=float)
-    return [(n, phi(xs)) for n, phi in _scaled_free_energies(
-        points, 1.0, _scaling("scaled_free_energy_table", spec)[1].theta_alpha0)]
 
 
 def spec_to_json(spec: SequenceSpec) -> str:

@@ -110,7 +110,9 @@ class TestRuntimeDependencies:
             assert run.returncode == 0 and run.stdout == "8\n", run.stderr
 
 
-# bclab.__all__: the eager layers' names and modules, then the lazy ones'
+# bclab.__all__: the eager layers' names and modules, then the lazy ones'; the
+# kappa fit, the raw scaled free-energy table and coexistence_onset had no
+# caller outside their own tests and are gone
 PUBLIC_NAMES = """
     ModelParams cumulant cumulant_deriv free_energy free_energy_deriv model
     ScaledFreeEnergy magnetization minimize
@@ -121,11 +123,10 @@ PUBLIC_NAMES = """
     QuadratureError aitken_limit quadrature
     EvenPolynomial MinimumSet Regime ScalingExponents SequenceSpec SpecValidationError
     UnsupportedSequenceError XbarResult c4_coefficient check_hypothesis_iiia
-    check_hypothesis_v coexistence_onset g_tilde gl_polynomial limit_constant params_at
-    scaled_free_energy_table spec_from_json spec_to_json validate weak_limit_polynomial
-    xbar sequences
-    AsymptoticsReport Estimator KappaFitReport MdpReport ReportConstants ReportRow
-    estimator_comparison kappa_fluctuation_estimate mdp_rate_estimate
+    check_hypothesis_v g_tilde gl_polynomial limit_constant params_at spec_from_json
+    spec_to_json validate weak_limit_polynomial xbar sequences
+    AsymptoticsReport Estimator MdpReport ReportConstants ReportRow
+    estimator_comparison mdp_rate_estimate
     run_finite_size_asymptotics run_thermo_asymptotics weak_limit_distance harness
 """.split()
 
@@ -218,16 +219,18 @@ class TestMcCommand:
         # the keys are McEstimate's fields: renaming one changes the artifact
         assert set(json.loads(first)) == {"mean", "stderr", "sweeps", "seed"}
 
-    @pytest.mark.parametrize("command", [
-        ["mc", "--beta", "1", "--kappa", "1.5", "--n", "50", "--sweeps", "20"],
-        ["sequence-run", "--spec", None, "--n", "50", "--estimator", "mc"]],
+    @pytest.mark.parametrize("command, op", [
+        (["mc", "--beta", "1", "--kappa", "1.5", "--n", "50", "--sweeps", "20"], "mc_estimate"),
+        (["sequence-run", "--spec", None, "--n", "50", "--estimator", "mc"],
+         "run_finite_size_asymptotics")],
         ids=["mc", "sequence-run"])
-    def test_negative_seed_fails_named(self, tmp_path, capsys, command):
-        # numpy raised "expected non-negative integer"
+    def test_negative_seed_fails_named(self, tmp_path, capsys, command, op):
+        # numpy raised "expected non-negative integer"; sequence-run named
+        # mc_estimate and the row's seed ^ n, -51
         out = tmp_path / "x.csv"
         argv = [write_spec(tmp_path) if a is None else a for a in command]
         assert main([*argv, "--seed", "-1", "-o", str(out)]) == 1
-        assert "mc_estimate: seed must be >= 0, got -" in capsys.readouterr().err
+        assert f"{op}: seed must be >= 0, got -1\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_burn_in_fails_named(self, tmp_path, capsys):
@@ -370,7 +373,7 @@ class TestSequenceRun:
         out = tmp_path / "x.csv"
         assert main(["sequence-run", "--spec", write_spec(tmp_path), "--n", "50",
                      "--estimator", "mc", "--sweeps", "0", "-o", str(out)]) == 1
-        assert "mc_estimate: sweeps" in capsys.readouterr().err
+        assert "run_finite_size_asymptotics: sweeps must be >= 20, got 0" in capsys.readouterr().err
         assert not out.exists()
 
 

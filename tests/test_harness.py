@@ -18,14 +18,13 @@ from scipy.special import ndtr
 from bclab import (BETA_C, N_MAX, EnumerationLimitError, Estimator, EvenPolynomial,
                    MinimumSet, ModelParams, PhaseRegion, QuadratureError, Regime, SequenceSpec,
                    SpecValidationError, UnsupportedSequenceError, aitken_limit,
-                   check_hypothesis_iiia, check_hypothesis_v, classify, coexistence_onset,
-                   cumulant, cumulant_deriv, estimator_comparison, finite_size_law,
-                   first_order_k, free_energy, free_energy_deriv, g_tilde,
-                   gl_polynomial, kappa_fluctuation_estimate, magnetization,
+                   check_hypothesis_iiia, check_hypothesis_v, classify, cumulant,
+                   cumulant_deriv, estimator_comparison, finite_size_law, first_order_k,
+                   free_energy, free_energy_deriv, g_tilde, gl_polynomial, magnetization,
                    mdp_rate_estimate, params_at, run_finite_size_asymptotics,
-                   run_thermo_asymptotics, scaled_free_energy_table,
-                   second_order_k, second_order_k_deriv, verify_tricritical_conjectures,
-                   weak_limit_distance, weak_limit_polynomial, xbar)
+                   run_thermo_asymptotics, second_order_k, second_order_k_deriv,
+                   verify_tricritical_conjectures, weak_limit_distance,
+                   weak_limit_polynomial, xbar)
 from bclab import abs_moment, harness, hs_lhs, hs_rhs, mc_estimate, minimize, model, sequences
 from bclab.finite_size import log_tail_mass
 from bclab.minimize import min_free_energy
@@ -325,16 +324,11 @@ class TestValidateOnce:
                 (lambda spec: estimator_comparison(spec, ns), every, 1 + len(ns)),
             "mdp_rate_estimate":
                 (lambda spec: mdp_rate_estimate(spec, 3.0, ns), [SEQ1_BELOW], 1 + len(ns)),
-            "kappa_fluctuation_estimate":
-                (lambda spec: kappa_fluctuation_estimate(spec, ns), [SEQ1_BELOW], 1 + len(ns)),
             "weak_limit_distance": (lambda spec: weak_limit_distance(spec, 100), at_or_above, 2),
             "check_hypothesis_iiia":
                 (lambda spec: check_hypothesis_iiia(spec, 2.0, ns), every, 1 + len(ns)),
             "check_hypothesis_v":
                 (lambda spec: check_hypothesis_v(spec, [1.0], ns), [SEQ1_ABOVE], 1 + len(ns)),
-            "scaled_free_energy_table":
-                (lambda spec: scaled_free_energy_table(spec, [1.0], ns), every, 1 + len(ns)),
-            "coexistence_onset": (coexistence_onset, every, 1),
             "gl_polynomial": (gl_polynomial, every, 1),
             "g_tilde": (g_tilde, every, 1),
             "weak_limit_polynomial": (weak_limit_polynomial, at_or_above, 1),
@@ -461,11 +455,11 @@ class TestFiniteSizeReports:
 CALL_WITH_N = {
     "run_thermo_asymptotics": lambda n: run_thermo_asymptotics(SEQ1_BELOW, [n]),
     "check_hypothesis_iiia": lambda n: check_hypothesis_iiia(SEQ1_BELOW, 2.0, [n]),
-    "scaled_free_energy_table": lambda n: scaled_free_energy_table(SEQ1_BELOW, [1.0], [n]),
     "weak_limit_distance": lambda n: weak_limit_distance(SEQ1_ABOVE, n),
     "params_at": lambda n: params_at(SEQ1_BELOW, n),
     "hs_rhs": lambda n: hs_rhs(n, ModelParams(1.0, 1.5), 0.2, abs),
-    # these two named finite_size_law and scaled_free_energy_table
+    # these two named the operation they called, finite_size_law and a raw
+    # scaled free-energy table
     "hs_lhs": lambda n: hs_lhs(n, ModelParams(1.0, 1.5), 0.2, abs),
     "check_hypothesis_v": lambda n: check_hypothesis_v(SEQ1_ABOVE, [1.0], [n]),
 }
@@ -536,6 +530,12 @@ INT_INPUTS = {
                             2, True),
     "mc_estimate-seed": ("mc_estimate", lambda law, p, v: mc_estimate(20, p, 20, seed=v),
                          3, False),
+    "run_finite_size_asymptotics-sweeps": (
+        "run_finite_size_asymptotics", lambda law, p, v: run_finite_size_asymptotics(
+            SEQ1_BELOW, [20], Estimator.MONTE_CARLO, sweeps=v), 20, False),
+    "run_finite_size_asymptotics-seed": (
+        "run_finite_size_asymptotics", lambda law, p, v: run_finite_size_asymptotics(
+            SEQ1_BELOW, [20], Estimator.MONTE_CARLO, sweeps=20, seed=v), 3, False),
     "SequenceSpec-b": ("SequenceSpec", lambda law, p, v: SequenceSpec(
         kind="seq1", alpha=0.3, beta=1.0, b=v, k=1.0), 1, False),
     "SequenceSpec-p": ("SequenceSpec", lambda law, p, v: SequenceSpec(
@@ -577,6 +577,11 @@ BAD_NUMBERS = [  # (id, op, call, value)
     ("mc_estimate", lambda law, p: mc_estimate(50, p, 20, seed=2.0)),
     ("run_finite_size_asymptotics",
      lambda law, p: run_finite_size_asymptotics(SEQ1_BELOW, [100.5])),
+    # the exact estimator ignored both; Monte Carlo named mc_estimate and seed ^ n
+    ("run_finite_size_asymptotics",
+     lambda law, p: run_finite_size_asymptotics(SEQ1_BELOW, [100], sweeps=0)),
+    ("run_finite_size_asymptotics",
+     lambda law, p: run_finite_size_asymptotics(SEQ1_BELOW, [100], seed=-1)),
     ("hs_lhs", lambda law, p: hs_lhs(20, p, 1.0, abs)),
     ("hs_rhs", lambda law, p: hs_rhs(20, p, -0.1, abs)),
     # n = 0 raised ZeroDivisionError, n = -5 a TypeError about complex numbers
@@ -585,9 +590,6 @@ BAD_NUMBERS = [  # (id, op, call, value)
     ("params_at", lambda law, p: params_at(SEQ1_BELOW, 0)),
     ("params_at", lambda law, p: params_at(SEQ1_ZERO_K, 10)),
     ("gl_polynomial", lambda law, p: gl_polynomial(SEQ1_ZERO_K)),
-    ("coexistence_onset", lambda law, p: coexistence_onset(SEQ1_ZERO_K)),
-    ("scaled_free_energy_table",
-     lambda law, p: scaled_free_energy_table(SEQ1_ZERO_K, [1.0], [100])),
     ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, 0.0, [100])),
     # a nan or inf radius failed in free_energy after numpy RuntimeWarnings
     ("check_hypothesis_iiia",
@@ -602,18 +604,13 @@ BAD_NUMBERS = [  # (id, op, call, value)
     # a = inf gave a nan target, a = nan failed in log_tail_mass
     ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_BELOW, math.inf, [100])),
     ("mdp_rate_estimate", lambda law, p: mdp_rate_estimate(SEQ1_BELOW, math.nan, [100])),
-    ("kappa_fluctuation_estimate",
-     lambda law, p: kappa_fluctuation_estimate(SEQ1_ABOVE, [100, 200])),
-    # one n used to give a fitted slope and only a RankWarning
-    ("kappa_fluctuation_estimate", lambda law, p: kappa_fluctuation_estimate(SEQ1_BELOW, [100])),
     ("weak_limit_distance", lambda law, p: weak_limit_distance(SEQ1_BELOW, 100)),
     ("estimator_comparison",
      lambda law, p: estimator_comparison(ModelParams(1.0, 1.0), [100])),
-    # an empty list returned an empty report, and these three an empty list
+    # an empty list returned an empty report, and these two an empty list
     ("run_thermo_asymptotics", lambda law, p: run_thermo_asymptotics(SEQ1_BELOW, [])),
     ("check_hypothesis_iiia", lambda law, p: check_hypothesis_iiia(SEQ1_BELOW, 2.0, [])),
     ("check_hypothesis_v", lambda law, p: check_hypothesis_v(SEQ1_ABOVE, [1.0], [])),
-    ("scaled_free_energy_table", lambda law, p: scaled_free_energy_table(SEQ1_ABOVE, [1.0], [])),
     # these eight raised without the operation's name
     ("aitken_limit", lambda law, p: aitken_limit([1.0, 2.0])),
     ("verify_tricritical_conjectures",
@@ -640,17 +637,16 @@ BAD_NUMBERS = [  # (id, op, call, value)
         "finite_size_law-n=2.5", "finite_size_law-n=3.0", "finite_size_law-n=True",
         "mc_estimate-n=2.5", "mc_estimate-sweeps=20.5", "mc_estimate-burn_in=True",
         "mc_estimate-burn_in=1.5", "mc_estimate-seed=-1", "mc_estimate-seed=2.0",
-        "run_finite_size_asymptotics-n=100.5",
+        "run_finite_size_asymptotics-n=100.5", "run_finite_size_asymptotics-sweeps=0",
+        "run_finite_size_asymptotics-seed=-1",
         "hs_lhs", "hs_rhs", "hs_rhs-n=0", "hs_rhs-n=-5", "params_at", "params_at-invalid-spec",
-        "gl_polynomial-invalid-spec", "coexistence_onset-invalid-spec",
-        "scaled_free_energy_table-invalid-spec", "check_hypothesis_iiia-radius",
+        "gl_polynomial-invalid-spec", "check_hypothesis_iiia-radius",
         "check_hypothesis_iiia-radius=nan", "check_hypothesis_iiia-radius=inf",
         "check_hypothesis_v-slow-speed", "g_tilde-seq6", "mdp_rate_estimate-fast-speed",
         "mdp_rate_estimate-a-below-xbar", "mdp_rate_estimate-a=inf", "mdp_rate_estimate-a=nan",
-        "kappa_fluctuation_estimate-fast-speed",
-        "kappa_fluctuation_estimate-one-n", "weak_limit_distance-below",
+        "weak_limit_distance-below",
         "estimator_comparison", "run_thermo_asymptotics-empty", "check_hypothesis_iiia-empty",
-        "check_hypothesis_v-empty", "scaled_free_energy_table-empty",
+        "check_hypothesis_v-empty",
         "aitken_limit-two-values", "verify_tricritical_conjectures-increasing",
         "second_order_k_deriv-order=0", "second_order_k_deriv-order=13",
         "cumulant_deriv-order", "free_energy_deriv-order", "gaussian_mixture_expectation",
@@ -696,6 +692,15 @@ def test_numpy_integers_are_held_as_python_ints():
     json.dumps(dataclasses.asdict(est))
 
 
+def test_seq1_lands_on_the_curve_at_1e20():
+    # K_n is a float: from n = 10^20 the order-1 term k/n^alpha is below half
+    # an ulp of K(1), so the point sits on the curve and m = 0 (params_at)
+    curve = second_order_k(1.0)
+    assert params_at(SEQ1_ABOVE, 10**20).kappa == curve
+    assert magnetization(params_at(SEQ1_ABOVE, 10**20)) == 0.0
+    assert params_at(SEQ1_ABOVE, 10**19).kappa != curve
+
+
 def test_n_up_to_the_largest_float():
     # n runs up to the largest float; one past it fails naming the operation
     n = int(sys.float_info.max)
@@ -711,7 +716,6 @@ SPEC_FIRST = {  # operation: its call on a spec, which checks the spec before an
     "estimator_comparison": lambda spec: estimator_comparison(spec, [100]),
     "mdp_rate_estimate": lambda spec: mdp_rate_estimate(spec, 3.0, [100]),
     "weak_limit_distance": lambda spec: weak_limit_distance(spec, 100),
-    "kappa_fluctuation_estimate": lambda spec: kappa_fluctuation_estimate(spec, [100, 200]),
     "check_hypothesis_iiia": lambda spec: check_hypothesis_iiia(spec, 2.0, [100]),
     "check_hypothesis_v": lambda spec: check_hypothesis_v(spec, [1.0], [100]),
     "g_tilde": g_tilde,
@@ -731,14 +735,13 @@ def test_invalid_spec_names_the_operation(op, alpha):
 @pytest.mark.parametrize("n_list", [[100.5], [True, 100], [0, 100], [100, N_MAX + 1], []])
 @pytest.mark.parametrize("op, call", [
     ("mdp_rate_estimate", lambda ns: mdp_rate_estimate(SEQ1_BELOW, 3.0, ns)),
-    ("kappa_fluctuation_estimate", lambda ns: kappa_fluctuation_estimate(SEQ1_BELOW, ns)),
     ("estimator_comparison", lambda ns: estimator_comparison(ModelParams(1.0, 1.5), ns)),
     ("estimator_comparison", lambda ns: estimator_comparison(SEQ1_BELOW, ns)),
     ("run_finite_size_asymptotics", lambda ns: run_finite_size_asymptotics(SEQ1_BELOW, ns))],
-    ids=["mdp_rate_estimate", "kappa_fluctuation_estimate", "estimator_comparison",
+    ids=["mdp_rate_estimate", "estimator_comparison",
          "estimator_comparison-spec", "run_finite_size_asymptotics"])
 def test_n_list_errors_name_the_operation(op, call, n_list):
-    # the first three named finite_size_law, the first operation to check n,
+    # the first two named finite_size_law, the first operation to check n,
     # and estimator_comparison on a spec named run_finite_size_asymptotics;
     # mdp_rate_estimate and estimator_comparison on a fixed point returned
     # nothing for an empty list
@@ -748,8 +751,6 @@ def test_n_list_errors_name_the_operation(op, call, n_list):
 
 REGIME_RESTRICTED = {  # operation: (call on a spec, the regimes it accepts)
     "mdp_rate_estimate": (lambda spec: mdp_rate_estimate(spec, 3.0, [100]), ("below",)),
-    "kappa_fluctuation_estimate":
-        (lambda spec: kappa_fluctuation_estimate(spec, [100, 200]), ("below",)),
     "check_hypothesis_v": (lambda spec: check_hypothesis_v(spec, [1.0], [100]), ("above",)),
     "weak_limit_distance": (lambda spec: weak_limit_distance(spec, 100), ("at", "above")),
     "weak_limit_polynomial": (weak_limit_polynomial, ("at", "above")),
@@ -936,16 +937,3 @@ class TestWeakLimitDistance:
         d_above = weak_limit_distance(SEQ1_ABOVE, 400)
         assert d_at != d_above
         assert d_at < 0.2 and d_above < 0.2
-
-
-class TestKappaFluctuationEstimate:
-    def test_reports_both_exponents(self):
-        fit = kappa_fluctuation_estimate(SEQ1_BELOW, [250, 500, 1000, 2000])
-        assert fit.conjectured_kappa == pytest.approx(0.35)
-        assert math.isfinite(fit.fitted_exponent)
-        assert fit.fitted_exponent > 0
-        assert len(fit.rows) == 4
-
-    def test_rejects_fast_speed(self):
-        with pytest.raises(ValueError):
-            kappa_fluctuation_estimate(SEQ1_ABOVE, [100, 200])

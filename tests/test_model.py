@@ -195,6 +195,23 @@ class TestArrayInput:
             assert out.shape == array.shape
             assert out.ravel().tolist() == values
             assert fn(np.float32(points[7])) == fn(float(np.float32(points[7])))
+            assert fn(np.int64(-1)) == fn(-1) and fn(np.array([-1, 0])).tolist() == [fn(-1), fn(0)]
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, "1.0", None, 1j, 10**400, -10**400,
+        np.array([True, False]), np.array(["1.0"]), np.array([1.0, None], dtype=object),
+        [0.5, "1.0"]], ids=repr)
+    @pytest.mark.parametrize("name, arg, call", [
+        ("cumulant", "t", lambda v: cumulant(1.0, v)),
+        ("cumulant_deriv", "t", lambda v: cumulant_deriv(1.0, v, 1)),
+        ("free_energy", "x", lambda v: free_energy(ModelParams(1.0, 1.5), v)),
+        ("free_energy_deriv", "x", lambda v: free_energy_deriv(ModelParams(1.0, 1.5), v, 2))])
+    def test_rejects_what_the_real_rule_refuses(self, name, arg, call, value):
+        # a bool was taken as 0 or 1, "1.0" gave a value and 10^400 raised a
+        # bare OverflowError
+        with pytest.raises(ValueError, match=f"^{name}: {arg} must be a finite int or float "
+                                             "or an array of them, got "):
+            call(value)
 
 
 class TestTiltForms:

@@ -13,12 +13,11 @@ from scipy.special import gamma as gamma_fn
 from bclab import (BETA_C, EvenPolynomial, MinimumSet, Regime, SequenceSpec,
                    SpecValidationError, UnsupportedSequenceError, XbarResult,
                    c4_coefficient, check_hypothesis_iiia, check_hypothesis_v,
-                   coexistence_onset, critical_constants, g_tilde,
-                   gl_polynomial, limit_constant, params_at,
-                   scaled_free_energy_table, second_order_k,
-                   second_order_k_deriv, spec_from_json, spec_to_json,
-                   validate, xbar)
-from bclab.sequences import K1_THIRD_DERIV_AT_BETA_C, KINDS, scaling_exponents
+                   critical_constants, g_tilde, gl_polynomial, limit_constant,
+                   params_at, second_order_k, second_order_k_deriv, spec_from_json,
+                   spec_to_json, validate, xbar)
+from bclab.sequences import (K1_THIRD_DERIV_AT_BETA_C, KINDS, _points, _scaled_free_energies,
+                             scaling_exponents)
 from mp_reference import exp_poly_abs_moment_mp, k1_taylor_mp
 
 SEQ1 = SequenceSpec(kind="seq1", alpha=0.3, beta=1.0, b=0, k=1.0)
@@ -372,28 +371,13 @@ class TestParamsAt:
         assert params.beta == pytest.approx(beta_n, abs=1e-15)
         assert params.kappa == pytest.approx(kappa_n, abs=1e-15)
 
-    def test_coexistence_onset(self):
-        assert coexistence_onset(SEQ1) == 1
-        # seq5's quadratic ell-term only beats the curve remainder from n = 2
-        spec = SequenceSpec(kind="seq5", alpha=0.25,
-                            ell=second_order_k_deriv(BETA_C, 2) + 1.0)
-        assert coexistence_onset(spec) == 2
-        # beta_n = 1/2 - n^-0.3 <= 0 up to n = 8: those probes count as
-        # outside, and the single-phase stretch from 16 to 131072 as well
+    def test_beta_n_below_zero_is_named(self):
+        # beta_n = 1/2 - n^-0.3 <= 0 up to n = 8, on a spec whose checks pass
         low = SequenceSpec(kind="seq1", alpha=0.3, beta=0.5, b=-1, k=3.0)
         assert all(c.passed for c in validate(low))
-        assert coexistence_onset(low) == 262144
         with pytest.raises(ValueError, match=r"^params_at: beta_n at n = 8: .* got -0\.03"):
             params_at(low, 8)
-
-    def test_coexistence_onset_never_reached(self):
-        # d = -1e-9 is valid, but at alpha = 0.05 the ell-term stays below the
-        # curve remainder through every probe
-        spec = SequenceSpec(kind="seq5", alpha=0.05,
-                            ell=second_order_k_deriv(BETA_C, 2) + 1e-9)
-        with pytest.raises(SpecValidationError,
-                           match=r"^coexistence_onset: sequence never entered .* n = 2\^20$"):
-            coexistence_onset(spec)
+        assert params_at(low, 16).beta > 0
 
 
 class TestGlPolynomial:
@@ -441,31 +425,6 @@ class TestGlPolynomial:
         for spec in specs:
             exps = scaling_exponents(spec)
             assert 0 < exps.theta_alpha0 < 0.5
-
-    def test_kappa_exceeds_theta_alpha_below_threshold(self):
-        exps = scaling_exponents(SEQ1)
-        assert exps.kappa(0.3) == pytest.approx(0.35)
-        for alpha in (0.1, 0.3, 0.49):
-            assert exps.kappa(alpha) > exps.theta * alpha
-
-    def test_kappa_closed_forms_per_kind(self):
-        # the generic (1/2)(1 - alpha/alpha0) + theta*alpha collapses to
-        # (1/2)(1 - alpha) for kinds 1 and 3, (1/2)(1 - p alpha) for kinds
-        # 2 and 6, and (1/2)(1 - 2 alpha) for kinds 4 and 5
-        alpha = 0.07
-        cases = [
-            (SEQ1, 0.5 * (1 - alpha)),
-            (SequenceSpec(kind="seq2", alpha=alpha, beta=1.0, b=1, p=3, ell=0.0),
-             0.5 * (1 - 3 * alpha)),
-            (SEQ3, 0.5 * (1 - alpha)),
-            (seq4_case_d(), 0.5 * (1 - 2 * alpha)),
-            (SequenceSpec(kind="seq5", alpha=alpha, ell=0.0), 0.5 * (1 - 2 * alpha)),
-            (SequenceSpec(kind="seq6", alpha=alpha, p=4, ell=0.0),
-             0.5 * (1 - 4 * alpha)),
-        ]
-        for spec, expected in cases:
-            assert scaling_exponents(spec).kappa(alpha) == pytest.approx(
-                expected, abs=1e-14)
 
     def test_well_structure_for_valid_specs(self):
         # kinds whose validity inequality forces a negative quadratic term
@@ -653,7 +612,8 @@ class TestHypothesisChecks:
             check_hypothesis_v(spec, [1.0], [100])
         # the scaled free energy decays like n^(-1/10) here, so wide decades;
         # past n ~ 1e12 the n * G product starts amplifying float noise
-        rows = scaled_free_energy_table(spec, [1.0], [10**4, 10**8, 10**12])
-        vals = [abs(v[0]) for _, v in rows]
+        rows = _scaled_free_energies(_points("seq6", spec, [10**4, 10**8, 10**12]), 1.0,
+                                     scaling_exponents(spec).theta_alpha0)
+        vals = [abs(phi(1.0)) for _, phi in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.05
