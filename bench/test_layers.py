@@ -5,8 +5,8 @@ accuracy figure for the same call in the benchmark's extra_info.
 The Metropolis chain and the law run at beta = 1, K = K(1) + 0.4, the
 ordered-phase point of the mc-crosscheck workload, where |S/n| sits near 0.82,
 at n = 10^4; the chain also runs on the n = 4000 row of the README seq1 spec,
-below the size from which it sets aside its certain rejections. Both record
-the share of steps the chain's loop visits.
+which approaches the second-order point at beta = 1. Both record the share of
+steps the chain's loop visits.
 magnetization runs there and at K(1) + 1e-6, where m is about 1.8e-3 and
 the stationary tilt is small; first_order_k runs at three beta of the
 phase-curve grid's first-order range and at beta_c + 1e-6 and + 1e-10, where
@@ -124,12 +124,13 @@ def bench_chain(benchmark, n, params):
 
 
 def test_mc_estimate(benchmark):
-    # above finite_size.SKIP_MIN_N: the pre-pass sets most steps aside
+    # deep in the ordered phase: the pre-pass sets most steps aside
     bench_chain(benchmark, MC_N, PARAMS)
 
 
 def test_mc_estimate_seq1_row(benchmark):
-    # below finite_size.SKIP_MIN_N: the loop visits every step
+    # on the approach to the second-order point, where fewer steps are
+    # certain rejections
     bench_chain(benchmark, MC_ROW_N, params_at(spec_from_json(README_SEQ1), MC_ROW_N))
 
 

@@ -18,13 +18,13 @@ law costs O(n) time and memory.
 The Metropolis cross-estimator rests on the same fact: its chain state is the
 counts n_+, n_- and the total spin S, not a list of spins, and the acceptance
 of each of the six single-site moves is read from one of three tables over S
-built once per call, so a step evaluates no exponential. From n = SKIP_MIN_N
-on, one vectorized pass per sweep sets aside the steps that every state near
-the sweep's start rejects, and the loop visits only the others, so the cost of
-a step follows the acceptance rate. At n = 10^4 and beta = 1 on a 2-core
-x86-64 box, the loop visits 22% of the steps at K = K(1) + 0.4, about 60 ns a
-step against 140 ns when it visits every step, and 68% at K(1) + 1e-6, about
-170 against 180 ns (the site-list chain took about 630 ns).
+built once per call, so a step evaluates no exponential. A vectorized pass
+sets aside the steps every state near the chain's state rejects, the loop
+visits the others and a new pass starts where it leaves that window, so the
+cost of a step follows the acceptance rate. At n = 10^4 and beta = 1 on a
+2-core x86-64 box, the loop visits 22% of the steps at K = K(1) + 0.4, about
+60 ns a step against 140 ns when it visits every step, and 68% at K(1) +
+1e-6, about 170 against 180 ns (the site-list chain took about 630 ns).
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ from .quadrature import gaussian_mixture_expectation, weighted_ratio
 # 88 B per n (its tables 64 B per n while built), so about 113 MB and 88 MB here
 N_MAX = 10**6
 MIN_BATCHES = 20
-# From this size on a Metropolis sweep first sets aside, in one vectorized
-# pass, the steps it certainly rejects. Where few steps are certain rejections
-# the pass costs more than it saves. Timed serially against the full walk, it
-# took 0.76x at beta = 1, K = K(1) + 0.4, n = 1000 and 0.41x at 8192, but at
-# beta = 0.5, K = K(0.5) - 0.2 1.26x at 1000, 1.10x at 4000 and 1.07x at 8192
-SKIP_MIN_N = 8192
 
 
 class EnumerationLimitError(RuntimeError):
@@ -320,9 +314,10 @@ def _walk(n: int, draws, uniforms, n_plus: int, first_minus: int,
 
 
 def _walk_within(n: int, draws, uniforms, start: tuple[int, int],
-                 tables: list[array | memoryview], half: int) -> tuple[int, int] | None:
-    """The state _walk reaches, or None if it reaches the edge of the window
-    of half-width half around start with steps still to walk.
+                 tables: list[array | memoryview], half: int) -> tuple[tuple[int, int], int]:
+    """The state _walk reaches and the number of steps it walked, fewer than
+    len(draws) if it reached the edge of the window of half-width half around
+    start.
 
     The steps run in stretches no longer than the slack left to the edge: a
     step moves n_plus and first_minus by at most 1 each, so every state of a
@@ -332,10 +327,10 @@ def _walk_within(n: int, draws, uniforms, start: tuple[int, int],
     while done < len(draws):
         slack = half - max(abs(state[0] - start[0]), abs(state[1] - start[1]))
         if slack == 0:
-            return None
+            break
         state = _walk(n, draws[done:done + slack], uniforms[done:done + slack], *state, tables)
-        done += slack
-    return state
+        done = min(done + slack, len(draws))
+    return state, done
 
 
 def _uncertain_steps(n: int, draws: np.ndarray, uniforms: np.ndarray,
@@ -382,16 +377,18 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     and the standard error comes from 20 batch means. Identical (n, params,
     sweeps, burn_in, seed) reproduce the estimate exactly.
 
-    For n >= SKIP_MIN_N each sweep draws its n sites and uniforms, then sets
-    aside the steps that every state within 2 sqrt(n) of the sweep's start in
-    n_+ and in n - n_- rejects, and walks the others. Should the walk come to
-    the edge of that window, the sweep runs again from its start over all n
-    steps. Either way every draw is read in order and decided as by one loop
-    over all steps, so the estimate is the same to the bit. At n = 10^4 the
-    loop visits about 22% of the steps at beta = 1, K = K(1) + 0.4 and 68% at
-    K(1) + 1e-6; the module docstring gives the cost per step. The three
-    tables hold 48 B per n (64 B per n while built) and one sweep at most 40 B
-    per n more, so n is bounded by N_MAX.
+    Each sweep draws its n sites and uniforms, sets aside the steps that
+    every state within 2 sqrt(n) of the chain's state in n_+ and in n - n_-
+    rejects, and walks the others. Should the walk come to the edge of that
+    window, a new pass sets aside steps around the state there, from the first
+    kept step not yet walked: the steps skipped before it are rejected from
+    every state of the old window, the walk's last state included. So every
+    draw is read in order and decided as by one loop over all steps, and the
+    estimate is the same to the bit. At n = 10^4 the loop visits about 22% of
+    the steps at beta = 1, K = K(1) + 0.4 and 68% at K(1) + 1e-6; the module
+    docstring gives the cost per step. The three tables hold 48 B per n (64 B
+    per n while built) and one sweep at most 40 B per n more, so n is bounded
+    by N_MAX.
     """
     n = check_n("mc_estimate", n)
     sweeps = check_count("mc_estimate", sweeps, "sweeps", MIN_BATCHES)
@@ -412,17 +409,12 @@ def mc_estimate(n: int, params: ModelParams, sweeps: int,
     for sweep in range(burn_in + sweeps):
         draws = rng.integers(0, 2 * n, size=n)
         uniforms = rng.random(size=n)
-        start, state = state, None
-        if n >= SKIP_MIN_N:
-            kept = _uncertain_steps(n, draws, uniforms, tables, start, half)
-            state = _walk_within(n, memoryview(draws[kept]), memoryview(uniforms[kept]),
-                                 start, tables, half)
-        if state is None:   # no pre-pass, or the walk reached the window's edge
-            # arrays iterate about 3% faster than memoryviews; converting one
-            # at a time keeps the sweep within 40 B per n
-            draws = array("q", draws.tobytes())
-            uniforms = array("d", uniforms.tobytes())
-            state = _walk(n, draws, uniforms, *start, tables)
+        while len(draws):
+            kept = _uncertain_steps(n, draws, uniforms, tables, state, half)
+            state, walked = _walk_within(n, memoryview(draws[kept]), memoryview(uniforms[kept]),
+                                         state, tables, half)
+            rest = kept[walked] if walked < len(kept) else n
+            draws, uniforms = draws[rest:], uniforms[rest:]
         if sweep >= burn_in:
             samples[sweep - burn_in] = abs(sum(state) - n) / n
 

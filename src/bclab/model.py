@@ -107,15 +107,20 @@ def _elementwise(op: str, name: str, kernel, first: float, t, arg):
     """kernel(first, v, arg) at t itself, without numpy, if t passes the real
     rule, else for every element v of t, in the shape of t (a numpy scalar gives
     a float); a ValueError naming op and name unless t is real or of integer or
-    float dtype (no bool, str or object) and all of it is finite, so no kernel
-    sees a non-finite t. Every kernel takes these three positional arguments,
-    so a scalar is one plain call, and map feeds the kernel without an argument
-    tuple per element, a third faster."""
+    float dtype (no bool, str or object), a list or tuple holds only ints and
+    floats, and all of it is finite, so no kernel sees a non-finite t. Every
+    kernel takes these three positional arguments, so a scalar is one plain
+    call, and map feeds the kernel without an argument tuple per element, a
+    third faster."""
     if type(t) is float and math.isfinite(t) or _is_real(t):
         return kernel(first, float(t), arg)
     import numpy as np
     arr = np.asarray(t)
-    if arr.dtype.kind not in "iuf":
+    # numpy upcasts a list's bools to int or float; its elements are judged one by one
+    leaves = np.asarray(t, dtype=object).flat if isinstance(t, (list, tuple)) else ()
+    if arr.dtype.kind not in "iuf" or any(
+            isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+            for v in leaves):
         raise ValueError(f"{op}: {name} must be a finite int or float or an array of them, "
                          f"got {type(t).__name__} (dtype {arr.dtype})")
     arr = arr.astype(float, copy=False)

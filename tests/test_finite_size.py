@@ -422,35 +422,32 @@ CHAIN_POINTS = {"bench": BENCH_POINT, "saturated": ModelParams(20.0, 1.5),
 
 
 def _chain_cases():
-    """(n, params, pre-pass from size) of the bit-identity grid: at n <= 50
-    the window's edges clamp to [0, n], with the pre-pass forced on; 4000
-    and 2 10^4 lie on either side of SKIP_MIN_N at its own value."""
+    """(n, params) of the bit-identity grid: at n <= 50 the window's edges
+    clamp to [0, n]; at 4000 and 2 10^4 the seq1 row joins the four points."""
     for n in (1, 2, 3, 4, 8, 50):
         for name, params in CHAIN_POINTS.items():
-            yield pytest.param(n, params, 1, id=f"{name}-n{n}-forced")
+            yield pytest.param(n, params, id=f"{name}-n{n}")
     for n in (4000, 2 * 10**4):
         points = dict(CHAIN_POINTS, seq1=params_at(SEQ1, n))
         for name, params in points.items():
-            yield pytest.param(n, params, None, id=f"{name}-n{n}")
-    yield pytest.param(4000, params_at(SEQ1, 4000), 1, id="seq1-n4000-forced")
+            yield pytest.param(n, params, id=f"{name}-n{n}")
 
 
 class TestCertainRejections:
-    """The pre-pass that sets aside the steps every state near a sweep's start
-    rejects leaves every decision of the chain as it was."""
+    """The pre-pass that sets aside the steps every state near the chain's
+    state rejects leaves every decision of the chain as it was."""
 
-    @pytest.mark.parametrize("n, params, skip_min_n", _chain_cases())
-    def test_equals_the_chain_that_visits_every_step(self, monkeypatch, n, params, skip_min_n):
+    @pytest.mark.parametrize("n, params", _chain_cases())
+    def test_equals_the_chain_that_visits_every_step(self, monkeypatch, n, params):
         fs = bclab.finite_size
-        if skip_min_n is not None:
-            monkeypatch.setattr(fs, "SKIP_MIN_N", skip_min_n)
         calls = []
         prepass = fs._uncertain_steps
         monkeypatch.setattr(fs, "_uncertain_steps", lambda *a: calls.append(1) or prepass(*a))
         for seed in (0, 7):
             assert mc_estimate(n, params, sweeps=40, seed=seed) == reference_chain(
                 n, params, sweeps=40, seed=seed)
-        assert bool(calls) == (n >= fs.SKIP_MIN_N)
+        # at least one pass a sweep: 40 sweeps and 4 of burn-in, two seeds
+        assert len(calls) >= 2 * 44
 
     def test_walk_reports_reaching_the_window_edge(self):
         # every proposal accepted and every draw site 0, a +1 site: each step
@@ -459,36 +456,43 @@ class TestCertainRejections:
         tables = [array("d", [1.0]) * (2 * n + 1) for _ in range(6)]
         draws, uniforms = array("q", [0] * 4), array("d", [0.5] * 4)
         walk_within = bclab.finite_size._walk_within
-        assert walk_within(n, draws[:3], uniforms[:3], (5, 8), tables, half) == (2, 8)
-        assert walk_within(n, draws, uniforms, (5, 8), tables, half) is None
+        assert walk_within(n, draws[:2], uniforms[:2], (5, 8), tables, half) == ((3, 8), 2)
+        assert walk_within(n, draws[:3], uniforms[:3], (5, 8), tables, half) == ((2, 8), 3)
+        assert walk_within(n, draws, uniforms, (5, 8), tables, half) == ((2, 8), 3)
+        assert walk_within(n, draws[:0], uniforms[:0], (5, 8), tables, half) == ((5, 8), 0)
         assert bclab.finite_size._walk(n, draws, uniforms, 5, 8, tables) == (1, 8)
 
-    def test_sweep_reruns_from_its_start_after_leaving_the_window(self, monkeypatch):
-        # a walk held to a half-width of 2 reaches the window's edge in most
-        # sweeps; each such sweep runs again over all n steps from its start
+    def test_sweep_resumes_from_the_exit_state(self, monkeypatch):
+        # a window held to a half-width of 2 is left in most sweeps; each time
+        # a new pre-pass starts at the state where the walk left it, over the
+        # steps from the first kept one not walked
         fs = bclab.finite_size
         n, params = 2 * 10**4, params_at(SEQ1, 2 * 10**4)
-        walk, walk_within = fs._walk, fs._walk_within
+        prepass, walk_within = fs._uncertain_steps, fs._walk_within
         log = []
 
-        def narrow(n, draws, uniforms, start, tables, half):
-            state = walk_within(n, draws, uniforms, start, tables, 2)
-            log.append(("within", start, state))
-            return state
+        def narrow_prepass(n, draws, uniforms, tables, start, half):
+            log.append(("pre", start, len(draws)))
+            return prepass(n, draws, uniforms, tables, start, 2)
 
-        def full(n, draws, uniforms, *rest):
-            if len(draws) == n:
-                log.append(("full", rest[:2]))
-            return walk(n, draws, uniforms, *rest)
+        def narrow_walk(n, draws, uniforms, start, tables, half):
+            state, walked = walk_within(n, draws, uniforms, start, tables, 2)
+            log.append(("walk", start, state, walked < len(draws)))
+            return state, walked
 
-        monkeypatch.setattr(fs, "_walk_within", narrow)
-        monkeypatch.setattr(fs, "_walk", full)
+        monkeypatch.setattr(fs, "_uncertain_steps", narrow_prepass)
+        monkeypatch.setattr(fs, "_walk_within", narrow_walk)
         assert mc_estimate(n, params, sweeps=20, seed=3) == reference_chain(
             n, params, sweeps=20, seed=3)
-        exits = [i for i, entry in enumerate(log) if entry[0] == "within" and entry[2] is None]
+        exits = [i for i, entry in enumerate(log) if entry[0] == "walk" and entry[3]]
         assert len(exits) > 10
-        assert all(log[i + 1] == ("full", log[i][1]) for i in exits)
-        assert sum(entry[0] == "full" for entry in log) == len(exits)
+        for i in exits:
+            (_, pre_start, before), (_, start, state, _) = log[i - 1], log[i]
+            kind, resumed_at, left = log[i + 1]
+            assert pre_start == start and kind == "pre" and resumed_at == state
+            assert 0 < left < before
+        assert all(entry[0] == "pre" for entry in log[::2])
+        assert all(entry[0] == "walk" for entry in log[1::2])
 
 
 class TestMonteCarlo:
@@ -591,10 +595,9 @@ class TestMonteCarlo:
 
     def test_chain_holds_its_tables_and_one_sweep(self):
         # the docstring's bound: 48 B per n of tables and at most 40 B per n of
-        # one sweep's draws, uniforms and pre-pass temporaries; at n = 10^4 the
-        # pre-pass runs and the call peaks at 84.7 B per n
+        # one sweep's draws, uniforms and pre-pass temporaries; at n = 10^4
+        # the call peaks at 84.1 B per n
         n = 10**4
-        assert n >= bclab.finite_size.SKIP_MIN_N
         mc_estimate(n, BENCH_POINT, sweeps=20)
         tracemalloc.start()
         try:

@@ -200,7 +200,7 @@ class TestArrayInput:
     @pytest.mark.parametrize("value", [
         True, False, np.True_, "1.0", None, 1j, 10**400, -10**400,
         np.array([True, False]), np.array(["1.0"]), np.array([1.0, None], dtype=object),
-        [0.5, "1.0"]], ids=repr)
+        [0.5, "1.0"], [True, 0.5], (False, 0.3)], ids=repr)
     @pytest.mark.parametrize("name, arg, call", [
         ("cumulant", "t", lambda v: cumulant(1.0, v)),
         ("cumulant_deriv", "t", lambda v: cumulant_deriv(1.0, v, 1)),
